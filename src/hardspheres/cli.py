@@ -7,7 +7,8 @@ emits a manifest with version, config, seed, RNG algorithm, and wall time;
 all CSV floats carry 17 significant digits.
 
 Exit codes: 0 success, 2 usage error, 3 invariant violation,
-4 statistical-check failure.
+4 statistical-check failure, 5 the run cannot be realized exactly (the
+registry refuses a region or the construction breaks an invariant).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import numpy as np
 
 from . import __version__, bounds, geometry
 from .construction import (
+    ConstructionError,
     ConstructionParams,
     assemble_gamma,
     cluster_components,
@@ -33,13 +35,14 @@ from .construction import (
     verify_hard_sphere,
 )
 from .percolation2d import estimate_theta
-from .poisson import sampler_consistency_check
+from .poisson import RegistryError, sampler_consistency_check
 from .rngutil import RNG_ALGORITHM, derive_seed
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_VIOLATION = 3
 EXIT_STAT_FAIL = 4
+EXIT_CANNOT_REALIZE = 5
 
 SEED_ENV_VAR = "HARDSPHERES_SEED"
 
@@ -176,18 +179,28 @@ def _resolve_C(spec: str, d: int, seed: int) -> float:
             raise UsageError("cells-C must be > 0")
         return C
     r_max = geometry.step_layer_radii(geometry.RADIUS_MAX)[2]
-    return float(
-        geometry.search_overlap_constant(d - 2, r_max, seed=derive_seed(seed, 5))
-    )
+    try:
+        C = geometry.search_overlap_constant(d - 2, r_max, seed=derive_seed(seed, 5))
+    except RuntimeError as exc:
+        raise UsageError(f"{exc}; pass --cells-C explicitly") from exc
+    return float(C)
 
 
-def _sphere_dump(gamma) -> str:
-    lines = []
+def _sphere_lines(gamma):
+    """One line per sphere: ``layer|vertex|kind|radius|coords``, the layer
+    vector comma-joined, floats as ``%.17g`` (the same digits as f17).
+    Lines are yielded one at a time, so a file receives them without the
+    whole text being held in memory."""
+    if not gamma.spheres:
+        return
+    d = len(gamma.spheres[0].center)
+    row = "%s|%s|%s|%.17g|" + " ".join(["%.17g"] * d) + "\n"
+    layers: dict = {}
     for s in gamma.spheres:
-        layer = ",".join(str(v) for v in s.layer)
-        coords = " ".join(f17(x) for x in s.center)
-        lines.append(f"{layer}|{s.vertex}|{s.kind}|{f17(s.radius)}|{coords}")
-    return "\n".join(lines) + ("\n" if lines else "")
+        layer = layers.get(s.layer)
+        if layer is None:
+            layer = layers[s.layer] = ",".join(str(v) for v in s.layer)
+        yield row % (layer, s.vertex, s.kind, s.radius, *s.center.tolist())
 
 
 def _step_log_csv(states) -> str:
@@ -270,16 +283,15 @@ def cmd_simulate(args) -> int:
         "violations": list(report.violations),
     }
     man["annotations"] = gamma.annotations
-    spheres_text = _sphere_dump(gamma)
     steps_text = _step_log_csv(states)
     if args.out:
         with open(args.out + ".spheres.txt", "w") as fh:
-            fh.write(spheres_text)
+            fh.writelines(_sphere_lines(gamma))
         with open(args.out + ".steps.csv", "w") as fh:
             fh.write(steps_text)
         _emit_json(man, args.out + ".manifest.json")
     else:
-        man["spheres"] = spheres_text
+        man["spheres"] = "".join(_sphere_lines(gamma))
         man["step_log"] = steps_text
         _emit_json(man, None)
     if not report.passed:
@@ -524,6 +536,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (RegistryError, ConstructionError) as exc:
+        print(f"error: cannot realize this run exactly: {exc}", file=sys.stderr)
+        return EXIT_CANNOT_REALIZE
 
 
 if __name__ == "__main__":

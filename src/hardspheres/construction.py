@@ -17,8 +17,9 @@ that their spheres keep a surface gap of at least 2.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -39,6 +40,7 @@ from .geometry import (
     step_volume_bracket,
 )
 from .hexlattice import KIND_SITE, StarLattice, build_lattice
+from .percolation2d import UnionFind
 from .poisson import RegionRegistry
 from .rngutil import derive_seed
 
@@ -190,7 +192,6 @@ class ExplorationState:
         self.status = np.zeros(lattice.n_vertices, dtype=np.int8)
         self.spheres: list = []
         self.vertex_sphere: dict = {}  # vertex id -> index into spheres
-        self.parent: dict = {}
         self.frontier: set = set()
         self.log: list = []
         self.n_explored = 0
@@ -226,13 +227,6 @@ class ExplorationState:
             self.lattice.neighbors[vertex]
         )
         return good, bad, unexplored, missing
-
-    def good_vertices(self) -> list:
-        return [int(v) for v in np.flatnonzero(self.status == GOOD)]
-
-
-def _pick_case(result) -> str:
-    return "empty" if result.status == "empty" else "picked"
 
 
 def step0(
@@ -712,26 +706,52 @@ class HardSphereReport:
     passed: bool
 
 
+# A distance summed by numpy or cKDTree differs from math.dist by a few
+# ulps (about d/2 relative ulps from the summed squares), or by up to
+# ~1e-160 absolute once squares underflow.  Pairs this close to a threshold
+# are re-decided by math.dist, so every decision is the one math.dist makes.
+_TIE_REL = 1e-12
+_TIE_ABS = 1e-150
+
+
 def _contact_pairs(centers: np.ndarray, radii: np.ndarray, slack: float):
-    """Pairs (i, j), i < j, with |x_i - x_j| <= r_i + r_j + slack.  Two
-    zero-radius spheres can never satisfy that (distinct points, slack at
-    tolerance scale), so only positive-radius spheres seed the queries."""
+    """Pairs (i, j), i < j, with |x_i - x_j| <= r_i + r_j + slack, as index
+    arrays (I, J) in lexicographic order.  Two zero-radius spheres can
+    never satisfy that (distinct points, slack at tolerance scale), so only
+    positive-radius spheres seed the queries.  Their query radius is
+    widened by _TIE_REL, so that the tree's own rounding cannot drop a pair
+    whose math.dist lies exactly on a threshold."""
+    n = len(radii)
     positive = np.flatnonzero(radii > 0)
     if positive.size == 0:
-        return []
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
     tree = cKDTree(centers)
     r_max = float(radii.max())
-    pairs = set()
-    for i in positive:
-        i = int(i)
-        near = tree.query_ball_point(centers[i], r=radii[i] + r_max + slack)
-        for j in near:
-            j = int(j)
-            if j == i:
-                continue
-            a, b = (i, j) if i < j else (j, i)
-            pairs.add((a, b))
-    return sorted(pairs)
+    near = tree.query_ball_point(
+        centers[positive], r=(radii[positive] + r_max + slack) * (1.0 + _TIE_REL)
+    )
+    lengths = np.fromiter(map(len, near), dtype=np.intp, count=len(near))
+    I = np.repeat(positive, lengths)
+    J = np.fromiter(
+        itertools.chain.from_iterable(near), dtype=np.intp, count=int(lengths.sum())
+    )
+    keep = I != J
+    I, J = I[keep], J[keep]
+    keys = np.unique(np.minimum(I, J) * n + np.maximum(I, J))
+    return keys // n, keys % n
+
+
+def _dist_below(centers, I, J, thresh, strict: bool) -> np.ndarray:
+    """Per pair, whether math.dist(x_i, x_j) < thresh (strict) or <= thresh."""
+    diff = centers[I]
+    diff -= centers[J]
+    dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    below = dist < thresh if strict else dist <= thresh
+    unsure = ~(np.abs(dist - thresh) > _TIE_REL * dist + _TIE_ABS)
+    for k in np.flatnonzero(unsure):
+        exact = math.dist(centers[I[k]], centers[J[k]])
+        below[k] = exact < thresh[k] if strict else exact <= thresh[k]
+    return below
 
 
 def verify_hard_sphere(gamma: GammaProcess, tol: float = 1e-9) -> HardSphereReport:
@@ -743,16 +763,16 @@ def verify_hard_sphere(gamma: GammaProcess, tol: float = 1e-9) -> HardSphereRepo
         return HardSphereReport(n, 0, (), True)
     centers = gamma.centers()
     radii = gamma.radii()
+    I, J = _contact_pairs(centers, radii, tol)
+    need = radii[I] + radii[J]
     violations = []
-    pairs = _contact_pairs(centers, radii, tol)
-    for i, j in pairs:
+    for k in np.flatnonzero(_dist_below(centers, I, J, need - tol, strict=True)):
+        i, j = int(I[k]), int(J[k])
         dist = float(math.dist(centers[i], centers[j]))
-        need = radii[i] + radii[j]
-        if dist < need - tol:
-            violations.append((i, j, float(need - dist)))
+        violations.append((i, j, float(need[k] - dist)))
     return HardSphereReport(
         n_spheres=n,
-        n_pairs_checked=len(pairs),
+        n_pairs_checked=len(I),
         violations=tuple(violations),
         passed=not violations,
     )
@@ -776,32 +796,25 @@ def cluster_components(gamma: GammaProcess, touch_tol: float = 1e-9):
         return []
     centers = gamma.centers()
     radii = gamma.radii()
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    for i, j in _contact_pairs(centers, radii, touch_tol):
-        if math.dist(centers[i], centers[j]) <= radii[i] + radii[j] + touch_tol:
-            union(i, j)
+    I, J = _contact_pairs(centers, radii, touch_tol)
+    touch = _dist_below(centers, I, J, radii[I] + radii[J] + touch_tol, strict=False)
+    uf = UnionFind(n)
+    for i, j in zip(I[touch].tolist(), J[touch].tolist()):
+        uf.union(i, j)
     groups: dict = {}
     for i in range(n):
-        groups.setdefault(find(i), []).append(i)
+        groups.setdefault(uf.find(i), []).append(i)
     clusters = []
     for members in groups.values():
-        pts = centers[members]
-        mid = pts.mean(axis=0)
-        reach = max(
-            float(math.dist(mid, centers[i])) + radii[i] for i in members
-        )
+        if len(members) == 1:
+            # The mean of one center is that center, at distance 0.0.
+            reach = 0.0 + radii[members[0]]
+        else:
+            pts = centers[members]
+            mid = pts.mean(axis=0)
+            reach = max(
+                float(math.dist(mid, centers[i])) + radii[i] for i in members
+            )
         clusters.append(
             Cluster(
                 members=tuple(members),

@@ -299,11 +299,6 @@ class RegionRegistry:
     def points_in_ball(self, center, radius: float) -> PointSet:
         return self.materialize(Ball(np.asarray(center, dtype=float), radius))
 
-    def points_in_cell(self, cell: Cell) -> PointSet:
-        if not isinstance(cell, Cell):
-            raise RegistryError("points_in_cell expects a Cell region")
-        return self.materialize(cell)
-
     def collect(self, region: Region) -> PointSet:
         """All currently determined points inside the region: stored points,
         streamed candidates via replay, and saturated picks.  Does not
@@ -520,29 +515,6 @@ class RegionRegistry:
             ids=tuple(ids),
             coords=np.asarray(coords) if ids else np.empty((0, self.dim)),
         )
-
-    def stream_summaries(self) -> list:
-        return [
-            {
-                "record": rec.rid,
-                "candidates": rec.n_candidates,
-                "fresh": rec.n_fresh,
-                "members": rec.n_members,
-            }
-            for rec in self.records
-            if rec.mode == "streamed"
-        ]
-
-    def saturated_summaries(self) -> list:
-        return [
-            {
-                "record": rec.rid,
-                "mass_lower": rec.mass_lower,
-                "picks": len(rec.pick_coords),
-            }
-            for rec in self.records
-            if rec.mode == "saturated"
-        ]
 
     def metrics(self) -> dict:
         return {

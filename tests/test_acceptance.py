@@ -10,6 +10,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from hardspheres import bounds
 from hardspheres.construction import (
@@ -165,6 +166,7 @@ def test_criterion_5_isolation_bounds():
     )
 
 
+@pytest.mark.slow
 def test_criterion_6_sampler_vs_oracle():
     out = sampler_consistency_check(2, 3.0, n_seeds=10_000, seed=60)
     report(
@@ -215,6 +217,7 @@ def _invariant_sweep(params, tag: int, n_runs: int) -> dict:
     return c
 
 
+@pytest.mark.slow
 def test_criterion_7_construction_invariants():
     # At d=5, lam=5 the isolation ball carries mass ~6.2, so step0 almost
     # never succeeds and the runs end leftover-only: the hard-sphere and
@@ -255,6 +258,7 @@ def test_criterion_8_supercritical_theta():
     )
 
 
+@pytest.mark.slow
 def test_criterion_9_full_dimension_smoke():
     d = 45
     C = searched_C(d - 2, 90)

@@ -5,8 +5,9 @@ import json
 
 import pytest
 
-from hardspheres import bounds
+from hardspheres import bounds, cli
 from hardspheres.cli import (
+    EXIT_CANNOT_REALIZE,
     EXIT_OK,
     EXIT_STAT_FAIL,
     EXIT_USAGE,
@@ -14,6 +15,8 @@ from hardspheres.cli import (
     f17,
     main,
 )
+from hardspheres.construction import ConstructionError
+from hardspheres.poisson import RegistryError
 
 
 def read_json(path):
@@ -131,6 +134,33 @@ def test_simulate_usage_errors(capsys):
     # parameter validation surfaces as a usage error, not a traceback
     assert main(SIM5 + ["--eta", "0.9"]) == EXIT_USAGE
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "error",
+    [RegistryError("stream cap exceeded below the saturation minimum"),
+     ConstructionError("implied radius outside the window")],
+)
+def test_simulate_cannot_realize_exit_code(monkeypatch, capsys, error):
+    def refuse(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "run_multilayer", refuse)
+    assert main(SIM5 + ["--seed", "3"]) == EXIT_CANNOT_REALIZE
+    err = capsys.readouterr().err
+    assert err == f"error: cannot realize this run exactly: {error}\n"
+
+
+def test_simulate_overlap_search_failure_is_usage_error(monkeypatch, capsys):
+    def no_constant(*args, **kwargs):
+        raise RuntimeError("no power-of-two overlap constant up to 2^12 passed")
+
+    monkeypatch.setattr(cli.geometry, "search_overlap_constant", no_constant)
+    assert main(["simulate", "--dim", "5", "--lambda", "5.0"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: no power-of-two")
+    assert "pass --cells-C explicitly" in err
+    assert len(err.splitlines()) == 1
 
 
 def test_perc2d_json(tmp_path):
