@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -507,6 +507,8 @@ class GammaProcess:
     n_stream_leftovers: int  # realized but unenumerated (replay-only) points
     layer_states: tuple
     annotations: dict
+    # centers() and contact pairs per slack, computed once for the report
+    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def constructed(self) -> tuple:
@@ -517,9 +519,15 @@ class GammaProcess:
         return tuple(s for s in self.spheres if s.kind == "leftover")
 
     def centers(self) -> np.ndarray:
-        if not self.spheres:
-            return np.empty((0, 0))
-        return np.asarray([s.center for s in self.spheres])
+        """(n, d) sphere centers, built once and read-only."""
+        if "centers" not in self._memo:
+            if not self.spheres:
+                centers = np.empty((0, 0))
+            else:
+                centers = np.asarray([s.center for s in self.spheres])
+            centers.flags.writeable = False
+            self._memo["centers"] = centers
+        return self._memo["centers"]
 
     def radii(self) -> np.ndarray:
         return np.asarray([s.radius for s in self.spheres])
@@ -741,6 +749,18 @@ def _contact_pairs(centers: np.ndarray, radii: np.ndarray, slack: float):
     return keys // n, keys % n
 
 
+def _gamma_contact_pairs(gamma: GammaProcess, slack: float):
+    """_contact_pairs of gamma's spheres, computed once per slack: the
+    hard-sphere check and the cluster search ask for the same pairs."""
+    key = ("pairs", slack)
+    if key not in gamma._memo:
+        pairs = _contact_pairs(gamma.centers(), gamma.radii(), slack)
+        for arr in pairs:
+            arr.flags.writeable = False
+        gamma._memo[key] = pairs
+    return gamma._memo[key]
+
+
 def _dist_below(centers, I, J, thresh, strict: bool) -> np.ndarray:
     """Per pair, whether math.dist(x_i, x_j) < thresh (strict) or <= thresh."""
     diff = centers[I]
@@ -763,7 +783,7 @@ def verify_hard_sphere(gamma: GammaProcess, tol: float = 1e-9) -> HardSphereRepo
         return HardSphereReport(n, 0, (), True)
     centers = gamma.centers()
     radii = gamma.radii()
-    I, J = _contact_pairs(centers, radii, tol)
+    I, J = _gamma_contact_pairs(gamma, tol)
     need = radii[I] + radii[J]
     violations = []
     for k in np.flatnonzero(_dist_below(centers, I, J, need - tol, strict=True)):
@@ -796,7 +816,7 @@ def cluster_components(gamma: GammaProcess, touch_tol: float = 1e-9):
         return []
     centers = gamma.centers()
     radii = gamma.radii()
-    I, J = _contact_pairs(centers, radii, touch_tol)
+    I, J = _gamma_contact_pairs(gamma, touch_tol)
     touch = _dist_below(centers, I, J, radii[I] + radii[J] + touch_tol, strict=False)
     uf = UnionFind(n)
     for i, j in zip(I[touch].tolist(), J[touch].tolist()):

@@ -52,23 +52,38 @@ def ball_volume(d: int, radius: float) -> float:
     return unit_ball_volume(d) * radius**d
 
 
+def _unit_directions(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
+    """n uniform directions on the unit sphere in R^d, as a fresh (n, d)
+    array: isotropic Gaussians divided in place by their norms.  The norm is
+    np.linalg.norm's own formula, so the bytes match it."""
+    g = rng.standard_normal((n, d))
+    norms = np.sqrt(np.add.reduce(g * g, axis=1, keepdims=True))
+    # A d-dim standard normal is never numerically zero for the batch sizes
+    # used here; guard anyway so a pathological draw cannot emit NaN.
+    norms[norms == 0.0] = 1.0
+    g /= norms
+    return g
+
+
 def sample_in_ball(
-    center: np.ndarray, radius: float, n: int, rng: np.random.Generator
+    center: np.ndarray,
+    radius: float,
+    n: int,
+    rng: np.random.Generator,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Draw n points uniformly from the ball B(center, radius).
 
     Isotropic Gaussian direction scaled by U^(1/d) times the radius; exact
-    for every d >= 1.
+    for every d >= 1.  With ``out`` (an (n, d) array or view) the points
+    are written there and ``out`` is returned.
     """
     center = np.asarray(center, dtype=float)
     d = center.shape[0]
-    g = rng.standard_normal((n, d))
-    norms = np.linalg.norm(g, axis=1, keepdims=True)
-    # A d-dim standard normal is never numerically zero for the batch sizes
-    # used here; guard anyway so a pathological draw cannot emit NaN.
-    norms[norms == 0.0] = 1.0
+    g = _unit_directions(n, d, rng)
     u = rng.random((n, 1))
-    return center + g / norms * (radius * u ** (1.0 / d))
+    g *= radius * u ** (1.0 / d)
+    return np.add(center, g, out=g if out is None else out)
 
 
 @dataclass(frozen=True)
@@ -161,12 +176,13 @@ class Cell:
         return ok
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        planar = sample_in_ball(self.planar_center, self.eps, n, rng)
-        m = self.layer_center.shape[0]
-        if m == 0:
-            return planar
-        layer = sample_in_ball(self.layer_center, self.layer_radius, n, rng)
-        return np.hstack([planar, layer])
+        out = np.empty((n, self.dim))
+        sample_in_ball(self.planar_center, self.eps, n, rng, out=out[:, :2])
+        if self.layer_center.shape[0]:
+            sample_in_ball(
+                self.layer_center, self.layer_radius, n, rng, out=out[:, 2:]
+            )
+        return out
 
     def bounding_ball(self) -> Ball:
         return Ball(self.center, math.hypot(self.eps, self.layer_radius))
@@ -204,13 +220,11 @@ class Annulus:
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         d = self.dim
-        g = rng.standard_normal((n, d))
-        norms = np.linalg.norm(g, axis=1, keepdims=True)
-        norms[norms == 0.0] = 1.0
+        g = _unit_directions(n, d, rng)
         u = rng.random((n, 1))
         lo, hi = self.inner**d, self.outer**d
-        rho = (lo + u * (hi - lo)) ** (1.0 / d)
-        return self.center + g / norms * rho
+        g *= (lo + u * (hi - lo)) ** (1.0 / d)
+        return np.add(self.center, g, out=g)
 
     def bounding_ball(self) -> Ball:
         return Ball(self.center, self.outer)

@@ -12,10 +12,14 @@ stored     Points drawn and kept: draw N ~ Poisson(lam * vol), place them
 
 streamed   For masses too heavy to keep in memory: the same thinning, but
            candidates are generated in fixed-size batches from a dedicated
-           replayable substream and immediately discarded.  Only the count
-           and the substream key are retained; any later query overlapping
-           the region replays the batches and filters by membership, so the
-           realization is exact at every scale and costs no storage.
+           replayable substream and immediately discarded.  The first pass
+           keeps, per batch, a checkpoint: the substream's generator state
+           before the batch and the batch's fresh mask packed to one bit
+           per candidate.  Any later query overlapping the region restores
+           each state, regenerates the batch and unpacks its mask, so the
+           realization is exact at every scale while storing 1 bit per
+           candidate instead of d coordinates, and the ownership filter
+           runs once per candidate.
 
 saturated  For masses beyond any enumeration (a first-layer cell in d = 45
            holds ~1e51 points): no count is drawn.  Emptiness has
@@ -123,6 +127,8 @@ class _Record:
         "member_region",
         "filter_ids",
         "stream_seed_path",
+        "stream_rng",
+        "stream_checkpoints",
         "mass_lower",
         "realized_mass_in_zone",
         "pick_coords",
@@ -141,6 +147,10 @@ class _Record:
         self.member_region = None
         self.filter_ids = ()
         self.stream_seed_path = None
+        self.stream_rng = None  # streamed mode: generator restored per batch
+        # streamed mode: per batch (generator state, packed fresh mask);
+        # None until a replay has run through every batch
+        self.stream_checkpoints = None
         self.mass_lower = 0.0
         self.realized_mass_in_zone = 0.0
         self.pick_coords = []  # saturated mode: picked process points
@@ -186,6 +196,8 @@ class RegionRegistry:
         self.peak_stored_points = 0
         self.streamed_candidates_total = 0
         self.stream_replays = 0
+        self.stream_checkpoint_bytes = 0
+        self.q_max = 0.0
 
     # -- helpers -------------------------------------------------------
 
@@ -231,6 +243,7 @@ class RegionRegistry:
         for rec in self._overlapping(bball, sats):
             rec.realized_mass_in_zone += mass_upper
             q = rec.realized_mass_in_zone / rec.mass_lower
+            self.q_max = max(self.q_max, q)
             if q > self.saturation_q_tol:
                 raise RegistryError(
                     f"realized mass inside saturated record {rec.rid} reached "
@@ -239,21 +252,42 @@ class RegionRegistry:
                     "negligible"
                 )
 
-    def _stream_rng(self, rec) -> np.random.Generator:
-        return generator(*rec.stream_seed_path)
-
     def _replay(self, rec):
         """Yield (start_index, candidates, fresh_mask) batches of a streamed
-        record, identical on every call."""
+        record, identical on every call.
+
+        A replay that runs to the end leaves one checkpoint per batch on the
+        record: the generator state before the batch and the packed fresh
+        mask.  Later replays restore each state and unpack each mask instead
+        of rebuilding the substream and filtering against earlier records
+        again.  An abandoned first replay leaves nothing behind."""
         self.stream_replays += 1
-        rng = self._stream_rng(rec)
+        if rec.stream_checkpoints is not None:
+            rng = rec.stream_rng
+            done = 0
+            for state, bits in rec.stream_checkpoints:
+                k = min(STREAM_BATCH, rec.n_candidates - done)
+                rng.bit_generator.state = state
+                pts = rec.region.sample(k, rng)
+                yield done, pts, np.unpackbits(bits, count=k).view(bool)
+                done += k
+            return
+        rng = generator(*rec.stream_seed_path)
+        checkpoints = []
         done = 0
         while done < rec.n_candidates:
             k = min(STREAM_BATCH, rec.n_candidates - done)
+            state = rng.bit_generator.state
             pts = rec.region.sample(k, rng)
             fresh = self._drop_determined(pts, rec.filter_ids)
+            checkpoints.append((state, np.packbits(fresh)))
             yield done, pts, fresh
             done += k
+        rec.stream_rng = rng
+        rec.stream_checkpoints = tuple(checkpoints)
+        self.stream_checkpoint_bytes += sum(
+            bits.nbytes + _array_bytes(state) for state, bits in checkpoints
+        )
 
     # -- core queries --------------------------------------------------
 
@@ -524,6 +558,8 @@ class RegionRegistry:
             "streamed_candidates_total": self.streamed_candidates_total,
             "stream_replays": self.stream_replays,
             "rng_algorithm": self.rng_algorithm,
+            "stream_checkpoint_bytes": self.stream_checkpoint_bytes,
+            "q_max": self.q_max,
         }
 
     def dump(self) -> str:
@@ -547,6 +583,15 @@ class RegionRegistry:
                     xs = " ".join(f"{x:.17g}" for x in p)
                     lines.append(f"p {rec.rid} {k} {xs}")
         return "\n".join(lines) + "\n"
+
+
+def _array_bytes(state: dict) -> int:
+    """Bytes held by the arrays of a (nested) bit-generator state dict."""
+    return sum(
+        v.nbytes if isinstance(v, np.ndarray) else _array_bytes(v)
+        for v in state.values()
+        if isinstance(v, (np.ndarray, dict))
+    )
 
 
 def region_key_safe(region: Region) -> str:

@@ -147,6 +147,28 @@ def test_random_gammas_match_brute_force(seed):
     assert cluster_components(gamma, TOL) == brute_clusters(gamma, TOL)
 
 
+def test_contact_pairs_computed_once_per_slack(monkeypatch):
+    from hardspheres import construction
+
+    calls = []
+    original = construction._contact_pairs
+
+    def counting(centers, radii, slack):
+        calls.append(slack)
+        return original(centers, radii, slack)
+
+    monkeypatch.setattr(construction, "_contact_pairs", counting)
+    gamma = random_gamma(np.random.default_rng(3), 5, 60)
+    report = verify_hard_sphere(gamma, TOL)
+    clusters = cluster_components(gamma, TOL)
+    assert calls == [TOL]
+    assert report == brute_verify(gamma, TOL)
+    assert clusters == brute_clusters(gamma, TOL)
+    verify_hard_sphere(gamma, 2 * TOL)
+    assert calls == [TOL, 2 * TOL]
+    assert not gamma.centers().flags.writeable
+
+
 def test_tiny_gammas_match_brute_force():
     for centers, radii in (
         ([], []),
