@@ -315,7 +315,6 @@ def cmd_perc2d(args) -> int:
         "p": args.p,
         "radius": args.radius,
         "trials": args.trials,
-        "format": args.format,
     }
     man = _manifest("perc2d", config, seed, t0)
     doc = {"manifest": man, "theta": est.to_dict()}
@@ -502,7 +501,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--lattice-radius", type=float, default=12.0)
     p_sim.add_argument("--max-steps", type=int, default=100_000)
     p_sim.add_argument("--out", default=None)
-    p_sim.add_argument("--format", choices=["json"], default="json")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_perc = sub.add_parser("perc2d", help="site percolation theta estimate")
@@ -511,7 +509,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_perc.add_argument("--trials", type=int, default=1000)
     p_perc.add_argument("--seed", type=int, default=None)
     p_perc.add_argument("--out", default=None)
-    p_perc.add_argument("--format", choices=["json"], default="json")
     p_perc.set_defaults(func=cmd_perc2d)
 
     p_ver = sub.add_parser("verify", help="seeded Monte Carlo self-checks")

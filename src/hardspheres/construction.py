@@ -13,6 +13,11 @@ exactly tangent to its parent.  A vertex only becomes good if the isolation
 ball B(y_w, r_w + eta) holds no other Poisson point.  Distinct layers use
 independent registries at spacing L = 2(C + MU + DELTA + 1), wide enough
 that their spheres keep a surface gap of at least 2.
+
+The radius window [MU - DELTA, MU + DELTA] and the cell radius EPS are
+constants of :mod:`hardspheres.geometry`, not run parameters: the step
+volume brackets that pick_in_region's vol_lower and the bounds rest on
+are computed from them.
 """
 
 from __future__ import annotations
@@ -52,8 +57,6 @@ STOP_RULE_III = "rule-iii"
 STOP_BUDGET = "step-budget"
 STOP_TRUNCATION = "lattice-truncation"
 
-MAX_RADIUS_K = MU + DELTA  # no constructed sphere ever exceeds this
-
 # Annulus membership tolerance: a candidate belongs to the step region when
 # the implied radius lies within this slack of the window; the radius is
 # then clamped to the closed window.
@@ -71,20 +74,18 @@ class ConstructionError(RuntimeError):
 
 @dataclass(frozen=True)
 class ConstructionParams:
-    """Run parameters.  mu, delta, eps are fixed by the geometry of the
-    lattice (2*(mu+delta+eps) < sqrt(3) keeps non-adjacent spheres apart);
-    C is the layer-ball radius, lam the Poisson intensity."""
+    """Run parameters: C is the layer-ball radius, lam the Poisson
+    intensity, eta the isolation margin.  The radius window and the cell
+    radius EPS are geometry's constants (2*(MU + DELTA + EPS) < sqrt(3)
+    keeps spheres at non-adjacent vertices apart), and the layer spacing L
+    follows from C."""
 
     d: int
     C: float
     lam: float
     eta: float = 0.0
-    L: Optional[float] = None
     lattice_radius: float = 12.0
     max_steps: int = 100_000
-    mu: float = MU
-    delta: float = DELTA
-    eps: float = EPS
     store_cap: Optional[float] = None
     stream_cap: Optional[float] = None
 
@@ -95,32 +96,20 @@ class ConstructionParams:
             raise ValueError(f"layer radius C must be > 0, got {self.C}")
         if self.lam < 0:
             raise ValueError(f"intensity must be >= 0, got {self.lam}")
-        if self.mu - self.delta <= 0:
-            raise ValueError("need mu - delta > 0")
-        if 2.0 * (self.mu + self.delta + self.eps) >= math.sqrt(3.0):
+        if not 0.0 <= self.eta < RADIUS_MIN:
             raise ValueError(
-                "2*(mu + delta + eps) must stay below sqrt(3), or spheres at "
-                "non-adjacent vertices could touch"
-            )
-        if not 0.0 <= self.eta < self.mu - self.delta:
-            raise ValueError(
-                f"eta must lie in [0, {self.mu - self.delta}); the parent "
+                f"eta must lie in [0, {RADIUS_MIN}); the parent "
                 "center would otherwise break every isolation check"
             )
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
         if self.lattice_radius < 2:
             raise ValueError("lattice_radius must be >= 2")
-        min_L = self.layer_spacing_formula()
-        if self.L is None:
-            object.__setattr__(self, "L", min_L)
-        elif self.L < min_L - 1e-12:
-            raise ValueError(
-                f"layer spacing {self.L} below the safe minimum {min_L}"
-            )
 
-    def layer_spacing_formula(self) -> float:
-        return 2.0 * (self.C + self.mu + self.delta + 1.0)
+    @property
+    def L(self) -> float:
+        """Layer spacing: spheres of distinct layers keep a gap of 2."""
+        return 2.0 * (self.C + MU + DELTA + 1.0)
 
     def layer_center(self, layer_vec) -> np.ndarray:
         vec = np.asarray(layer_vec, dtype=float).reshape(-1)
@@ -131,7 +120,7 @@ class ConstructionParams:
         return vec * self.L
 
     def cell(self, planar_center, layer_center) -> Cell:
-        return Cell(planar_center, self.eps, layer_center, self.C)
+        return Cell(planar_center, EPS, layer_center, self.C)
 
 
 @dataclass(frozen=True)
@@ -229,72 +218,17 @@ class ExplorationState:
         return good, bad, unexplored, missing
 
 
-def step0(
-    state: ExplorationState, registry: RegionRegistry, params: ConstructionParams
-) -> ExplorationState:
-    """Open the origin site: pick a point in its cell, give it radius mu,
-    and keep it only if its isolation ball holds no other point."""
-    origin = 0
-    if state.status[origin] != UNEXPLORED or state.n_explored != 0:
-        raise ConstructionError("step0 must run first, on an unexplored origin")
-    cell = params.cell(state.lattice.positions[origin], state.layer_center)
-    result = registry.pick_in_region(cell, cell, vol_lower=cell.volume())
-    entry = StepLog(
-        step=0,
-        vertex=origin,
-        kind=state.lattice.kind_name(origin),
-        rule="step0",
-        case="empty",
-        candidates=result.n_members,
-        mode=result.mode,
-        outcome="bad",
-    )
-    state.n_explored += 1
-    if result.status == "empty":
-        state.mark_bad(origin)
-        state.log.append(entry)
-        return state
-    y0 = result.coords
-    r0 = params.mu
-    if _isolated(state, registry, y0, r0, result.point_id):
-        sphere = SphereRecord(
-            center=y0,
-            radius=r0,
-            vertex=origin,
-            layer=state.layer_vec,
-            kind="constructed",
-            point_id=result.point_id,
-            parent=None,
-        )
-        state.spheres.append(sphere)
-        state.consumed_ids.add(result.point_id)
-        state.mark_good(origin, len(state.spheres) - 1)
-        entry.case = "good"
-        entry.outcome = "good"
-        entry.radius = r0
-    else:
-        state.failed_picks.append((result.point_id, y0))
-        state.mark_bad(origin)
-        entry.case = "isolation-fail"
-    state.log.append(entry)
-    return state
-
-
 def _isolated(
-    state: ExplorationState,
-    registry: RegionRegistry,
-    center: np.ndarray,
-    radius: float,
-    own_id: tuple,
+    state: ExplorationState, center: np.ndarray, radius: float, own_id: tuple
 ) -> bool:
     """True if B(center, radius + eta) holds no process point besides the
     picked one.  The ball is materialized, so the answer is exact and the
     crowding points (if any) become part of the realized configuration."""
-    ball_pts = registry.points_in_ball(center, radius + state.params.eta)
+    ball_pts = state.registry.points_in_ball(center, radius + state.params.eta)
     return all(pid == own_id for pid in ball_pts.ids)
 
 
-def choose_next_vertex(state: ExplorationState, lattice: StarLattice):
+def choose_next_vertex(state: ExplorationState):
     """Next vertex to explore, by the two growth rules.
 
     Rule (i): the first unexplored site (in canonical order) whose bonds are
@@ -312,7 +246,7 @@ def choose_next_vertex(state: ExplorationState, lattice: StarLattice):
         (False, "rule-ii", 1),
     ):
         for v in ordered:
-            if (lattice.kinds[v] == KIND_SITE) != want_site:
+            if (state.lattice.kinds[v] == KIND_SITE) != want_site:
                 continue
             good, bad, unexplored, missing = state.neighbor_counts(v)
             if good != 1 or bad != 0:
@@ -341,49 +275,58 @@ def step_region(
     cell = params.cell(planar_center, layer_center)
     annulus = Annulus(
         parent_center,
-        parent_radius + params.mu - params.delta - MEMBERSHIP_TOL,
-        parent_radius + params.mu + params.delta + MEMBERSHIP_TOL,
+        parent_radius + MU - DELTA - MEMBERSHIP_TOL,
+        parent_radius + MU + DELTA + MEMBERSHIP_TOL,
     )
     region = Intersection((cell, annulus))
-    outer = parent_radius + params.mu + params.delta + MEMBERSHIP_TOL
-    bound_layer = math.sqrt(outer**2 - (1.0 - 2.0 * params.eps) ** 2)
-    bounding = Cell(planar_center, params.eps, parent_center[2:], bound_layer)
+    outer = parent_radius + MU + DELTA + MEMBERSHIP_TOL
+    bound_layer = math.sqrt(outer**2 - (1.0 - 2.0 * EPS) ** 2)
+    bounding = Cell(planar_center, EPS, parent_center[2:], bound_layer)
     vol_lower = max(0.0, step_volume_bracket(params.d, parent_radius)[0])
     return region, bounding, vol_lower
 
 
-def explore_step(
-    state: ExplorationState, registry: RegionRegistry, params: ConstructionParams
-) -> ExplorationState:
-    """Explore the pending vertex from its unique good neighbor."""
+def explore_step(state: ExplorationState) -> ExplorationState:
+    """Explore the pending vertex.  Step 0 opens the origin site: it picks
+    a point in the origin cell and gives it radius MU.  Every later step
+    grows from the vertex's unique good neighbor v, picking a point in the
+    step region around v's sphere and making the new sphere tangent to it.
+    Either way the sphere is kept only if its isolation ball holds no other
+    point."""
     if state.pending is None:
         raise ConstructionError("no pending vertex; call choose_next_vertex first")
     w, rule = state.pending
     state.pending = None
-    good, bad, unexplored, missing = state.neighbor_counts(w)
-    if good != 1 or bad != 0 or missing != 0:
-        raise ConstructionError(
-            f"vertex {w} chosen with {good} good / {bad} bad / {missing} "
-            "missing neighbors; the growth rules require exactly one good, "
-            "none bad, none missing"
+    lattice = state.lattice
+    if rule == "step0":
+        if w != 0 or state.status[w] != UNEXPLORED or state.n_explored != 0:
+            raise ConstructionError("step0 must run first, on an unexplored origin")
+        good = bad = 0
+        parent = None
+        region = bounding = state.params.cell(lattice.positions[w], state.layer_center)
+        vol_lower = region.volume()
+    else:
+        good, bad, unexplored, missing = state.neighbor_counts(w)
+        if good != 1 or bad != 0 or missing != 0:
+            raise ConstructionError(
+                f"vertex {w} chosen with {good} good / {bad} bad / {missing} "
+                "missing neighbors; the growth rules require exactly one good, "
+                "none bad, none missing"
+            )
+        parent = next(nb for nb in lattice.neighbors[w] if state.status[nb] == GOOD)
+        parent_sphere = state.spheres[state.vertex_sphere[parent]]
+        region, bounding, vol_lower = step_region(
+            state.params,
+            lattice.positions[w],
+            state.layer_center,
+            parent_sphere.center,
+            parent_sphere.radius,
         )
-    v = next(nb for nb in state.lattice.neighbors[w] if state.status[nb] == GOOD)
-    parent_sphere = state.spheres[state.vertex_sphere[v]]
-    x_v = parent_sphere.center
-    r_v = parent_sphere.radius
-
-    region, bounding, vol_lower = step_region(
-        params,
-        state.lattice.positions[w],
-        state.layer_center,
-        x_v,
-        r_v,
-    )
-    result = registry.pick_in_region(region, bounding, vol_lower)
+    result = state.registry.pick_in_region(region, bounding, vol_lower)
     entry = StepLog(
         step=state.n_explored,
         vertex=w,
-        kind=state.lattice.kind_name(w),
+        kind=lattice.kind_name(w),
         rule=rule,
         case="empty",
         candidates=result.n_members,
@@ -397,16 +340,17 @@ def explore_step(
     outcome_good = False
     if result.status == "picked":
         y_w = result.coords
-        r_raw = float(math.dist(x_v, y_w)) - r_v
-        lo = params.mu - params.delta
-        hi = params.mu + params.delta
-        if not lo - RADIUS_BUG_TOL <= r_raw <= hi + RADIUS_BUG_TOL:
-            raise ConstructionError(
-                f"implied radius {r_raw} outside [{lo}, {hi}] beyond roundoff; "
-                "annulus membership is broken"
-            )
-        r_w = min(max(r_raw, lo), hi)
-        if _isolated(state, registry, y_w, r_w, result.point_id):
+        if parent is None:
+            r_w = MU
+        else:
+            r_raw = float(math.dist(parent_sphere.center, y_w)) - parent_sphere.radius
+            if not RADIUS_MIN - RADIUS_BUG_TOL <= r_raw <= RADIUS_MAX + RADIUS_BUG_TOL:
+                raise ConstructionError(
+                    f"implied radius {r_raw} outside [{RADIUS_MIN}, {RADIUS_MAX}] "
+                    "beyond roundoff; annulus membership is broken"
+                )
+            r_w = min(max(r_raw, RADIUS_MIN), RADIUS_MAX)
+        if _isolated(state, y_w, r_w, result.point_id):
             sphere = SphereRecord(
                 center=y_w,
                 radius=r_w,
@@ -414,7 +358,7 @@ def explore_step(
                 layer=state.layer_vec,
                 kind="constructed",
                 point_id=result.point_id,
-                parent=v,
+                parent=parent,
             )
             state.spheres.append(sphere)
             state.consumed_ids.add(result.point_id)
@@ -431,8 +375,8 @@ def explore_step(
         state.mark_bad(w)
         # A failed bond abandons the site behind it: that site can now
         # never satisfy rule (i), so close it out explicitly.
-        if state.lattice.kinds[w] != KIND_SITE:
-            for nb in state.lattice.neighbors[w]:
+        if lattice.kinds[w] != KIND_SITE:
+            for nb in lattice.neighbors[w]:
                 if state.status[nb] == UNEXPLORED:
                     state.mark_bad(nb)
     state.log.append(entry)
@@ -461,17 +405,15 @@ def run_layer(params: ConstructionParams, seed: int, layer_vec=None):
         registry_kwargs["stream_cap"] = params.stream_cap
     registry = RegionRegistry(params.d, params.lam, seed, **registry_kwargs)
     state = ExplorationState(params, lattice, registry, layer_vec)
-    step0(state, registry, params)
-    while state.stopped_reason is None:
-        choice = choose_next_vertex(state, lattice)
+    state.pending = (0, "step0")
+    while state.pending is not None:
+        explore_step(state)
+        choice = choose_next_vertex(state)
         if choice[0] == "stop":
             state.stopped_reason = choice[1]
-            break
-        if state.n_explored >= params.max_steps:
+        elif state.n_explored >= params.max_steps:
             state.pending = None
             state.stopped_reason = STOP_BUDGET
-            break
-        explore_step(state, registry, params)
     return state, list(state.spheres)
 
 
@@ -502,7 +444,6 @@ class GammaProcess:
     zero-radius sphere at every enumerated unconsumed Poisson point."""
 
     spheres: tuple
-    max_radius: float
     window: tuple  # (mode, region) pairs covering everything enumerated
     n_stream_leftovers: int  # realized but unenumerated (replay-only) points
     layer_states: tuple
@@ -582,7 +523,6 @@ def assemble_gamma(params: ConstructionParams, states) -> GammaProcess:
         annotations.update(notes)
     return GammaProcess(
         spheres=tuple(spheres),
-        max_radius=MAX_RADIUS_K,
         window=tuple(window),
         n_stream_leftovers=n_stream_leftovers,
         layer_states=tuple(states),

@@ -88,52 +88,6 @@ class StarLattice:
                 if v < w:
                     yield v, w
 
-    def to_text(self) -> str:
-        lines = [f"# star lattice radius={self.radius!r}"]
-        for v in range(self.n_vertices):
-            x, y = self.positions[v]
-            lines.append(f"v {v} {self.kind_name(v)} {x:.17g} {y:.17g}")
-        for v, w in self.edges():
-            lines.append(f"e {v} {w}")
-        return "\n".join(lines) + "\n"
-
-
-def from_text(text: str) -> StarLattice:
-    """Parse the to_text() format back into a lattice."""
-    radius = 0.0
-    positions, kinds = [], []
-    edges = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            if "radius=" in line:
-                radius = float(line.split("radius=")[1])
-            continue
-        parts = line.split()
-        if parts[0] == "v":
-            vid, kind = int(parts[1]), parts[2]
-            if vid != len(positions):
-                raise ValueError(f"vertex ids must be consecutive, got {vid}")
-            kinds.append(KIND_SITE if kind == "site" else KIND_BOND)
-            positions.append((float(parts[3]), float(parts[4])))
-        elif parts[0] == "e":
-            edges.append((int(parts[1]), int(parts[2])))
-        else:
-            raise ValueError(f"unrecognized line: {line}")
-    n = len(positions)
-    neigh = [[] for _ in range(n)]
-    for v, w in edges:
-        neigh[v].append(w)
-        neigh[w].append(v)
-    return StarLattice(
-        radius=radius,
-        positions=np.asarray(positions, dtype=float).reshape(n, 2),
-        kinds=np.asarray(kinds, dtype=np.int8),
-        neighbors=tuple(tuple(sorted(ns)) for ns in neigh),
-    )
-
 
 def _key_of(pos) -> tuple:
     return (round(pos[0], 6), round(pos[1], 6))

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .hexlattice import KIND_BOND, KIND_SITE, StarLattice, build_lattice
 from .rngutil import generator
@@ -147,24 +146,7 @@ def estimate_theta(
 ) -> ThetaEstimate:
     """Boundary-reaching frequency of the origin cluster over independent
     configurations; finite-window stand-in for the percolation function."""
-    if trials <= 0:
-        raise ValueError(f"need trials >= 1, got {trials}")
-    if graph is None:
-        graph = build_site_graph(radius)
-    reached = 0
-    for t in range(trials):
-        cfg = sample_config(graph, p, seed, t)
-        reached += cluster_reaches_boundary(cfg)
-    theta = reached / trials
-    return ThetaEstimate(
-        p=p,
-        radius=float(radius),
-        trials=trials,
-        reached=reached,
-        theta_hat=theta,
-        std_error=math.sqrt(theta * (1.0 - theta) / trials),
-        seed=seed,
-    )
+    return estimate_theta_coupled([p], radius, trials, seed, graph)[0]
 
 
 def estimate_theta_coupled(
@@ -177,25 +159,27 @@ def estimate_theta_coupled(
     """Theta estimates for several densities from shared uniforms.  The
     coupling makes the per-trial reach indicator nondecreasing in p, so the
     estimates are monotone with probability one, not just in expectation."""
+    if trials <= 0:
+        raise ValueError(f"need trials >= 1, got {trials}")
     if graph is None:
         graph = build_site_graph(radius)
-    reached = {p: 0 for p in ps}
+    reached = [0] * len(ps)  # by position, so a repeated p counts once
     for t in range(trials):
         base = sample_config(graph, max(ps), seed, t)
-        for p in ps:
+        for i, p in enumerate(ps):
             cfg = SiteConfig(
                 graph=graph, p=p, seed=seed, trial=t, uniforms=base.uniforms
             )
-            reached[p] += cluster_reaches_boundary(cfg)
+            reached[i] += cluster_reaches_boundary(cfg)
     out = []
-    for p in ps:
-        theta = reached[p] / trials
+    for p, hits in zip(ps, reached):
+        theta = hits / trials
         out.append(
             ThetaEstimate(
                 p=p,
                 radius=float(radius),
                 trials=trials,
-                reached=reached[p],
+                reached=hits,
                 theta_hat=theta,
                 std_error=math.sqrt(theta * (1.0 - theta) / trials),
                 seed=seed,
@@ -229,76 +213,3 @@ class UnionFind:
         if self.rank[ra] == self.rank[rb]:
             self.rank[ra] += 1
         return True
-
-
-@dataclass(frozen=True)
-class ClusterCensus:
-    n_open: int
-    n_clusters: int
-    largest: int
-    largest_touches_boundary: bool
-    sizes: np.ndarray = field(repr=False)
-
-
-def cluster_census(config: SiteConfig) -> ClusterCensus:
-    """All open clusters of the configuration via union-find."""
-    open_mask = config.open_mask
-    graph = config.graph
-    uf = UnionFind(graph.n_sites)
-    for v in range(graph.n_sites):
-        if not open_mask[v]:
-            continue
-        for w in graph.neighbors[v]:
-            if w > v and open_mask[w]:
-                uf.union(v, w)
-    roots = {}
-    touches = {}
-    for v in range(graph.n_sites):
-        if not open_mask[v]:
-            continue
-        r = uf.find(v)
-        roots[r] = roots.get(r, 0) + 1
-        touches[r] = touches.get(r, False) or bool(graph.boundary[v])
-    if not roots:
-        return ClusterCensus(0, 0, 0, False, np.empty(0, dtype=np.int64))
-    sizes = np.asarray(sorted(roots.values(), reverse=True), dtype=np.int64)
-    big_root = max(roots, key=lambda r: roots[r])
-    return ClusterCensus(
-        n_open=int(np.count_nonzero(open_mask)),
-        n_clusters=len(roots),
-        largest=int(sizes[0]),
-        largest_touches_boundary=bool(touches[big_root]),
-        sizes=sizes,
-    )
-
-
-@dataclass(frozen=True)
-class DensityEstimate:
-    fraction: float
-    covered: int
-    total: int
-
-
-def neighborhood_density(
-    points: np.ndarray,
-    cover_radius: float,
-    window_radius: float,
-    grid_step: float = 0.25,
-) -> DensityEstimate:
-    """Fraction of a regular grid on the disc window lying within
-    cover_radius of the point set.  Grid fraction 1.0 witnesses that the
-    point set is cover_radius-dense in the window."""
-    if cover_radius < 0 or window_radius <= 0 or grid_step <= 0:
-        raise ValueError("radii and step must be positive")
-    ticks = np.arange(-window_radius, window_radius + grid_step / 2.0, grid_step)
-    gx, gy = np.meshgrid(ticks, ticks)
-    grid = np.column_stack([gx.ravel(), gy.ravel()])
-    grid = grid[np.hypot(grid[:, 0], grid[:, 1]) <= window_radius]
-    total = grid.shape[0]
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    if points.size == 0:
-        return DensityEstimate(0.0, 0, total)
-    tree = cKDTree(points)
-    dist, _ = tree.query(grid, k=1)
-    covered = int(np.count_nonzero(dist <= cover_radius))
-    return DensityEstimate(covered / total, covered, total)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from hardspheres import hexlattice
 from hardspheres.bounds import lambda_star
 from hardspheres.construction import (
     BAD,
@@ -19,6 +20,7 @@ from hardspheres.construction import (
     assemble_gamma,
     cluster_components,
     empirical_success_rate,
+    explore_step,
     rescan_stop,
     run_layer,
     run_multilayer,
@@ -26,6 +28,9 @@ from hardspheres.construction import (
     verify_hard_sphere,
 )
 from hardspheres.geometry import (
+    DELTA,
+    EPS,
+    MU,
     Cell,
     Intersection,
     RADIUS_MAX,
@@ -57,29 +62,32 @@ def test_params_validation():
         ConstructionParams(d=5, C=4.0, lam=1.0, max_steps=0)
     with pytest.raises(ValueError):
         ConstructionParams(d=5, C=4.0, lam=1.0, lattice_radius=1.9)
-    # radii window wide enough to breach the sqrt(3) spacing margin
-    with pytest.raises(ValueError):
-        ConstructionParams(d=5, C=4.0, lam=1.0, mu=0.8, delta=0.06, eps=0.01)
+    # the step geometry is fixed, not a run parameter
+    for name in ("mu", "delta", "eps", "L"):
+        with pytest.raises(TypeError):
+            ConstructionParams(d=5, C=4.0, lam=1.0, **{name: 1.0})
+
+
+def test_step_geometry_constants_keep_the_lattice_margin():
+    # spheres at non-adjacent vertices stay apart, and every radius is > 0
+    assert 2 * (MU + DELTA + EPS) < hexlattice.MIN_NONADJACENT_DISTANCE
+    assert MU - DELTA > 0
 
 
 def test_layer_spacing():
     p = ConstructionParams(d=5, C=8.0, lam=1.0)
     assert p.L == pytest.approx(19.7, abs=1e-12)  # 2 * (8 + 0.85 + 1)
+    center = p.layer_center((1, 0, 0))
+    assert np.allclose(center, [19.7, 0.0, 0.0])
     with pytest.raises(ValueError):
-        ConstructionParams(d=5, C=8.0, lam=1.0, L=19.0)
-    wide = ConstructionParams(d=5, C=8.0, lam=1.0, L=25.0)
-    assert wide.L == 25.0
-    center = wide.layer_center((1, 0, 0))
-    assert np.allclose(center, [25.0, 0.0, 0.0])
-    with pytest.raises(ValueError):
-        wide.layer_center((1, 0))
+        p.layer_center((1, 0))
 
 
 def test_cell_helper():
     p = ConstructionParams(d=5, C=4.0, lam=1.0)
     cell = p.cell(np.array([2.0, 0.0]), np.zeros(3))
     assert isinstance(cell, Cell)
-    assert cell.eps == p.eps
+    assert cell.eps == EPS
     assert cell.layer_radius == p.C
     assert cell.dim == 5
 
@@ -125,8 +133,20 @@ def test_step0_cases():
     assert st.log[0].case == "good"
     assert len(spheres) >= 1
     assert spheres[0].vertex == 0
-    assert spheres[0].radius == p11.mu
+    assert spheres[0].radius == MU
     assert spheres[0].parent is None
+
+
+def test_step0_only_on_a_fresh_layer():
+    st, _ = run_layer(ConstructionParams(d=11, C=6.0, lam=0.1), 0)
+    st.pending = (0, "step0")
+    with pytest.raises(ConstructionError, match="step0 must run first"):
+        explore_step(st)
+    # the step count alone refuses it too, with the origin unexplored
+    st.status[0] = UNEXPLORED
+    st.pending = (0, "step0")
+    with pytest.raises(ConstructionError, match="step0 must run first"):
+        explore_step(st)
 
 
 def test_rule_trace_sparse_regime():
@@ -307,7 +327,6 @@ def test_verify_hard_sphere_flags_overlap():
 
     bad = GammaProcess(
         spheres=(rec(0.0, 1.0), rec(1.5, 1.0)),
-        max_radius=1.0,
         window=(),
         n_stream_leftovers=0,
         layer_states=(),
@@ -336,7 +355,6 @@ def test_cluster_components_crafted():
     gamma = GammaProcess(
         spheres=(rec(0.0, 1.0), rec(2.0, 1.0), rec(10.0, 1.0),
                  rec(20.0, 0.0, kind="leftover")),
-        max_radius=1.0,
         window=(),
         n_stream_leftovers=0,
         layer_states=(),

@@ -8,9 +8,7 @@ import pytest
 from hardspheres.hexlattice import (
     KIND_BOND,
     KIND_SITE,
-    StarLattice,
     build_lattice,
-    from_text,
     min_nonadjacent_distance,
     vertex_sort_key,
 )
@@ -85,17 +83,6 @@ def test_build_deterministic():
     assert np.array_equal(a.positions, b.positions)
     assert np.array_equal(a.kinds, b.kinds)
     assert a.neighbors == b.neighbors
-
-
-def test_text_roundtrip():
-    lat = build_lattice(5.0)
-    text = lat.to_text()
-    back = from_text(text)
-    assert isinstance(back, StarLattice)
-    assert np.array_equal(back.positions, lat.positions)
-    assert np.array_equal(back.kinds, lat.kinds)
-    assert back.neighbors == lat.neighbors
-    assert back.radius == lat.radius
 
 
 def test_kind_names():

@@ -9,11 +9,9 @@ from hardspheres.percolation2d import (
     SiteConfig,
     UnionFind,
     build_site_graph,
-    cluster_census,
     cluster_reaches_boundary,
     estimate_theta,
     estimate_theta_coupled,
-    neighborhood_density,
     origin_cluster,
     sample_config,
 )
@@ -105,6 +103,14 @@ def test_theta_coupled_monotone():
     assert reached == sorted(reached)
 
 
+def test_theta_is_the_coupled_estimate_at_one_p():
+    ests = estimate_theta_coupled([0.6, 0.8, 0.8], radius=10.0, trials=40, seed=5)
+    single = estimate_theta(0.8, radius=10.0, trials=40, seed=5)
+    # a repeated density is estimated once per entry, not counted twice
+    assert ests[1] == ests[2] == single
+    assert 0.0 <= single.theta_hat <= 1.0
+
+
 def test_union_find_basics():
     uf = UnionFind(6)
     assert uf.union(0, 1)
@@ -117,30 +123,20 @@ def test_union_find_basics():
     assert len(roots) == 3
 
 
-def test_cluster_census_consistency():
+def test_origin_cluster_matches_union_find():
     g = build_site_graph(12.0)
-    cfg = sample_config(g, 0.6, seed=9)
-    census = cluster_census(cfg)
-    n_open = int(cfg.open_mask.sum())
-    assert census.n_open == n_open
-    assert int(np.sum(census.sizes)) == n_open
-    assert census.n_clusters == len(census.sizes)
-    assert int(np.max(census.sizes)) == census.largest
-    # the origin cluster size shows up in the census
-    cl = origin_cluster(cfg)
-    if cl.size > 0:
-        assert int(cl.size) in census.sizes.tolist()
-
-
-def test_neighborhood_density_coverage():
-    # a fine grid of points covers the window; a sparse far set does not
-    g = build_site_graph(6.0)
-    est = neighborhood_density(g.positions, cover_radius=2.0, window_radius=5.0)
-    assert est.fraction == 1.0
-    assert est.covered == est.total
-    sparse = neighborhood_density(
-        np.array([[50.0, 50.0]]), cover_radius=1.0, window_radius=5.0
-    )
-    assert sparse.fraction == 0.0
-    with pytest.raises(ValueError):
-        neighborhood_density(g.positions, cover_radius=-1.0, window_radius=5.0)
+    for seed in range(6):  # three closed origins, open clusters of 8 to 31
+        cfg = sample_config(g, 0.7, seed=seed)
+        open_mask = cfg.open_mask
+        uf = UnionFind(g.n_sites)
+        for v in range(g.n_sites):
+            for w in g.neighbors[v]:
+                if open_mask[v] and open_mask[w]:
+                    uf.union(v, w)
+        cl = origin_cluster(cfg)
+        if not open_mask[0]:
+            assert cl.size == 0
+            continue
+        root = uf.find(0)
+        component = [v for v in range(g.n_sites) if open_mask[v] and uf.find(v) == root]
+        assert cl.tolist() == component

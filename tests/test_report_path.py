@@ -41,7 +41,6 @@ def make_gamma(centers, radii, kinds=None, layers=None, vertices=None):
     )
     return GammaProcess(
         spheres=spheres,
-        max_radius=max(radii, default=0.0),
         window=(),
         n_stream_leftovers=0,
         layer_states=(),
