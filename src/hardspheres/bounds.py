@@ -38,6 +38,7 @@ DEFAULT_THRESHOLD = 0.892
 SITE_THRESHOLD_BOUND = 0.794
 
 MIN_DIMENSION_SUPPORTED = 11  # the step-volume lower bound needs d >= 11
+MAX_DIMENSION_SUPPORTED = 452  # exp(-log A) in lambda_star overflows at 453
 
 
 def constants_AB(d: int) -> tuple:
@@ -142,17 +143,17 @@ def bounds_report(d: int, threshold: float = DEFAULT_THRESHOLD) -> BoundsReport:
     )
 
 
-def min_dimension(
-    threshold: float = DEFAULT_THRESHOLD, d_max: int = 400
-) -> int:
+def min_dimension(threshold: float = DEFAULT_THRESHOLD) -> int:
     """First dimension whose optimized bound has a valid maximizer and
     F_star >= threshold.  threshold = 0 returns the first dimension with a
     valid maximizer at all."""
-    for d in range(MIN_DIMENSION_SUPPORTED, d_max + 1):
+    for d in range(MIN_DIMENSION_SUPPORTED, MAX_DIMENSION_SUPPORTED + 1):
         rep = bounds_report(d, threshold)
         if rep.lambda_star is not None and rep.F_star >= threshold:
             return d
-    raise RuntimeError(f"threshold {threshold} not reached by d = {d_max}")
+    raise RuntimeError(
+        f"threshold {threshold} not reached by d = {MAX_DIMENSION_SUPPORTED}"
+    )
 
 
 def isolated_bound(lam: float, d: int, r: float, vol_S: float) -> float:
@@ -173,7 +174,6 @@ class IsolationCheck:
     empirical: float
     std_error: float
     reference: float
-    margin_sigmas: float
     trials_used: int
     passed: bool
 
@@ -199,7 +199,6 @@ def _isolation_trials(
     trials: int,
     seed: int,
     condition_empty: Optional[Region] = None,
-    chunk: int = 4096,
 ):
     """Brute-force isolation experiment.
 
@@ -210,6 +209,8 @@ def _isolation_trials(
     (success_indicators, kept_mask) as arrays over trials, where kept is
     False for trials rejected by the conditioning.
     """
+    if trials < 1:
+        raise ValueError(f"need trials >= 1, got {trials}")
     extra = [condition_empty] if condition_empty is not None else []
     lo, hi = _bounding_box([region, *extra], pad=r)
     box_vol = float(np.prod(hi - lo))
@@ -220,7 +221,7 @@ def _isolation_trials(
     kept = np.ones(trials, dtype=bool)
     done = 0
     while done < trials:
-        t = min(chunk, trials - done)
+        t = min(4096, trials - done)
         counts = rng.poisson(lam * box_vol, size=t)
         total = int(counts.sum())
         pts = lo + rng.random((total, d)) * (hi - lo)
@@ -264,11 +265,10 @@ def mc_isolated_check(
     r: float,
     trials: int,
     seed: int,
-    sigmas: float = 4.0,
 ) -> IsolationCheck:
     """Empirical P(pick exists and is r-isolated) against the analytic
     lower bound at the region's exact volume; passes when
-    empirical >= bound - sigmas * std_error."""
+    empirical >= bound - 4 * std_error."""
     vol = exact_volume(region)
     if vol is None:
         raise ValueError("region needs an exact volume for the analytic bound")
@@ -280,9 +280,8 @@ def mc_isolated_check(
         empirical=p,
         std_error=se,
         reference=bound,
-        margin_sigmas=sigmas,
         trials_used=trials,
-        passed=p >= bound - sigmas * se,
+        passed=p >= bound - 4.0 * se,
     )
 
 
@@ -293,11 +292,10 @@ def mc_conditional_isolated_check(
     r: float,
     trials: int,
     seed: int,
-    sigmas: float = 4.0,
 ) -> IsolationCheck:
     """Conditioning on a disjoint region being empty cannot hurt isolation:
     empirical conditional success must be >= the unconditional rate minus
-    sigmas combined standard errors.  Conditioning is by rejection."""
+    4 combined standard errors.  Conditioning is by rejection."""
     success_u, _ = _isolation_trials(region, lam, r, trials, seed)
     success_c, kept = _isolation_trials(
         region, lam, r, trials, seed + 1, condition_empty=condition_empty
@@ -314,9 +312,8 @@ def mc_conditional_isolated_check(
         empirical=p_c,
         std_error=se,
         reference=p_u,
-        margin_sigmas=sigmas,
         trials_used=n_c,
-        passed=p_c >= p_u - sigmas * se,
+        passed=p_c >= p_u - 4.0 * se,
     )
 
 

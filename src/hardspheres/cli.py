@@ -93,12 +93,14 @@ def _jsonable(obj):
 
 
 def cmd_bounds_scan(args) -> int:
-    if not 11 <= args.dim_min <= args.dim_max:
+    d_lo, d_hi = bounds.MIN_DIMENSION_SUPPORTED, bounds.MAX_DIMENSION_SUPPORTED
+    if not d_lo <= args.dim_min <= args.dim_max <= d_hi:
         raise UsageError(
-            f"need 11 <= dim-min <= dim-max, got {args.dim_min}..{args.dim_max}"
+            f"need {d_lo} <= dim-min <= dim-max <= {d_hi}, "
+            f"got {args.dim_min}..{args.dim_max}"
         )
     t0 = time.perf_counter()
-    rows = [bounds.bounds_report(d) for d in range(args.dim_min, args.dim_max + 1)]
+    rows = bounds.scan_dimensions(args.dim_min, args.dim_max, args.threshold)
     min_d = bounds.min_dimension(args.threshold)
     config = {
         "dim_min": args.dim_min,
@@ -249,8 +251,8 @@ def cmd_simulate(args) -> int:
         raise UsageError("layers must be >= 1")
     vecs = [(k,) + (0,) * (args.dim - 3) for k in range(args.layers)]
     gamma = run_multilayer(params, seed, vecs)
-    report = verify_hard_sphere(gamma, tol=1e-9)
-    clusters = cluster_components(gamma, touch_tol=1e-9)
+    report = verify_hard_sphere(gamma)
+    clusters = cluster_components(gamma)
     states = gamma.layer_states
     config = {
         "dim": args.dim,
@@ -450,6 +452,8 @@ def _verify_sampler(budget: int, seed: int, d: int, lam: float):
 def cmd_verify(args) -> int:
     t0 = time.perf_counter()
     seed = args.seed if args.seed is not None else _default_seed()
+    if args.dim is not None and args.dim < 1:
+        raise UsageError(f"dim must be >= 1, got {args.dim}")
     if args.suite == "geometry":
         d = args.dim if args.dim is not None else 11
         budget = args.budget if args.budget is not None else 200_000

@@ -63,6 +63,9 @@ STOP_TRUNCATION = "lattice-truncation"
 MEMBERSHIP_TOL = 1e-12
 # An implied radius farther out than this is a geometry bug, not roundoff.
 RADIUS_BUG_TOL = 1e-9
+# Surface-gap slack of the report: spheres overlap when their gap is below
+# -CONTACT_TOL and touch when it is within CONTACT_TOL.
+CONTACT_TOL = 1e-9
 
 _LAYER_SEED_TAG = 11
 _TRIAL_SEED_TAG = 13
@@ -86,8 +89,6 @@ class ConstructionParams:
     eta: float = 0.0
     lattice_radius: float = 12.0
     max_steps: int = 100_000
-    store_cap: Optional[float] = None
-    stream_cap: Optional[float] = None
 
     def __post_init__(self):
         if self.d < 3:
@@ -398,12 +399,7 @@ def run_layer(params: ConstructionParams, seed: int, layer_vec=None):
     if layer_vec is None:
         layer_vec = (0,) * (params.d - 2)
     lattice = _lattice(params.lattice_radius)
-    registry_kwargs = {}
-    if params.store_cap is not None:
-        registry_kwargs["store_cap"] = params.store_cap
-    if params.stream_cap is not None:
-        registry_kwargs["stream_cap"] = params.stream_cap
-    registry = RegionRegistry(params.d, params.lam, seed, **registry_kwargs)
+    registry = RegionRegistry(params.d, params.lam, seed)
     state = ExplorationState(params, lattice, registry, layer_vec)
     state.pending = (0, "step0")
     while state.pending is not None:
@@ -444,11 +440,10 @@ class GammaProcess:
     zero-radius sphere at every enumerated unconsumed Poisson point."""
 
     spheres: tuple
-    window: tuple  # (mode, region) pairs covering everything enumerated
     n_stream_leftovers: int  # realized but unenumerated (replay-only) points
     layer_states: tuple
     annotations: dict
-    # centers() and contact pairs per slack, computed once for the report
+    # centers() and the contact pairs, computed once for the report
     _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
@@ -479,7 +474,6 @@ def assemble_gamma(params: ConstructionParams, states) -> GammaProcess:
     not stored; they are reported by count and stay out of the sphere list
     (documented restriction of the finite simulation)."""
     spheres: list = []
-    window: list = []
     n_stream_leftovers = 0
     for state in states:
         spheres.extend(state.spheres)
@@ -508,7 +502,6 @@ def assemble_gamma(params: ConstructionParams, states) -> GammaProcess:
         # accounted above, the rest are reported as a count.
         streamed_fresh = 0
         for rec in reg.records:
-            window.append((rec.mode, rec.region))
             if rec.mode == "streamed":
                 streamed_fresh += rec.n_fresh
         surfaced = {
@@ -523,7 +516,6 @@ def assemble_gamma(params: ConstructionParams, states) -> GammaProcess:
         annotations.update(notes)
     return GammaProcess(
         spheres=tuple(spheres),
-        window=tuple(window),
         n_stream_leftovers=n_stream_leftovers,
         layer_states=tuple(states),
         annotations=annotations,
@@ -689,16 +681,15 @@ def _contact_pairs(centers: np.ndarray, radii: np.ndarray, slack: float):
     return keys // n, keys % n
 
 
-def _gamma_contact_pairs(gamma: GammaProcess, slack: float):
-    """_contact_pairs of gamma's spheres, computed once per slack: the
+def _gamma_contact_pairs(gamma: GammaProcess):
+    """_contact_pairs of gamma's spheres at CONTACT_TOL, computed once: the
     hard-sphere check and the cluster search ask for the same pairs."""
-    key = ("pairs", slack)
-    if key not in gamma._memo:
-        pairs = _contact_pairs(gamma.centers(), gamma.radii(), slack)
+    if "pairs" not in gamma._memo:
+        pairs = _contact_pairs(gamma.centers(), gamma.radii(), CONTACT_TOL)
         for arr in pairs:
             arr.flags.writeable = False
-        gamma._memo[key] = pairs
-    return gamma._memo[key]
+        gamma._memo["pairs"] = pairs
+    return gamma._memo["pairs"]
 
 
 def _dist_below(centers, I, J, thresh, strict: bool) -> np.ndarray:
@@ -714,19 +705,19 @@ def _dist_below(centers, I, J, thresh, strict: bool) -> np.ndarray:
     return below
 
 
-def verify_hard_sphere(gamma: GammaProcess, tol: float = 1e-9) -> HardSphereReport:
-    """Check |x_i - x_j| >= r_i + r_j - tol for all pairs that could touch."""
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
+def verify_hard_sphere(gamma: GammaProcess) -> HardSphereReport:
+    """Check |x_i - x_j| >= r_i + r_j - CONTACT_TOL for all pairs that could
+    touch."""
     n = len(gamma.spheres)
     if n < 2:
         return HardSphereReport(n, 0, (), True)
     centers = gamma.centers()
     radii = gamma.radii()
-    I, J = _gamma_contact_pairs(gamma, tol)
+    I, J = _gamma_contact_pairs(gamma)
     need = radii[I] + radii[J]
     violations = []
-    for k in np.flatnonzero(_dist_below(centers, I, J, need - tol, strict=True)):
+    overlap = _dist_below(centers, I, J, need - CONTACT_TOL, strict=True)
+    for k in np.flatnonzero(overlap):
         i, j = int(I[k]), int(J[k])
         dist = float(math.dist(centers[i], centers[j]))
         violations.append((i, j, float(need[k] - dist)))
@@ -746,18 +737,16 @@ class Cluster:
     bounding_radius: float
 
 
-def cluster_components(gamma: GammaProcess, touch_tol: float = 1e-9):
+def cluster_components(gamma: GammaProcess):
     """Connected components of the tangency graph (spheres touch when the
-    surface gap is within touch_tol), largest first."""
-    if touch_tol <= 0:
-        raise ValueError("touch_tol must be > 0")
+    surface gap is within CONTACT_TOL), largest first."""
     n = len(gamma.spheres)
     if n == 0:
         return []
     centers = gamma.centers()
     radii = gamma.radii()
-    I, J = _gamma_contact_pairs(gamma, touch_tol)
-    touch = _dist_below(centers, I, J, radii[I] + radii[J] + touch_tol, strict=False)
+    I, J = _gamma_contact_pairs(gamma)
+    touch = _dist_below(centers, I, J, radii[I] + radii[J] + CONTACT_TOL, strict=False)
     uf = UnionFind(n)
     for i, j in zip(I[touch].tolist(), J[touch].tolist()):
         uf.union(i, j)

@@ -1,7 +1,7 @@
 """Euclidean regions, ball volumes, and the overlap estimates behind the
 cluster construction.
 
-Everything here is plain d-dimensional geometry: open/closed balls, thin
+Everything here is plain d-dimensional geometry: closed balls, thin
 product cells (a 2-disc crossed with a (d-2)-ball), spherical shells, and
 Monte Carlo volume estimation against an exactly sampleable bounding region.
 The closed-form quantities (shell radii, the shell-minus-core profile, the
@@ -88,8 +88,7 @@ def sample_in_ball(
 
 @dataclass(frozen=True)
 class Ball:
-    """Ball B(center, radius).  Open for overlap tests, closed for emptiness
-    queries; membership takes a ``closed`` flag."""
+    """Closed ball B(center, radius)."""
 
     center: np.ndarray
     radius: float
@@ -106,11 +105,10 @@ class Ball:
     def volume(self) -> float:
         return ball_volume(self.dim, self.radius)
 
-    def contains(self, points: np.ndarray, closed: bool = True) -> np.ndarray:
+    def contains(self, points: np.ndarray) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         d2 = np.sum((points - self.center) ** 2, axis=1)
-        r2 = self.radius**2
-        return d2 <= r2 if closed else d2 < r2
+        return d2 <= self.radius**2
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return sample_in_ball(self.center, self.radius, n, rng)
@@ -162,17 +160,14 @@ class Cell:
             * self.layer_radius**m
         )
 
-    def contains(self, points: np.ndarray, closed: bool = True) -> np.ndarray:
+    def contains(self, points: np.ndarray) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         p2 = np.sum((points[:, :2] - self.planar_center) ** 2, axis=1)
-        if closed:
-            ok = p2 <= self.eps**2
-        else:
-            ok = p2 < self.eps**2
+        ok = p2 <= self.eps**2
         m = self.layer_center.shape[0]
         if m:
             l2 = np.sum((points[:, 2:] - self.layer_center) ** 2, axis=1)
-            ok &= l2 <= self.layer_radius**2 if closed else l2 < self.layer_radius**2
+            ok &= l2 <= self.layer_radius**2
         return ok
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -211,12 +206,10 @@ class Annulus:
         d = self.dim
         return unit_ball_volume(d) * (self.outer**d - self.inner**d)
 
-    def contains(self, points: np.ndarray, closed: bool = True) -> np.ndarray:
+    def contains(self, points: np.ndarray) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         d2 = np.sum((points - self.center) ** 2, axis=1)
-        if closed:
-            return (d2 >= self.inner**2) & (d2 <= self.outer**2)
-        return (d2 > self.inner**2) & (d2 < self.outer**2)
+        return (d2 >= self.inner**2) & (d2 <= self.outer**2)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         d = self.dim
@@ -248,11 +241,11 @@ class Intersection:
     def dim(self) -> int:
         return self.parts[0].dim
 
-    def contains(self, points: np.ndarray, closed: bool = True) -> np.ndarray:
+    def contains(self, points: np.ndarray) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        ok = self.parts[0].contains(points, closed=closed)
+        ok = self.parts[0].contains(points)
         for part in self.parts[1:]:
-            ok &= part.contains(points, closed=closed)
+            ok &= part.contains(points)
         return ok
 
     def bounding_ball(self) -> Ball:
@@ -278,13 +271,13 @@ class Difference:
     def dim(self) -> int:
         return self.outer.dim
 
-    def contains(self, points: np.ndarray, closed: bool = True) -> np.ndarray:
+    def contains(self, points: np.ndarray) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        ok = self.outer.contains(points, closed=closed)
+        ok = self.outer.contains(points)
         for s in self.subtracted:
             # Subtracting a closed set from a closed set: a point on the
             # boundary of s is removed.  Measure zero either way.
-            ok &= ~s.contains(points, closed=not closed)
+            ok &= ~s.contains(points)
         return ok
 
     def bounding_ball(self) -> Ball:
@@ -294,9 +287,9 @@ class Difference:
 Region = Union[Ball, Cell, Annulus, Intersection, Difference]
 
 
-def region_contains(region: Region, point: np.ndarray, closed: bool = True) -> bool:
+def region_contains(region: Region, point: np.ndarray) -> bool:
     """Membership of a single point."""
-    return bool(region.contains(np.asarray(point, dtype=float)[None, :], closed=closed)[0])
+    return bool(region.contains(np.asarray(point, dtype=float)[None, :])[0])
 
 
 def exact_volume(region: Region) -> Optional[float]:
@@ -371,10 +364,10 @@ def region_lower_distance(a: Region, b: Region) -> float:
     return 0.0
 
 
-def regions_disjoint(a: Region, b: Region, margin: float = 1e-9) -> bool:
+def regions_disjoint(a: Region, b: Region) -> bool:
     """True only when the two regions are provably separated by more than
-    ``margin``.  A False result makes no claim either way."""
-    return region_lower_distance(a, b) > margin
+    1e-9.  A False result makes no claim either way."""
+    return region_lower_distance(a, b) > 1e-9
 
 
 @dataclass(frozen=True)
@@ -390,7 +383,6 @@ def mc_region_volume(
     bounding: Region,
     n: int,
     seed: int,
-    batch: int = 1 << 18,
 ) -> VolumeEstimate:
     """Hit-or-miss volume estimate of ``region`` against ``bounding``.
 
@@ -407,7 +399,7 @@ def mc_region_volume(
     hits = 0
     remaining = n
     while remaining > 0:
-        k = min(batch, remaining)
+        k = min(1 << 18, remaining)
         pts = bounding.sample(k, rng)
         hits += int(np.count_nonzero(region.contains(pts)))
         remaining -= k
@@ -420,23 +412,23 @@ def mc_region_volume(
     )
 
 
-def shell_radii(R: float, eps: float = EPS) -> tuple:
+def shell_radii(R: float) -> tuple:
     """Planar-deficit radii of a ball of radius R cut by the thin cell slab.
 
-    A point of the cell sits at planar distance between 1 - 2*eps and
-    1 + 2*eps from the ball center's planar coordinates, so the layer
+    A point of the cell sits at planar distance between 1 - 2*EPS and
+    1 + 2*EPS from the ball center's planar coordinates, so the layer
     section of B(x, R) inside the cell has radius between
-    inner = sqrt(R^2 - (1 + 2 eps)^2) and outer = sqrt(R^2 - (1 - 2 eps)^2).
-    Requires R > 1 + 2*eps.
+    inner = sqrt(R^2 - (1 + 2 EPS)^2) and outer = sqrt(R^2 - (1 - 2 EPS)^2).
+    Requires R > 1 + 2*EPS.
     """
-    hi = 1.0 + 2.0 * eps
-    lo = 1.0 - 2.0 * eps
+    hi = 1.0 + 2.0 * EPS
+    lo = 1.0 - 2.0 * EPS
     if R <= hi:
         raise ValueError(f"need R > {hi}, got R={R}")
     return math.sqrt(R**2 - hi**2), math.sqrt(R**2 - lo**2)
 
 
-def cylinder_section_bracket(d: int, R: float, eps: float = EPS) -> tuple:
+def cylinder_section_bracket(d: int, R: float) -> tuple:
     """Closed-form bracket for the volume of (thin cell) intersect B(x, R)
     when the planar centers sit at distance about 1 apart.
 
@@ -446,32 +438,32 @@ def cylinder_section_bracket(d: int, R: float, eps: float = EPS) -> tuple:
     """
     if d < 3:
         raise ValueError(f"need d >= 3, got {d}")
-    r1, r2 = shell_radii(R, eps)
+    r1, r2 = shell_radii(R)
     m = d - 2
-    base = math.pi * eps**2 * unit_ball_volume(m)
+    base = math.pi * EPS**2 * unit_ball_volume(m)
     return base * r1**m / 3.0, base * r2**m
 
 
-def step_layer_radii(r: float, eps: float = EPS) -> tuple:
+def step_layer_radii(r: float) -> tuple:
     """Layer radii (shell_lo, core_hi, bound) for the step region at parent
     radius r.
 
     The step region lives between the spheres of radius r + MU -+ DELTA
     around the parent center, cut to a planar cell whose points sit at
-    planar distance 1 -+ 2 eps from the parent's planar coordinates.  Its
+    planar distance 1 -+ 2 EPS from the parent's planar coordinates.  Its
     layer section therefore contains a (d-2)-ball of radius
-    shell_lo = sqrt((r+MU+DELTA)^2 - (1+2 eps)^2) up to the inner cutout of
-    radius at most core_hi = sqrt((r+MU-DELTA)^2 - (1-2 eps)^2), and is
-    contained in the ball of radius bound = sqrt((r+MU+DELTA)^2 - (1-2 eps)^2).
+    shell_lo = sqrt((r+MU+DELTA)^2 - (1+2 EPS)^2) up to the inner cutout of
+    radius at most core_hi = sqrt((r+MU-DELTA)^2 - (1-2 EPS)^2), and is
+    contained in the ball of radius bound = sqrt((r+MU+DELTA)^2 - (1-2 EPS)^2).
     Domain: r in [MU - DELTA, MU + DELTA].
     """
     if not RADIUS_MIN - 1e-12 <= r <= RADIUS_MAX + 1e-12:
         raise ValueError(f"parent radius {r} outside [{RADIUS_MIN}, {RADIUS_MAX}]")
     r_out = r + MU + DELTA
     r_in = r + MU - DELTA
-    shell_lo = math.sqrt(r_out**2 - (1.0 + 2.0 * eps) ** 2)
-    core_hi = math.sqrt(r_in**2 - (1.0 - 2.0 * eps) ** 2)
-    bound = math.sqrt(r_out**2 - (1.0 - 2.0 * eps) ** 2)
+    shell_lo = math.sqrt(r_out**2 - (1.0 + 2.0 * EPS) ** 2)
+    core_hi = math.sqrt(r_in**2 - (1.0 - 2.0 * EPS) ** 2)
+    bound = math.sqrt(r_out**2 - (1.0 - 2.0 * EPS) ** 2)
     return shell_lo, core_hi, bound
 
 
@@ -488,11 +480,11 @@ def step_volume_profile(r: float, d: int) -> float:
     return shell_lo**m / 3.0 - core_hi**m
 
 
-def step_volume_lower_bound(d: int, eps: float = EPS) -> float:
+def step_volume_lower_bound(d: int) -> float:
     """Dimension-dependent lower bound on the step-region volume, valid for
     d >= 11 once the overlap constant is large enough:
 
-        pi * eps^2 * omega_{d-2} / 3 * (1.2^((d-2)/2) - 1)
+        pi * EPS^2 * omega_{d-2} / 3 * (1.2^((d-2)/2) - 1)
 
     The 1.2 comes from shell(RADIUS_MIN)^2 = 1.2096 > 1.2 and the dropped
     core term is absorbed because core(RADIUS_MIN)^2 = 0.7296 gives
@@ -501,23 +493,23 @@ def step_volume_lower_bound(d: int, eps: float = EPS) -> float:
     if d < 11:
         raise ValueError(f"lower bound requires d >= 11, got {d}")
     m = d - 2
-    return math.pi * eps**2 * unit_ball_volume(m) / 3.0 * (1.2 ** (m / 2.0) - 1.0)
+    return math.pi * EPS**2 * unit_ball_volume(m) / 3.0 * (1.2 ** (m / 2.0) - 1.0)
 
 
-def step_volume_bracket(d: int, r: float, eps: float = EPS) -> tuple:
+def step_volume_bracket(d: int, r: float) -> tuple:
     """Closed-form (lower, upper) bracket for the step-region volume at
     parent radius r in dimension d.
 
-    upper is the bounding product pi eps^2 omega_{d-2} bound^{d-2}; lower
+    upper is the bounding product pi EPS^2 omega_{d-2} bound^{d-2}; lower
     keeps a third of the shell_lo ball and subtracts the full core ball.
     The lower entry can be <= 0 for small d; callers needing positivity
     should use d >= 11 where the profile is positive on the whole window.
     """
     if d < 3:
         raise ValueError(f"need d >= 3, got {d}")
-    shell_lo, core_hi, bound = step_layer_radii(r, eps)
+    shell_lo, core_hi, bound = step_layer_radii(r)
     m = d - 2
-    base = math.pi * eps**2 * unit_ball_volume(m)
+    base = math.pi * EPS**2 * unit_ball_volume(m)
     return base * (shell_lo**m / 3.0 - core_hi**m), base * bound**m
 
 
@@ -548,33 +540,24 @@ def overlap_fraction(
     return p, math.sqrt(p * (1.0 - p) / n)
 
 
-def search_overlap_constant(
-    dim: int,
-    R_max: float,
-    target: float = 1.0 / 3.0,
-    sigmas: float = 4.0,
-    n: int = 200_000,
-    seed: int = 0,
-    max_exponent: int = 20,
-) -> int:
-    """Smallest power-of-two C such that every ball B(x, R), R <= R_max,
-    centered inside B(0, C) keeps at least ``target`` of its volume inside,
-    with an MC certificate at ``sigmas`` standard errors.
+def search_overlap_constant(dim: int, R_max: float, seed: int = 0) -> int:
+    """Smallest power-of-two C <= 2^20 such that every ball B(x, R),
+    R <= R_max, centered inside B(0, C) keeps at least a third of its volume
+    inside, with a certificate of 200,000 MC samples at 4 standard errors.
 
     The worst interior placement is covered by the boundary case of the
     shrunk ball B(0, C - R_max): for |x| = c the fraction is at least the
     boundary fraction at ball radius c, which increases in c and is
     minimized at c = C - R_max.
     """
-    for k in range(max_exponent + 1):
+    for k in range(21):
         C = float(1 << k)
         c_eff = C - R_max
         if c_eff <= 0:
             continue
-        frac, se = overlap_fraction(dim, c_eff, R_max, c_eff, n=n, seed=seed + k)
-        if frac - sigmas * se >= target:
+        frac, se = overlap_fraction(dim, c_eff, R_max, c_eff, seed=seed + k)
+        if frac - 4.0 * se >= 1.0 / 3.0:
             return 1 << k
     raise RuntimeError(
-        f"no power-of-two overlap constant up to 2^{max_exponent} passed "
-        f"in dimension {dim}"
+        f"no power-of-two overlap constant up to 2^20 passed in dimension {dim}"
     )

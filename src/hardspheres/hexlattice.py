@@ -78,16 +78,6 @@ class StarLattice:
     def full_degree(self, v: int) -> int:
         return SITE_DEGREE if self.kinds[v] == KIND_SITE else BOND_DEGREE
 
-    def is_interior(self, v: int) -> bool:
-        """True when every lattice neighbor of v was generated."""
-        return self.degree(v) == self.full_degree(v)
-
-    def edges(self):
-        for v in range(self.n_vertices):
-            for w in self.neighbors[v]:
-                if v < w:
-                    yield v, w
-
 
 def _key_of(pos) -> tuple:
     return (round(pos[0], 6), round(pos[1], 6))
@@ -148,8 +138,9 @@ def build_lattice(radius: float) -> StarLattice:
     )
 
 
-def min_nonadjacent_distance(lattice: StarLattice, search_radius: float = 2.5) -> float:
-    """Smallest distance between two distinct non-adjacent vertices.
+def min_nonadjacent_distance(lattice: StarLattice) -> float:
+    """Smallest distance between two distinct non-adjacent vertices, among
+    pairs at most 2.5 apart.
 
     sqrt(3) on any piece containing a full site neighborhood (two bonds of
     one site).
@@ -158,11 +149,11 @@ def min_nonadjacent_distance(lattice: StarLattice, search_radius: float = 2.5) -
         raise ValueError("need at least two vertices")
     tree = cKDTree(lattice.positions)
     best = math.inf
-    for v, w in tree.query_pairs(search_radius):
+    for v, w in tree.query_pairs(2.5):
         if w in lattice.neighbors[v]:
             continue
         d = math.dist(lattice.positions[v], lattice.positions[w])
         best = min(best, d)
     if math.isinf(best):
-        raise ValueError("no non-adjacent pair within the search radius")
+        raise ValueError("no non-adjacent pair within distance 2.5")
     return best

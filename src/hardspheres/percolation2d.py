@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -142,11 +142,10 @@ def estimate_theta(
     radius: float,
     trials: int,
     seed: int,
-    graph: Optional[SiteGraph] = None,
 ) -> ThetaEstimate:
     """Boundary-reaching frequency of the origin cluster over independent
     configurations; finite-window stand-in for the percolation function."""
-    return estimate_theta_coupled([p], radius, trials, seed, graph)[0]
+    return estimate_theta_coupled([p], radius, trials, seed)[0]
 
 
 def estimate_theta_coupled(
@@ -154,15 +153,13 @@ def estimate_theta_coupled(
     radius: float,
     trials: int,
     seed: int,
-    graph: Optional[SiteGraph] = None,
 ) -> list:
     """Theta estimates for several densities from shared uniforms.  The
     coupling makes the per-trial reach indicator nondecreasing in p, so the
     estimates are monotone with probability one, not just in expectation."""
     if trials <= 0:
         raise ValueError(f"need trials >= 1, got {trials}")
-    if graph is None:
-        graph = build_site_graph(radius)
+    graph = build_site_graph(radius)
     reached = [0] * len(ps)  # by position, so a repeated p counts once
     for t in range(trials):
         base = sample_config(graph, max(ps), seed, t)

@@ -30,7 +30,7 @@ saturated  For masses beyond any enumeration (a first-layer cell in d = 45
            the picked point perturbs later counts only at relative order
            (later realized mass) / (saturated mass); the registry tracks
            that ratio and refuses to proceed when it could ever matter
-           (default tolerance 1e-9; the d = 45 runs sit near 1e-50).
+           (tolerance 1e-9; the d = 45 runs sit near 1e-50).
 
 Same seed and same query sequence give bit-identical results; streams
 replay from SeedSequence-derived Philox keys that never touch the main
@@ -62,6 +62,7 @@ DEFAULT_STORE_CAP = 10_000.0
 DEFAULT_STREAM_CAP = 2e7
 SATURATION_MIN_MASS = 4096.0  # exp(-m) == 0.0 in binary64 needs m >= 746
 DEFAULT_SATURATION_Q_TOL = 1e-9
+MAX_MATERIALIZE = 5e7
 
 _MAIN_PATH = 0
 _STREAM_PATH = 2
@@ -124,7 +125,6 @@ class _Record:
         "n_candidates",
         "n_fresh",
         "n_members",
-        "member_region",
         "filter_ids",
         "stream_seed_path",
         "stream_rng",
@@ -144,7 +144,6 @@ class _Record:
         self.n_candidates = 0
         self.n_fresh = 0
         self.n_members = 0
-        self.member_region = None
         self.filter_ids = ()
         self.stream_seed_path = None
         self.stream_rng = None  # streamed mode: generator restored per batch
@@ -166,27 +165,16 @@ class RegionRegistry:
         seed: int,
         store_cap: float = DEFAULT_STORE_CAP,
         stream_cap: float = DEFAULT_STREAM_CAP,
-        saturation_min_mass: float = SATURATION_MIN_MASS,
-        saturation_q_tol: float = DEFAULT_SATURATION_Q_TOL,
-        max_materialize: float = 5e7,
     ):
         if dim < 1:
             raise ValueError(f"dimension must be >= 1, got {dim}")
         if lam < 0:
             raise ValueError(f"intensity must be >= 0, got {lam}")
-        if saturation_min_mass < 746.0:
-            raise ValueError(
-                "saturation_min_mass below 746 breaks the exact-emptiness "
-                "guarantee (exp(-m) must underflow to 0.0)"
-            )
         self.dim = dim
         self.lam = lam
         self.seed = int(seed)
         self.store_cap = store_cap
         self.stream_cap = stream_cap
-        self.saturation_min_mass = saturation_min_mass
-        self.saturation_q_tol = saturation_q_tol
-        self.max_materialize = max_materialize
         self.rng = generator(self.seed, _MAIN_PATH)
         self.records: list = []
         self._stored_by_key: dict = {}
@@ -244,10 +232,10 @@ class RegionRegistry:
             rec.realized_mass_in_zone += mass_upper
             q = rec.realized_mass_in_zone / rec.mass_lower
             self.q_max = max(self.q_max, q)
-            if q > self.saturation_q_tol:
+            if q > DEFAULT_SATURATION_Q_TOL:
                 raise RegistryError(
                     f"realized mass inside saturated record {rec.rid} reached "
-                    f"relative ratio {q:.3e} > {self.saturation_q_tol:.1e}; "
+                    f"relative ratio {q:.3e} > {DEFAULT_SATURATION_Q_TOL:.1e}; "
                     "the remove-one-point correction would no longer be "
                     "negligible"
                 )
@@ -305,10 +293,10 @@ class RegionRegistry:
                     "directly; wrap composite regions via pick_in_region"
                 )
             mass = self.lam * vol
-            if mass > self.max_materialize:
+            if mass > MAX_MATERIALIZE:
                 raise RegistryError(
                     f"expected count {mass:.3e} exceeds the materialization "
-                    f"cap {self.max_materialize:.3e}; use pick_in_region"
+                    f"cap {MAX_MATERIALIZE:.3e}; use pick_in_region"
                 )
             bball = region.bounding_ball()
             self._note_saturated_realization(bball, mass)
@@ -433,7 +421,6 @@ class RegionRegistry:
         rid = len(self.records)
         rec = _Record(rid, bounding, "streamed", bball)
         rec.filter_ids = self._determined_filter_ids(bounding)
-        rec.member_region = region
         rec.stream_seed_path = (self.seed, _STREAM_PATH, rid)
         rec.n_candidates = int(self.rng.poisson(m_hi))
         rec.mass_lower = m_lo
@@ -485,11 +472,11 @@ class RegionRegistry:
         raise RegistryError("stream replay lost the picked member")  # unreachable
 
     def _pick_saturated(self, region, bounding, m_lo, m_hi) -> PickResult:
-        if m_lo < self.saturation_min_mass:
+        if m_lo < SATURATION_MIN_MASS:
             raise RegistryError(
                 f"mass bracket [{m_lo:.3e}, {m_hi:.3e}] is too heavy to "
                 "stream but its lower bound is below the saturation minimum "
-                f"{self.saturation_min_mass}; cannot realize exactly"
+                f"{SATURATION_MIN_MASS}; cannot realize exactly"
             )
         bball = bounding.bounding_ball()
         # The saturated pick must come from the undetermined sea; any already
@@ -664,12 +651,10 @@ def consistency_regions(dim: int) -> dict:
 _SCRIPT_PICKS = ("q01", "q02", "q05", "q07", "q10")
 
 
-def consistency_counts_lazy(
-    dim: int, lam: float, seed: int, store_cap: float = _SCRIPT_STORE_CAP
-) -> tuple:
+def consistency_counts_lazy(dim: int, lam: float, seed: int) -> tuple:
     """Count vector of the script's ten regions through a lazy registry."""
     regs = consistency_regions(dim)
-    registry = RegionRegistry(dim, lam, seed, store_cap=store_cap)
+    registry = RegionRegistry(dim, lam, seed, store_cap=_SCRIPT_STORE_CAP)
     counts = []
     for key in sorted(regs):
         reg = regs[key]
@@ -701,11 +686,13 @@ def consistency_counts_oracle(dim: int, lam: float, seed: int) -> tuple:
 # marginals, the grand total, and strongly overlapping pairs is what a
 # sample of this size can actually falsify.
 _SCRIPT_PAIRS = ((0, 1), (0, 2), (0, 8), (1, 5), (3, 6), (4, 9))
+_ALPHA = 1e-3  # familywise significance of the battery
+_MIN_POOLED = 25
 
 
-def _chi2_two_sample(vals_a, vals_b, min_pooled: int):
+def _chi2_two_sample(vals_a, vals_b):
     """Two-sample chi-squared on categorical values, pooling categories
-    rarer than min_pooled combined.  Returns (chi2, p, dof, n_categories)
+    rarer than _MIN_POOLED combined.  Returns (chi2, p, dof, n_categories)
     or None when the pooled table is degenerate."""
     from collections import Counter
 
@@ -713,7 +700,7 @@ def _chi2_two_sample(vals_a, vals_b, min_pooled: int):
 
     ca, cb = Counter(vals_a), Counter(vals_b)
     keys = sorted(set(ca) | set(cb))
-    main = [k for k in keys if ca[k] + cb[k] >= min_pooled]
+    main = [k for k in keys if ca[k] + cb[k] >= _MIN_POOLED]
     row_a = [ca[k] for k in main]
     row_b = [cb[k] for k in main]
     rest_a = sum(ca[k] for k in keys if k not in main)
@@ -733,14 +720,12 @@ def sampler_consistency_check(
     lam: float,
     n_seeds: int,
     seed: int,
-    alpha: float = 1e-3,
-    min_pooled: int = 25,
 ) -> dict:
     """Chi-squared battery testing that the lazy registry's joint count law
     matches the brute-force global-sample oracle.
 
     The battery covers every marginal count, the grand total, and the six
-    most-overlapping query pairs, at familywise significance ``alpha``
+    most-overlapping query pairs, at familywise significance _ALPHA
     (Bonferroni).  A degenerate projection (too few populated categories to
     test) is an error, not a pass."""
     if n_seeds < 100:
@@ -770,11 +755,11 @@ def sampler_consistency_check(
                 list(zip(oracle[:, i], oracle[:, j])),
             )
         )
-    alpha_each = alpha / len(tests)
+    alpha_each = _ALPHA / len(tests)
     results = []
     worst = None
     for name, va, vb in tests:
-        out = _chi2_two_sample(va, vb, min_pooled)
+        out = _chi2_two_sample(va, vb)
         if out is None:
             raise ValueError(
                 f"count law projection {name} degenerate; increase n_seeds"
@@ -797,7 +782,7 @@ def sampler_consistency_check(
         "min_p_value": worst["p_value"],
         "worst_projection": worst["projection"],
         "n_tests": len(tests),
-        "alpha": alpha,
+        "alpha": _ALPHA,
         "alpha_each": alpha_each,
         "n_seeds": n_seeds,
         "projections": results,

@@ -38,6 +38,7 @@ from hardspheres.geometry import (
 from hardspheres.percolation2d import estimate_theta
 from hardspheres.poisson import sampler_consistency_check
 from hardspheres.rngutil import derive_seed
+from registry_snapshot import registry_snapshot
 
 REPORT_LINES = []
 
@@ -193,11 +194,11 @@ def _invariant_sweep(params, tag: int, n_runs: int) -> dict:
                 for a, b in zip(sp1, sp2)
             )
             and [e.to_row() for e in st1.log] == [e.to_row() for e in st2.log]
-            and st1.registry.dump() == st2.registry.dump()
+            and registry_snapshot(st1.registry) == registry_snapshot(st2.registry)
         )
         c["replay"] += 0 if same else 1
         gamma = assemble_gamma(params, [st1])
-        c["viol"] += len(verify_hard_sphere(gamma, tol=1e-9).violations)
+        c["viol"] += len(verify_hard_sphere(gamma).violations)
         by_vertex = {sp.vertex: sp for sp in sp1}
         for sp in sp1:
             c["spheres"] += 1
@@ -288,7 +289,7 @@ def test_criterion_9_full_dimension_smoke():
     )
 
     gamma = assemble_gamma(params, [st])
-    hs = verify_hard_sphere(gamma, tol=1e-9)
+    hs = verify_hard_sphere(gamma)
     by_vertex = {sp.vertex: sp for sp in spheres}
     tangency_ok = all(
         abs(

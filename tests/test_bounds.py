@@ -8,6 +8,7 @@ import pytest
 
 from hardspheres.bounds import (
     DEFAULT_THRESHOLD,
+    MAX_DIMENSION_SUPPORTED,
     MIN_DIMENSION_SUPPORTED,
     bounds_report,
     constants_AB,
@@ -123,6 +124,14 @@ def test_scan_dimensions_rows():
     with pytest.raises(ValueError):
         scan_dimensions(40, 30)
     assert MIN_DIMENSION_SUPPORTED == 11
+
+
+def test_every_supported_dimension_evaluates():
+    rows = scan_dimensions(MIN_DIMENSION_SUPPORTED, MAX_DIMENSION_SUPPORTED)
+    assert len(rows) == MAX_DIMENSION_SUPPORTED - MIN_DIMENSION_SUPPORTED + 1
+    # one dimension further, lambda_star's exp(-log A) overflows
+    with pytest.raises(OverflowError):
+        lambda_star(MAX_DIMENSION_SUPPORTED + 1)
     assert DEFAULT_THRESHOLD == 0.892
 
 
@@ -176,3 +185,13 @@ def test_mc_isolated_check_requires_exact_volume():
     b = Ball(np.zeros(2), 1.0)
     with pytest.raises(ValueError):
         mc_isolated_check(Intersection((b, b)), lam=1.0, r=0.5, trials=100, seed=0)
+
+
+def test_isolation_checks_need_a_trial():
+    b = Ball(np.zeros(2), 1.0)
+    with pytest.raises(ValueError, match="trials >= 1"):
+        mc_isolated_check(b, lam=1.0, r=0.5, trials=0, seed=0)
+    with pytest.raises(ValueError, match="trials >= 1"):
+        mc_conditional_isolated_check(
+            b, Ball(np.array([3.0, 0.0]), 1.0), lam=1.0, r=0.5, trials=0, seed=0
+        )

@@ -78,6 +78,33 @@ def test_bounds_scan_usage_error(capsys):
     assert main(["bounds-scan", "--dim-min", "5", "--dim-max", "20"]) == EXIT_USAGE
 
 
+def test_bounds_scan_threshold_applies_to_every_row(tmp_path, capsys):
+    out = tmp_path / "scan.json"
+    code = main(["bounds-scan", "--dim-min", "35", "--dim-max", "46",
+                 "--threshold", "0.5", "--out", str(out)])
+    assert code == EXIT_OK
+    doc = read_json(out)
+    min_d = doc["manifest"]["min_dimension"]
+    assert min_d == 37
+    assert f"min dimension at threshold 0.5: {min_d}" in capsys.readouterr().err
+    for row in doc["results"]:
+        assert row["threshold"] == 0.5
+        assert row["passes_threshold"] == (row["d"] >= min_d)
+    by_d = {r["d"]: r for r in doc["results"]}
+    assert by_d[40]["F_star"] == pytest.approx(0.736, abs=5e-4)
+
+
+def test_bounds_scan_dimension_cap(capsys):
+    top = str(bounds.MAX_DIMENSION_SUPPORTED)
+    assert main(["bounds-scan", "--dim-min", top, "--dim-max", top]) == EXIT_OK
+    capsys.readouterr()
+    over = str(bounds.MAX_DIMENSION_SUPPORTED + 1)
+    assert main(["bounds-scan", "--dim-max", over]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: need 11 <= dim-min <= dim-max <= 452")
+    assert len(err.splitlines()) == 1
+
+
 SIM5 = ["simulate", "--dim", "5", "--lambda", "5.0", "--cells-C", "4.0"]
 
 
@@ -194,6 +221,16 @@ def test_verify_geometry(tmp_path):
     assert any(n.startswith("cell-volume") for n in names)
     assert any(n.startswith("slab-section") for n in names)
     assert any(n.startswith("step-region") for n in names)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["--budget", "0"], "error: need trials >= 1, got 0\n"),
+     (["--dim", "0"], "error: dim must be >= 1, got 0\n")],
+)
+def test_verify_isolation_bad_input_is_usage_error(capsys, argv, message):
+    assert main(["verify", "isolation", *argv]) == EXIT_USAGE
+    assert capsys.readouterr().err == message
 
 
 def test_verify_sampler_small_budget(tmp_path):

@@ -87,8 +87,7 @@ def test_sample_in_ball_inside_and_seeded():
 def test_ball_region_membership():
     b = Ball(np.zeros(2), 1.0)
     assert b.dim == 2
-    assert region_contains(b, [1.0, 0.0], closed=True)
-    assert not region_contains(b, [1.0, 0.0], closed=False)
+    assert region_contains(b, [1.0, 0.0])
     assert not region_contains(b, [1.0 + 1e-9, 0.0])
     assert math.isclose(b.volume(), math.pi, rel_tol=1e-15)
 

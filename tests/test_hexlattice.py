@@ -30,9 +30,8 @@ def test_kinds_partition_and_degrees():
         full = 3 if lat.kinds[v] == KIND_SITE else 2
         assert lat.full_degree(v) == full
         assert lat.degree(v) <= full
-        assert lat.is_interior(v) == (lat.degree(v) == full)
     # interior fractions are high once the window dwarfs the unit step
-    interior = sum(lat.is_interior(v) for v in range(lat.n_vertices))
+    interior = sum(lat.degree(v) == lat.full_degree(v) for v in range(lat.n_vertices))
     assert interior / lat.n_vertices > 0.5
 
 
@@ -47,9 +46,10 @@ def test_bipartite_adjacency():
 def test_edge_length_is_one():
     # bonds decorate edge midpoints of a hexagonal net with edge length 2
     lat = build_lattice(7.0)
-    for v, w in lat.edges():
-        d = math.dist(lat.positions[v], lat.positions[w])
-        assert abs(d - 1.0) < 1e-12
+    for v in range(lat.n_vertices):
+        for w in lat.neighbors[v]:
+            d = math.dist(lat.positions[v], lat.positions[w])
+            assert abs(d - 1.0) < 1e-12
 
 
 def test_min_nonadjacent_distance_sqrt3():

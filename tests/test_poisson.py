@@ -7,6 +7,8 @@ import pytest
 
 from hardspheres.geometry import Annulus, Ball, Cell, Intersection
 from hardspheres.poisson import (
+    MAX_MATERIALIZE,
+    SATURATION_MIN_MASS,
     PointSet,
     RegionRegistry,
     RegistryError,
@@ -56,9 +58,12 @@ def test_materialize_requires_exact_volume():
 
 
 def test_materialize_mass_cap():
-    reg = RegionRegistry(2, 1.0, seed=3, max_materialize=10.0)
-    with pytest.raises(RegistryError):
-        reg.materialize(ball2(0, 0, 4.0))  # mass = 16 pi
+    # pinned first: a larger cap would let the region below be drawn
+    assert MAX_MATERIALIZE == 5e7
+    reg = RegionRegistry(2, 1e7, seed=3)
+    with pytest.raises(RegistryError, match="materialization cap 5.000e"):
+        reg.materialize(ball2(0, 0, 1.4))  # mass = 1.96 pi 1e7 ~ 1.23 caps
+    assert reg.records == []
 
 
 def test_dimension_mismatch():
@@ -245,9 +250,9 @@ def test_saturated_q_guard():
         reg.materialize(Ball(np.array([-5.0, 5.0]), 0.05))
 
 
-def test_saturation_parameters_validated():
-    with pytest.raises(ValueError):
-        RegionRegistry(2, 1.0, seed=0, saturation_min_mass=100.0)
+def test_saturation_floor_makes_emptiness_impossible():
+    # a saturated zone skips the count draw because P(empty) is exactly 0.0
+    assert math.exp(-SATURATION_MIN_MASS) == 0.0
 
 
 def test_region_key_identity():

@@ -21,7 +21,7 @@ from hardspheres.construction import (
     verify_hard_sphere,
 )
 
-TOL = 1e-9
+TOL = 1e-9  # construction.CONTACT_TOL, written out for the references below
 
 
 def make_gamma(centers, radii, kinds=None, layers=None, vertices=None):
@@ -41,7 +41,6 @@ def make_gamma(centers, radii, kinds=None, layers=None, vertices=None):
     )
     return GammaProcess(
         spheres=spheres,
-        window=(),
         n_stream_leftovers=0,
         layer_states=(),
         annotations={},
@@ -142,8 +141,8 @@ def test_random_gammas_match_brute_force(seed):
     rng = np.random.default_rng(seed)
     d = int(rng.choice([2, 3, 5, 31]))
     gamma = random_gamma(rng, d, int(rng.integers(2, 60)))
-    assert verify_hard_sphere(gamma, TOL) == brute_verify(gamma, TOL)
-    assert cluster_components(gamma, TOL) == brute_clusters(gamma, TOL)
+    assert verify_hard_sphere(gamma) == brute_verify(gamma, TOL)
+    assert cluster_components(gamma) == brute_clusters(gamma, TOL)
 
 
 def test_contact_pairs_computed_once_per_slack(monkeypatch):
@@ -158,13 +157,11 @@ def test_contact_pairs_computed_once_per_slack(monkeypatch):
 
     monkeypatch.setattr(construction, "_contact_pairs", counting)
     gamma = random_gamma(np.random.default_rng(3), 5, 60)
-    report = verify_hard_sphere(gamma, TOL)
-    clusters = cluster_components(gamma, TOL)
+    report = verify_hard_sphere(gamma)
+    clusters = cluster_components(gamma)
     assert calls == [TOL]
     assert report == brute_verify(gamma, TOL)
     assert clusters == brute_clusters(gamma, TOL)
-    verify_hard_sphere(gamma, 2 * TOL)
-    assert calls == [TOL, 2 * TOL]
     assert not gamma.centers().flags.writeable
 
 
@@ -176,8 +173,8 @@ def test_tiny_gammas_match_brute_force():
         ([[0.0, 0.0], [1.0, 0.0]], [0.5, 0.5]),
     ):
         gamma = make_gamma(centers, radii)
-        assert verify_hard_sphere(gamma, TOL) == brute_verify(gamma, TOL)
-        assert cluster_components(gamma, TOL) == brute_clusters(gamma, TOL)
+        assert verify_hard_sphere(gamma) == brute_verify(gamma, TOL)
+        assert cluster_components(gamma) == brute_clusters(gamma, TOL)
 
 
 # -- crafted near-tie pairs -------------------------------------------------
@@ -228,13 +225,13 @@ def crafted_gamma(rng, d):
 @pytest.mark.parametrize("d", [3, 31, 45])
 def test_crafted_ties_match_brute_force(d):
     gamma = crafted_gamma(np.random.default_rng(d), d)
-    got = verify_hard_sphere(gamma, TOL)
+    got = verify_hard_sphere(gamma)
     want = brute_verify(gamma, TOL)
     # The count of pairs checked is compared on the random gammas only:
     # here distances sit on the k-d tree's query radius by construction.
     assert (got.violations, got.passed) == (want.violations, want.passed)
     assert len(got.violations) == 4 * 3  # the -tol - 1 ulp pairs overlap
-    clusters = cluster_components(gamma, TOL)
+    clusters = cluster_components(gamma)
     assert clusters == brute_clusters(gamma, TOL)
     assert [c.size for c in clusters].count(2) == 4 * 3 * 6  # all but +tol + 1 ulp
 
