@@ -99,6 +99,10 @@ def cmd_bounds_scan(args) -> int:
             f"need {d_lo} <= dim-min <= dim-max <= {d_hi}, "
             f"got {args.dim_min}..{args.dim_max}"
         )
+    # F* is a probability bound and rounds to 1.0 from d = 186, so every
+    # threshold in [0, 1] has a minimum dimension.
+    if not 0.0 <= args.threshold <= 1.0:
+        raise UsageError(f"threshold must lie in [0, 1], got {args.threshold}")
     t0 = time.perf_counter()
     rows = bounds.scan_dimensions(args.dim_min, args.dim_max, args.threshold)
     min_d = bounds.min_dimension(args.threshold)

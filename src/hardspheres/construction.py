@@ -66,6 +66,10 @@ RADIUS_BUG_TOL = 1e-9
 # Surface-gap slack of the report: spheres overlap when their gap is below
 # -CONTACT_TOL and touch when it is within CONTACT_TOL.
 CONTACT_TOL = 1e-9
+# The lattice is built in full before the first step.  Radius 200 holds
+# about 60,000 vertices and builds in about a second; the vertex count grows
+# with the square of the radius, so larger radii are refused up front.
+MAX_LATTICE_RADIUS = 200.0
 
 _LAYER_SEED_TAG = 11
 _TRIAL_SEED_TAG = 13
@@ -104,8 +108,11 @@ class ConstructionParams:
             )
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
-        if self.lattice_radius < 2:
-            raise ValueError("lattice_radius must be >= 2")
+        if not 2.0 <= self.lattice_radius <= MAX_LATTICE_RADIUS:
+            raise ValueError(
+                f"lattice_radius must lie in [2, {MAX_LATTICE_RADIUS:g}], "
+                f"got {self.lattice_radius}"
+            )
 
     @property
     def L(self) -> float:

@@ -52,17 +52,38 @@ def ball_volume(d: int, radius: float) -> float:
     return unit_ball_volume(d) * radius**d
 
 
-def _unit_directions(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
-    """n uniform directions on the unit sphere in R^d, as a fresh (n, d)
-    array: isotropic Gaussians divided in place by their norms.  The norm is
-    np.linalg.norm's own formula, so the bytes match it."""
-    g = rng.standard_normal((n, d))
-    norms = np.sqrt(np.add.reduce(g * g, axis=1, keepdims=True))
-    # A d-dim standard normal is never numerically zero for the batch sizes
-    # used here; guard anyway so a pathological draw cannot emit NaN.
-    norms[norms == 0.0] = 1.0
-    g /= norms
-    return g
+# Rows per block of the temporaries of the samplers, the membership tests
+# and the overlap search: a block holds ROW_BLOCK * d floats however many
+# points are drawn or tested.
+ROW_BLOCK = 1 << 12
+
+
+def _unit_directions(
+    n: int, d: int, rng: np.random.Generator, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """n uniform directions on the unit sphere in R^d, written into ``out``
+    (an (n, d) array or view; a fresh array when None) and returned:
+    isotropic Gaussians divided in place by their norms.
+
+    The normals are drawn ROW_BLOCK rows at a time in the order one (n, d)
+    draw takes them, and each row's norm is np.linalg.norm's own formula, so
+    the bytes match a single draw normalized by it."""
+    if out is None:
+        out = np.empty((n, d))
+    direct = out.flags.c_contiguous  # else a column slice: one cell factor
+    for i in range(0, n, ROW_BLOCK):
+        g = out[i : i + ROW_BLOCK]
+        if direct:
+            rng.standard_normal(out=g)
+        else:
+            g[...] = rng.standard_normal(g.shape)
+        norms = np.sqrt(np.add.reduce(g * g, axis=1, keepdims=True))
+        # A d-dim standard normal is never numerically zero for the batch
+        # sizes used here; guard anyway so a pathological draw cannot emit
+        # NaN.
+        norms[norms == 0.0] = 1.0
+        g /= norms
+    return out
 
 
 def sample_in_ball(
@@ -75,15 +96,28 @@ def sample_in_ball(
     """Draw n points uniformly from the ball B(center, radius).
 
     Isotropic Gaussian direction scaled by U^(1/d) times the radius; exact
-    for every d >= 1.  With ``out`` (an (n, d) array or view) the points
-    are written there and ``out`` is returned.
+    for every d >= 1.  The points are built in ``out`` (an (n, d) array or
+    view; a fresh array when None), which is returned, so no other (n, d)
+    array is allocated.
     """
     center = np.asarray(center, dtype=float)
     d = center.shape[0]
-    g = _unit_directions(n, d, rng)
+    out = _unit_directions(n, d, rng, out)
     u = rng.random((n, 1))
-    g *= radius * u ** (1.0 / d)
-    return np.add(center, g, out=g if out is None else out)
+    out *= radius * u ** (1.0 / d)
+    return np.add(center, out, out=out)
+
+
+def _squared_distances(points: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """|p - center|^2 per row.  Each block of ROW_BLOCK rows is differenced
+    into one temporary and squared in place; the bytes equal
+    np.sum((points - center) ** 2, axis=1)."""
+    n = points.shape[0]
+    out = np.empty(n)
+    for i in range(0, n, ROW_BLOCK):
+        diff = points[i : i + ROW_BLOCK] - center
+        np.add.reduce(np.square(diff, out=diff), axis=1, out=out[i : i + ROW_BLOCK])
+    return out
 
 
 @dataclass(frozen=True)
@@ -107,11 +141,12 @@ class Ball:
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        d2 = np.sum((points - self.center) ** 2, axis=1)
-        return d2 <= self.radius**2
+        return _squared_distances(points, self.center) <= self.radius**2
 
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return sample_in_ball(self.center, self.radius, n, rng)
+    def sample(
+        self, n: int, rng: np.random.Generator, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        return sample_in_ball(self.center, self.radius, n, rng, out)
 
     def bounding_ball(self) -> "Ball":
         return self
@@ -162,16 +197,17 @@ class Cell:
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        p2 = np.sum((points[:, :2] - self.planar_center) ** 2, axis=1)
-        ok = p2 <= self.eps**2
-        m = self.layer_center.shape[0]
-        if m:
-            l2 = np.sum((points[:, 2:] - self.layer_center) ** 2, axis=1)
+        ok = _squared_distances(points[:, :2], self.planar_center) <= self.eps**2
+        if self.layer_center.shape[0]:
+            l2 = _squared_distances(points[:, 2:], self.layer_center)
             ok &= l2 <= self.layer_radius**2
         return ok
 
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        out = np.empty((n, self.dim))
+    def sample(
+        self, n: int, rng: np.random.Generator, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        if out is None:
+            out = np.empty((n, self.dim))
         sample_in_ball(self.planar_center, self.eps, n, rng, out=out[:, :2])
         if self.layer_center.shape[0]:
             sample_in_ball(
@@ -208,12 +244,14 @@ class Annulus:
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        d2 = np.sum((points - self.center) ** 2, axis=1)
+        d2 = _squared_distances(points, self.center)
         return (d2 >= self.inner**2) & (d2 <= self.outer**2)
 
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+    def sample(
+        self, n: int, rng: np.random.Generator, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
         d = self.dim
-        g = _unit_directions(n, d, rng)
+        g = _unit_directions(n, d, rng, out)
         u = rng.random((n, 1))
         lo, hi = self.inner**d, self.outer**d
         g *= (lo + u * (hi - lo)) ** (1.0 / d)
@@ -534,7 +572,9 @@ def overlap_fraction(
     while remaining > 0:
         k = min(1 << 18, remaining)
         pts = sample_in_ball(x, R, k, rng)
-        hits += int(np.count_nonzero(np.sum(pts * pts, axis=1) <= C2))
+        for i in range(0, k, ROW_BLOCK):
+            block = pts[i : i + ROW_BLOCK]
+            hits += int(np.count_nonzero(np.sum(block * block, axis=1) <= C2))
         remaining -= k
     p = hits / n
     return p, math.sqrt(p * (1.0 - p) / n)

@@ -21,6 +21,18 @@ streamed   For masses too heavy to keep in memory: the same thinning, but
            candidate instead of d coordinates, and the ownership filter
            runs once per candidate.
 
+           Streams of more than one batch are replayed on a pool of two
+           worker threads (REPLAY_WORKERS), with the same bytes as a
+           sequential replay.  The first pass stays one sequential
+           substream: a worker draws batch b + 1 while the calling thread
+           filters batch b.  Later replays regenerate REPLAY_WORKERS
+           batches ahead of the caller, each worker restoring checkpoints
+           into its own generator, and a pick regenerates only the batch
+           holding the chosen member.  Memory rule: one replay holds at most
+           REPLAY_WORKERS + 1 batches of (STREAM_BATCH, d) doubles, all
+           allocated on the calling thread; the samplers' and membership
+           tests' other temporaries are blocks of geometry.ROW_BLOCK rows.
+
 saturated  For masses beyond any enumeration (a first-layer cell in d = 45
            holds ~1e51 points): no count is drawn.  Emptiness has
            probability exp(-mass) which underflows to exactly 0.0 for the
@@ -40,7 +52,11 @@ stream.
 from __future__ import annotations
 
 import math
+import threading
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -70,6 +86,60 @@ _STREAM_PATH = 2
 
 class RegistryError(RuntimeError):
     pass
+
+
+# Stream batches are regenerated on one pool of two worker threads, shared
+# by every registry in the process; its threads start with the first replay
+# of a record that has more than one batch.  numpy's Philox fills release
+# the GIL, so workers draw while the calling thread filters.
+REPLAY_WORKERS = 2
+_REPLAY_POOL = ThreadPoolExecutor(
+    max_workers=REPLAY_WORKERS, thread_name_prefix="stream-replay"
+)
+_THREAD_RNG = threading.local()  # each thread's generator for restored states
+
+
+def _regenerate(region: Region, state: dict, out: np.ndarray) -> np.ndarray:
+    """Candidates drawn into ``out`` from a saved generator state, on the
+    calling thread's own generator."""
+    rng = getattr(_THREAD_RNG, "rng", None)
+    if rng is None:
+        rng = _THREAD_RNG.rng = np.random.Generator(np.random.Philox(0))
+    rng.bit_generator.state = state
+    return region.sample(out.shape[0], rng, out=out)
+
+
+def _in_order(fn, sizes: list, dim: int, ahead: int):
+    """Yield fn(i, out) for i = 0, 1, ... in order, where ``out`` is a
+    fresh (sizes[i], dim) array for fn to fill.
+
+    A single call runs inline.  More run on the replay pool, each submitted
+    ``ahead`` results before the caller asks for it.  The arrays are
+    allocated on the calling thread, so freed batches go back to its heap
+    instead of piling up in the workers' own malloc arenas.  When the caller
+    stops early, calls not yet started are cancelled and running ones
+    awaited, so no work outlives the generator."""
+    if len(sizes) <= 1:
+        for i, k in enumerate(sizes):
+            yield fn(i, np.empty((k, dim)))
+        return
+    pending = deque()
+
+    def submit(i):
+        pending.append(_REPLAY_POOL.submit(fn, i, np.empty((sizes[i], dim))))
+
+    try:
+        for i in range(min(ahead, len(sizes))):
+            submit(i)
+        for i in range(len(sizes)):
+            result = pending.popleft().result()
+            if i + ahead < len(sizes):
+                submit(i + ahead)
+            yield result
+    finally:
+        for future in pending:
+            future.cancel()
+        wait(pending)
 
 
 def region_key(region: Region) -> tuple:
@@ -127,7 +197,6 @@ class _Record:
         "n_members",
         "filter_ids",
         "stream_seed_path",
-        "stream_rng",
         "stream_checkpoints",
         "mass_lower",
         "realized_mass_in_zone",
@@ -146,7 +215,6 @@ class _Record:
         self.n_members = 0
         self.filter_ids = ()
         self.stream_seed_path = None
-        self.stream_rng = None  # streamed mode: generator restored per batch
         # streamed mode: per batch (generator state, packed fresh mask);
         # None until a replay has run through every batch
         self.stream_checkpoints = None
@@ -244,38 +312,56 @@ class RegionRegistry:
         """Yield (start_index, candidates, fresh_mask) batches of a streamed
         record, identical on every call.
 
-        A replay that runs to the end leaves one checkpoint per batch on the
-        record: the generator state before the batch and the packed fresh
-        mask.  Later replays restore each state and unpack each mask instead
-        of rebuilding the substream and filtering against earlier records
-        again.  An abandoned first replay leaves nothing behind."""
+        The first replay draws the record's substream in order and leaves
+        one checkpoint per batch on the record: the generator state before
+        the batch and the packed fresh mask.  A worker draws batch b + 1
+        while the caller filters batch b.  Later replays regenerate every
+        batch from its checkpoint on the worker pool, REPLAY_WORKERS batches
+        ahead of the caller, and unpack its mask instead of filtering against
+        earlier records again.  An abandoned first replay leaves nothing
+        behind, and a closed replay leaves no work running."""
         self.stream_replays += 1
+        sizes = [
+            min(STREAM_BATCH, rec.n_candidates - start)
+            for start in range(0, rec.n_candidates, STREAM_BATCH)
+        ]
         if rec.stream_checkpoints is not None:
-            rng = rec.stream_rng
-            done = 0
-            for state, bits in rec.stream_checkpoints:
-                k = min(STREAM_BATCH, rec.n_candidates - done)
-                rng.bit_generator.state = state
-                pts = rec.region.sample(k, rng)
-                yield done, pts, np.unpackbits(bits, count=k).view(bool)
-                done += k
+            fill = partial(self._checkpointed_batch, rec)
+            batches = _in_order(fill, sizes, self.dim, REPLAY_WORKERS)
+            try:
+                yield from batches
+            finally:
+                batches.close()
             return
         rng = generator(*rec.stream_seed_path)
+
+        def draw(_, out):
+            state = rng.bit_generator.state
+            return state, rec.region.sample(out.shape[0], rng, out=out)
+
+        batches = _in_order(draw, sizes, self.dim, 1)
         checkpoints = []
         done = 0
-        while done < rec.n_candidates:
-            k = min(STREAM_BATCH, rec.n_candidates - done)
-            state = rng.bit_generator.state
-            pts = rec.region.sample(k, rng)
-            fresh = self._drop_determined(pts, rec.filter_ids)
-            checkpoints.append((state, np.packbits(fresh)))
-            yield done, pts, fresh
-            done += k
-        rec.stream_rng = rng
+        try:
+            for state, pts in batches:
+                fresh = self._drop_determined(pts, rec.filter_ids)
+                checkpoints.append((state, np.packbits(fresh)))
+                yield done, pts, fresh
+                done += pts.shape[0]
+        finally:
+            batches.close()
         rec.stream_checkpoints = tuple(checkpoints)
         self.stream_checkpoint_bytes += sum(
             bits.nbytes + _array_bytes(state) for state, bits in checkpoints
         )
+
+    @staticmethod
+    def _checkpointed_batch(rec, b, out):
+        """Batch b of a streamed record, as its first replay yielded it,
+        regenerated into ``out`` from the batch's checkpoint."""
+        state, bits = rec.stream_checkpoints[b]
+        pts = _regenerate(rec.region, state, out)
+        return b * STREAM_BATCH, pts, np.unpackbits(bits, count=len(pts)).view(bool)
 
     # -- core queries --------------------------------------------------
 
@@ -427,14 +513,14 @@ class RegionRegistry:
         self.records.append(rec)
         self.streamed_candidates_total += rec.n_candidates
 
-        # Pass 1: count fresh candidates and members.
+        # Pass 1: count fresh candidates, and members per batch.
         n_fresh = 0
-        n_members = 0
+        members = []
         for _, pts, fresh in self._replay(rec):
             n_fresh += int(np.count_nonzero(fresh))
-            n_members += int(np.count_nonzero(fresh & region.contains(pts)))
+            members.append(int(np.count_nonzero(fresh & region.contains(pts))))
         rec.n_fresh = n_fresh
-        rec.n_members = n_members
+        rec.n_members = n_members = sum(members)
 
         total = n_members + len(earlier)
         if total == 0:
@@ -452,24 +538,25 @@ class RegionRegistry:
             )
         j -= len(earlier)
 
-        # Pass 2: extract the j-th member's coordinates.
-        seen = 0
-        for start, pts, fresh in self._replay(rec):
-            mask = fresh & region.contains(pts)
-            k = int(np.count_nonzero(mask))
-            if seen + k > j:
-                local = np.flatnonzero(mask)[j - seen]
-                return PickResult(
-                    "picked",
-                    (rid, start + int(local)),
-                    pts[local].copy(),
-                    "streamed",
-                    total,
-                    m_lo,
-                    m_hi,
-                )
-            seen += k
-        raise RegistryError("stream replay lost the picked member")  # unreachable
+        # Pass 2: regenerate only the batch that holds the j-th member.  It
+        # counts as one replay, as the linear pass it replaces did.
+        self.stream_replays += 1
+        b = 0
+        while j >= members[b]:
+            j -= members[b]
+            b += 1
+        k = min(STREAM_BATCH, rec.n_candidates - b * STREAM_BATCH)
+        start, pts, fresh = self._checkpointed_batch(rec, b, np.empty((k, self.dim)))
+        local = np.flatnonzero(fresh & region.contains(pts))[j]
+        return PickResult(
+            "picked",
+            (rid, start + int(local)),
+            pts[local].copy(),
+            "streamed",
+            total,
+            m_lo,
+            m_hi,
+        )
 
     def _pick_saturated(self, region, bounding, m_lo, m_hi) -> PickResult:
         if m_lo < SATURATION_MIN_MASS:

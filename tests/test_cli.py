@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from hardspheres import bounds, cli
+from hardspheres import bounds, cli, construction
 from hardspheres.cli import (
     EXIT_CANNOT_REALIZE,
     EXIT_OK,
@@ -15,7 +15,7 @@ from hardspheres.cli import (
     f17,
     main,
 )
-from hardspheres.construction import ConstructionError
+from hardspheres.construction import MAX_LATTICE_RADIUS, ConstructionError
 from hardspheres.poisson import RegistryError
 
 
@@ -76,6 +76,20 @@ def test_bounds_scan_usage_error(capsys):
     assert main(["bounds-scan", "--dim-min", "50", "--dim-max", "20"]) == EXIT_USAGE
     assert "error:" in capsys.readouterr().err
     assert main(["bounds-scan", "--dim-min", "5", "--dim-max", "20"]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("threshold", ["1.5", "nan", "-0.1"])
+def test_bounds_scan_unreachable_threshold_is_usage_error(capsys, threshold):
+    assert main(["bounds-scan", "--threshold", threshold]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == f"error: threshold must lie in [0, 1], got {float(threshold)}\n"
+
+
+def test_bounds_scan_threshold_one_is_reached(tmp_path, capsys):
+    out = tmp_path / "scan.json"
+    assert main(["bounds-scan", "--threshold", "1.0", "--out", str(out)]) == EXIT_OK
+    assert read_json(out)["manifest"]["min_dimension"] == 186
+    capsys.readouterr()
 
 
 def test_bounds_scan_threshold_applies_to_every_row(tmp_path, capsys):
@@ -161,6 +175,22 @@ def test_simulate_usage_errors(capsys):
     # parameter validation surfaces as a usage error, not a traceback
     assert main(SIM5 + ["--eta", "0.9"]) == EXIT_USAGE
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("radius", ["1e9", "inf", "nan", "200.5"])
+def test_simulate_refuses_lattice_radius_before_building(monkeypatch, capsys, radius):
+    def no_lattice(*args, **kwargs):
+        raise AssertionError("the lattice must not be built")
+
+    monkeypatch.setattr(construction, "build_lattice", no_lattice)
+    argv = ["simulate", "--dim", "5", "--lambda", "5", "--cells-C", "4",
+            "--lattice-radius", radius, "--max-steps", "1"]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: lattice_radius must lie in [2, {MAX_LATTICE_RADIUS:g}], "
+        f"got {float(radius)}\n"
+    )
 
 
 @pytest.mark.parametrize(

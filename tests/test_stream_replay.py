@@ -1,23 +1,27 @@
-"""Checkpointed stream replays and the in-place ball sampler.
+"""Checkpointed stream replays on the worker pool, and the row-block
+samplers.
 
 The samplers must reproduce the reference formulas below byte for byte
 (Gaussian directions normalized by np.linalg.norm, temporaries per step,
-hstack of the cell's two factors), and a replay restored from pass-1
-checkpoints must yield exactly the batches that re-deriving the record's
-substream and re-filtering it would.  The references are frozen on
-purpose: the golden digests depend on these bytes, so they must not follow
-later edits of geometry.py or poisson.py.
+hstack of the cell's two factors), and every replay, drawn in order on the
+pool or restored from pass-1 checkpoints, must yield exactly the batches
+that re-deriving the record's substream and re-filtering it would.  The
+references are frozen on purpose: the golden digests depend on these
+bytes, so they must not follow later edits of geometry.py or poisson.py.
 """
 
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hardspheres import poisson
-from hardspheres.geometry import Annulus, Ball, Cell, exact_volume
+from hardspheres import geometry, poisson
+from hardspheres.geometry import ROW_BLOCK, Annulus, Ball, Cell, exact_volume
 from hardspheres.poisson import (
     STREAM_BATCH,
     RegionRegistry,
@@ -93,7 +97,9 @@ def _regions(d):
     ]
 
 
-@pytest.mark.parametrize("n", [1, 7, STREAM_BATCH + 1])
+@pytest.mark.parametrize(
+    "n", [1, 7, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, STREAM_BATCH + 1]
+)
 @pytest.mark.parametrize("d", [2, 3, 31, 45])
 def test_samplers_match_frozen_formulas(d, n):
     for name, region, ref in _regions(d):
@@ -107,6 +113,49 @@ def test_samplers_match_frozen_formulas(d, n):
         assert got.tobytes() == want.tobytes(), name
         # the same draws were consumed, so later draws match too
         assert rng_new.random() == rng_ref.random(), name
+
+
+@pytest.mark.parametrize("n", [ROW_BLOCK - 1, ROW_BLOCK + 1])
+def test_samplers_fill_a_given_array(n):
+    for name, region, ref in _regions(31):
+        out = np.full((n, 31), np.nan)
+        got = region.sample(n, generator(6, n), out=out)
+        assert got is out, name
+        assert out.tobytes() == ref(n, generator(6, n)).tobytes(), name
+
+
+@pytest.mark.parametrize("n", [1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 3 * ROW_BLOCK + 5])
+def test_in_place_squared_distances_match_the_formula(n):
+    rng = generator(8, n)
+    pts = rng.normal(size=(n, 45))
+    center = rng.normal(size=45)
+    for p, c in ((pts, center), (pts[:, 2:], center[2:]), (pts[:, :2], center[:2])):
+        want = np.sum((p - c) ** 2, axis=1)
+        assert geometry._squared_distances(p, c).tobytes() == want.tobytes()
+    # membership decided on those distances, with points on both sides
+    r = float(np.median(np.sqrt(np.sum((pts - center) ** 2, axis=1))))
+    ball, annulus = Ball(center, r), Annulus(center, 0.5 * r, r)
+    cell = Cell(center[:2], 1.0, center[2:], r)
+    d2 = np.sum((pts - center) ** 2, axis=1)
+    assert np.array_equal(ball.contains(pts), d2 <= r**2)
+    assert np.array_equal(annulus.contains(pts), (d2 >= 0.25 * r**2) & (d2 <= r**2))
+    want = (np.sum((pts[:, :2] - center[:2]) ** 2, axis=1) <= 1.0) & (
+        np.sum((pts[:, 2:] - center[2:]) ** 2, axis=1) <= r**2
+    )
+    assert np.array_equal(cell.contains(pts), want)
+
+
+def test_overlap_fraction_matches_frozen_formula():
+    n, dim, C, R, x_dist = 2 * ROW_BLOCK + 3, 43, 15.2, 1.3, 15.2
+    rng = np.random.Generator(np.random.Philox(4))
+    x = np.zeros(dim)
+    x[0] = x_dist
+    pts = ref_sample_in_ball(x, R, n, rng)
+    p = np.count_nonzero(np.sum(pts * pts, axis=1) <= C * C) / n
+    assert geometry.overlap_fraction(dim, C, R, x_dist, n=n, seed=4) == (
+        p,
+        math.sqrt(p * (1.0 - p) / n),
+    )
 
 
 # -- checkpointed replays ------------------------------------------------------
@@ -157,24 +206,193 @@ def test_interleaved_replays_do_not_disturb_each_other():
     assert _batches(got_one) == _batches(got_two) == want
 
 
-def test_abandoned_first_replay_leaves_no_checkpoints():
-    reg = RegionRegistry(3, 1.0, 3)
-    region = Ball(np.zeros(3), 1.0)
-    rec = poisson._Record(0, region, "streamed", region)
-    rec.stream_seed_path = (3, 2, 0)
-    rec.n_candidates = 2 * STREAM_BATCH + 5
+class _Probe:
+    """Counts sampler calls started and running, across threads."""
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.started = 0
+        self.running = 0
+
+
+class _SlowBall(Ball):
+    """A ball whose sampler sleeps, so that a lookahead is still running
+    when its replay is closed."""
+
+    probe = None
+
+    def sample(self, n, rng, out=None):
+        with self.probe.lock:
+            self.probe.started += 1
+            self.probe.running += 1
+        try:
+            time.sleep(0.05)
+            return super().sample(n, rng, out)
+        finally:
+            with self.probe.lock:
+                self.probe.running -= 1
+
+
+def _bare_record(reg, region, n_candidates, filter_ids=()):
+    """A streamed record appended to a registry by hand."""
+    rid = len(reg.records)
+    rec = poisson._Record(rid, region, "streamed", region.bounding_ball())
+    rec.stream_seed_path = (reg.seed, 2, rid)
+    rec.n_candidates = n_candidates
+    rec.filter_ids = filter_ids
     reg.records.append(rec)
+    return rec
+
+
+def _slow_record(n_candidates):
+    _SlowBall.probe = _Probe()
+    reg = RegionRegistry(3, 1.0, 3)
+    return reg, _bare_record(reg, _SlowBall(np.zeros(3), 1.0), n_candidates)
+
+
+def _until_started(probe, n):
+    """Waits, up to 10 s, until n sampler calls have started."""
+    deadline = time.monotonic() + 10.0
+    while probe.started < n and time.monotonic() < deadline:
+        time.sleep(0.001)
+    assert probe.started == n
+
+
+def _settled(probe):
+    """Sampler calls started, once no further call starts."""
+    started = probe.started
+    time.sleep(0.2)
+    assert probe.running == 0
+    assert probe.started == started
+    return started
+
+
+def test_abandoned_first_replay_leaves_no_checkpoints():
+    reg, rec = _slow_record(2 * STREAM_BATCH + 5)
     replay = reg._replay(rec)
     next(replay)
     next(replay)
+    _until_started(_SlowBall.probe, 3)  # batch 2 runs on a worker
     replay.close()
+    # the lookahead was awaited, not left running
+    assert _SlowBall.probe.running == 0
+    assert _settled(_SlowBall.probe) == 3
     assert rec.stream_checkpoints is None
-    assert rec.stream_rng is None
     assert reg.metrics()["stream_checkpoint_bytes"] == 0
     want = _batches(ref_replay(reg, rec))
     assert _batches(reg._replay(rec)) == want  # the first full replay
     assert len(rec.stream_checkpoints) == 3
     assert _batches(reg._replay(rec)) == want  # restored from checkpoints
+
+
+def test_early_closed_checkpointed_replay_leaves_no_work():
+    reg, rec = _slow_record(4 * STREAM_BATCH)
+    want = _batches(reg._replay(rec))
+    started = _settled(_SlowBall.probe)
+    replay = reg._replay(rec)
+    assert _batches([next(replay)]) == want[:1]
+    _until_started(_SlowBall.probe, started + 3)  # batch 2 runs on a worker
+    replay.close()
+    assert _SlowBall.probe.running == 0
+    # batch 3 was never submitted
+    assert _settled(_SlowBall.probe) == started + 3
+    assert _batches(reg._replay(rec)) == want
+
+
+@pytest.mark.parametrize(
+    "n_candidates",
+    [0, 1000, STREAM_BATCH, STREAM_BATCH + 5, 2 * STREAM_BATCH, 3 * STREAM_BATCH + 17],
+)
+def test_pooled_replays_match_rederived_stream(n_candidates):
+    reg = RegionRegistry(3, 1.0, 11)
+    owner = _bare_record(reg, Ball(np.array([0.5, 0.0, 0.0]), 0.8), 10)
+    rec = _bare_record(reg, Ball(np.zeros(3), 1.0), n_candidates, (owner.rid,))
+    want = _batches(ref_replay(reg, rec))
+    assert len(want) == -(-n_candidates // STREAM_BATCH)
+    assert _batches(reg._replay(rec)) == want  # drawn in order
+    assert _batches(reg._replay(rec)) == want  # from checkpoints
+    if n_candidates:
+        fresh = np.concatenate([np.frombuffer(f, dtype=bool) for *_, f in want])
+        assert 0 < np.count_nonzero(fresh) < n_candidates
+
+
+def test_interleaved_pooled_replays_do_not_disturb_each_other():
+    reg = RegionRegistry(3, 1.0, 12)
+    a = _bare_record(reg, Ball(np.zeros(3), 1.0), 3 * STREAM_BATCH + 1)
+    b = _bare_record(reg, Cell(np.zeros(2), 0.5, np.zeros(1), 1.0), 2 * STREAM_BATCH + 9)
+    want_a = _batches(ref_replay(reg, a))
+    want_b = _batches(ref_replay(reg, b))
+    list(reg._replay(a))  # a is checkpointed, b is not yet
+    replays = [reg._replay(a), reg._replay(b), reg._replay(a), reg._replay(b)]
+    got = [[] for _ in replays]
+    for _ in range(len(want_a)):  # one round past b's last batch
+        for replay, out in zip(replays, got):
+            batch = next(replay, None)
+            if batch is not None:
+                out.append(batch)
+    assert _batches(got[0]) == _batches(got[2]) == want_a
+    assert _batches(got[1]) == _batches(got[3]) == want_b
+    assert len(b.stream_checkpoints) == len(want_b)
+    workers = [t for t in threading.enumerate() if t.name.startswith("stream-replay")]
+    assert len(workers) == poisson.REPLAY_WORKERS == 2
+
+
+def test_registries_on_several_threads_share_the_pool_safely():
+    """Four caller threads, each with its own registry, replay through the
+    two shared workers under a short switch interval; a generator shared
+    by mistake between threads would mix their batches."""
+    cases = []
+    for seed in range(4):
+        reg = RegionRegistry(3, 1.0, 20 + seed)
+        rec = _bare_record(reg, Ball(np.full(3, 0.1 * seed), 1.0), 3 * STREAM_BATCH + seed)
+        cases.append((reg, rec, _batches(ref_replay(reg, rec))))
+    results = [None] * len(cases)
+
+    def work(i):
+        reg, rec, _ = cases[i]
+        results[i] = [_batches(reg._replay(rec)) for _ in range(3)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(cases))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for (_, _, want), got in zip(cases, results):
+        assert got == [want] * 3
+
+
+def test_pick_regenerates_only_the_batch_of_the_picked_member():
+    """A streamed pick is the j-th member in the order of the re-derived
+    stream, j being the registry's own draw, wherever that member lies."""
+    batches_hit = set()
+    for seed in range(6):
+        reg = RegionRegistry(3, 3e5, seed, store_cap=500.0)
+        bounding = Ball(np.zeros(3), 0.5)
+        region = Ball(np.array([0.1, 0.0, 0.0]), 0.35)
+        rng = np.random.Generator(np.random.Philox(0))
+        rng.bit_generator.state = reg.rng.bit_generator.state
+        res = reg.pick_in_region(region, bounding, exact_volume(region))
+        rec = reg.records[0]
+        assert rec.n_candidates == rng.poisson(3e5 * bounding.volume())
+        assert rec.n_candidates > 2 * STREAM_BATCH
+        members = [
+            (start + int(i), pts[i])
+            for start, pts, fresh in ref_replay(reg, rec)
+            for i in np.flatnonzero(fresh & region.contains(pts))
+        ]
+        j = int(rng.integers(len(members)))
+        assert res.n_members == len(members)
+        assert res.point_id == (0, members[j][0])
+        assert res.coords.tobytes() == members[j][1].tobytes()
+        assert reg.metrics()["stream_replays"] == 2  # pass 1 and pass 2
+        batches_hit.add(members[j][0] // STREAM_BATCH)
+    assert len(batches_hit) >= 2
 
 
 def test_traced_replay_signature_keeps_consistency_counts(monkeypatch):
