@@ -23,7 +23,6 @@ from .construction import (
     SphereRecord,
     assemble_gamma,
     cluster_components,
-    empirical_success_rate,
     run_layer,
     run_multilayer,
     verify_hard_sphere,
@@ -77,7 +76,6 @@ __all__ = [
     "cluster_components",
     "constants_AB",
     "derive_seed",
-    "empirical_success_rate",
     "estimate_theta",
     "estimate_theta_coupled",
     "exact_success_bound",

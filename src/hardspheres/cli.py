@@ -18,6 +18,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -164,11 +165,12 @@ def cmd_bounds_scan(args) -> int:
 def _resolve_lambda(spec: str, d: int) -> float:
     if spec != "auto":
         lam = float(spec)
-        if lam < 0:
-            raise UsageError("lambda must be >= 0")
+        if not 0 <= lam < math.inf:
+            raise UsageError(f"lambda must be finite and >= 0, got {lam}")
         return lam
-    if d < bounds.MIN_DIMENSION_SUPPORTED:
-        raise UsageError(f"auto lambda needs d >= {bounds.MIN_DIMENSION_SUPPORTED}")
+    d_lo, d_hi = bounds.MIN_DIMENSION_SUPPORTED, bounds.MAX_DIMENSION_SUPPORTED
+    if not d_lo <= d <= d_hi:
+        raise UsageError(f"auto lambda needs {d_lo} <= d <= {d_hi}, got d={d}")
     lam = bounds.lambda_star(d)
     if lam is None:
         raise UsageError(
@@ -181,8 +183,8 @@ def _resolve_lambda(spec: str, d: int) -> float:
 def _resolve_C(spec: str, d: int, seed: int) -> float:
     if spec != "auto":
         C = float(spec)
-        if C <= 0:
-            raise UsageError("cells-C must be > 0")
+        if not 0 < C < math.inf:
+            raise UsageError(f"cells-C must be finite and > 0, got {C}")
         return C
     r_max = geometry.step_layer_radii(geometry.RADIUS_MAX)[2]
     try:
@@ -241,6 +243,8 @@ def _step_log_csv(states) -> str:
 def cmd_simulate(args) -> int:
     t0 = time.perf_counter()
     seed = args.seed if args.seed is not None else _default_seed()
+    if args.layers < 1:
+        raise UsageError("layers must be >= 1")
     lam = _resolve_lambda(args.lam, args.dim)
     C = _resolve_C(args.cells_C, args.dim, seed)
     params = ConstructionParams(
@@ -251,8 +255,6 @@ def cmd_simulate(args) -> int:
         lattice_radius=args.lattice_radius,
         max_steps=args.max_steps,
     )
-    if args.layers < 1:
-        raise UsageError("layers must be >= 1")
     vecs = [(k,) + (0,) * (args.dim - 3) for k in range(args.layers)]
     gamma = run_multilayer(params, seed, vecs)
     report = verify_hard_sphere(gamma)

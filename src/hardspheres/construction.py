@@ -72,7 +72,6 @@ CONTACT_TOL = 1e-9
 MAX_LATTICE_RADIUS = 200.0
 
 _LAYER_SEED_TAG = 11
-_TRIAL_SEED_TAG = 13
 
 
 class ConstructionError(RuntimeError):
@@ -97,10 +96,10 @@ class ConstructionParams:
     def __post_init__(self):
         if self.d < 3:
             raise ValueError(f"construction needs d >= 3, got {self.d}")
-        if self.C <= 0:
-            raise ValueError(f"layer radius C must be > 0, got {self.C}")
-        if self.lam < 0:
-            raise ValueError(f"intensity must be >= 0, got {self.lam}")
+        if not 0 < self.C < math.inf:
+            raise ValueError(f"layer radius C must be finite and > 0, got {self.C}")
+        if not 0 <= self.lam < math.inf:
+            raise ValueError(f"intensity must be finite and >= 0, got {self.lam}")
         if not 0.0 <= self.eta < RADIUS_MIN:
             raise ValueError(
                 f"eta must lie in [0, {RADIUS_MIN}); the parent "
@@ -783,46 +782,3 @@ def cluster_components(gamma: GammaProcess):
         )
     clusters.sort(key=lambda c: (-c.size, c.members))
     return clusters
-
-
-@dataclass(frozen=True)
-class SuccessRateReport:
-    rate: float
-    std_error: float
-    per_step: tuple  # (step, explored, good)
-    per_kind: dict  # kind -> (explored, good)
-    n_explored: int
-    n_good: int
-
-
-def empirical_success_rate(
-    params: ConstructionParams, trials: int, seed: int
-) -> SuccessRateReport:
-    """Good-rate over repeated single-layer runs, stratified by step index
-    and vertex kind."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    by_step: dict = {}
-    by_kind: dict = {"site": [0, 0], "bond": [0, 0]}
-    for t in range(trials):
-        child = derive_seed(seed, _TRIAL_SEED_TAG, t)
-        state, _ = run_layer(params, child)
-        for entry in state.log:
-            step_bin = by_step.setdefault(entry.step, [0, 0])
-            step_bin[0] += 1
-            by_kind[entry.kind][0] += 1
-            if entry.outcome == "good":
-                step_bin[1] += 1
-                by_kind[entry.kind][1] += 1
-    n = sum(v[0] for v in by_step.values())
-    g = sum(v[1] for v in by_step.values())
-    rate = g / n if n else 0.0
-    se = math.sqrt(rate * (1.0 - rate) / n) if n else 0.0
-    return SuccessRateReport(
-        rate=rate,
-        std_error=se,
-        per_step=tuple((s, v[0], v[1]) for s, v in sorted(by_step.items())),
-        per_kind={k: (v[0], v[1]) for k, v in by_kind.items()},
-        n_explored=n,
-        n_good=g,
-    )

@@ -52,9 +52,9 @@ def ball_volume(d: int, radius: float) -> float:
     return unit_ball_volume(d) * radius**d
 
 
-# Rows per block of the temporaries of the samplers, the membership tests
-# and the overlap search: a block holds ROW_BLOCK * d floats however many
-# points are drawn or tested.
+# Rows per block of the temporaries of the samplers and the membership
+# tests: a block holds ROW_BLOCK * d floats however many points are drawn or
+# tested.
 ROW_BLOCK = 1 << 12
 
 
@@ -551,35 +551,6 @@ def step_volume_bracket(d: int, r: float) -> tuple:
     return base * (shell_lo**m / 3.0 - core_hi**m), base * bound**m
 
 
-def overlap_fraction(
-    dim: int,
-    C: float,
-    R: float,
-    x_dist: float,
-    n: int = 200_000,
-    seed: int = 0,
-) -> tuple:
-    """MC estimate of vol(B(0,C) intersect B(x,R)) / vol(B(x,R)) with x at
-    distance x_dist from the origin.  Returns (fraction, std_error)."""
-    if dim < 1:
-        raise ValueError(f"need dim >= 1, got {dim}")
-    rng = np.random.Generator(np.random.Philox(seed))
-    x = np.zeros(dim)
-    x[0] = x_dist
-    hits = 0
-    remaining = n
-    C2 = C * C
-    while remaining > 0:
-        k = min(1 << 18, remaining)
-        pts = sample_in_ball(x, R, k, rng)
-        for i in range(0, k, ROW_BLOCK):
-            block = pts[i : i + ROW_BLOCK]
-            hits += int(np.count_nonzero(np.sum(block * block, axis=1) <= C2))
-        remaining -= k
-    p = hits / n
-    return p, math.sqrt(p * (1.0 - p) / n)
-
-
 def search_overlap_constant(dim: int, R_max: float, seed: int = 0) -> int:
     """Smallest power-of-two C <= 2^20 such that every ball B(x, R),
     R <= R_max, centered inside B(0, C) keeps at least a third of its volume
@@ -590,13 +561,19 @@ def search_overlap_constant(dim: int, R_max: float, seed: int = 0) -> int:
     boundary fraction at ball radius c, which increases in c and is
     minimized at c = C - R_max.
     """
+    if dim < 1:
+        raise ValueError(f"need dim >= 1, got {dim}")
+    n = 200_000
     for k in range(21):
         C = float(1 << k)
         c_eff = C - R_max
         if c_eff <= 0:
             continue
-        frac, se = overlap_fraction(dim, c_eff, R_max, c_eff, seed=seed + k)
-        if frac - 4.0 * se >= 1.0 / 3.0:
+        x = np.zeros(dim)
+        x[0] = c_eff
+        est = mc_region_volume(Ball(np.zeros(dim), c_eff), Ball(x, R_max), n, seed + k)
+        p = est.hits / n
+        if p - 4.0 * math.sqrt(p * (1.0 - p) / n) >= 1.0 / 3.0:
             return 1 << k
     raise RuntimeError(
         f"no power-of-two overlap constant up to 2^20 passed in dimension {dim}"

@@ -4,22 +4,24 @@ A RegionRegistry realizes one Poisson process of intensity lam on R^d a
 region at a time.  Each query region becomes a record, and a location is
 owned by the earliest record that determined its points, so overlapping
 queries never resample and every point keeps a stable identity
-(record id, index).  Records come in three kinds:
+(record id, index).  Determined coordinates live in one place, a record's
+``coords`` array; records come in three kinds:
 
 stored     Points drawn and kept: draw N ~ Poisson(lam * vol), place them
            by the region's exact sampler, drop the ones owned by earlier
-           stored/streamed records (exact Poisson thinning), keep the rest.
+           stored/streamed records (exact Poisson thinning), keep the rest
+           in ``coords``.
 
 streamed   For masses too heavy to keep in memory: the same thinning, but
            candidates are generated in fixed-size batches from a dedicated
-           replayable substream and immediately discarded.  The first pass
-           keeps, per batch, a checkpoint: the substream's generator state
-           before the batch and the batch's fresh mask packed to one bit
-           per candidate.  Any later query overlapping the region restores
-           each state, regenerates the batch and unpacks its mask, so the
-           realization is exact at every scale while storing 1 bit per
-           candidate instead of d coordinates, and the ownership filter
-           runs once per candidate.
+           replayable substream and immediately discarded (``coords`` stays
+           None).  The first pass keeps, per batch, a checkpoint: the
+           substream's generator state before the batch and the batch's
+           fresh mask packed to one bit per candidate.  Any later query
+           overlapping the region restores each state, regenerates the
+           batch and unpacks its mask, so the realization is exact at every
+           scale while storing 1 bit per candidate instead of d
+           coordinates, and the ownership filter runs once per candidate.
 
            Streams of more than one batch are replayed on a pool of two
            worker threads (REPLAY_WORKERS), with the same bytes as a
@@ -37,8 +39,9 @@ saturated  For masses beyond any enumeration (a first-layer cell in d = 45
            holds ~1e51 points): no count is drawn.  Emptiness has
            probability exp(-mass) which underflows to exactly 0.0 for the
            enforced minimum mass, a uniformly chosen process point is just
-           a uniform location in the region, and points of later overlapping
-           queries are realized as fresh Poisson inside the zone.  Removing
+           a uniform location in the region (a one-row ``coords`` once it
+           has landed), and points of later overlapping queries are
+           realized as fresh Poisson inside the zone.  Removing
            the picked point perturbs later counts only at relative order
            (later realized mass) / (saturated mass); the registry tracks
            that ratio and refuses to proceed when it could ever matter
@@ -189,38 +192,34 @@ class _Record:
         "rid",
         "region",
         "mode",
-        "bball_center",
-        "bball_radius",
+        "bball",
         "coords",
         "n_candidates",
         "n_fresh",
-        "n_members",
         "filter_ids",
         "stream_seed_path",
         "stream_checkpoints",
         "mass_lower",
         "realized_mass_in_zone",
-        "pick_coords",
     )
 
     def __init__(self, rid, region, mode, bball):
         self.rid = rid
         self.region = region
         self.mode = mode
-        self.bball_center = bball.center
-        self.bball_radius = bball.radius
-        self.coords = None  # stored mode: (n, d) array
+        self.bball = bball
+        # stored mode: (n, d) fresh points; saturated mode: the (1, d) pick,
+        # set once it has landed; streamed mode: None
+        self.coords = None
         self.n_candidates = 0
         self.n_fresh = 0
-        self.n_members = 0
         self.filter_ids = ()
         self.stream_seed_path = None
         # streamed mode: per batch (generator state, packed fresh mask);
         # None until a replay has run through every batch
         self.stream_checkpoints = None
-        self.mass_lower = 0.0
+        self.mass_lower = 0.0  # saturated mode
         self.realized_mass_in_zone = 0.0
-        self.pick_coords = []  # saturated mode: picked process points
 
 
 class RegionRegistry:
@@ -236,8 +235,8 @@ class RegionRegistry:
     ):
         if dim < 1:
             raise ValueError(f"dimension must be >= 1, got {dim}")
-        if lam < 0:
-            raise ValueError(f"intensity must be >= 0, got {lam}")
+        if not 0 <= lam < math.inf:
+            raise ValueError(f"intensity must be finite and >= 0, got {lam}")
         self.dim = dim
         self.lam = lam
         self.seed = int(seed)
@@ -263,26 +262,26 @@ class RegionRegistry:
                 f"region dimension {region.dim} != registry dimension {self.dim}"
             )
 
-    def _overlapping(self, bball, records):
-        out = []
-        for rec in records:
-            gap = math.dist(bball.center, rec.bball_center) - (
-                bball.radius + rec.bball_radius
-            )
-            if gap <= 1e-12:
-                out.append(rec)
-        return out
+    def _saturated_overlapping(self, bball) -> list:
+        """Saturated records whose bounding ball meets ``bball``."""
+        return [
+            r
+            for r in self.records
+            if r.mode == "saturated"
+            and math.dist(bball.center, r.bball.center) - (bball.radius + r.bball.radius)
+            <= 1e-12
+        ]
+
+    def _reaching(self, region: Region) -> list:
+        """Records, in id order, whose zone can reach into the region:
+        provably disjoint ones are skipped."""
+        return [r for r in self.records if not regions_disjoint(region, r.region)]
 
     def _determined_filter_ids(self, region: Region) -> tuple:
-        """Earlier records whose owned zone can reach into this sampling
-        region.  Provably disjoint records are skipped; their membership
-        test could never fire."""
-        return tuple(
-            r.rid
-            for r in self.records
-            if r.mode in ("stored", "streamed")
-            and not regions_disjoint(region, r.region)
-        )
+        """Earlier stored and streamed records whose owned zone can reach
+        into this sampling region; the membership test of any other record
+        could never fire."""
+        return tuple(r.rid for r in self._reaching(region) if r.mode != "saturated")
 
     def _drop_determined(self, pts: np.ndarray, filter_ids) -> np.ndarray:
         """Mask of candidates NOT owned by the given earlier records."""
@@ -295,8 +294,7 @@ class RegionRegistry:
     def _note_saturated_realization(self, bball, mass_upper: float):
         """Track how much mass later queries realize inside saturated zones
         and enforce the exactness tolerance."""
-        sats = [r for r in self.records if r.mode == "saturated"]
-        for rec in self._overlapping(bball, sats):
+        for rec in self._saturated_overlapping(bball):
             rec.realized_mass_in_zone += mass_upper
             q = rec.realized_mass_in_zone / rec.mass_lower
             self.q_max = max(self.q_max, q)
@@ -408,41 +406,30 @@ class RegionRegistry:
         return self.materialize(Ball(np.asarray(center, dtype=float), radius))
 
     def collect(self, region: Region) -> PointSet:
-        """All currently determined points inside the region: stored points,
-        streamed candidates via replay, and saturated picks.  Does not
-        realize anything new; the region must be covered by determined
-        zones (callers materialize a superset first)."""
+        """All currently determined points inside the region: the stored
+        points and saturated picks each record holds, and streamed
+        candidates via replay.  Does not realize anything new; the region
+        must be covered by determined zones (callers materialize a superset
+        first).  Records come in id order and each yields ascending
+        indices, so the ids come out sorted."""
         self._check_dim(region)
         ids = []
         coords = []
-        for rec in self.records:
-            if regions_disjoint(region, rec.region):
+        for rec in self._reaching(region):
+            if rec.mode == "streamed":
+                batches = self._replay(rec)
+            elif rec.coords is not None and len(rec.coords):
+                batches = ((0, rec.coords, True),)
+            else:
                 continue
-            if rec.mode == "stored":
-                if rec.n_fresh:
-                    mask = region.contains(rec.coords)
-                    for i in np.flatnonzero(mask):
-                        ids.append((rec.rid, int(i)))
-                        coords.append(rec.coords[i])
-            elif rec.mode == "streamed":
-                for start, pts, fresh in self._replay(rec):
-                    mask = fresh & region.contains(pts)
-                    for i in np.flatnonzero(mask):
-                        ids.append((rec.rid, start + int(i)))
-                        coords.append(pts[i])
-            else:  # saturated: only its picked points are determined
-                for k, p in enumerate(rec.pick_coords):
-                    if bool(region.contains(p[None, :])[0]):
-                        ids.append((rec.rid, k))
-                        coords.append(p)
-        order = sorted(range(len(ids)), key=lambda i: ids[i])
+            for start, pts, fresh in batches:
+                idx = np.flatnonzero(region.contains(pts) & fresh)
+                if idx.size:
+                    ids.extend((rec.rid, start + i) for i in idx.tolist())
+                    coords.append(pts[idx])
         return PointSet(
-            ids=tuple(ids[i] for i in order),
-            coords=(
-                np.asarray([coords[i] for i in order])
-                if ids
-                else np.empty((0, self.dim))
-            ),
+            ids=tuple(ids),
+            coords=np.concatenate(coords) if coords else np.empty((0, self.dim)),
         )
 
     def uniform_choice(self, points: PointSet):
@@ -509,7 +496,6 @@ class RegionRegistry:
         rec.filter_ids = self._determined_filter_ids(bounding)
         rec.stream_seed_path = (self.seed, _STREAM_PATH, rid)
         rec.n_candidates = int(self.rng.poisson(m_hi))
-        rec.mass_lower = m_lo
         self.records.append(rec)
         self.streamed_candidates_total += rec.n_candidates
 
@@ -520,7 +506,7 @@ class RegionRegistry:
             n_fresh += int(np.count_nonzero(fresh))
             members.append(int(np.count_nonzero(fresh & region.contains(pts))))
         rec.n_fresh = n_fresh
-        rec.n_members = n_members = sum(members)
+        n_members = sum(members)
 
         total = n_members + len(earlier)
         if total == 0:
@@ -574,8 +560,7 @@ class RegionRegistry:
                 "saturated pick over a region that already holds determined "
                 "points; realize it with a lighter tier instead"
             )
-        sats = [r for r in self.records if r.mode == "saturated"]
-        if self._overlapping(bball, sats):
+        if self._saturated_overlapping(bball):
             raise RegistryError("overlapping saturated zones are not supported")
         rid = len(self.records)
         rec = _Record(rid, region, "saturated", bball)
@@ -588,14 +573,13 @@ class RegionRegistry:
             ok = region.contains(pts) & self._drop_determined(pts, rec.filter_ids)
             hit = np.flatnonzero(ok)
             if hit.size:
-                coords = pts[hit[0]].copy()
-                rec.pick_coords.append(coords)
+                rec.coords = pts[hit[:1]]
                 self.stored_points += 1
                 self.peak_stored_points = max(
                     self.peak_stored_points, self.stored_points
                 )
                 return PickResult(
-                    "picked", (rid, 0), coords, "saturated", None, m_lo, m_hi
+                    "picked", (rid, 0), rec.coords[0], "saturated", None, m_lo, m_hi
                 )
         raise RegistryError(
             "rejection sampling failed to land in the saturated region; "
@@ -608,20 +592,14 @@ class RegionRegistry:
         """Every determined point the registry stores coordinates for
         (stored fresh points and saturated picks; streamed candidates are
         replay-derived and reported by count only)."""
-        ids = []
-        coords = []
-        for rec in self.records:
-            if rec.mode == "stored" and rec.n_fresh:
-                for i in range(rec.n_fresh):
-                    ids.append((rec.rid, i))
-                    coords.append(rec.coords[i])
-            elif rec.mode == "saturated":
-                for k, p in enumerate(rec.pick_coords):
-                    ids.append((rec.rid, k))
-                    coords.append(p)
+        held = [r for r in self.records if r.coords is not None and len(r.coords)]
         return PointSet(
-            ids=tuple(ids),
-            coords=np.asarray(coords) if ids else np.empty((0, self.dim)),
+            ids=tuple((r.rid, i) for r in held for i in range(len(r.coords))),
+            coords=(
+                np.concatenate([r.coords for r in held])
+                if held
+                else np.empty((0, self.dim))
+            ),
         )
 
     def metrics(self) -> dict:
@@ -648,14 +626,9 @@ class RegionRegistry:
                 f"r {rec.rid} {rec.mode} {desc} candidates={rec.n_candidates} "
                 f"fresh={rec.n_fresh}"
             )
-            if rec.mode == "stored" and rec.n_fresh:
-                for i in range(rec.n_fresh):
-                    xs = " ".join(f"{x:.17g}" for x in rec.coords[i])
-                    lines.append(f"p {rec.rid} {i} {xs}")
-            elif rec.mode == "saturated":
-                for k, p in enumerate(rec.pick_coords):
-                    xs = " ".join(f"{x:.17g}" for x in p)
-                    lines.append(f"p {rec.rid} {k} {xs}")
+            for i, p in enumerate(() if rec.coords is None else rec.coords):
+                xs = " ".join(f"{x:.17g}" for x in p)
+                lines.append(f"p {rec.rid} {i} {xs}")
         return "\n".join(lines) + "\n"
 
 

@@ -194,6 +194,30 @@ def test_simulate_refuses_lattice_radius_before_building(monkeypatch, capsys, ra
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--dim", "45", "--lambda", "nan", "--cells-C", "16"],
+         "lambda must be finite and >= 0, got nan"),
+        (["--dim", "45", "--lambda", "auto", "--cells-C", "nan"],
+         "cells-C must be finite and > 0, got nan"),
+        (["--dim", "45", "--lambda", "auto", "--cells-C", "inf"],
+         "cells-C must be finite and > 0, got inf"),
+        (["--dim", "453", "--lambda", "auto", "--cells-C", "16"],
+         "auto lambda needs 11 <= d <= 452, got d=453"),
+        (["--dim", "45", "--layers", "0"], "layers must be >= 1"),
+    ],
+)
+def test_simulate_refuses_bad_parameters_before_any_work(monkeypatch, capsys, argv, message):
+    def no_work(*args, **kwargs):
+        raise AssertionError("no overlap search or step may run")
+
+    monkeypatch.setattr(cli.geometry, "search_overlap_constant", no_work)
+    monkeypatch.setattr(cli, "run_multilayer", no_work)
+    assert main(["simulate"] + argv + ["--max-steps", "1"]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
     "error",
     [RegistryError("stream cap exceeded below the saturation minimum"),
      ConstructionError("implied radius outside the window")],

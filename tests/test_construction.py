@@ -20,7 +20,6 @@ from hardspheres.construction import (
     UNEXPLORED,
     assemble_gamma,
     cluster_components,
-    empirical_success_rate,
     explore_step,
     rescan_stop,
     run_layer,
@@ -57,10 +56,12 @@ def params31(**kw):
 def test_params_validation():
     with pytest.raises(ValueError):
         ConstructionParams(d=2, C=4.0, lam=1.0)
-    with pytest.raises(ValueError):
-        ConstructionParams(d=5, C=0.0, lam=1.0)
-    with pytest.raises(ValueError):
-        ConstructionParams(d=5, C=4.0, lam=-1.0)
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            ConstructionParams(d=5, C=bad, lam=1.0)
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            ConstructionParams(d=5, C=4.0, lam=bad)
     with pytest.raises(ValueError):
         ConstructionParams(d=5, C=4.0, lam=1.0, eta=0.65)
     with pytest.raises(ValueError):
@@ -398,19 +399,3 @@ def test_cluster_components_real_run():
     # every constructed sphere is tangent to its parent, so they are one
     # component and it leads the list
     assert clusters[0].n_constructed == len(spheres)
-
-
-def test_empirical_success_rate():
-    p11 = ConstructionParams(d=11, C=6.0, lam=0.1)
-    rep = empirical_success_rate(p11, trials=10, seed=0)
-    assert rep.n_explored == sum(n for _, n, _ in rep.per_step)
-    assert rep.n_good == sum(g for _, _, g in rep.per_step)
-    assert rep.n_explored == sum(n for n, _ in rep.per_kind.values())
-    assert rep.n_good == sum(g for _, g in rep.per_kind.values())
-    assert rep.rate == pytest.approx(rep.n_good / rep.n_explored)
-    want_se = math.sqrt(rep.rate * (1 - rep.rate) / rep.n_explored)
-    assert rep.std_error == pytest.approx(want_se)
-    assert rep.per_step[0][0] == 0
-    assert rep.per_step[0][1] == 10  # step 0 runs in every trial
-    with pytest.raises(ValueError):
-        empirical_success_rate(p11, trials=0, seed=0)

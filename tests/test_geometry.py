@@ -21,7 +21,6 @@ from hardspheres.geometry import (
     exact_volume,
     log_unit_ball_volume,
     mc_region_volume,
-    overlap_fraction,
     region_contains,
     region_contains_ball,
     region_lower_distance,
@@ -323,17 +322,24 @@ def test_step_volume_profile_monotone_on_window():
         step_volume_profile(0.7, 9)
 
 
+def overlap_estimate(dim, C, R, x_dist, n, seed):
+    """Hit-or-miss estimate of vol(B(0, C) & B(x, R)) against B(x, R), with
+    |x| = x_dist: the overlap fraction search_overlap_constant certifies."""
+    x = np.zeros(dim)
+    x[0] = x_dist
+    return mc_region_volume(Ball(np.zeros(dim), C), Ball(x, R), n, seed)
+
+
 def test_overlap_fraction_limits():
     # ball fully inside the origin ball
-    p0, se0 = overlap_fraction(3, C=4.0, R=1.0, x_dist=0.0, n=20_000, seed=21)
-    assert p0 == 1.0 and se0 == 0.0
+    est = overlap_estimate(3, C=4.0, R=1.0, x_dist=0.0, n=20_000, seed=21)
+    assert est.hits == est.n_samples and est.std_error == 0.0
     # disjoint balls
-    p2, se2 = overlap_fraction(3, C=1.0, R=1.0, x_dist=5.0, n=20_000, seed=21)
-    assert p2 == 0.0
+    assert overlap_estimate(3, C=1.0, R=1.0, x_dist=5.0, n=20_000, seed=21).hits == 0
     # genuine partial overlap
-    p1, se1 = overlap_fraction(3, C=2.0, R=2.0, x_dist=2.0, n=40_000, seed=21)
-    assert 0.0 < p1 < 1.0
-    assert se1 > 0.0
+    est = overlap_estimate(3, C=2.0, R=2.0, x_dist=2.0, n=40_000, seed=21)
+    assert 0 < est.hits < est.n_samples
+    assert est.std_error > 0.0
 
 
 def test_search_overlap_constant_certifies_target():
@@ -342,7 +348,8 @@ def test_search_overlap_constant_certifies_target():
     assert C & (C - 1) == 0  # power of two
     # the boundary case the search certifies, re-checked with a fresh seed
     c_eff = C - 1.4
-    p, se = overlap_fraction(3, c_eff, 1.4, c_eff, n=200_000, seed=977)
-    assert p - 4 * se >= 1.0 / 3.0
+    n = 200_000
+    p = overlap_estimate(3, c_eff, 1.4, c_eff, n=n, seed=977).hits / n
+    assert p - 4 * math.sqrt(p * (1 - p) / n) >= 1.0 / 3.0
     # determinism
     assert C == search_overlap_constant(3, R_max=1.4, seed=2)

@@ -72,6 +72,12 @@ def test_dimension_mismatch():
         reg.materialize(Ball(np.zeros(3), 1.0))
 
 
+@pytest.mark.parametrize("lam", [-1.0, math.nan, math.inf])
+def test_intensity_must_be_finite_and_nonnegative(lam):
+    with pytest.raises(ValueError):
+        RegionRegistry(2, lam, seed=0)
+
+
 def test_ownership_thinning_no_duplicates():
     reg = RegionRegistry(2, 6.0, seed=4)
     b1 = ball2(0, 0, 1.0)
@@ -269,29 +275,51 @@ def test_region_key_identity():
         region_key(Intersection((b1, b3)))
 
 
+def three_tier_registry(seed):
+    """A stored record, a streamed one and a saturated pick far from both,
+    with the caps of test_saturated_pick_basics."""
+    reg = RegionRegistry(2, 3.0, seed=seed, store_cap=5.0, stream_cap=10.0)
+    stored = reg.materialize(ball2(2, 2, 1.0))
+    near = ball2(0, 0, 0.8)
+    res = reg.pick_in_region(near, near, near.volume())
+    big = ball2(100, 0, 40.0)  # mass ~ 15080 >= 4096
+    sat = reg.pick_in_region(big, big, big.volume())
+    assert [r.mode for r in reg.records] == ["stored", "streamed", "saturated"]
+    assert sat.status == "picked" and sat.point_id == (2, 0)
+    return reg, stored, res, sat
+
+
 def test_realized_points_inventory():
-    reg = RegionRegistry(2, 3.0, seed=15, store_cap=4.0)
-    stored = reg.materialize(ball2(2, 2, 0.5))
-    res = reg.pick_in_region(ball2(0, 0, 0.8), ball2(0, 0, 0.8),
-                             math.pi * 0.64)
+    reg, stored, res, sat = three_tier_registry(15)
     inv = reg.realized_points()
-    # stream candidates are replay-derived: only stored coords are inventory
-    assert len(inv) == len(stored)
-    assert set(inv.ids) == set(stored.ids)
+    # stream candidates are replay-derived: only stored coords and the
+    # saturated pick are inventory, in record order
+    assert inv.ids == stored.ids + ((2, 0),)
+    assert np.array_equal(inv.coords, np.vstack([stored.coords, sat.coords]))
     if res.status == "picked":
         assert res.point_id not in inv.ids
+    # a region holding points of all three tiers collects each tier's own
+    streamed = reg.collect(ball2(0, 0, 0.8))
+    assert len(stored) > 0 and len(streamed) > 0
+    everything = reg.collect(ball2(50, 0, 100.0))
+    assert list(everything.ids) == sorted(everything.ids)
+    assert everything.ids == stored.ids + streamed.ids + ((2, 0),)
+    assert np.array_equal(
+        everything.coords, np.vstack([stored.coords, streamed.coords, sat.coords])
+    )
 
 
 def test_dump_stable_and_labeled():
-    reg = RegionRegistry(2, 3.0, seed=16, store_cap=4.0)
-    reg.materialize(ball2(1, 1, 0.4))
-    reg.pick_in_region(ball2(0, 0, 0.8), ball2(0, 0, 0.8), math.pi * 0.64)
+    reg, _, _, sat = three_tier_registry(16)
     d1 = reg.dump()
     d2 = reg.dump()
     assert d1 == d2
     assert d1.startswith("# poisson registry dim=2")
     assert "stored" in d1
     assert "streamed" in d1
+    lines = d1.splitlines()
+    assert lines[-2].startswith("r 2 saturated ") and lines[-2].endswith(" fresh=0")
+    assert lines[-1] == "p 2 0 " + " ".join(f"{x:.17g}" for x in sat.coords)
 
 
 def test_brute_force_counts_box_validation():

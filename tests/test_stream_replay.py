@@ -151,11 +151,10 @@ def test_overlap_fraction_matches_frozen_formula():
     x = np.zeros(dim)
     x[0] = x_dist
     pts = ref_sample_in_ball(x, R, n, rng)
-    p = np.count_nonzero(np.sum(pts * pts, axis=1) <= C * C) / n
-    assert geometry.overlap_fraction(dim, C, R, x_dist, n=n, seed=4) == (
-        p,
-        math.sqrt(p * (1.0 - p) / n),
-    )
+    hits = np.count_nonzero(np.sum(pts * pts, axis=1) <= C * C)
+    # the overlap search's estimate: B(0, C) against B(x, R)
+    est = geometry.mc_region_volume(Ball(np.zeros(dim), C), Ball(x, R), n, seed=4)
+    assert est.hits == hits
 
 
 # -- checkpointed replays ------------------------------------------------------
