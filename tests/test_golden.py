@@ -7,9 +7,12 @@ two runs reach all three registry tiers (stored, streamed, saturated) and
 multi-layer assembly.  Two more digests pin what the registry itself
 realizes: the ``dump()`` of the d = 45 layer, and the ids and coordinates
 that a small d = 3 registry returns from overlapping streamed records,
-where every later query is answered by replaying earlier streams.  A change
-that alters these bytes on purpose must re-pin them and say why in
-CHANGES.md.
+where every later query is answered by replaying earlier streams.  The
+planar side is pinned too: the ``perc2d`` theta block, a coupled theta
+estimate at three densities, and the positions, kinds and neighbor tuples
+of ``build_lattice`` at six radii (vertex ids fix ``simulate``'s exploration
+order).  A change that alters these bytes on purpose must re-pin them and
+say why in CHANGES.md.
 """
 
 import hashlib
@@ -22,6 +25,8 @@ from hardspheres.bounds import lambda_star
 from hardspheres.cli import EXIT_OK, main
 from hardspheres.construction import ConstructionParams, run_layer
 from hardspheres.geometry import Annulus, Ball, Cell, Intersection, exact_volume
+from hardspheres.hexlattice import build_lattice
+from hardspheres.percolation2d import estimate_theta_coupled
 from hardspheres.poisson import STREAM_BATCH, RegionRegistry
 from hardspheres.rngutil import derive_seed
 
@@ -156,3 +161,66 @@ def test_d3_streamed_replay_digests():
     got.update({name: _points_digest(ps) for name, ps in collected.items()})
     got["dump"] = sha256_bytes(reg.dump().encode())
     assert got == D3_REPLAY_DIGESTS
+
+
+# The benchmark's perc2d_r100 argv at program seed 80.
+PERC2D_THETA = "a1c3ddde0686bf8f90177f3aa3b0a891f27de79425f6e79cf6c2da91bcd20fda"
+
+
+def test_perc2d_theta_digest(tmp_path):
+    out = tmp_path / "perc.json"
+    argv = ["perc2d", "--p", "0.7957", "--radius", "100", "--trials", "250",
+            "--seed", "80", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    theta = json.loads(out.read_text())["theta"]
+    assert theta["theta_hat"] == 0.768
+    assert sha256_json(theta) == PERC2D_THETA
+
+
+def test_coupled_theta_digest():
+    ests = estimate_theta_coupled([0.6, 0.7, 0.7957], 30, 200, 3)
+    assert [e.reached for e in ests] == [29, 120, 152]
+    assert sha256_json([e.to_dict() for e in ests]) == (
+        "e8ae2a0d95e56cb54ced9220121b72cec41d9d47930eb3fe9c2d372627b97b31"
+    )
+
+
+# radius -> (n_vertices, positions.tobytes(), kinds.tobytes(), repr(neighbors))
+LATTICE_DIGESTS = {
+    0: (1,
+        "374708fff7719dd5979ec875d56cd2286f6d3cf7ec317a3b25632aab28ec37bb",
+        "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d",
+        "6af22f1bc2d94295cb210c6a0734b0d7459c92909665da49d949785ecea55bf8"),
+    1: (4,
+        "379225fcfb1bfafb96702512614f137f4fac952683f9fefdf55190c1993dc9b5",
+        "cbd95ae5ef8810691e3fc7efb7c39ef9ffb661135d858aa0ccc81fc74a0160ae",
+        "e4c30d43814603c574c4d236799ed1fd0ebfd0a11fb85c255f0534ef5c9a7f50"),
+    6: (55,
+        "2785e63abf77d753820cbc57d5c66cd91edd2c866ef0c30130f1c3589044321f",
+        "dd9f026992ca70681a4d315be3db9b76d29ca6bfef29699ab966b0798fe6f55b",
+        "2fe02567b7d8f030ccdf0deda6f8281fa61d5a5ee75a29a79f35b8d78686acf1"),
+    12: (217,
+         "6d56c2d787b39b2c554f0044bed15893b6b4cdc0c0d9f9a7805747de712a348c",
+         "b63cb63f4c14a929bbcedc6a561949d3b0cc907012f18bc93ddefdd1d3c1208b",
+         "e007c3104ba52500e9c745152b521c0134e73d993076e7570900d8f2f091fa14"),
+    100: (15130,
+          "5f003a3e60f8b1a44f8b81a2ef3e22283904c1c7fea851b6b3b544f08957519c",
+          "db87eae9aa2402a8a861f3c0b932207fbf511f187a1178a60990441491611bcc",
+          "b1ae52f69c2b55c361a259daeb1f6908ad15089e1bbd37d204a441440a802d01"),
+    200: (60445,
+          "934c45e2c7fb84517d06f5e1416898c3242aae370598c4a0192d195fa3b175a8",
+          "e04d6244b9cd064b5cdc0d6a122c0d075cdad2265c84b10f93bbabcf257732a3",
+          "d01eeb2a1f8c345a33ecf25d346054612912a6e0eb36316d693728a78af0f835"),
+}
+
+
+@pytest.mark.parametrize("radius", sorted(LATTICE_DIGESTS))
+def test_lattice_digests(radius):
+    lat = build_lattice(radius)
+    got = (
+        lat.n_vertices,
+        sha256_bytes(lat.positions.tobytes()),
+        sha256_bytes(lat.kinds.tobytes()),
+        sha256_bytes(repr(lat.neighbors).encode()),
+    )
+    assert got == LATTICE_DIGESTS[radius]
