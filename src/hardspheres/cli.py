@@ -35,7 +35,7 @@ from .construction import (
     run_multilayer,
     verify_hard_sphere,
 )
-from .percolation2d import estimate_theta
+from .percolation2d import MAX_WINDOW_RADIUS, estimate_theta
 from .poisson import RegistryError, sampler_consistency_check
 from .rngutil import RNG_ALGORITHM, derive_seed
 
@@ -318,6 +318,10 @@ def cmd_perc2d(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     if not 0.0 <= args.p <= 1.0:
         raise UsageError("p must lie in [0, 1]")
+    if not 0.0 <= args.radius <= MAX_WINDOW_RADIUS:
+        raise UsageError(
+            f"radius must lie in [0, {MAX_WINDOW_RADIUS:g}], got {args.radius}"
+        )
     est = estimate_theta(args.p, args.radius, args.trials, seed)
     config = {
         "p": args.p,

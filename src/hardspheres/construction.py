@@ -100,6 +100,15 @@ class ConstructionParams:
             raise ValueError(f"layer radius C must be finite and > 0, got {self.C}")
         if not 0 <= self.lam < math.inf:
             raise ValueError(f"intensity must be finite and >= 0, got {self.lam}")
+        try:
+            cell_volume = self.cell((0.0, 0.0), np.zeros(self.d - 2)).volume()
+        except OverflowError:
+            cell_volume = math.inf
+        if not cell_volume < math.inf:
+            raise ValueError(
+                f"layer radius C = {self.C:g} is too large at d = {self.d}: "
+                "a cell's volume overflows"
+            )
         if not 0.0 <= self.eta < RADIUS_MIN:
             raise ValueError(
                 f"eta must lie in [0, {RADIUS_MIN}); the parent "

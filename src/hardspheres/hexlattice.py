@@ -32,9 +32,8 @@ SQRT3 = math.sqrt(3.0)
 # Sublattice A contains the origin; its neighbors (all in sublattice B)
 # sit at these offsets.  B-site offsets are the negatives.
 _A_NEIGHBOR_OFFSETS = ((0.0, 2.0), (SQRT3, -1.0), (-SQRT3, -1.0))
-# A-sublattice translations.
-_T1 = (SQRT3, 3.0)
-_T2 = (-SQRT3, 3.0)
+# The same offsets as exact integer keys (a, b) of (SQRT3 * a / 2, b / 2).
+_A_NEIGHBOR_KEYS = ((0, 4), (2, -2), (-2, -2))
 
 SITE_DEGREE = 3
 BOND_DEGREE = 2
@@ -79,10 +78,6 @@ class StarLattice:
         return SITE_DEGREE if self.kinds[v] == KIND_SITE else BOND_DEGREE
 
 
-def _key_of(pos) -> tuple:
-    return (round(pos[0], 6), round(pos[1], 6))
-
-
 def build_lattice(radius: float) -> StarLattice:
     """All decorated-lattice vertices within ``radius`` of the origin, with
     adjacency restricted to the generated set."""
@@ -92,50 +87,78 @@ def build_lattice(radius: float) -> StarLattice:
     m_max = int(margin / 3.0) + 2
     # u = m - n indexes the x extent, v = m + n the y extent.
     u_max = int(margin / SQRT3) + 2
-
-    a_sites = []
-    for u in range(-u_max, u_max + 1):
-        for v in range(-m_max, m_max + 1):
-            if (u + v) % 2:
-                continue
-            p = (SQRT3 * u, 3.0 * v)
-            if math.hypot(*p) <= margin:
-                a_sites.append(p)
-
-    verts = {}  # rounded key -> (pos, kind)
-
-    def consider(pos, kind):
-        if math.hypot(*pos) <= radius + 1e-9:
-            verts.setdefault(_key_of(pos), (pos, kind))
-
-    edge_keys = []
-    for p in a_sites:
-        consider(p, KIND_SITE)
-        for dx, dy in _A_NEIGHBOR_OFFSETS:
-            q = (p[0] + dx, p[1] + dy)
-            mid = (p[0] + 0.5 * dx, p[1] + 0.5 * dy)
-            consider(q, KIND_SITE)
-            consider(mid, KIND_BOND)
-            edge_keys.append((_key_of(p), _key_of(mid)))
-            edge_keys.append((_key_of(q), _key_of(mid)))
-
-    order = sorted(
-        verts.values(), key=lambda item: vertex_sort_key(item[0], item[1])
+    u, v = np.meshgrid(
+        np.arange(-u_max, u_max + 1), np.arange(-m_max, m_max + 1), indexing="ij"
     )
-    ids = {_key_of(pos): i for i, (pos, _) in enumerate(order)}
-    n = len(order)
-    neigh = [set() for _ in range(n)]
-    for ka, kb in edge_keys:
-        if ka in ids and kb in ids:
-            neigh[ids[ka]].add(ids[kb])
-            neigh[ids[kb]].add(ids[ka])
+    even = (u + v) % 2 == 0
+    u, v = u[even], v[even]
+    ax, ay = SQRT3 * u, 3.0 * v
+    near = np.asarray(list(map(math.hypot, ax.tolist(), ay.tolist()))) <= margin
+    u, v, ax, ay = u[near], v[near], ax[near], ay[near]
+
+    # Seven candidates per A-site, one row each: the site, then per offset
+    # its B-site neighbor and their midpoint.  The same vertex comes from
+    # several rows with coordinates that may differ in the last bit, so
+    # vertices are told apart by exact integer keys (a, b), the point
+    # (SQRT3 * a / 2, b / 2), and the first candidate inside the radius
+    # gives a vertex its coordinates.
+    xs, ys, ka, kb = [ax], [ay], [2 * u], [6 * v]
+    row_kinds = [KIND_SITE]
+    for (dx, dy), (da, db) in zip(_A_NEIGHBOR_OFFSETS, _A_NEIGHBOR_KEYS):
+        xs += [ax + dx, ax + 0.5 * dx]
+        ys += [ay + dy, ay + 0.5 * dy]
+        ka += [2 * u + da, 2 * u + da // 2]
+        kb += [6 * v + db, 6 * v + db // 2]
+        row_kinds += [KIND_SITE, KIND_BOND]
+    xs, ys = np.stack(xs, axis=1).ravel(), np.stack(ys, axis=1).ravel()
+    kind = np.tile(np.asarray(row_kinds, dtype=np.int8), ax.shape[0])
+    # One code per key: a + 2 u_max + 2 and b + 6 m_max + 4 lie in
+    # [0, 4 u_max + 4] and [0, 12 m_max + 8].
+    code = (np.stack(ka, axis=1) + (2 * u_max + 2)) * (12 * m_max + 9) + (
+        np.stack(kb, axis=1) + (6 * m_max + 4)
+    )
+
+    dist = np.asarray(list(map(math.hypot, xs.tolist(), ys.tolist())))
+    inside = np.flatnonzero(dist <= radius + 1e-9)
+    _, first = np.unique(code.ravel()[inside], return_index=True)
+    keep = inside[np.sort(first)]  # first candidate per vertex, in row order
+    sort_keys = list(
+        map(vertex_sort_key, zip(xs[keep].tolist(), ys[keep].tolist()), kind[keep].tolist())
+    )
+    keep = keep[sorted(range(keep.shape[0]), key=sort_keys.__getitem__)]
+    n = keep.shape[0]
+
+    # Edges join the A-site (column 0) and the B-site (column 2j + 1) to the
+    # midpoint in column 2j + 2; one is kept when both ends are vertices.
+    vertex_code = code.ravel()[keep]
+    by_code = np.argsort(vertex_code)
+    sorted_code = vertex_code[by_code]
+    ends = np.concatenate(
+        [code[:, [end, 2 * j + 2]] for j in range(3) for end in (0, 2 * j + 1)]
+    )
+    slot = np.minimum(np.searchsorted(sorted_code, ends), n - 1)
+    present = np.all(sorted_code[slot] == ends, axis=1)
+    ids = by_code[slot[present]]
 
     return StarLattice(
         radius=float(radius),
-        positions=np.asarray([pos for pos, _ in order], dtype=float).reshape(n, 2),
-        kinds=np.asarray([kind for _, kind in order], dtype=np.int8),
-        neighbors=tuple(tuple(sorted(ns)) for ns in neigh),
+        positions=np.stack((xs[keep], ys[keep]), axis=1),
+        kinds=kind[keep],
+        neighbors=neighbor_tuples(n, ids[:, 0], ids[:, 1]),
     )
+
+
+def neighbor_tuples(n: int, a: np.ndarray, b: np.ndarray) -> tuple:
+    """Sorted neighbor ids, as tuples of ints, of the undirected graph on
+    0..n-1 with edges (a[k], b[k]); repeated edges count once."""
+    pairs = np.sort(
+        np.concatenate((a, b)).astype(np.int64) * n + np.concatenate((b, a))
+    )
+    pairs = pairs[np.diff(pairs, prepend=-1) != 0]  # codes are >= 0
+    src, dst = np.divmod(pairs, n)
+    starts = np.searchsorted(src, np.arange(n + 1)).tolist()
+    dst = dst.tolist()
+    return tuple(tuple(dst[starts[i] : starts[i + 1]]) for i in range(n))
 
 
 def min_nonadjacent_distance(lattice: StarLattice) -> float:

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from hardspheres import bounds, cli, construction
+from hardspheres import bounds, cli, construction, percolation2d
 from hardspheres.cli import (
     EXIT_CANNOT_REALIZE,
     EXIT_OK,
@@ -205,6 +205,8 @@ def test_simulate_refuses_lattice_radius_before_building(monkeypatch, capsys, ra
         (["--dim", "453", "--lambda", "auto", "--cells-C", "16"],
          "auto lambda needs 11 <= d <= 452, got d=453"),
         (["--dim", "45", "--layers", "0"], "layers must be >= 1"),
+        (["--dim", "45", "--lambda", "1", "--cells-C", "1e300"],
+         "layer radius C = 1e+300 is too large at d = 45: a cell's volume overflows"),
     ],
 )
 def test_simulate_refuses_bad_parameters_before_any_work(monkeypatch, capsys, argv, message):
@@ -261,6 +263,20 @@ def test_perc2d_validates_p(capsys):
     assert main(["perc2d", "--p", "-0.1"]) == EXIT_USAGE
     assert main(["perc2d", "--p", "0.5", "--trials", "0"]) == EXIT_USAGE
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("radius", ["inf", "nan", "1e7", "400.5", "-1"])
+def test_perc2d_refuses_radius_before_building(monkeypatch, capsys, radius):
+    def no_lattice(*args, **kwargs):
+        raise AssertionError("the lattice must not be built")
+
+    monkeypatch.setattr(percolation2d, "build_lattice", no_lattice)
+    argv = ["perc2d", "--p", "0.8", "--trials", "5", "--radius", radius]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"error: radius must lie in [0, {percolation2d.MAX_WINDOW_RADIUS:g}], "
+        f"got {float(radius)}\n"
+    )
 
 
 def test_verify_geometry(tmp_path):

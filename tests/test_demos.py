@@ -1,0 +1,36 @@
+"""The demo scripts run end to end with tiny arguments."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# script -> (arguments, a line its output must hold).  theta_sweep repeats a
+# density, which once counted its hits twice and overflowed theta above 1.
+DEMOS = {
+    "theta_sweep.py": (["--radius", "10", "--trials", "20", "--p", "0.5", "0.7957", "0.7957"],
+                       "radius 10, 20 trials, seed 0"),
+    "grow_cluster.py": (["--max-steps", "4"], "hard-sphere check: pass"),
+    "threshold_scan.py": (["--dim-min", "30", "--dim-max", "32"],
+                          "first dimension with F(lambda*) >= 0.892: 45"),
+}
+
+
+@pytest.mark.parametrize("script", sorted(DEMOS))
+def test_demo_runs(script):
+    args, expected = DEMOS[script]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / script), *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert expected in proc.stdout

@@ -8,10 +8,13 @@ import pytest
 from hardspheres.hexlattice import (
     KIND_BOND,
     KIND_SITE,
+    StarLattice,
     build_lattice,
     min_nonadjacent_distance,
     vertex_sort_key,
 )
+
+SQRT3 = math.sqrt(3.0)
 
 
 def test_origin_is_site_zero():
@@ -98,3 +101,100 @@ def test_small_radius_validation():
     tiny = build_lattice(1.0)  # origin and its three bonds
     assert tiny.n_vertices == 4
     assert tiny.degree(0) == 3
+
+
+def reference_build_lattice(radius: float) -> StarLattice:
+    """The per-vertex loop that ``build_lattice`` replaced, kept verbatim as
+    the byte-identity reference: vertices keyed by coordinates rounded to
+    1e-6, the first candidate inside the radius kept by ``setdefault``."""
+
+    def key_of(pos):
+        return (round(pos[0], 6), round(pos[1], 6))
+
+    margin = radius + 4.0
+    m_max = int(margin / 3.0) + 2
+    u_max = int(margin / SQRT3) + 2
+    a_sites = []
+    for u in range(-u_max, u_max + 1):
+        for v in range(-m_max, m_max + 1):
+            if (u + v) % 2:
+                continue
+            p = (SQRT3 * u, 3.0 * v)
+            if math.hypot(*p) <= margin:
+                a_sites.append(p)
+    verts = {}
+
+    def consider(pos, kind):
+        if math.hypot(*pos) <= radius + 1e-9:
+            verts.setdefault(key_of(pos), (pos, kind))
+
+    edge_keys = []
+    for p in a_sites:
+        consider(p, KIND_SITE)
+        for dx, dy in ((0.0, 2.0), (SQRT3, -1.0), (-SQRT3, -1.0)):
+            q = (p[0] + dx, p[1] + dy)
+            mid = (p[0] + 0.5 * dx, p[1] + 0.5 * dy)
+            consider(q, KIND_SITE)
+            consider(mid, KIND_BOND)
+            edge_keys.append((key_of(p), key_of(mid)))
+            edge_keys.append((key_of(q), key_of(mid)))
+    order = sorted(verts.values(), key=lambda item: vertex_sort_key(item[0], item[1]))
+    ids = {key_of(pos): i for i, (pos, _) in enumerate(order)}
+    n = len(order)
+    neigh = [set() for _ in range(n)]
+    for ka, kb in edge_keys:
+        if ka in ids and kb in ids:
+            neigh[ids[ka]].add(ids[kb])
+            neigh[ids[kb]].add(ids[ka])
+    return StarLattice(
+        radius=float(radius),
+        positions=np.asarray([pos for pos, _ in order], dtype=float).reshape(n, 2),
+        kinds=np.asarray([kind for _, kind in order], dtype=np.int8),
+        neighbors=tuple(tuple(sorted(ns)) for ns in neigh),
+    )
+
+
+def _tie_radius() -> float:
+    """A radius whose cutoff radius + 1e-9 falls between the candidates of
+    B-site (-5 sqrt(3), -1): the first one generated lies one ulp farther
+    out than the later two, so only a later candidate is inside and gives
+    the vertex its coordinates."""
+    target = math.hypot(-8.660254037844386, -1.0)
+    assert math.hypot(-8.660254037844387, -1.0) > target
+    r = target - 1e-9
+    while r + 1e-9 > target:
+        r = math.nextafter(r, 0.0)
+    while r + 1e-9 < target:
+        r = math.nextafter(r, math.inf)
+    assert r + 1e-9 == target
+    return r
+
+
+SQRT28 = math.sqrt(28.0)  # a B-site distance
+
+
+@pytest.mark.parametrize(
+    "radius",
+    [0.0, 0.5, 2.0, 2.0 * SQRT3, 4.0, SQRT28,
+     SQRT28 - 1e-10, SQRT28 + 1e-10, SQRT28 - 1e-9 - 1e-10, SQRT28 - 1e-9 + 1e-10,
+     _tie_radius(), 37.3, 200.0],
+)
+def test_build_lattice_matches_reference_loop(radius):
+    got, want = build_lattice(radius), reference_build_lattice(radius)
+    assert got.radius == want.radius
+    assert got.positions.dtype == want.positions.dtype and got.positions.shape == want.positions.shape
+    assert got.positions.tobytes() == want.positions.tobytes()
+    assert got.kinds.dtype == want.kinds.dtype
+    assert got.kinds.tobytes() == want.kinds.tobytes()
+    assert got.neighbors == want.neighbors
+    assert all(type(w) is int for ns in got.neighbors for w in ns)
+
+
+def test_first_candidate_inside_the_radius_gives_the_coordinates():
+    r = _tie_radius()
+    inside = build_lattice(r).positions
+    assert [-8.660254037844386, -1.0] in inside.tolist()
+    assert [-8.660254037844387, -1.0] not in inside.tolist()
+    # one ulp less and the vertex is gone
+    below = build_lattice(math.nextafter(r, 0.0)).positions.tolist()
+    assert [-8.660254037844386, -1.0] not in below

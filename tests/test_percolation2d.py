@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from hardspheres.hexlattice import KIND_BOND, KIND_SITE, build_lattice
 from hardspheres.percolation2d import (
     SiteConfig,
     UnionFind,
@@ -140,3 +141,84 @@ def test_origin_cluster_matches_union_find():
         root = uf.find(0)
         component = [v for v in range(g.n_sites) if open_mask[v] and uf.find(v) == root]
         assert cl.tolist() == component
+
+
+def reference_build_site_graph(radius):
+    """The per-vertex loop that ``build_site_graph`` replaced, kept as its
+    reference: (positions, neighbors, boundary)."""
+    star = build_lattice(radius)
+    site_vertex = [v for v in range(star.n_vertices) if star.kinds[v] == KIND_SITE]
+    site_id = {v: i for i, v in enumerate(site_vertex)}
+    neigh = [set() for _ in site_vertex]
+    for v in range(star.n_vertices):
+        if star.kinds[v] != KIND_BOND:
+            continue
+        ends = [w for w in star.neighbors[v] if star.kinds[w] == KIND_SITE]
+        if len(ends) == 2:
+            a, b = site_id[ends[0]], site_id[ends[1]]
+            neigh[a].add(b)
+            neigh[b].add(a)
+    neighbors = tuple(tuple(sorted(ns)) for ns in neigh)
+    boundary = np.asarray([len(ns) < 3 for ns in neighbors], dtype=bool)
+    return star.positions[site_vertex].copy(), neighbors, boundary
+
+
+@pytest.mark.parametrize(
+    "radius", [0.0, 0.5, 2.0, 2.0 * math.sqrt(3.0), 4.0, math.sqrt(28.0), 37.3, 200.0]
+)
+def test_build_site_graph_matches_reference_loop(radius):
+    g = build_site_graph(radius)
+    positions, neighbors, boundary = reference_build_site_graph(radius)
+    assert g.radius == float(radius)
+    assert g.positions.shape == positions.shape
+    assert g.positions.tobytes() == positions.tobytes()
+    assert g.neighbors == neighbors
+    assert all(type(w) is int for ns in g.neighbors for w in ns)
+    assert g.boundary.dtype == boundary.dtype
+    assert g.boundary.tobytes() == boundary.tobytes()
+
+
+def open_component(cfg):
+    """The origin's open cluster as a set, from a union-find over every
+    open-open edge (empty when the origin is closed)."""
+    g, open_mask = cfg.graph, cfg.open_mask
+    uf = UnionFind(g.n_sites)
+    for v in range(g.n_sites):
+        for w in g.neighbors[v]:
+            if open_mask[v] and open_mask[w]:
+                uf.union(v, w)
+    if not open_mask[0]:
+        return set()
+    root = uf.find(0)
+    return {v for v in range(g.n_sites) if open_mask[v] and uf.find(v) == root}
+
+
+@pytest.mark.parametrize("radius", [0.0, 3.0, 12.0, 30.0])
+def test_early_exit_search_matches_union_find(radius):
+    g = build_site_graph(radius)
+    outcomes = set()
+    for p in (0.0, 0.5, 0.697, 0.7957, 1.0):
+        for seed in range(6):
+            cfg = sample_config(g, p, seed=seed)
+            component = open_component(cfg)
+            reaches = any(g.boundary[v] for v in component)
+            assert cluster_reaches_boundary(cfg) == reaches
+            outcomes.add(reaches)
+            visited = origin_cluster(cfg, until_boundary=True).tolist()
+            assert len(set(visited)) == len(visited)
+            assert set(visited) <= component
+            if not component:
+                assert visited == []
+                continue
+            # every visited site is open and joined to an earlier one
+            assert visited[0] == 0
+            for i, v in enumerate(visited[1:], start=1):
+                assert cfg.open_mask[v]
+                assert any(w in visited[:i] for w in g.neighbors[v])
+            stops = [v for v in visited if g.boundary[v]]
+            if reaches:
+                assert stops == [visited[-1]]
+            else:
+                assert stops == [] and sorted(visited) == sorted(component)
+            assert origin_cluster(cfg).tolist() == sorted(component)
+    assert outcomes == {True, False}
