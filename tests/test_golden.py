@@ -11,7 +11,8 @@ where every later query is answered by replaying earlier streams.  The
 planar side is pinned too: the ``perc2d`` theta block, a coupled theta
 estimate at three densities, and the positions, kinds and neighbor tuples
 of ``build_lattice`` at six radii (vertex ids fix ``simulate``'s exploration
-order).  A change that alters these bytes on purpose must re-pin them and
+order).  The ``verify sampler`` checks pin the lazy-vs-oracle battery, whose
+streams are all single-batch.  A change that alters these bytes on purpose must re-pin them and
 say why in CHANGES.md.
 """
 
@@ -161,6 +162,17 @@ def test_d3_streamed_replay_digests():
     got.update({name: _points_digest(ps) for name, ps in collected.items()})
     got["dump"] = sha256_bytes(reg.dump().encode())
     assert got == D3_REPLAY_DIGESTS
+
+
+# The benchmark's verify_sampler argv at program seed 61.
+VERIFY_SAMPLER_CHECKS = "8c81379874b77577960dbb3c45557811961896f57ab37af0e8dc20ba0152c147"
+
+
+def test_verify_sampler_checks_digest(tmp_path):
+    out = tmp_path / "verify.json"
+    argv = ["verify", "sampler", "--budget", "500", "--seed", "61", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    assert sha256_json(json.loads(out.read_text())["checks"]) == VERIFY_SAMPLER_CHECKS
 
 
 # The benchmark's perc2d_r100 argv at program seed 80.

@@ -410,6 +410,54 @@ def test_traced_replay_signature_keeps_consistency_counts(monkeypatch):
     assert batches
 
 
+# -- law ----------------------------------------------------------------------
+
+LAW_LAMBDA = 3e5
+LAW_SEEDS = range(30)
+# Eight disjoint sub-balls of the streamed ball, one per octant; the stored
+# ball owns part of the two at x, y > 0, so they straddle two records.
+LAW_SUB_BALLS = [
+    Ball(np.array([x, y, z]), 0.1)
+    for x in (-0.22, 0.22)
+    for y in (-0.22, 0.22)
+    for z in (-0.15, 0.15)
+]
+
+
+def _law_registry(seed):
+    """A stored ball, then a streamed ball of at least three batches that
+    overlaps it, in d = 3."""
+    reg = RegionRegistry(3, LAW_LAMBDA, seed, store_cap=500.0)
+    reg.materialize(Ball(np.array([0.3, 0.25, 0.0]), 0.15))
+    stream = Ball(np.zeros(3), 0.5)
+    reg.pick_in_region(stream, stream, exact_volume(stream))
+    rec = reg.records[1]
+    assert rec.mode == "streamed" and rec.filter_ids == (0,)
+    assert rec.n_candidates > 2 * STREAM_BATCH
+    return reg
+
+
+def test_streamed_counts_follow_the_poisson_law():
+    """Over 30 seeds, the points a registry holds in each sub-ball are
+    Poisson(lam * vol), independently across the disjoint sub-balls.  Each
+    sub-ball's total is checked by a z-score, and the spread of all counts
+    by the index of dispersion, each at 4 sigma.  Overlapping batches, or a
+    batch that repeats another's draws, would inflate the spread."""
+    counts = np.array(
+        [[len(reg.collect(sub)) for sub in LAW_SUB_BALLS]
+         for reg in map(_law_registry, LAW_SEEDS)],
+        dtype=float,
+    )
+    n = len(LAW_SEEDS)
+    mu = LAW_LAMBDA * LAW_SUB_BALLS[0].volume()
+    z_totals = (counts.sum(axis=0) - n * mu) / math.sqrt(n * mu)
+    assert np.all(np.abs(z_totals) < 4.0), z_totals
+    # (x - mu)^2 / mu has mean 1 and variance 2 + 1/mu under Poisson(mu)
+    dispersion = np.sum((counts - mu) ** 2) / mu
+    z_spread = (dispersion - counts.size) / math.sqrt(counts.size * (2.0 + 1.0 / mu))
+    assert abs(z_spread) < 4.0, z_spread
+
+
 # -- metrics -------------------------------------------------------------------
 
 
