@@ -9,6 +9,7 @@ critical near p = 0.7, safely below 0.892^2 = 0.7957.
 """
 
 import argparse
+import sys
 
 from hardspheres.percolation2d import estimate_theta_coupled
 
@@ -22,7 +23,10 @@ def main() -> None:
                     default=[0.55, 0.6, 0.65, 0.7, 0.75, 0.7957, 0.85, 0.9])
     args = ap.parse_args()
 
-    ests = estimate_theta_coupled(args.p, args.radius, args.trials, args.seed)
+    try:
+        ests = estimate_theta_coupled(args.p, args.radius, args.trials, args.seed)
+    except ValueError as exc:
+        sys.exit(f"error: {exc}")
     print(f"radius {args.radius:g}, {args.trials} trials, seed {args.seed}")
     print(f"{'p':>8} {'theta_hat':>10} {'std_err':>9}  bar")
     for est in ests:

@@ -295,13 +295,14 @@ def mc_conditional_isolated_check(
 ) -> IsolationCheck:
     """Conditioning on a disjoint region being empty cannot hurt isolation:
     empirical conditional success must be >= the unconditional rate minus
-    4 combined standard errors.  Conditioning is by rejection."""
+    4 combined standard errors.  Conditioning is by rejection; when it
+    rejects every trial there is nothing to compare, a ValueError."""
     success_u, _ = _isolation_trials(region, lam, r, trials, seed)
     success_c, kept = _isolation_trials(
         region, lam, r, trials, seed + 1, condition_empty=condition_empty
     )
     if not np.any(kept):
-        raise RuntimeError("conditioning rejected every trial")
+        raise ValueError(f"no trial of {trials} survived the conditioning")
     p_u = float(np.mean(success_u))
     p_c = float(np.mean(success_c[kept]))
     n_c = int(np.count_nonzero(kept))

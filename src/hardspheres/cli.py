@@ -6,9 +6,11 @@ theta estimate), verify (seeded Monte Carlo self-checks).  Every command
 emits a manifest with version, config, seed, RNG algorithm, and wall time;
 all CSV floats carry 17 significant digits.
 
-Exit codes: 0 success, 2 usage error, 3 invariant violation,
-4 statistical-check failure, 5 the run cannot be realized exactly (the
-registry refuses a region or the construction breaks an invariant).
+Exit codes: 0 success, 2 usage error (an output path that cannot be
+written, or a verify --budget too small for its check to decide anything),
+3 invariant violation, 4 statistical-check failure, 5 the run cannot be
+realized exactly (the registry refuses a region or the construction breaks
+an invariant).  Output paths are checked before any work starts.
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ from .construction import (
     run_multilayer,
     verify_hard_sphere,
 )
-from .percolation2d import MAX_WINDOW_RADIUS, estimate_theta
-from .poisson import RegistryError, sampler_consistency_check
+from .percolation2d import estimate_theta
+from .poisson import RegistryError, TooFewSeeds, sampler_consistency_check
 from .rngutil import RNG_ALGORITHM, derive_seed
 
 EXIT_OK = 0
@@ -69,6 +71,20 @@ def _manifest(command: str, config: dict, seed: int, t0: float) -> dict:
         "rng_algorithm": RNG_ALGORITHM,
         "wall_time_seconds": time.perf_counter() - t0,
     }
+
+
+def _check_writable(*paths: str):
+    """Refuse, before any work, output paths that cannot be opened for
+    writing.  A file the probe creates is removed again."""
+    for path in paths:
+        existed = os.path.exists(path)
+        try:
+            with open(path, "a"):
+                pass
+        except OSError as exc:
+            raise UsageError(f"cannot write {path}: {exc.strerror}") from exc
+        if not existed:
+            os.remove(path)
 
 
 def _emit_json(doc: dict, out: str | None):
@@ -104,6 +120,9 @@ def cmd_bounds_scan(args) -> int:
     # threshold in [0, 1] has a minimum dimension.
     if not 0.0 <= args.threshold <= 1.0:
         raise UsageError(f"threshold must lie in [0, 1], got {args.threshold}")
+    if args.out:
+        extra = [args.out + ".manifest.json"] if args.format == "csv" else []
+        _check_writable(args.out, *extra)
     t0 = time.perf_counter()
     rows = bounds.scan_dimensions(args.dim_min, args.dim_max, args.threshold)
     min_d = bounds.min_dimension(args.threshold)
@@ -240,11 +259,17 @@ def _step_log_csv(states) -> str:
     return buf.getvalue()
 
 
+# The files ``simulate --out PREFIX`` writes, by suffix.
+SIMULATE_OUTPUTS = (".spheres.txt", ".steps.csv", ".manifest.json")
+
+
 def cmd_simulate(args) -> int:
     t0 = time.perf_counter()
     seed = args.seed if args.seed is not None else _default_seed()
     if args.layers < 1:
         raise UsageError("layers must be >= 1")
+    if args.out:
+        _check_writable(*(args.out + ext for ext in SIMULATE_OUTPUTS))
     lam = _resolve_lambda(args.lam, args.dim)
     C = _resolve_C(args.cells_C, args.dim, seed)
     params = ConstructionParams(
@@ -293,11 +318,12 @@ def cmd_simulate(args) -> int:
     man["annotations"] = gamma.annotations
     steps_text = _step_log_csv(states)
     if args.out:
-        with open(args.out + ".spheres.txt", "w") as fh:
+        spheres, steps, manifest = (args.out + ext for ext in SIMULATE_OUTPUTS)
+        with open(spheres, "w") as fh:
             fh.writelines(_sphere_lines(gamma))
-        with open(args.out + ".steps.csv", "w") as fh:
+        with open(steps, "w") as fh:
             fh.write(steps_text)
-        _emit_json(man, args.out + ".manifest.json")
+        _emit_json(man, manifest)
     else:
         man["spheres"] = "".join(_sphere_lines(gamma))
         man["step_log"] = steps_text
@@ -318,10 +344,9 @@ def cmd_perc2d(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     if not 0.0 <= args.p <= 1.0:
         raise UsageError("p must lie in [0, 1]")
-    if not 0.0 <= args.radius <= MAX_WINDOW_RADIUS:
-        raise UsageError(
-            f"radius must lie in [0, {MAX_WINDOW_RADIUS:g}], got {args.radius}"
-        )
+    if args.out:
+        _check_writable(args.out)
+    # estimate_theta refuses a bad radius or trial count before any work
     est = estimate_theta(args.p, args.radius, args.trials, seed)
     config = {
         "p": args.p,
@@ -419,14 +444,17 @@ def _verify_isolation(budget: int, seed: int, d: int):
     iso = bounds.mc_isolated_check(
         region, lam, r, trials=budget, seed=derive_seed(seed, 31)
     )
-    cond = bounds.mc_conditional_isolated_check(
-        region,
-        geometry.Ball(away, 1.0),
-        lam,
-        r,
-        trials=budget,
-        seed=derive_seed(seed, 32),
-    )
+    try:
+        cond = bounds.mc_conditional_isolated_check(
+            region,
+            geometry.Ball(away, 1.0),
+            lam,
+            r,
+            trials=budget,
+            seed=derive_seed(seed, 32),
+        )
+    except ValueError as exc:
+        raise UsageError(f"{exc}; raise --budget") from exc
     return [
         {
             "name": f"isolated-bound-d{d}",
@@ -446,7 +474,10 @@ def _verify_isolation(budget: int, seed: int, d: int):
 
 
 def _verify_sampler(budget: int, seed: int, d: int, lam: float):
-    result = sampler_consistency_check(d, lam, n_seeds=budget, seed=seed)
+    try:
+        result = sampler_consistency_check(d, lam, n_seeds=budget, seed=seed)
+    except TooFewSeeds as exc:
+        raise UsageError(f"{exc}; raise --budget") from exc
     return [
         {
             "name": f"lazy-vs-oracle-chi2-d{d}",
@@ -464,6 +495,8 @@ def cmd_verify(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     if args.dim is not None and args.dim < 1:
         raise UsageError(f"dim must be >= 1, got {args.dim}")
+    if args.out:
+        _check_writable(args.out)
     if args.suite == "geometry":
         d = args.dim if args.dim is not None else 11
         budget = args.budget if args.budget is not None else 200_000

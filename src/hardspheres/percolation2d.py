@@ -22,8 +22,8 @@ from .rngutil import generator
 
 # The window is built in full, and each trial draws one uniform per site.
 # Radius 400 holds about 97,000 sites, builds in about 1.3 s and peaks near
-# 250 MB; radius 1000 took 10 s and 1.2 GB, so larger windows are refused
-# up front by the command line.
+# 250 MB; radius 1000 took 10 s and 1.2 GB, so build_site_graph refuses
+# larger windows before building anything.
 MAX_WINDOW_RADIUS = 400.0
 
 
@@ -47,7 +47,10 @@ class SiteGraph:
 
 def build_site_graph(radius: float) -> SiteGraph:
     """Site graph of the hexagonal lattice restricted to |x| <= radius.
-    Site ids keep the canonical (distance, angle) order; id 0 is the origin."""
+    Site ids keep the canonical (distance, angle) order; id 0 is the origin.
+    A radius outside [0, MAX_WINDOW_RADIUS] is a ValueError."""
+    if not 0.0 <= radius <= MAX_WINDOW_RADIUS:
+        raise ValueError(f"radius must lie in [0, {MAX_WINDOW_RADIUS:g}], got {radius}")
     star = build_lattice(radius)
     is_site = star.kinds == KIND_SITE
     site_id = np.cumsum(is_site) - 1
@@ -170,7 +173,9 @@ def estimate_theta_coupled(
 ) -> list:
     """Theta estimates for several densities from shared uniforms.  The
     coupling makes the per-trial reach indicator nondecreasing in p, so the
-    estimates are monotone with probability one, not just in expectation."""
+    estimates are monotone with probability one, not just in expectation.
+    A bad trial count or window radius (see build_site_graph) is a
+    ValueError before any work."""
     if trials <= 0:
         raise ValueError(f"need trials >= 1, got {trials}")
     graph = build_site_graph(radius)

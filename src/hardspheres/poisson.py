@@ -13,27 +13,26 @@ stored     Points drawn and kept: draw N ~ Poisson(lam * vol), place them
            in ``coords``.
 
 streamed   For masses too heavy to keep in memory: the same thinning, but
-           candidates are generated in fixed-size batches from a dedicated
-           replayable substream and immediately discarded (``coords`` stays
-           None).  The first pass keeps, per batch, a checkpoint: the
-           substream's generator state before the batch and the batch's
-           fresh mask packed to one bit per candidate.  Any later query
-           overlapping the region restores each state, regenerates the
-           batch and unpacks its mask, so the realization is exact at every
-           scale while storing 1 bit per candidate instead of d
+           candidates are generated in fixed-size batches and immediately
+           discarded (``coords`` stays None).  Batch b draws from the
+           record's own Philox key with the counter starting at block b,
+           i.e. generator(seed, 2, rid).bit_generator.jumped(b): every batch
+           can be regenerated on its own, and no two batches overlap.  The
+           first replay keeps each batch's fresh mask, packed to one bit per
+           candidate; any later query overlapping the region regenerates the
+           batches and unpacks their masks, so the realization is exact at
+           every scale while storing 1 bit per candidate instead of d
            coordinates, and the ownership filter runs once per candidate.
 
-           Streams of more than one batch are replayed on a pool of two
-           worker threads (REPLAY_WORKERS), with the same bytes as a
-           sequential replay.  The first pass stays one sequential
-           substream: a worker draws batch b + 1 while the calling thread
-           filters batch b.  Later replays regenerate REPLAY_WORKERS
-           batches ahead of the caller, each worker restoring checkpoints
-           into its own generator, and a pick regenerates only the batch
-           holding the chosen member.  Memory rule: one replay holds at most
-           REPLAY_WORKERS + 1 batches of (STREAM_BATCH, d) doubles, all
-           allocated on the calling thread; the samplers' and membership
-           tests' other temporaries are blocks of geometry.ROW_BLOCK rows.
+           Streams of more than one batch are regenerated on a pool of two
+           worker threads (REPLAY_WORKERS), REPLAY_WORKERS batches ahead of
+           the caller; a batch's bytes do not depend on which thread draws
+           it or when, and a pick regenerates only the batch holding the
+           chosen member.  Memory rule: every replay, the first included,
+           holds at most REPLAY_WORKERS + 1 batches of (STREAM_BATCH, d)
+           doubles, all allocated on the calling thread; the samplers' and
+           membership tests' other temporaries are blocks of
+           geometry.ROW_BLOCK rows.
 
 saturated  For masses beyond any enumeration (a first-layer cell in d = 45
            holds ~1e51 points): no count is drawn.  Emptiness has
@@ -48,8 +47,8 @@ saturated  For masses beyond any enumeration (a first-layer cell in d = 45
            (tolerance 1e-9; the d = 45 runs sit near 1e-50).
 
 Same seed and same query sequence give bit-identical results; streams
-replay from SeedSequence-derived Philox keys that never touch the main
-stream.
+replay from SeedSequence-derived Philox keys, derived once per record, that
+never touch the main stream.
 """
 
 from __future__ import annotations
@@ -99,25 +98,33 @@ REPLAY_WORKERS = 2
 _REPLAY_POOL = ThreadPoolExecutor(
     max_workers=REPLAY_WORKERS, thread_name_prefix="stream-replay"
 )
-_THREAD_RNG = threading.local()  # each thread's generator for restored states
+_THREAD_RNG = threading.local()  # each thread's generator for stream batches
 
 
-def _regenerate(region: Region, state: dict, out: np.ndarray) -> np.ndarray:
-    """Candidates drawn into ``out`` from a saved generator state, on the
-    calling thread's own generator."""
+def _draw_batch(region: Region, key: np.ndarray, b: int, out: np.ndarray) -> np.ndarray:
+    """Batch b of a stream, drawn into ``out`` on the calling thread's own
+    generator: the stream's Philox key with the counter at block b, the
+    state of generator(seed, 2, rid).bit_generator.jumped(b)."""
     rng = getattr(_THREAD_RNG, "rng", None)
     if rng is None:
         rng = _THREAD_RNG.rng = np.random.Generator(np.random.Philox(0))
-    rng.bit_generator.state = state
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.array([0, 0, b, 0], dtype=np.uint64), "key": key},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
     return region.sample(out.shape[0], rng, out=out)
 
 
-def _in_order(fn, sizes: list, dim: int, ahead: int):
+def _in_order(fn, sizes: list, dim: int):
     """Yield fn(i, out) for i = 0, 1, ... in order, where ``out`` is a
     fresh (sizes[i], dim) array for fn to fill.
 
     A single call runs inline.  More run on the replay pool, each submitted
-    ``ahead`` results before the caller asks for it.  The arrays are
+    REPLAY_WORKERS results before the caller asks for it.  The arrays are
     allocated on the calling thread, so freed batches go back to its heap
     instead of piling up in the workers' own malloc arenas.  When the caller
     stops early, calls not yet started are cancelled and running ones
@@ -132,12 +139,12 @@ def _in_order(fn, sizes: list, dim: int, ahead: int):
         pending.append(_REPLAY_POOL.submit(fn, i, np.empty((sizes[i], dim))))
 
     try:
-        for i in range(min(ahead, len(sizes))):
+        for i in range(min(REPLAY_WORKERS, len(sizes))):
             submit(i)
         for i in range(len(sizes)):
             result = pending.popleft().result()
-            if i + ahead < len(sizes):
-                submit(i + ahead)
+            if i + REPLAY_WORKERS < len(sizes):
+                submit(i + REPLAY_WORKERS)
             yield result
     finally:
         for future in pending:
@@ -197,8 +204,8 @@ class _Record:
         "n_candidates",
         "n_fresh",
         "filter_ids",
-        "stream_seed_path",
-        "stream_checkpoints",
+        "stream_key",
+        "fresh_masks",
         "mass_lower",
         "realized_mass_in_zone",
     )
@@ -214,10 +221,10 @@ class _Record:
         self.n_candidates = 0
         self.n_fresh = 0
         self.filter_ids = ()
-        self.stream_seed_path = None
-        # streamed mode: per batch (generator state, packed fresh mask);
-        # None until a replay has run through every batch
-        self.stream_checkpoints = None
+        self.stream_key = None  # streamed mode: the Philox key of its batches
+        # streamed mode: per batch, the packed fresh mask; None until a
+        # replay has run through every batch
+        self.fresh_masks = None
         self.mass_lower = 0.0  # saturated mode
         self.realized_mass_in_zone = 0.0
 
@@ -310,56 +317,40 @@ class RegionRegistry:
         """Yield (start_index, candidates, fresh_mask) batches of a streamed
         record, identical on every call.
 
-        The first replay draws the record's substream in order and leaves
-        one checkpoint per batch on the record: the generator state before
-        the batch and the packed fresh mask.  A worker draws batch b + 1
-        while the caller filters batch b.  Later replays regenerate every
-        batch from its checkpoint on the worker pool, REPLAY_WORKERS batches
-        ahead of the caller, and unpack its mask instead of filtering against
-        earlier records again.  An abandoned first replay leaves nothing
-        behind, and a closed replay leaves no work running."""
+        Batches are regenerated on the worker pool, REPLAY_WORKERS ahead of
+        the caller.  The first replay filters each batch against the earlier
+        records and leaves the packed fresh masks on the record; later
+        replays unpack them instead of filtering again.  An abandoned first
+        replay leaves nothing behind, and a closed replay leaves no work
+        running."""
         self.stream_replays += 1
         sizes = [
             min(STREAM_BATCH, rec.n_candidates - start)
             for start in range(0, rec.n_candidates, STREAM_BATCH)
         ]
-        if rec.stream_checkpoints is not None:
-            fill = partial(self._checkpointed_batch, rec)
-            batches = _in_order(fill, sizes, self.dim, REPLAY_WORKERS)
-            try:
-                yield from batches
-            finally:
-                batches.close()
-            return
-        rng = generator(*rec.stream_seed_path)
-
-        def draw(_, out):
-            state = rng.bit_generator.state
-            return state, rec.region.sample(out.shape[0], rng, out=out)
-
-        batches = _in_order(draw, sizes, self.dim, 1)
-        checkpoints = []
-        done = 0
+        batches = _in_order(partial(self._stream_batch, rec), sizes, self.dim)
+        masks = []
         try:
-            for state, pts in batches:
-                fresh = self._drop_determined(pts, rec.filter_ids)
-                checkpoints.append((state, np.packbits(fresh)))
-                yield done, pts, fresh
-                done += pts.shape[0]
+            for start, pts, fresh in batches:
+                if fresh is None:
+                    fresh = self._drop_determined(pts, rec.filter_ids)
+                    masks.append(np.packbits(fresh))
+                yield start, pts, fresh
         finally:
             batches.close()
-        rec.stream_checkpoints = tuple(checkpoints)
-        self.stream_checkpoint_bytes += sum(
-            bits.nbytes + _array_bytes(state) for state, bits in checkpoints
-        )
+        if rec.fresh_masks is None:
+            rec.fresh_masks = tuple(masks)
+            self.stream_checkpoint_bytes += sum(bits.nbytes for bits in masks)
 
     @staticmethod
-    def _checkpointed_batch(rec, b, out):
-        """Batch b of a streamed record, as its first replay yielded it,
-        regenerated into ``out`` from the batch's checkpoint."""
-        state, bits = rec.stream_checkpoints[b]
-        pts = _regenerate(rec.region, state, out)
-        return b * STREAM_BATCH, pts, np.unpackbits(bits, count=len(pts)).view(bool)
+    def _stream_batch(rec, b, out):
+        """Batch b of a streamed record regenerated into ``out``, with its
+        fresh mask once the first replay has saved them (else None)."""
+        pts = _draw_batch(rec.region, rec.stream_key, b, out)
+        if rec.fresh_masks is None:
+            return b * STREAM_BATCH, pts, None
+        fresh = np.unpackbits(rec.fresh_masks[b], count=len(pts)).view(bool)
+        return b * STREAM_BATCH, pts, fresh
 
     # -- core queries --------------------------------------------------
 
@@ -494,7 +485,8 @@ class RegionRegistry:
         rid = len(self.records)
         rec = _Record(rid, bounding, "streamed", bball)
         rec.filter_ids = self._determined_filter_ids(bounding)
-        rec.stream_seed_path = (self.seed, _STREAM_PATH, rid)
+        stream = generator(self.seed, _STREAM_PATH, rid)
+        rec.stream_key = stream.bit_generator.state["state"]["key"]
         rec.n_candidates = int(self.rng.poisson(m_hi))
         self.records.append(rec)
         self.streamed_candidates_total += rec.n_candidates
@@ -532,7 +524,7 @@ class RegionRegistry:
             j -= members[b]
             b += 1
         k = min(STREAM_BATCH, rec.n_candidates - b * STREAM_BATCH)
-        start, pts, fresh = self._checkpointed_batch(rec, b, np.empty((k, self.dim)))
+        start, pts, fresh = self._stream_batch(rec, b, np.empty((k, self.dim)))
         local = np.flatnonzero(fresh & region.contains(pts))[j]
         return PickResult(
             "picked",
@@ -630,15 +622,6 @@ class RegionRegistry:
                 xs = " ".join(f"{x:.17g}" for x in p)
                 lines.append(f"p {rec.rid} {i} {xs}")
         return "\n".join(lines) + "\n"
-
-
-def _array_bytes(state: dict) -> int:
-    """Bytes held by the arrays of a (nested) bit-generator state dict."""
-    return sum(
-        v.nbytes if isinstance(v, np.ndarray) else _array_bytes(v)
-        for v in state.values()
-        if isinstance(v, (np.ndarray, dict))
-    )
 
 
 def region_key_safe(region: Region) -> str:
@@ -748,6 +731,15 @@ def consistency_counts_oracle(dim: int, lam: float, seed: int) -> tuple:
 _SCRIPT_PAIRS = ((0, 1), (0, 2), (0, 8), (1, 5), (3, 6), (4, 9))
 _ALPHA = 1e-3  # familywise significance of the battery
 _MIN_POOLED = 25
+# Below this many seeds the battery is refused up front.  At lam = 3 the
+# pooled tables of seeds 0-20 first became all testable at 333 to 460 seeds
+# (median 403); a seed that needs more is refused by its degenerate
+# projection instead.
+MIN_CONSISTENCY_SEEDS = 400
+
+
+class TooFewSeeds(ValueError):
+    """The chi-squared battery has too few seeds to decide anything."""
 
 
 def _chi2_two_sample(vals_a, vals_b):
@@ -786,10 +778,14 @@ def sampler_consistency_check(
 
     The battery covers every marginal count, the grand total, and the six
     most-overlapping query pairs, at familywise significance _ALPHA
-    (Bonferroni).  A degenerate projection (too few populated categories to
-    test) is an error, not a pass."""
-    if n_seeds < 100:
-        raise ValueError("need at least 100 seeds for a meaningful test")
+    (Bonferroni).  Fewer than MIN_CONSISTENCY_SEEDS seeds, or a degenerate
+    projection (too few populated categories to test), is TooFewSeeds, not
+    a pass."""
+    if n_seeds < MIN_CONSISTENCY_SEEDS:
+        raise TooFewSeeds(
+            f"the chi-squared table needs at least {MIN_CONSISTENCY_SEEDS} seeds, "
+            f"got {n_seeds}"
+        )
     lazy = np.array(
         [
             consistency_counts_lazy(dim, lam, derive_seed(seed, 41, i))
@@ -821,8 +817,8 @@ def sampler_consistency_check(
     for name, va, vb in tests:
         out = _chi2_two_sample(va, vb)
         if out is None:
-            raise ValueError(
-                f"count law projection {name} degenerate; increase n_seeds"
+            raise TooFewSeeds(
+                f"count law projection {name} is degenerate at {n_seeds} seeds"
             )
         stat, p, dof, ncat = out
         results.append(

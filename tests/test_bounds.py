@@ -195,3 +195,10 @@ def test_isolation_checks_need_a_trial():
         mc_conditional_isolated_check(
             b, Ball(np.array([3.0, 0.0]), 1.0), lam=1.0, r=0.5, trials=0, seed=0
         )
+
+
+def test_conditioning_that_rejects_every_trial_is_refused():
+    b = Ball(np.zeros(2), 1.0)
+    never_empty = Ball(np.array([30.0, 0.0]), 20.0)
+    with pytest.raises(ValueError, match="^no trial of 5 survived the conditioning$"):
+        mc_conditional_isolated_check(b, never_empty, lam=1.0, r=0.5, trials=5, seed=0)

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from hardspheres import bounds, cli, construction, percolation2d
+from hardspheres import bounds, cli, construction, percolation2d, poisson
 from hardspheres.cli import (
     EXIT_CANNOT_REALIZE,
     EXIT_OK,
@@ -246,6 +246,44 @@ def test_simulate_overlap_search_failure_is_usage_error(monkeypatch, capsys):
     assert len(err.splitlines()) == 1
 
 
+def _no_work(*args, **kwargs):
+    raise AssertionError("the run must not start")
+
+
+@pytest.mark.parametrize(
+    "command, patch, missing",
+    [
+        (SIM5, (cli, "run_multilayer"), "r.spheres.txt"),
+        (["bounds-scan"], (bounds, "scan_dimensions"), "r"),
+        (["bounds-scan", "--format", "csv"], (bounds, "scan_dimensions"), "r"),
+        (["perc2d", "--p", "0.7"], (cli, "estimate_theta"), "r"),
+        (["verify", "sampler"], (cli, "sampler_consistency_check"), "r"),
+    ],
+)
+def test_unwritable_output_fails_before_any_work(
+    monkeypatch, capsys, tmp_path, command, patch, missing
+):
+    monkeypatch.setattr(*patch, _no_work)
+    prefix = tmp_path / "no-such-dir" / "r"
+    assert main(command + ["--out", str(prefix)]) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"error: cannot write {prefix.parent / missing}: No such file or directory\n"
+    )
+
+
+def test_output_probe_leaves_no_files(monkeypatch, capsys, tmp_path):
+    def refuse(*args, **kwargs):
+        raise ConstructionError("implied radius outside the window")
+
+    monkeypatch.setattr(cli, "run_multilayer", refuse)
+    (tmp_path / "r.steps.csv").write_text("kept\n")
+    assert main(SIM5 + ["--seed", "3", "--out", str(tmp_path / "r")]) == EXIT_CANNOT_REALIZE
+    capsys.readouterr()
+    # the probe removes what it created and leaves an existing file as it was
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["r.steps.csv"]
+    assert (tmp_path / "r.steps.csv").read_text() == "kept\n"
+
+
 def test_perc2d_json(tmp_path):
     out = tmp_path / "perc.json"
     code = main(["perc2d", "--p", "0.7", "--radius", "20", "--trials", "200",
@@ -303,6 +341,13 @@ def test_verify_isolation_bad_input_is_usage_error(capsys, argv, message):
     assert capsys.readouterr().err == message
 
 
+def test_verify_isolation_refuses_a_budget_the_conditioning_rejects(capsys):
+    assert main(["verify", "isolation", "--budget", "5", "--seed", "0"]) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "error: no trial of 5 survived the conditioning; raise --budget\n"
+    )
+
+
 def test_verify_sampler_small_budget(tmp_path):
     out = tmp_path / "ver.json"
     code = main(["verify", "sampler", "--budget", "400", "--seed", "0",
@@ -311,6 +356,24 @@ def test_verify_sampler_small_budget(tmp_path):
     assert code == EXIT_OK, doc
     assert doc["checks"][0]["n_seeds"] == 400
     assert doc["checks"][0]["n_tests"] == 17
+
+
+@pytest.mark.parametrize("budget", ["100", "300", "399"])
+def test_verify_sampler_refuses_a_budget_below_its_floor(monkeypatch, capsys, budget):
+    monkeypatch.setattr(poisson, "consistency_counts_lazy", _no_work)
+    assert main(["verify", "sampler", "--budget", budget]) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"error: the chi-squared table needs at least 400 seeds, got {budget}; "
+        "raise --budget\n"
+    )
+
+
+def test_verify_sampler_refuses_a_degenerate_table(capsys):
+    # seed 5 needs 460 seeds before every pooled table can be tested
+    assert main(["verify", "sampler", "--budget", "400", "--seed", "5"]) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "error: count law projection n1&n9 is degenerate at 400 seeds; raise --budget\n"
+    )
 
 
 def test_seed_env_var(tmp_path, monkeypatch):

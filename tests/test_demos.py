@@ -20,17 +20,28 @@ DEMOS = {
 }
 
 
-@pytest.mark.parametrize("script", sorted(DEMOS))
-def test_demo_runs(script):
-    args, expected = DEMOS[script]
+def run_demo(script, args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
     )
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(ROOT / "demos" / script), *args],
         capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+@pytest.mark.parametrize("script", sorted(DEMOS))
+def test_demo_runs(script):
+    args, expected = DEMOS[script]
+    proc = run_demo(script, args)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     assert expected in proc.stdout
+
+
+def test_theta_sweep_refuses_an_infinite_radius_in_one_line():
+    proc = run_demo("theta_sweep.py", ["--radius", "inf", "--trials", "5"])
+    assert proc.returncode == 1
+    assert proc.stderr == "error: radius must lie in [0, 400], got inf\n"
+    assert proc.stdout == ""

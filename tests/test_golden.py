@@ -40,8 +40,8 @@ GOLDEN = {
         ["simulate", "--dim", "45", "--lambda", "auto", "--cells-C", "16",
          "--lattice-radius", "12", "--max-steps", "3", "--seed", "7"],
         {
-            "spheres": "69779786eae25f4279d93c763bc0b621696c626e5914d186715b398c5c1fe669",
-            "steps": "e002a3b0baec58f7998e38851cd99210c0288e19f6ab03da70defb82d8d51046",
+            "spheres": "0e2af9b250bee6afda433224fbe28c642640e7b0c1d7170369faeacdfb34dca1",
+            "steps": "8b01ffcfad52d09b0513d0b4921f62e271774191952b8f7f4bd8af3196259222",
             "counts": "01927245626e8b420ecf225d13ce057ae0ff0b4cc73ab254c674e81423b91b74",
             "hard_sphere": "136f7b7bee3b473fad473e00794b3cb741285cdf45c028791307db5a66cf30cb",
         },
@@ -87,7 +87,7 @@ def test_simulate_golden_digests(name, tmp_path):
 
 # The registry dump of the d45 golden run's only layer.  cmd_simulate seeds
 # layer 0 with derive_seed(seed, 11, 0).
-D45_REGISTRY_DUMP = "33a31ef624700a8cf5788e111a307a810fa1a6b3ea19b4f2d840f03eed4a8de2"
+D45_REGISTRY_DUMP = "28352d98354593762e04282a3e5ab7497c3450a541fc80aa11c13e9bf8109e70"
 
 
 def test_d45_layer_registry_dump_digest():
@@ -129,15 +129,15 @@ def d3_streamed_queries():
 
 D3_REPLAY_DIGESTS = {
     "pick0": "781ee561d37a810b34967f323fb8c371e4e4e7bb14695facf9ccb6e00f29903a",
-    "pick1": "41977403f7ef9e3e3bf8e92dcb52575855edec8aebbc89fe943de41851bed8ff",
-    "pick2": "58b934c7d3fe3905da291d9e01c4dec703861ea8e6f62e1d3389bae2449fa767",
-    "pick3": "e143439b0adc8ced861c277ea8650ba5fc6c30493126354ab3191b7bd9dba623",
-    "ball": "aee1f5386e4952d8ad5a52b690d6025431346f305c4fcd8c46908a56061fd432",
-    "cell": "999a1070553ee28ca6d4d52d285fb2774640c6bed9823b538ed20dec1e8a88d5",
-    "annulus": "2fa67df4c4602c06d41b51ecf68234df7e346db0fd24ef8bd72c6895421acb28",
-    "rim": "b3416db0f710c527f27202e72c8ede0deaca9802d5ffc9a31b82fc02dee962ad",
-    "intersection": "ddee71b5ecd9fd6762f5132df81157bd06b7df1cb10ba6ea31b7960ac93f41f0",
-    "dump": "da13be6f067678478aaa725b9c22afd1051ce0b09afe78dc4ca1406a6fdff288",
+    "pick1": "a7c127068ed0bc3bfda1d75a6ffdfd5f6d16ddd6d41feaf4bd3889091fb1210b",
+    "pick2": "6d3690eb5f602b0def1616a599896ebb9059b4030572bbc09b6a0b331b0cafed",
+    "pick3": "c38ab9a965252e5abc085b8da838a966c779784fc784226c9fe139586fcfcdf6",
+    "ball": "19030e491ed1efa436fa614b7f32b01ffe31cb4ada7dffd8578f39b2044dc1ba",
+    "cell": "b6af3d8fafa09a1d355433167b77e772002db861ba9efc8ad8ddea2fe667b471",
+    "annulus": "09b37094f668fbf50e4b359173b852472dd3c3861908cee04b24160b17005479",
+    "rim": "4d0229049d76c6b8ca2cdd2a6ff31c38b3095507d3c42d3c5d2b81279901ccd6",
+    "intersection": "338ab161ef26a2fe3413bb3eb5958e26411e9e7275d488a161d5e4f061a0a5d6",
+    "dump": "dedfc2067bb3213049fdeb0bdd3acdb993d8c8c5605440363f767de1e1823419",
 }
 
 

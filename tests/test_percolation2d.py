@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from hardspheres import percolation2d
 from hardspheres.hexlattice import KIND_BOND, KIND_SITE, build_lattice
 from hardspheres.percolation2d import (
     SiteConfig,
@@ -222,3 +223,16 @@ def test_early_exit_search_matches_union_find(radius):
                 assert stops == [] and sorted(visited) == sorted(component)
             assert origin_cluster(cfg).tolist() == sorted(component)
     assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("radius", [math.inf, math.nan, -1.0, 400.5])
+def test_window_radius_is_refused_before_building(monkeypatch, radius):
+    def no_lattice(*args, **kwargs):
+        raise AssertionError("the lattice must not be built")
+
+    monkeypatch.setattr(percolation2d, "build_lattice", no_lattice)
+    message = f"radius must lie in \\[0, 400\\], got {radius}"
+    with pytest.raises(ValueError, match=message):
+        build_site_graph(radius)
+    with pytest.raises(ValueError, match=message):
+        estimate_theta_coupled([0.5, 0.7], radius, 10, 0)

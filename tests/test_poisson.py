@@ -8,6 +8,7 @@ import pytest
 from hardspheres.geometry import Annulus, Ball, Cell, Intersection
 from hardspheres.poisson import (
     MAX_MATERIALIZE,
+    MIN_CONSISTENCY_SEEDS,
     SATURATION_MIN_MASS,
     PointSet,
     RegionRegistry,
@@ -360,10 +361,10 @@ def test_consistency_means_agree():
 
 
 def test_sampler_consistency_check_passes():
-    out = sampler_consistency_check(2, 3.0, n_seeds=400, seed=0)
+    out = sampler_consistency_check(2, 3.0, n_seeds=MIN_CONSISTENCY_SEEDS, seed=0)
     assert out["passed"]
     assert out["n_tests"] == 17
     assert out["min_p_value"] >= out["alpha_each"]
     assert len(out["projections"]) == 17
-    with pytest.raises(ValueError):
-        sampler_consistency_check(2, 3.0, n_seeds=50, seed=0)
+    with pytest.raises(ValueError, match="needs at least 400 seeds, got 399"):
+        sampler_consistency_check(2, 3.0, n_seeds=MIN_CONSISTENCY_SEEDS - 1, seed=0)

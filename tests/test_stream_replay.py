@@ -1,13 +1,13 @@
-"""Checkpointed stream replays on the worker pool, and the row-block
-samplers.
+"""Stream replays on the worker pool, and the row-block samplers.
 
 The samplers must reproduce the reference formulas below byte for byte
 (Gaussian directions normalized by np.linalg.norm, temporaries per step,
-hstack of the cell's two factors), and every replay, drawn in order on the
-pool or restored from pass-1 checkpoints, must yield exactly the batches
-that re-deriving the record's substream and re-filtering it would.  The
-references are frozen on purpose: the golden digests depend on these
-bytes, so they must not follow later edits of geometry.py or poisson.py.
+hstack of the cell's two factors), and every replay, the first one that
+filters or a later one that unpacks the saved fresh masks, must yield
+exactly the batches that re-deriving each batch from the record's Philox
+key and re-filtering it would.  The references are frozen on purpose: the
+golden digests depend on these bytes, so they must not follow later edits
+of geometry.py or poisson.py.
 """
 
 import math
@@ -28,9 +28,6 @@ from hardspheres.poisson import (
     consistency_counts_lazy,
 )
 from hardspheres.rngutil import generator
-
-# Philox state arrays: counter (4), key (2) and buffer (4) uint64 words.
-PHILOX_STATE_BYTES = 80
 
 
 # -- frozen reference samplers ---------------------------------------------
@@ -65,19 +62,23 @@ def ref_annulus_sample(ann, n, rng):
     return ann.center + g / norms * rho
 
 
+def batch_rng(registry, rec, b):
+    """The generator of batch b of a streamed record: the record's stream
+    jumped by b blocks of 2**128 draws."""
+    stream = generator(registry.seed, 2, rec.rid)
+    return np.random.Generator(stream.bit_generator.jumped(b))
+
+
 def ref_replay(registry, rec):
-    """A streamed record's batches re-derived from its seed path and
-    re-filtered against the earlier records, as before checkpoints."""
-    rng = generator(*rec.stream_seed_path)
-    done = 0
-    while done < rec.n_candidates:
+    """A streamed record's batches re-derived from their keys and
+    re-filtered against the earlier records, without saved masks."""
+    for b, done in enumerate(range(0, rec.n_candidates, STREAM_BATCH)):
         k = min(STREAM_BATCH, rec.n_candidates - done)
-        pts = rec.region.sample(k, rng)
+        pts = rec.region.sample(k, batch_rng(registry, rec, b))
         keep = np.ones(k, dtype=bool)
         for rid in rec.filter_ids:
             keep &= ~registry.records[rid].region.contains(pts)
         yield done, pts, keep
-        done += k
 
 
 # -- samplers ----------------------------------------------------------------
@@ -157,7 +158,7 @@ def test_overlap_fraction_matches_frozen_formula():
     assert est.hits == hits
 
 
-# -- checkpointed replays ------------------------------------------------------
+# -- replays ------------------------------------------------------------------
 
 
 def _two_streams():
@@ -185,12 +186,32 @@ def _batches(replay):
 def test_checkpointed_replay_matches_rederived_stream():
     reg = _two_streams()
     rec = reg.records[1]
-    assert len(rec.stream_checkpoints) == math.ceil(rec.n_candidates / STREAM_BATCH)
+    assert len(rec.fresh_masks) == math.ceil(rec.n_candidates / STREAM_BATCH)
     want = _batches(ref_replay(reg, rec))
     assert _batches(reg._replay(rec)) == want
     assert _batches(reg._replay(rec)) == want
     # a fresh mask really drops the candidates the first stream owns
     assert rec.n_fresh < rec.n_candidates
+
+
+def test_batches_are_keyed_by_philox_jumps():
+    """Batch b is drawn from the record's stream jumped by b blocks and
+    filtered against the earlier records; batch 0 is the start of the
+    unjumped stream, so single-batch streams keep their bytes."""
+    reg = _two_streams()
+    rec = reg.records[1]
+    owner = reg.records[0].region
+    got = list(reg._replay(rec))
+    assert len(got) == 3
+    for b, (start, pts, fresh) in enumerate(got):
+        k = pts.shape[0]
+        assert start == b * STREAM_BATCH
+        jumped = np.random.Generator(generator(77, 2, 1).bit_generator.jumped(b))
+        want = rec.region.sample(k, jumped)
+        assert pts.tobytes() == want.tobytes()
+        assert fresh.tobytes() == (~owner.contains(want)).tobytes()
+    k0 = got[0][1].shape[0]
+    assert got[0][1].tobytes() == rec.region.sample(k0, generator(77, 2, 1)).tobytes()
 
 
 def test_interleaved_replays_do_not_disturb_each_other():
@@ -236,7 +257,7 @@ def _bare_record(reg, region, n_candidates, filter_ids=()):
     """A streamed record appended to a registry by hand."""
     rid = len(reg.records)
     rec = poisson._Record(rid, region, "streamed", region.bounding_ball())
-    rec.stream_seed_path = (reg.seed, 2, rid)
+    rec.stream_key = generator(reg.seed, 2, rid).bit_generator.state["state"]["key"]
     rec.n_candidates = n_candidates
     rec.filter_ids = filter_ids
     reg.records.append(rec)
@@ -267,21 +288,21 @@ def _settled(probe):
 
 
 def test_abandoned_first_replay_leaves_no_checkpoints():
-    reg, rec = _slow_record(2 * STREAM_BATCH + 5)
+    reg, rec = _slow_record(4 * STREAM_BATCH + 5)
     replay = reg._replay(rec)
     next(replay)
-    next(replay)
-    _until_started(_SlowBall.probe, 3)  # batch 2 runs on a worker
+    # the first replay runs two batches ahead: 1 and 2 run on the workers
+    _until_started(_SlowBall.probe, 3)
     replay.close()
     # the lookahead was awaited, not left running
     assert _SlowBall.probe.running == 0
     assert _settled(_SlowBall.probe) == 3
-    assert rec.stream_checkpoints is None
+    assert rec.fresh_masks is None
     assert reg.metrics()["stream_checkpoint_bytes"] == 0
     want = _batches(ref_replay(reg, rec))
     assert _batches(reg._replay(rec)) == want  # the first full replay
-    assert len(rec.stream_checkpoints) == 3
-    assert _batches(reg._replay(rec)) == want  # restored from checkpoints
+    assert len(rec.fresh_masks) == 5
+    assert _batches(reg._replay(rec)) == want  # with the saved masks
 
 
 def test_early_closed_checkpointed_replay_leaves_no_work():
@@ -308,8 +329,8 @@ def test_pooled_replays_match_rederived_stream(n_candidates):
     rec = _bare_record(reg, Ball(np.zeros(3), 1.0), n_candidates, (owner.rid,))
     want = _batches(ref_replay(reg, rec))
     assert len(want) == -(-n_candidates // STREAM_BATCH)
-    assert _batches(reg._replay(rec)) == want  # drawn in order
-    assert _batches(reg._replay(rec)) == want  # from checkpoints
+    assert _batches(reg._replay(rec)) == want  # filtered
+    assert _batches(reg._replay(rec)) == want  # with the saved masks
     if n_candidates:
         fresh = np.concatenate([np.frombuffer(f, dtype=bool) for *_, f in want])
         assert 0 < np.count_nonzero(fresh) < n_candidates
@@ -321,7 +342,7 @@ def test_interleaved_pooled_replays_do_not_disturb_each_other():
     b = _bare_record(reg, Cell(np.zeros(2), 0.5, np.zeros(1), 1.0), 2 * STREAM_BATCH + 9)
     want_a = _batches(ref_replay(reg, a))
     want_b = _batches(ref_replay(reg, b))
-    list(reg._replay(a))  # a is checkpointed, b is not yet
+    list(reg._replay(a))  # a has saved masks, b not yet
     replays = [reg._replay(a), reg._replay(b), reg._replay(a), reg._replay(b)]
     got = [[] for _ in replays]
     for _ in range(len(want_a)):  # one round past b's last batch
@@ -331,7 +352,7 @@ def test_interleaved_pooled_replays_do_not_disturb_each_other():
                 out.append(batch)
     assert _batches(got[0]) == _batches(got[2]) == want_a
     assert _batches(got[1]) == _batches(got[3]) == want_b
-    assert len(b.stream_checkpoints) == len(want_b)
+    assert len(b.fresh_masks) == len(want_b)
     workers = [t for t in threading.enumerate() if t.name.startswith("stream-replay")]
     assert len(workers) == poisson.REPLAY_WORKERS == 2
 
@@ -467,7 +488,7 @@ def test_checkpoint_bytes_metric():
     for rec in reg.records:
         for start in range(0, rec.n_candidates, STREAM_BATCH):
             k = min(STREAM_BATCH, rec.n_candidates - start)
-            want += (k + 7) // 8 + PHILOX_STATE_BYTES
+            want += (k + 7) // 8  # the packed fresh mask
     assert reg.metrics()["stream_checkpoint_bytes"] == want
     assert RegionRegistry(3, 1.0, 0).metrics()["stream_checkpoint_bytes"] == 0
 
