@@ -108,14 +108,14 @@ def _draw_batch(region: Region, key: np.ndarray, b: int, out: np.ndarray) -> np.
     rng = getattr(_THREAD_RNG, "rng", None)
     if rng is None:
         rng = _THREAD_RNG.rng = np.random.Generator(np.random.Philox(0))
-    rng.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": np.array([0, 0, b, 0], dtype=np.uint64), "key": key},
-        "buffer": np.zeros(4, dtype=np.uint64),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+        # a fresh state (counter 0, empty buffer) that each batch edits:
+        # setting it copies the values, and reusing it costs no more than
+        # restoring a saved state did
+        _THREAD_RNG.state = rng.bit_generator.state
+    state = _THREAD_RNG.state
+    state["state"]["key"] = key
+    state["state"]["counter"][2] = b
+    rng.bit_generator.state = state
     return region.sample(out.shape[0], rng, out=out)
 
 
