@@ -21,13 +21,9 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .geometry import (
     EPS,
     RADIUS_MAX,
-    Region,
-    exact_volume,
     log_unit_ball_volume,
     step_volume_lower_bound,
     unit_ball_volume,
@@ -167,155 +163,6 @@ def isolated_bound(lam: float, d: int, r: float, vol_S: float) -> float:
     if vol_S < 0:
         raise ValueError(f"volume must be >= 0, got {vol_S}")
     return math.exp(-lam * unit_ball_volume(d) * r**d) - math.exp(-lam * vol_S)
-
-
-@dataclass(frozen=True)
-class IsolationCheck:
-    empirical: float
-    std_error: float
-    reference: float
-    trials_used: int
-    passed: bool
-
-
-def _bounding_box(regions, pad: float):
-    dims = {reg.dim for reg in regions}
-    if len(dims) != 1:
-        raise ValueError(f"mixed dimensions: {dims}")
-    d = dims.pop()
-    lo = np.full(d, np.inf)
-    hi = np.full(d, -np.inf)
-    for reg in regions:
-        b = reg.bounding_ball()
-        lo = np.minimum(lo, b.center - b.radius - pad)
-        hi = np.maximum(hi, b.center + b.radius + pad)
-    return lo, hi
-
-
-def _isolation_trials(
-    region: Region,
-    lam: float,
-    r: float,
-    trials: int,
-    seed: int,
-    condition_empty: Optional[Region] = None,
-):
-    """Brute-force isolation experiment.
-
-    Each trial realizes a Poisson(lam) process on a box covering the
-    r-inflated region (and the conditioning region if given), picks a
-    uniform point of the process inside ``region`` when one exists, and
-    records whether no other point lies within distance r.  Returns
-    (success_indicators, kept_mask) as arrays over trials, where kept is
-    False for trials rejected by the conditioning.
-    """
-    if trials < 1:
-        raise ValueError(f"need trials >= 1, got {trials}")
-    extra = [condition_empty] if condition_empty is not None else []
-    lo, hi = _bounding_box([region, *extra], pad=r)
-    box_vol = float(np.prod(hi - lo))
-    d = lo.shape[0]
-    rng = np.random.Generator(np.random.Philox(seed))
-
-    success = np.zeros(trials, dtype=bool)
-    kept = np.ones(trials, dtype=bool)
-    done = 0
-    while done < trials:
-        t = min(4096, trials - done)
-        counts = rng.poisson(lam * box_vol, size=t)
-        total = int(counts.sum())
-        pts = lo + rng.random((total, d)) * (hi - lo)
-        keys = rng.random(total)
-        offsets = np.zeros(t + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-
-        member = region.contains(pts) if total else np.zeros(0, dtype=bool)
-        if condition_empty is not None:
-            in_z = condition_empty.contains(pts) if total else np.zeros(0, dtype=bool)
-            zc = np.concatenate([[0], np.cumsum(in_z)])
-            kept[done : done + t] = (zc[offsets[1:]] - zc[offsets[:-1]]) == 0
-
-        # Uniform member pick per trial: max random key among members.
-        masked = np.where(member, keys, -1.0)
-        pick_idx = np.full(t, -1, dtype=np.int64)
-        # Segment argmax via a short python loop over trials in this chunk;
-        # counts are small so this stays cheap.
-        for i in range(t):
-            a, b = offsets[i], offsets[i + 1]
-            if a == b:
-                continue
-            j = a + int(np.argmax(masked[a:b]))
-            if masked[j] >= 0.0:
-                pick_idx[i] = j
-        for i in range(t):
-            j = pick_idx[i]
-            if j < 0:
-                continue
-            a, b = offsets[i], offsets[i + 1]
-            dist2 = np.sum((pts[a:b] - pts[j]) ** 2, axis=1)
-            dist2[j - a] = np.inf  # the picked point itself
-            success[done + i] = not np.any(dist2 <= r * r)
-        done += t
-    return success, kept
-
-
-def mc_isolated_check(
-    region: Region,
-    lam: float,
-    r: float,
-    trials: int,
-    seed: int,
-) -> IsolationCheck:
-    """Empirical P(pick exists and is r-isolated) against the analytic
-    lower bound at the region's exact volume; passes when
-    empirical >= bound - 4 * std_error."""
-    vol = exact_volume(region)
-    if vol is None:
-        raise ValueError("region needs an exact volume for the analytic bound")
-    success, _ = _isolation_trials(region, lam, r, trials, seed)
-    p = float(np.mean(success))
-    se = math.sqrt(p * (1.0 - p) / trials)
-    bound = isolated_bound(lam, region.dim, r, vol)
-    return IsolationCheck(
-        empirical=p,
-        std_error=se,
-        reference=bound,
-        trials_used=trials,
-        passed=p >= bound - 4.0 * se,
-    )
-
-
-def mc_conditional_isolated_check(
-    region: Region,
-    condition_empty: Region,
-    lam: float,
-    r: float,
-    trials: int,
-    seed: int,
-) -> IsolationCheck:
-    """Conditioning on a disjoint region being empty cannot hurt isolation:
-    empirical conditional success must be >= the unconditional rate minus
-    4 combined standard errors.  Conditioning is by rejection; when it
-    rejects every trial there is nothing to compare, a ValueError."""
-    success_u, _ = _isolation_trials(region, lam, r, trials, seed)
-    success_c, kept = _isolation_trials(
-        region, lam, r, trials, seed + 1, condition_empty=condition_empty
-    )
-    if not np.any(kept):
-        raise ValueError(f"no trial of {trials} survived the conditioning")
-    p_u = float(np.mean(success_u))
-    p_c = float(np.mean(success_c[kept]))
-    n_c = int(np.count_nonzero(kept))
-    se = math.sqrt(
-        p_u * (1.0 - p_u) / trials + p_c * (1.0 - p_c) / max(n_c, 1)
-    )
-    return IsolationCheck(
-        empirical=p_c,
-        std_error=se,
-        reference=p_u,
-        trials_used=n_c,
-        passed=p_c >= p_u - 4.0 * se,
-    )
 
 
 def scan_dimensions(

@@ -1,0 +1,333 @@
+"""Seeded Monte Carlo checks of the facts the percolation argument rests on,
+one function per check.
+
+The step region keeps volume at least A (``step_regions``; the slab
+sections of ``slab_sections`` check the bracket it is built from), and a
+picked center is isolated with probability at least
+exp(-lam B) - exp(-lam vol) (``isolation_pair``).  Each function builds
+its regions, derives its seeds from one seed, runs the Monte Carlo and
+returns result rows ``{"name", "passed", ...}``.  ``hardspheres verify``
+emits these rows, and acceptance criteria 3-5 assert that every row
+passed.  A check whose budget is too small to decide anything raises
+TooFewSamples instead of failing.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Optional
+
+import numpy as np
+
+from . import geometry
+from .bounds import isolated_bound
+from .geometry import (
+    DELTA,
+    EPS,
+    MU,
+    RADIUS_MAX,
+    Annulus,
+    Ball,
+    Cell,
+    Intersection,
+    Region,
+    cylinder_section_bracket,
+    exact_volume,
+    mc_region_volume,
+    shell_radii,
+    step_layer_radii,
+    step_volume_bracket,
+    step_volume_lower_bound,
+)
+from .poisson import TooFewSamples, sampler_consistency_check
+from .rngutil import derive_seed
+
+STEP_RADII = (0.65, 0.75, 0.85)  # parent radii across [RADIUS_MIN, RADIUS_MAX]
+# The volume checks draw batches of 2^18 points, 2 MiB per dimension, so
+# d = 64 holds 128 MiB per batch.  Below d = 3 a cell has no layer ball to
+# cut.
+GEOMETRY_DIMS = (3, 64)
+# Each isolation trial realizes the process on a box of volume 6 * 3^(d-1)
+# at lam = 1, in chunks of 4096 trials: about 96 MB of coordinates at
+# d = 5, where a 100,000-trial run peaks near 400 MB, and 3.4 times that
+# at d = 6.
+MAX_ISOLATION_DIM = 5
+# Fewer conditioned trials than this give a rate of a handful of 0/1
+# outcomes, which the 4-sigma comparison cannot judge.
+MIN_CONDITIONED_TRIALS = 100
+
+
+def searched_C(d: int, seed: int) -> float:
+    """The overlap constant C of a run in dimension d at program seed
+    ``seed``: the searched layer radius of the (d-2)-ball cells."""
+    r_max = step_layer_radii(RADIUS_MAX)[2]
+    return float(
+        geometry.search_overlap_constant(d - 2, r_max, seed=derive_seed(seed, 5))
+    )
+
+
+def _bracket_row(name: str, est, lo: float, hi: float) -> dict:
+    se = est.std_error
+    return {
+        "name": name,
+        "passed": bool(lo - 4.0 * se <= est.value <= hi + 4.0 * se),
+        "estimate": est.value,
+        "bracket": [lo, hi],
+        "std_error": se,
+    }
+
+
+def cell_volume(d: int, n: int, seed: int) -> list:
+    """Hit rate of a cell inside its bounding ball against the closed-form
+    cell volume, within 4 standard errors."""
+    cell = Cell((0.0, 0.0), EPS, np.zeros(d - 2), 2.0)
+    est = mc_region_volume(cell, cell.bounding_ball(), n, derive_seed(seed, 21))
+    err = abs(est.value - cell.volume())
+    return [
+        {
+            "name": f"cell-volume-d{d}",
+            "passed": bool(err <= 4.0 * est.std_error + 1e-30),
+            "estimate": est.value,
+            "expected": cell.volume(),
+            "std_error": est.std_error,
+        }
+    ]
+
+
+def slab_sections(d: int, n: int, seed: int) -> list:
+    """Volume of a ball of radius R cut by the thin cell slab at planar
+    distance 1, inside ``cylinder_section_bracket`` +- 4 sigma, for each R
+    in 1.3, 1.5 and 1.7 (criterion 4)."""
+    rows = []
+    for R in (1.3, 1.5, 1.7):
+        region = Intersection(
+            (Cell((1.0, 0.0), EPS, np.zeros(d - 2), 4.0), Ball(np.zeros(d), R))
+        )
+        bounding = Cell((1.0, 0.0), EPS, np.zeros(d - 2), shell_radii(R)[1])
+        est = mc_region_volume(region, bounding, n, derive_seed(seed, d, int(R * 10)))
+        rows.append(
+            _bracket_row(f"slab-section-d{d}-R{R}", est, *cylinder_section_bracket(d, R))
+        )
+    return rows
+
+
+def step_regions(d: int, n: int, seed: int) -> list:
+    """Step-region volume for the worst admissible parent (an adjacent
+    vertex whose layer offset sits at the rim of a cell of the searched
+    C), for each parent radius in STEP_RADII: inside
+    ``step_volume_bracket`` +- 4 sigma and, for d >= 11, at least the
+    ``step_volume_lower_bound`` floor - 4 sigma (criterion 3)."""
+    C = searched_C(d, seed)
+    parent = np.zeros(d)
+    parent[0] = -1.0
+    parent[2] = C
+    cell = Cell((0.0, 0.0), EPS, np.zeros(d - 2), C)
+    floor = step_volume_lower_bound(d) if d >= 11 else None
+    rows = []
+    for r in STEP_RADII:
+        region = Intersection((cell, Annulus(parent, r + MU - DELTA, r + MU + DELTA)))
+        bounding = Cell((0.0, 0.0), EPS, parent[2:], step_layer_radii(r)[2])
+        est = mc_region_volume(region, bounding, n, derive_seed(seed, int(r * 100)))
+        row = _bracket_row(f"step-region-d{d}-r{r}", est, *step_volume_bracket(d, r))
+        row["cells_C"] = C
+        if floor is not None:
+            row["floor"] = floor
+            row["passed"] = row["passed"] and bool(
+                est.value >= floor - 4.0 * est.std_error
+            )
+        rows.append(row)
+    return rows
+
+
+def geometry_suite(d: int, n: int, seed: int) -> list:
+    """Cell volume, slab sections and step regions in dimension d, n
+    samples each; d must lie in GEOMETRY_DIMS."""
+    lo, hi = GEOMETRY_DIMS
+    if not lo <= d <= hi:
+        raise ValueError(
+            f"the geometry checks need {lo} <= dim <= {hi} "
+            f"(a batch of 2^18 points holds 2 MiB per dimension), got {d}"
+        )
+    return cell_volume(d, n, seed) + slab_sections(d, n, seed) + step_regions(d, n, seed)
+
+
+@dataclass(frozen=True)
+class IsolationCheck:
+    empirical: float
+    std_error: float
+    reference: float
+    trials_used: int
+    passed: bool
+
+
+def _bounding_box(regions, pad: float):
+    dims = {reg.dim for reg in regions}
+    if len(dims) != 1:
+        raise ValueError(f"mixed dimensions: {dims}")
+    d = dims.pop()
+    lo = np.full(d, np.inf)
+    hi = np.full(d, -np.inf)
+    for reg in regions:
+        b = reg.bounding_ball()
+        lo = np.minimum(lo, b.center - b.radius - pad)
+        hi = np.maximum(hi, b.center + b.radius + pad)
+    return lo, hi
+
+
+def _isolation_trials(
+    region: Region,
+    lam: float,
+    r: float,
+    trials: int,
+    seed: int,
+    condition_empty: Optional[Region] = None,
+):
+    """Brute-force isolation experiment.
+
+    Each trial realizes a Poisson(lam) process on a box covering the
+    r-inflated region (and the conditioning region if given), picks a
+    uniform point of the process inside ``region`` when one exists, and
+    records whether no other point lies within distance r.  Returns
+    (success_indicators, kept_mask) as arrays over trials, where kept is
+    False for trials rejected by the conditioning.
+    """
+    if trials < 1:
+        raise ValueError(f"need trials >= 1, got {trials}")
+    extra = [condition_empty] if condition_empty is not None else []
+    lo, hi = _bounding_box([region, *extra], pad=r)
+    box_vol = float(np.prod(hi - lo))
+    d = lo.shape[0]
+    rng = np.random.Generator(np.random.Philox(seed))
+
+    success = np.zeros(trials, dtype=bool)
+    kept = np.ones(trials, dtype=bool)
+    done = 0
+    while done < trials:
+        t = min(4096, trials - done)
+        counts = rng.poisson(lam * box_vol, size=t)
+        total = int(counts.sum())
+        pts = lo + rng.random((total, d)) * (hi - lo)
+        keys = rng.random(total)
+        offsets = np.zeros(t + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+
+        member = region.contains(pts) if total else np.zeros(0, dtype=bool)
+        if condition_empty is not None:
+            in_z = condition_empty.contains(pts) if total else np.zeros(0, dtype=bool)
+            zc = np.concatenate([[0], np.cumsum(in_z)])
+            kept[done : done + t] = (zc[offsets[1:]] - zc[offsets[:-1]]) == 0
+
+        # Uniform member pick per trial: max random key among members, by a
+        # short python loop over the trials of this chunk; counts are small
+        # so this stays cheap.
+        masked = np.where(member, keys, -1.0)
+        for i in range(t):
+            a, b = offsets[i], offsets[i + 1]
+            if a == b:
+                continue
+            j = a + int(np.argmax(masked[a:b]))
+            if masked[j] < 0.0:
+                continue
+            dist2 = np.sum((pts[a:b] - pts[j]) ** 2, axis=1)
+            dist2[j - a] = np.inf  # the picked point itself
+            success[done + i] = not np.any(dist2 <= r * r)
+        done += t
+    return success, kept
+
+
+def mc_isolated_check(
+    region: Region,
+    lam: float,
+    r: float,
+    trials: int,
+    seed: int,
+) -> IsolationCheck:
+    """Empirical P(pick exists and is r-isolated) against the analytic
+    lower bound at the region's exact volume; passes when
+    empirical >= bound - 4 * std_error."""
+    vol = exact_volume(region)
+    if vol is None:
+        raise ValueError("region needs an exact volume for the analytic bound")
+    success, _ = _isolation_trials(region, lam, r, trials, seed)
+    p = float(np.mean(success))
+    se = math.sqrt(p * (1.0 - p) / trials)
+    bound = isolated_bound(lam, region.dim, r, vol)
+    return IsolationCheck(
+        empirical=p,
+        std_error=se,
+        reference=bound,
+        trials_used=trials,
+        passed=p >= bound - 4.0 * se,
+    )
+
+
+def mc_conditional_isolated_check(
+    region: Region,
+    condition_empty: Region,
+    lam: float,
+    r: float,
+    trials: int,
+    seed: int,
+) -> IsolationCheck:
+    """Conditioning on a disjoint region being empty cannot hurt isolation:
+    empirical conditional success must be >= the unconditional rate minus
+    4 combined standard errors.  Conditioning is by rejection; when fewer
+    than MIN_CONDITIONED_TRIALS trials survive it, TooFewSamples."""
+    success_u, _ = _isolation_trials(region, lam, r, trials, seed)
+    success_c, kept = _isolation_trials(
+        region, lam, r, trials, seed + 1, condition_empty=condition_empty
+    )
+    n_c = int(np.count_nonzero(kept))
+    if n_c < MIN_CONDITIONED_TRIALS:
+        raise TooFewSamples(
+            f"{n_c} of {trials} trials survived the conditioning, fewer than "
+            f"the {MIN_CONDITIONED_TRIALS} the check needs"
+        )
+    p_u = float(np.mean(success_u))
+    p_c = float(np.mean(success_c[kept]))
+    se = math.sqrt(p_u * (1.0 - p_u) / trials + p_c * (1.0 - p_c) / n_c)
+    return IsolationCheck(
+        empirical=p_c,
+        std_error=se,
+        reference=p_u,
+        trials_used=n_c,
+        passed=p_c >= p_u - 4.0 * se,
+    )
+
+
+def isolation_pair(d: int, trials: int, seed: int, tags=(31, 32)) -> list:
+    """Isolation of a pick in the unit ball at lam = 1, r = 0.5: the
+    unconditioned rate against ``isolated_bound``, and the rate conditioned
+    on an empty unit ball at distance 3 against the unconditioned one
+    (criterion 5).  The two checks draw from derive_seed(seed, tag) for
+    each tag; d must lie in [1, MAX_ISOLATION_DIM]."""
+    if not 1 <= d <= MAX_ISOLATION_DIM:
+        raise ValueError(
+            f"the isolation check needs 1 <= dim <= {MAX_ISOLATION_DIM} "
+            f"(a trial realizes 6 * 3^(dim-1) points on average), got {d}"
+        )
+    region = Ball(np.zeros(d), 1.0)
+    away = np.zeros(d)
+    away[0] = 3.0
+    iso = mc_isolated_check(region, 1.0, 0.5, trials, derive_seed(seed, tags[0]))
+    cond = mc_conditional_isolated_check(
+        region, Ball(away, 1.0), 1.0, 0.5, trials, derive_seed(seed, tags[1])
+    )
+    return [
+        {
+            "name": f"{name}-d{d}",
+            "passed": chk.passed,
+            "empirical": chk.empirical,
+            "reference": chk.reference,
+            "std_error": chk.std_error,
+        }
+        for name, chk in (("isolated-bound", iso), ("conditional-isolation", cond))
+    ]
+
+
+def sampler_consistency(d: int, n_seeds: int, seed: int) -> list:
+    """The lazy-vs-oracle chi-squared battery at lam = 3."""
+    result = sampler_consistency_check(d, 3.0, n_seeds=n_seeds, seed=seed)
+    keys = ("passed", "min_p_value", "worst_projection", "n_tests", "n_seeds")
+    return [{"name": f"lazy-vs-oracle-chi2-d{d}", **{k: result[k] for k in keys}}]

@@ -27,19 +27,17 @@ import time
 
 import numpy as np
 
-from . import __version__, bounds, geometry
+from . import __version__, bounds, checks
 from .construction import (
     ConstructionError,
     ConstructionParams,
-    assemble_gamma,
     cluster_components,
-    run_layer,
     run_multilayer,
     verify_hard_sphere,
 )
 from .percolation2d import estimate_theta
-from .poisson import RegistryError, TooFewSeeds, sampler_consistency_check
-from .rngutil import RNG_ALGORITHM, derive_seed
+from .poisson import RegistryError, TooFewSamples
+from .rngutil import RNG_ALGORITHM
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -205,12 +203,10 @@ def _resolve_C(spec: str, d: int, seed: int) -> float:
         if not 0 < C < math.inf:
             raise UsageError(f"cells-C must be finite and > 0, got {C}")
         return C
-    r_max = geometry.step_layer_radii(geometry.RADIUS_MAX)[2]
     try:
-        C = geometry.search_overlap_constant(d - 2, r_max, seed=derive_seed(seed, 5))
+        return checks.searched_C(d, seed)
     except RuntimeError as exc:
         raise UsageError(f"{exc}; pass --cells-C explicitly") from exc
-    return float(C)
 
 
 def _sphere_lines(gamma):
@@ -362,132 +358,13 @@ def cmd_perc2d(args) -> int:
 # -- verify -------------------------------------------------------------
 
 
-def _verify_geometry(budget: int, seed: int, d: int):
-    checks = []
-    rng_seed = derive_seed(seed, 21)
-    # Cell volume: MC hit rate inside bounding ball vs the closed form.
-    cell = geometry.Cell((0.0, 0.0), 0.01, np.zeros(d - 2), 2.0)
-    est = geometry.mc_region_volume(cell, cell.bounding_ball(), budget, rng_seed)
-    err = abs(est.value - cell.volume())
-    checks.append(
-        {
-            "name": f"cell-volume-d{d}",
-            "passed": bool(err <= 4.0 * est.std_error + 1e-30),
-            "estimate": est.value,
-            "expected": cell.volume(),
-            "std_error": est.std_error,
-        }
-    )
-    # Thin-slab ball sections and step regions: MC volume within brackets.
-    for R in (1.3, 1.5, 1.7):
-        lo, hi = geometry.cylinder_section_bracket(d, R)
-        region = geometry.Intersection(
-            (
-                geometry.Cell((1.0, 0.0), 0.01, np.zeros(d - 2), 4.0),
-                geometry.Ball(np.zeros(d), R),
-            )
-        )
-        bounding = geometry.Cell(
-            (1.0, 0.0), 0.01, np.zeros(d - 2), geometry.shell_radii(R)[1]
-        )
-        est = geometry.mc_region_volume(
-            region, bounding, budget, derive_seed(seed, 22, int(R * 10))
-        )
-        checks.append(
-            {
-                "name": f"slab-section-d{d}-R{R}",
-                "passed": bool(
-                    lo - 4.0 * est.std_error <= est.value <= hi + 4.0 * est.std_error
-                ),
-                "estimate": est.value,
-                "bracket": [lo, hi],
-                "std_error": est.std_error,
-            }
-        )
-    for r in (0.65, 0.75, 0.85):
-        lo, hi = geometry.step_volume_bracket(d, r)
-        parent = np.zeros(d)
-        parent[0] = -1.0
-        region = geometry.Intersection(
-            (
-                geometry.Cell((0.0, 0.0), 0.01, np.zeros(d - 2), 8.0),
-                geometry.Annulus(
-                    parent, r + geometry.MU - geometry.DELTA, r + geometry.MU + geometry.DELTA
-                ),
-            )
-        )
-        bound_layer = geometry.step_layer_radii(r)[2]
-        bounding = geometry.Cell((0.0, 0.0), 0.01, np.zeros(d - 2), bound_layer)
-        est = geometry.mc_region_volume(
-            region, bounding, budget, derive_seed(seed, 23, int(r * 100))
-        )
-        checks.append(
-            {
-                "name": f"step-region-d{d}-r{r}",
-                "passed": bool(
-                    lo - 4.0 * est.std_error <= est.value <= hi + 4.0 * est.std_error
-                ),
-                "estimate": est.value,
-                "bracket": [lo, hi],
-                "std_error": est.std_error,
-            }
-        )
-    return checks
-
-
-def _verify_isolation(budget: int, seed: int, d: int):
-    region = geometry.Ball(np.zeros(d), 1.0)
-    away = np.zeros(d)
-    away[0] = 3.0
-    lam = 1.0
-    r = 0.5
-    iso = bounds.mc_isolated_check(
-        region, lam, r, trials=budget, seed=derive_seed(seed, 31)
-    )
-    try:
-        cond = bounds.mc_conditional_isolated_check(
-            region,
-            geometry.Ball(away, 1.0),
-            lam,
-            r,
-            trials=budget,
-            seed=derive_seed(seed, 32),
-        )
-    except ValueError as exc:
-        raise UsageError(f"{exc}; raise --budget") from exc
-    return [
-        {
-            "name": f"isolated-bound-d{d}",
-            "passed": iso.passed,
-            "empirical": iso.empirical,
-            "reference": iso.reference,
-            "std_error": iso.std_error,
-        },
-        {
-            "name": f"conditional-isolation-d{d}",
-            "passed": cond.passed,
-            "empirical": cond.empirical,
-            "reference": cond.reference,
-            "std_error": cond.std_error,
-        },
-    ]
-
-
-def _verify_sampler(budget: int, seed: int, d: int, lam: float):
-    try:
-        result = sampler_consistency_check(d, lam, n_seeds=budget, seed=seed)
-    except TooFewSeeds as exc:
-        raise UsageError(f"{exc}; raise --budget") from exc
-    return [
-        {
-            "name": f"lazy-vs-oracle-chi2-d{d}",
-            "passed": result["passed"],
-            "min_p_value": result["min_p_value"],
-            "worst_projection": result["worst_projection"],
-            "n_tests": result["n_tests"],
-            "n_seeds": result["n_seeds"],
-        }
-    ]
+# suite -> (default dim, default budget, check); each check returns the
+# result rows the verify document lists.
+VERIFY_SUITES = {
+    "geometry": (11, 200_000, checks.geometry_suite),
+    "isolation": (2, 100_000, checks.isolation_pair),
+    "sampler": (2, 2_000, checks.sampler_consistency),
+}
 
 
 def cmd_verify(args) -> int:
@@ -497,24 +374,17 @@ def cmd_verify(args) -> int:
         raise UsageError(f"dim must be >= 1, got {args.dim}")
     if args.out:
         _check_writable(args.out)
-    if args.suite == "geometry":
-        d = args.dim if args.dim is not None else 11
-        budget = args.budget if args.budget is not None else 200_000
-        checks = _verify_geometry(budget, seed, d)
-    elif args.suite == "isolation":
-        d = args.dim if args.dim is not None else 2
-        budget = args.budget if args.budget is not None else 100_000
-        checks = _verify_isolation(budget, seed, d)
-    elif args.suite == "sampler":
-        d = args.dim if args.dim is not None else 2
-        budget = args.budget if args.budget is not None else 2_000
-        checks = _verify_sampler(budget, seed, d, lam=3.0)
-    else:  # argparse choices make this unreachable
-        raise UsageError(f"unknown suite {args.suite!r}")
+    default_dim, default_budget, check = VERIFY_SUITES[args.suite]
+    d = args.dim if args.dim is not None else default_dim
+    budget = args.budget if args.budget is not None else default_budget
+    try:
+        rows = check(d, budget, seed)
+    except TooFewSamples as exc:
+        raise UsageError(f"{exc}; raise --budget") from exc
     config = {"suite": args.suite, "budget": budget, "dim": d}
     man = _manifest("verify", config, seed, t0)
-    passed = all(c["passed"] for c in checks)
-    doc = {"manifest": man, "checks": checks, "passed": passed}
+    passed = all(c["passed"] for c in rows)
+    doc = {"manifest": man, "checks": rows, "passed": passed}
     _emit_json(doc, args.out)
     return EXIT_OK if passed else EXIT_STAT_FAIL
 
@@ -559,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_perc.set_defaults(func=cmd_perc2d)
 
     p_ver = sub.add_parser("verify", help="seeded Monte Carlo self-checks")
-    p_ver.add_argument("suite", choices=["geometry", "isolation", "sampler"])
+    p_ver.add_argument("suite", choices=list(VERIFY_SUITES))
     p_ver.add_argument("--budget", type=int, default=None)
     p_ver.add_argument("--dim", type=int, default=None)
     p_ver.add_argument("--seed", type=int, default=None)

@@ -738,8 +738,8 @@ _MIN_POOLED = 25
 MIN_CONSISTENCY_SEEDS = 400
 
 
-class TooFewSeeds(ValueError):
-    """The chi-squared battery has too few seeds to decide anything."""
+class TooFewSamples(ValueError):
+    """A Monte Carlo check has too few samples to decide anything."""
 
 
 def _chi2_two_sample(vals_a, vals_b):
@@ -779,10 +779,10 @@ def sampler_consistency_check(
     The battery covers every marginal count, the grand total, and the six
     most-overlapping query pairs, at familywise significance _ALPHA
     (Bonferroni).  Fewer than MIN_CONSISTENCY_SEEDS seeds, or a degenerate
-    projection (too few populated categories to test), is TooFewSeeds, not
+    projection (too few populated categories to test), is TooFewSamples, not
     a pass."""
     if n_seeds < MIN_CONSISTENCY_SEEDS:
-        raise TooFewSeeds(
+        raise TooFewSamples(
             f"the chi-squared table needs at least {MIN_CONSISTENCY_SEEDS} seeds, "
             f"got {n_seeds}"
         )
@@ -817,7 +817,7 @@ def sampler_consistency_check(
     for name, va, vb in tests:
         out = _chi2_two_sample(va, vb)
         if out is None:
-            raise TooFewSeeds(
+            raise TooFewSamples(
                 f"count law projection {name} is degenerate at {n_seeds} seeds"
             )
         stat, p, dof, ncat = out

@@ -16,15 +16,19 @@ from hardspheres.bounds import (
     isolated_bound,
     lambda_star,
     log_constants_AB,
-    mc_conditional_isolated_check,
-    mc_isolated_check,
     min_dimension,
     ratio_AB,
     ratio_closed_form,
     scan_dimensions,
     success_lower_bound,
 )
-from hardspheres.geometry import Ball, Cell, unit_ball_volume
+from hardspheres.checks import (
+    MIN_CONDITIONED_TRIALS,
+    mc_conditional_isolated_check,
+    mc_isolated_check,
+)
+from hardspheres.geometry import Ball, Cell, Intersection, unit_ball_volume
+from hardspheres.poisson import TooFewSamples
 
 
 def test_constants_AB_frozen_at_45():
@@ -180,8 +184,6 @@ def test_mc_conditional_isolated_check():
 
 
 def test_mc_isolated_check_requires_exact_volume():
-    from hardspheres.geometry import Intersection
-
     b = Ball(np.zeros(2), 1.0)
     with pytest.raises(ValueError):
         mc_isolated_check(Intersection((b, b)), lam=1.0, r=0.5, trials=100, seed=0)
@@ -200,5 +202,9 @@ def test_isolation_checks_need_a_trial():
 def test_conditioning_that_rejects_every_trial_is_refused():
     b = Ball(np.zeros(2), 1.0)
     never_empty = Ball(np.array([30.0, 0.0]), 20.0)
-    with pytest.raises(ValueError, match="^no trial of 5 survived the conditioning$"):
+    with pytest.raises(
+        TooFewSamples,
+        match=f"^0 of 5 trials survived the conditioning, fewer than the "
+        f"{MIN_CONDITIONED_TRIALS} the check needs$",
+    ):
         mc_conditional_isolated_check(b, never_empty, lam=1.0, r=0.5, trials=5, seed=0)

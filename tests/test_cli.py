@@ -2,10 +2,13 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from hardspheres import bounds, cli, construction, percolation2d, poisson
+from hardspheres import bounds, checks, cli, construction, geometry, percolation2d, poisson
 from hardspheres.cli import (
     EXIT_CANNOT_REALIZE,
     EXIT_OK,
@@ -213,7 +216,7 @@ def test_simulate_refuses_bad_parameters_before_any_work(monkeypatch, capsys, ar
     def no_work(*args, **kwargs):
         raise AssertionError("no overlap search or step may run")
 
-    monkeypatch.setattr(cli.geometry, "search_overlap_constant", no_work)
+    monkeypatch.setattr(geometry, "search_overlap_constant", no_work)
     monkeypatch.setattr(cli, "run_multilayer", no_work)
     assert main(["simulate"] + argv + ["--max-steps", "1"]) == EXIT_USAGE
     assert capsys.readouterr().err == f"error: {message}\n"
@@ -238,7 +241,7 @@ def test_simulate_overlap_search_failure_is_usage_error(monkeypatch, capsys):
     def no_constant(*args, **kwargs):
         raise RuntimeError("no power-of-two overlap constant up to 2^12 passed")
 
-    monkeypatch.setattr(cli.geometry, "search_overlap_constant", no_constant)
+    monkeypatch.setattr(geometry, "search_overlap_constant", no_constant)
     assert main(["simulate", "--dim", "5", "--lambda", "5.0"]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error: no power-of-two")
@@ -257,7 +260,7 @@ def _no_work(*args, **kwargs):
         (["bounds-scan"], (bounds, "scan_dimensions"), "r"),
         (["bounds-scan", "--format", "csv"], (bounds, "scan_dimensions"), "r"),
         (["perc2d", "--p", "0.7"], (cli, "estimate_theta"), "r"),
-        (["verify", "sampler"], (cli, "sampler_consistency_check"), "r"),
+        (["verify", "sampler"], (checks, "sampler_consistency_check"), "r"),
     ],
 )
 def test_unwritable_output_fails_before_any_work(
@@ -331,10 +334,24 @@ def test_verify_geometry(tmp_path):
     assert any(n.startswith("step-region") for n in names)
 
 
+@pytest.mark.parametrize("dim", ["1", "2", "65"])
+def test_verify_geometry_refuses_a_dimension_outside_its_range(monkeypatch, capsys, dim):
+    monkeypatch.setattr(checks, "mc_region_volume", _no_work)
+    assert main(["verify", "geometry", "--dim", dim]) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "error: the geometry checks need 3 <= dim <= 64 (a batch of 2^18 points "
+        f"holds 2 MiB per dimension), got {dim}\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [(["--budget", "0"], "error: need trials >= 1, got 0\n"),
-     (["--dim", "0"], "error: dim must be >= 1, got 0\n")],
+     (["--dim", "0"], "error: dim must be >= 1, got 0\n"),
+     # one trial at d = 12 realizes about a million points
+     (["--dim", "12", "--budget", "1"],
+      "error: the isolation check needs 1 <= dim <= 5 (a trial realizes "
+      "6 * 3^(dim-1) points on average), got 12\n")],
 )
 def test_verify_isolation_bad_input_is_usage_error(capsys, argv, message):
     assert main(["verify", "isolation", *argv]) == EXIT_USAGE
@@ -342,10 +359,14 @@ def test_verify_isolation_bad_input_is_usage_error(capsys, argv, message):
 
 
 def test_verify_isolation_refuses_a_budget_the_conditioning_rejects(capsys):
-    assert main(["verify", "isolation", "--budget", "5", "--seed", "0"]) == EXIT_USAGE
-    assert capsys.readouterr().err == (
-        "error: no trial of 5 survived the conditioning; raise --budget\n"
-    )
+    # about 1 trial in 23 survives the empty-ball conditioning (e^-pi)
+    for budget, kept in ((5, 0), (20, 3)):
+        argv = ["verify", "isolation", "--budget", str(budget), "--seed", "0"]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: {kept} of {budget} trials survived the conditioning, fewer "
+            f"than the {checks.MIN_CONDITIONED_TRIALS} the check needs; raise --budget\n"
+        )
 
 
 def test_verify_sampler_small_budget(tmp_path):
@@ -389,6 +410,16 @@ def test_seed_env_var(tmp_path, monkeypatch):
                  "--seed", "5", "--out", str(out)])
     assert code == EXIT_OK
     assert read_json(out)["manifest"]["seed"] == 5
+
+
+def test_importing_the_cli_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about 0.6 s to import; only the chi-squared battery
+    # needs it, so it must not land in every command's start-up.
+    code = "import sys, hardspheres.cli; print('scipy.stats' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, timeout=60, check=True)
+    assert out.stdout == "False\n"
 
 
 def test_version_and_missing_command():
