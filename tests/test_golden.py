@@ -10,7 +10,7 @@ that a small d = 3 registry returns from overlapping streamed records,
 where every later query is answered by replaying earlier streams.  The
 planar side is pinned too: the ``perc2d`` theta block, a coupled theta
 estimate at three densities, and the positions, kinds and neighbor tuples
-of ``build_lattice`` at six radii (vertex ids fix ``simulate``'s exploration
+of ``build_lattice`` at seven radii (vertex ids fix ``simulate``'s exploration
 order).  The ``verify sampler`` checks pin the lazy-vs-oracle battery, whose
 streams are all single-batch.  A change that alters these bytes on purpose must re-pin them and
 say why in CHANGES.md.
@@ -223,6 +223,12 @@ LATTICE_DIGESTS = {
           "934c45e2c7fb84517d06f5e1416898c3242aae370598c4a0192d195fa3b175a8",
           "e04d6244b9cd064b5cdc0d6a122c0d075cdad2265c84b10f93bbabcf257732a3",
           "d01eeb2a1f8c345a33ecf25d346054612912a6e0eb36316d693728a78af0f835"),
+    # MAX_WINDOW_RADIUS: the only pinned radius where rounding the distance
+    # to 9 decimals decides vertex ids (a distance near 313.6941185295).
+    400: (241828,
+          "dd827c6a778166fd1d8338456c3787bce20037020a283247a4d7387c27f96ce4",
+          "fdd032460c3a2b801fab71fe81444cc2f003bd70233f4f0711e7229fddd7a030",
+          "a04b24ffcec0ea96770ddb527633e517f1e025483b03921fde77fe6c18d95768"),
 }
 
 
