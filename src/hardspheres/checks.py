@@ -49,9 +49,10 @@ STEP_RADII = (0.65, 0.75, 0.85)  # parent radii across [RADIUS_MIN, RADIUS_MAX]
 # cut.
 GEOMETRY_DIMS = (3, 64)
 # Each isolation trial realizes the process on a box of volume 6 * 3^(d-1)
-# at lam = 1, in chunks of 4096 trials: about 96 MB of coordinates at
-# d = 5, where a 100,000-trial run peaks near 400 MB, and 3.4 times that
-# at d = 6.
+# at lam = 1, in chunks of 4096 trials: about 80 MB of coordinates at
+# d = 5, and three times that at d = 6.  A chunk peaks at 1.8 times its
+# coordinates (tracemalloc at d = 3), and a 100,000-trial run at d = 5 at
+# 265 MB RSS, interpreter included.
 MAX_ISOLATION_DIM = 5
 # Fewer conditioned trials than this give a rate of a handful of 0/1
 # outcomes, which the 4-sigma comparison cannot judge.
@@ -207,27 +208,29 @@ def _isolation_trials(
         t = min(4096, trials - done)
         counts = rng.poisson(lam * box_vol, size=t)
         total = int(counts.sum())
-        pts = lo + rng.random((total, d)) * (hi - lo)
+        pts = rng.random((total, d))
+        pts *= hi - lo
+        pts += lo
         keys = rng.random(total)
         offsets = np.zeros(t + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
 
-        member = region.contains(pts) if total else np.zeros(0, dtype=bool)
-        if condition_empty is not None:
-            in_z = condition_empty.contains(pts) if total else np.zeros(0, dtype=bool)
-            zc = np.concatenate([[0], np.cumsum(in_z)])
-            kept[done : done + t] = (zc[offsets[1:]] - zc[offsets[:-1]]) == 0
+        if condition_empty is not None and total:
+            # A trial is rejected when one of its points lies in the zone.
+            in_z = np.flatnonzero(condition_empty.contains(pts))
+            kept[done + np.searchsorted(offsets, in_z, side="right") - 1] = False
 
-        # Uniform member pick per trial: max random key among members, by a
-        # short python loop over the trials of this chunk; counts are small
-        # so this stays cheap.
-        masked = np.where(member, keys, -1.0)
+        # Uniform member pick per trial: max random key among members (a
+        # non-member's key becomes -1), by a short python loop over the
+        # trials of this chunk; counts are small so this stays cheap.
+        if total:
+            keys[~region.contains(pts)] = -1.0
         for i in range(t):
             a, b = offsets[i], offsets[i + 1]
             if a == b:
                 continue
-            j = a + int(np.argmax(masked[a:b]))
-            if masked[j] < 0.0:
+            j = a + int(np.argmax(keys[a:b]))
+            if keys[j] < 0.0:
                 continue
             dist2 = np.sum((pts[a:b] - pts[j]) ** 2, axis=1)
             dist2[j - a] = np.inf  # the picked point itself

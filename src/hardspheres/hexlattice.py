@@ -9,10 +9,17 @@ are never closer than sqrt(3) (attained by two bonds of a common site),
 which is what the planar separation 2 * (MU + DELTA + EPS) = 1.72 of the
 sphere construction is measured against.
 
-Vertex ids are assigned along the canonical exploration order: distance
-from the origin (rounded to 1e-9), then angle in [0, 2 pi), then sites
-before bonds.  "First unexplored vertex in order" is then just the lowest
-id.
+Vertex ids are assigned along the canonical exploration order that
+``vertex_sort_key`` defines: distance from the origin (rounded to 1e-9),
+then angle in [0, 2 pi), then sites before bonds.  "First unexplored vertex
+in order" is then just the lowest id.  ``build_lattice`` computes that
+order in numpy from each vertex's exact integer key (a, b), the point
+(sqrt(3) a / 2, b / 2): q = 3 a^2 + b^2 = 4 |x|^2 orders the distances
+exactly.  The rounding rule is kept: where a distance lies within float
+error of a 9-decimal rounding midpoint, the float distances of vertices at
+it can round apart, and those vertices are ordered by their rounded
+distance before their angle.  Within radius 400 that happens at one
+distance, 313.6941185295.
 """
 
 from __future__ import annotations
@@ -21,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 KIND_SITE = 0
 KIND_BOND = 1
@@ -39,6 +45,14 @@ SITE_DEGREE = 3
 BOND_DEGREE = 2
 MIN_NONADJACENT_DISTANCE = SQRT3
 
+# A float coordinate of a vertex at distance D from the origin, and
+# math.hypot of it, are off by less than 6e-16 D + 6e-16: SQRT3 * u and the
+# offset add three roundings, hypot one ulp (measured: below 2.9e-16 D on
+# the outermost candidates at radius 400).  Decisions within
+# _FLOAT_BAND * D of a threshold, five times that bound for D >= 0.5, are
+# made with the per-vertex expressions.
+_FLOAT_BAND = 1e-14
+
 
 def vertex_sort_key(position, kind: int) -> tuple:
     """Canonical well-ordering key: (rounded distance, rounded angle, kind)."""
@@ -48,6 +62,34 @@ def vertex_sort_key(position, kind: int) -> tuple:
     if angle < 0.0:
         angle += 2.0 * math.pi
     return (dist, round(angle, 9), kind)
+
+
+def _canonical_order(x, y, a, b) -> np.ndarray:
+    """Indices that sort the vertices (x, y) ~ (SQRT3 * a / 2, b / 2) by
+    ``vertex_sort_key``, from numpy keys.
+
+    q = 3 a^2 + b^2 = 4 |x|^2 is exact, and distinct q lie more than
+    1 / (8 |x|) apart in distance, far more than the 1e-9 rounding step, so
+    q orders the rounded distances.  Vertices of one q share their rounded
+    distance unless D = sqrt(q) / 2 lies within _FLOAT_BAND * D of a
+    rounding midpoint; only those get the rounded distance itself as a
+    second key.
+    Two vertices at one distance are at least 1 apart, so their angles
+    differ by more than 1 / |x|, far more than 1e-9: np.arctan2 orders them
+    as the rounded angle does, and kind never decides.
+    """
+    q = 3 * a.astype(np.int64) ** 2 + b.astype(np.int64) ** 2
+    exact = np.sqrt(q) / 2.0
+    scaled = exact * 1e9
+    to_midpoint = np.abs(scaled - np.floor(scaled) - 0.5) * 1e-9
+    ties = np.flatnonzero(to_midpoint <= _FLOAT_BAND * exact)
+    rounded = np.zeros(q.shape[0])
+    rounded[ties] = [
+        vertex_sort_key(p, KIND_SITE)[0] for p in zip(x[ties].tolist(), y[ties].tolist())
+    ]
+    angle = np.arctan2(y, x)
+    angle[angle < 0.0] += 2.0 * math.pi
+    return np.lexsort((angle, rounded, q))
 
 
 @dataclass(frozen=True)
@@ -71,9 +113,6 @@ class StarLattice:
     def kind_name(self, v: int) -> str:
         return KIND_NAMES[int(self.kinds[v])]
 
-    def degree(self, v: int) -> int:
-        return len(self.neighbors[v])
-
     def full_degree(self, v: int) -> int:
         return SITE_DEGREE if self.kinds[v] == KIND_SITE else BOND_DEGREE
 
@@ -93,7 +132,9 @@ def build_lattice(radius: float) -> StarLattice:
     even = (u + v) % 2 == 0
     u, v = u[even], v[even]
     ax, ay = SQRT3 * u, 3.0 * v
-    near = np.asarray(list(map(math.hypot, ax.tolist(), ay.tolist()))) <= margin
+    # Every candidate of an A-site near the margin lies at least 2 beyond the
+    # radius, so whether np.hypot keeps that A-site changes no vertex.
+    near = np.hypot(ax, ay) <= margin
     u, v, ax, ay = u[near], v[near], ax[near], ay[near]
 
     # Seven candidates per A-site, one row each: the site, then per offset
@@ -112,20 +153,22 @@ def build_lattice(radius: float) -> StarLattice:
         row_kinds += [KIND_SITE, KIND_BOND]
     xs, ys = np.stack(xs, axis=1).ravel(), np.stack(ys, axis=1).ravel()
     kind = np.tile(np.asarray(row_kinds, dtype=np.int8), ax.shape[0])
+    ka, kb = np.stack(ka, axis=1), np.stack(kb, axis=1)
     # One code per key: a + 2 u_max + 2 and b + 6 m_max + 4 lie in
     # [0, 4 u_max + 4] and [0, 12 m_max + 8].
-    code = (np.stack(ka, axis=1) + (2 * u_max + 2)) * (12 * m_max + 9) + (
-        np.stack(kb, axis=1) + (6 * m_max + 4)
-    )
+    code = (ka + (2 * u_max + 2)) * (12 * m_max + 9) + (kb + (6 * m_max + 4))
 
-    dist = np.asarray(list(map(math.hypot, xs.tolist(), ys.tolist())))
-    inside = np.flatnonzero(dist <= radius + 1e-9)
+    # A candidate is inside when math.hypot(x, y) <= radius + 1e-9.  np.hypot
+    # is within an ulp of math.hypot, so it decides every candidate outside
+    # the band, and math.hypot the few inside it.
+    cutoff = radius + 1e-9
+    dist = np.hypot(xs, ys)
+    close = np.flatnonzero(np.abs(dist - cutoff) <= _FLOAT_BAND * cutoff)
+    dist[close] = list(map(math.hypot, xs[close].tolist(), ys[close].tolist()))
+    inside = np.flatnonzero(dist <= cutoff)
     _, first = np.unique(code.ravel()[inside], return_index=True)
     keep = inside[np.sort(first)]  # first candidate per vertex, in row order
-    sort_keys = list(
-        map(vertex_sort_key, zip(xs[keep].tolist(), ys[keep].tolist()), kind[keep].tolist())
-    )
-    keep = keep[sorted(range(keep.shape[0]), key=sort_keys.__getitem__)]
+    keep = keep[_canonical_order(xs[keep], ys[keep], ka.ravel()[keep], kb.ravel()[keep])]
     n = keep.shape[0]
 
     # Edges join the A-site (column 0) and the B-site (column 2j + 1) to the
@@ -159,24 +202,3 @@ def neighbor_tuples(n: int, a: np.ndarray, b: np.ndarray) -> tuple:
     starts = np.searchsorted(src, np.arange(n + 1)).tolist()
     dst = dst.tolist()
     return tuple(tuple(dst[starts[i] : starts[i + 1]]) for i in range(n))
-
-
-def min_nonadjacent_distance(lattice: StarLattice) -> float:
-    """Smallest distance between two distinct non-adjacent vertices, among
-    pairs at most 2.5 apart.
-
-    sqrt(3) on any piece containing a full site neighborhood (two bonds of
-    one site).
-    """
-    if lattice.n_vertices < 2:
-        raise ValueError("need at least two vertices")
-    tree = cKDTree(lattice.positions)
-    best = math.inf
-    for v, w in tree.query_pairs(2.5):
-        if w in lattice.neighbors[v]:
-            continue
-        d = math.dist(lattice.positions[v], lattice.positions[w])
-        best = min(best, d)
-    if math.isinf(best):
-        raise ValueError("no non-adjacent pair within distance 2.5")
-    return best

@@ -216,7 +216,8 @@ def test_criterion_9_full_dimension_smoke():
     params = ConstructionParams(d=d, C=C, lam=lam, max_steps=120)
     st, c = _layer_invariants(params, 7)
     steps = c["steps"]
-    peak = st.registry.metrics()["peak_stored_points"]
+    metrics = st.registry.metrics()
+    peak = metrics["peak_stored_points"]
     n_good = sum(1 for e in st.log if e.outcome == "good")
     rate = n_good / steps
     G = bounds.exact_success_bound(lam, d)
@@ -232,6 +233,6 @@ def test_criterion_9_full_dimension_smoke():
         ok,
         f"d=45, lam=lambda*(45), C={C:g}: {steps} steps, good rate "
         f"{rate:.4f} >= G(lambda*)={G:.4f} - 4*{sigma:.4f}, peak stored "
-        f"points {peak} <= 1e6, hard-sphere pass={c['viol'] == 0}, "
-        f"replay identical={c['replay'] == 0}",
+        f"points {peak} <= 1e6, q_max {metrics['q_max']:.2g}, hard-sphere "
+        f"pass={c['viol'] == 0}, replay identical={c['replay'] == 0}",
     )

@@ -4,17 +4,38 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from hardspheres.hexlattice import (
     KIND_BOND,
     KIND_SITE,
     StarLattice,
     build_lattice,
-    min_nonadjacent_distance,
     vertex_sort_key,
 )
 
 SQRT3 = math.sqrt(3.0)
+
+
+def min_nonadjacent_distance(lattice: StarLattice) -> float:
+    """Smallest distance between two distinct non-adjacent vertices, among
+    pairs at most 2.5 apart.
+
+    sqrt(3) on any piece containing a full site neighborhood (two bonds of
+    one site).
+    """
+    if lattice.n_vertices < 2:
+        raise ValueError("need at least two vertices")
+    tree = cKDTree(lattice.positions)
+    best = math.inf
+    for v, w in tree.query_pairs(2.5):
+        if w in lattice.neighbors[v]:
+            continue
+        d = math.dist(lattice.positions[v], lattice.positions[w])
+        best = min(best, d)
+    if math.isinf(best):
+        raise ValueError("no non-adjacent pair within distance 2.5")
+    return best
 
 
 def test_origin_is_site_zero():
@@ -32,9 +53,11 @@ def test_kinds_partition_and_degrees():
     for v in range(lat.n_vertices):
         full = 3 if lat.kinds[v] == KIND_SITE else 2
         assert lat.full_degree(v) == full
-        assert lat.degree(v) <= full
+        assert len(lat.neighbors[v]) <= full
     # interior fractions are high once the window dwarfs the unit step
-    interior = sum(lat.degree(v) == lat.full_degree(v) for v in range(lat.n_vertices))
+    interior = sum(
+        len(lat.neighbors[v]) == lat.full_degree(v) for v in range(lat.n_vertices)
+    )
     assert interior / lat.n_vertices > 0.5
 
 
@@ -74,6 +97,25 @@ def test_canonical_order_and_prefix_stability():
     assert np.array_equal(big.kinds[: small.n_vertices], small.kinds)
 
 
+def test_vertex_sort_key_increases_along_ids_at_radius_400():
+    lat = build_lattice(400.0)
+    keys = list(map(vertex_sort_key, lat.positions.tolist(), lat.kinds.tolist()))
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
+def test_rounded_distance_orders_before_angle():
+    # Both vertices lie at distance sqrt(393616) / 2 = 313.6941185295000076,
+    # 7.6e-15 above a 9-decimal rounding midpoint.  Within float error of
+    # it, the first one's distance rounds down and the second one's up, so
+    # the first keeps the lower id although its angle is larger.
+    lat = build_lattice(313.7)
+    positions = lat.positions.tolist()
+    low, high = [304.8409421321224, 74.0], [313.5011961699668, 11.0]
+    assert positions.index(low) == 148738
+    assert positions.index(high) == 148744
+    assert vertex_sort_key(low, KIND_SITE)[1] > vertex_sort_key(high, KIND_SITE)[1]
+
+
 def test_radius_filter():
     lat = build_lattice(4.0)
     d = np.linalg.norm(lat.positions, axis=1)
@@ -100,7 +142,7 @@ def test_small_radius_validation():
         build_lattice(-1.0)
     tiny = build_lattice(1.0)  # origin and its three bonds
     assert tiny.n_vertices == 4
-    assert tiny.degree(0) == 3
+    assert len(tiny.neighbors[0]) == 3
 
 
 def reference_build_lattice(radius: float) -> StarLattice:
@@ -154,13 +196,8 @@ def reference_build_lattice(radius: float) -> StarLattice:
     )
 
 
-def _tie_radius() -> float:
-    """A radius whose cutoff radius + 1e-9 falls between the candidates of
-    B-site (-5 sqrt(3), -1): the first one generated lies one ulp farther
-    out than the later two, so only a later candidate is inside and gives
-    the vertex its coordinates."""
-    target = math.hypot(-8.660254037844386, -1.0)
-    assert math.hypot(-8.660254037844387, -1.0) > target
+def _radius_with_cutoff(target: float) -> float:
+    """The radius whose cutoff radius + 1e-9 is exactly ``target``."""
     r = target - 1e-9
     while r + 1e-9 > target:
         r = math.nextafter(r, 0.0)
@@ -168,6 +205,16 @@ def _tie_radius() -> float:
         r = math.nextafter(r, math.inf)
     assert r + 1e-9 == target
     return r
+
+
+def _tie_radius() -> float:
+    """A radius whose cutoff radius + 1e-9 falls between the candidates of
+    B-site (-5 sqrt(3), -1): the first one generated lies one ulp farther
+    out than the later two, so only a later candidate is inside and gives
+    the vertex its coordinates."""
+    target = math.hypot(-8.660254037844386, -1.0)
+    assert math.hypot(-8.660254037844387, -1.0) > target
+    return _radius_with_cutoff(target)
 
 
 SQRT28 = math.sqrt(28.0)  # a B-site distance
@@ -198,3 +245,16 @@ def test_first_candidate_inside_the_radius_gives_the_coordinates():
     # one ulp less and the vertex is gone
     below = build_lattice(math.nextafter(r, 0.0)).positions.tolist()
     assert [-8.660254037844386, -1.0] not in below
+
+
+def test_math_hypot_decides_candidates_at_the_cutoff():
+    # np.hypot puts this bond one ulp farther out than math.hypot does, and
+    # the cutoff sits on the math.hypot value: the bond is inside.
+    bond = [-9.526279441628825, -15.5]
+    assert np.hypot(*bond) > math.hypot(*bond)
+    r = _radius_with_cutoff(math.hypot(*bond))
+    got, want = build_lattice(r), reference_build_lattice(r)
+    assert bond in got.positions.tolist()
+    assert got.positions.tobytes() == want.positions.tobytes()
+    assert got.neighbors == want.neighbors
+    assert bond not in build_lattice(math.nextafter(r, 0.0)).positions.tolist()
