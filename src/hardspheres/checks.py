@@ -2,7 +2,8 @@
 one function per check.
 
 The step region keeps volume at least A (``step_regions``; the slab
-sections of ``slab_sections`` check the bracket it is built from), and a
+sections of ``slab_sections`` check the bracket it is built from, and
+``overlap_constant`` the closed form that sets the cell radius C), and a
 picked center is isolated with probability at least
 exp(-lam B) - exp(-lam vol) (``isolation_pair``).  Each function builds
 its regions, derives its seeds from one seed, runs the Monte Carlo and
@@ -57,15 +58,28 @@ MAX_ISOLATION_DIM = 5
 # Fewer conditioned trials than this give a rate of a handful of 0/1
 # outcomes, which the 4-sigma comparison cannot judge.
 MIN_CONDITIONED_TRIALS = 100
+# The largest layer radius of a step region (at the largest parent radius):
+# the ball radius the overlap constant C must hold a third of.
+R_MAX_LAYER = step_layer_radii(RADIUS_MAX)[2]
 
 
-def searched_C(d: int, seed: int) -> float:
-    """The overlap constant C of a run in dimension d at program seed
-    ``seed``: the searched layer radius of the (d-2)-ball cells."""
-    r_max = step_layer_radii(RADIUS_MAX)[2]
-    return float(
-        geometry.search_overlap_constant(d - 2, r_max, seed=derive_seed(seed, 5))
-    )
+def searched_C(d: int) -> float:
+    """The overlap constant C of a run in dimension d: the searched layer
+    radius of the (d-2)-ball cells."""
+    return float(geometry.search_overlap_constant(d - 2, R_MAX_LAYER))
+
+
+def _estimate(name: str, region: Region, bounding: Region, n: int, seed: int):
+    """mc_region_volume of ``region`` against ``bounding``.  Every region
+    here covers a share of its bounding region strictly between 0 and 1, so
+    0 or n hits say that n is too small for a standard error: TooFewSamples."""
+    est = mc_region_volume(region, bounding, n, seed)
+    if est.hits in (0, n):
+        raise TooFewSamples(
+            f"{name}: {est.hits} of {n} samples hit, so the standard error is "
+            "0 and the 4-sigma test decides nothing"
+        )
+    return est
 
 
 def _bracket_row(name: str, est, lo: float, hi: float) -> dict:
@@ -79,21 +93,47 @@ def _bracket_row(name: str, est, lo: float, hi: float) -> dict:
     }
 
 
+def _agreement_row(name: str, value: float, se: float, expected: float) -> dict:
+    return {
+        "name": name,
+        "passed": bool(abs(value - expected) <= 4.0 * se),
+        "estimate": value,
+        "expected": expected,
+        "std_error": se,
+    }
+
+
 def cell_volume(d: int, n: int, seed: int) -> list:
-    """Hit rate of a cell inside its bounding ball against the closed-form
-    cell volume, within 4 standard errors."""
-    cell = Cell((0.0, 0.0), EPS, np.zeros(d - 2), 2.0)
-    est = mc_region_volume(cell, cell.bounding_ball(), n, derive_seed(seed, 21))
-    err = abs(est.value - cell.volume())
-    return [
-        {
-            "name": f"cell-volume-d{d}",
-            "passed": bool(err <= 4.0 * est.std_error + 1e-30),
-            "estimate": est.value,
-            "expected": cell.volume(),
-            "std_error": est.std_error,
-        }
-    ]
+    """Hit rate of a cell inside a bounding cell of twice its volume
+    against the closed-form cell volume, within 4 standard errors."""
+    m = d - 2
+    cell = Cell((0.0, 0.0), EPS, np.zeros(m), 2.0)
+    # Each factor of the bounding cell has sqrt(2) times the cell's volume,
+    # so the cell fills half of it at every d.
+    bounding = Cell((0.0, 0.0), EPS * 2.0**0.25, np.zeros(m), 2.0 * 2.0 ** (0.5 / m))
+    name = f"cell-volume-d{d}"
+    est = _estimate(name, cell, bounding, n, derive_seed(seed, 21))
+    return [_agreement_row(name, est.value, est.std_error, exact_volume(cell))]
+
+
+def overlap_constant(d: int, n: int, seed: int) -> list:
+    """The boundary case that fixes the searched C: the hit rate of
+    B(0, c) in B(x, R), |x| = c = C - R in the (d-2)-dimensional layer, at
+    R the largest layer radius of a step region, against
+    ``geometry.boundary_fraction``, within 4 standard errors."""
+    C = searched_C(d)
+    m = d - 2
+    c = C - R_MAX_LAYER
+    x = np.zeros(m)
+    x[0] = c
+    ball = Ball(x, R_MAX_LAYER)
+    name = f"overlap-constant-d{d}"
+    est = _estimate(name, Ball(np.zeros(m), c), ball, n, derive_seed(seed, 22))
+    vol = ball.volume()
+    share = geometry.boundary_fraction(m, c, R_MAX_LAYER)
+    row = _agreement_row(name, est.value / vol, est.std_error / vol, share)
+    row["cells_C"] = C
+    return [row]
 
 
 def slab_sections(d: int, n: int, seed: int) -> list:
@@ -106,10 +146,9 @@ def slab_sections(d: int, n: int, seed: int) -> list:
             (Cell((1.0, 0.0), EPS, np.zeros(d - 2), 4.0), Ball(np.zeros(d), R))
         )
         bounding = Cell((1.0, 0.0), EPS, np.zeros(d - 2), shell_radii(R)[1])
-        est = mc_region_volume(region, bounding, n, derive_seed(seed, d, int(R * 10)))
-        rows.append(
-            _bracket_row(f"slab-section-d{d}-R{R}", est, *cylinder_section_bracket(d, R))
-        )
+        name = f"slab-section-d{d}-R{R}"
+        est = _estimate(name, region, bounding, n, derive_seed(seed, d, int(R * 10)))
+        rows.append(_bracket_row(name, est, *cylinder_section_bracket(d, R)))
     return rows
 
 
@@ -119,7 +158,7 @@ def step_regions(d: int, n: int, seed: int) -> list:
     C), for each parent radius in STEP_RADII: inside
     ``step_volume_bracket`` +- 4 sigma and, for d >= 11, at least the
     ``step_volume_lower_bound`` floor - 4 sigma (criterion 3)."""
-    C = searched_C(d, seed)
+    C = searched_C(d)
     parent = np.zeros(d)
     parent[0] = -1.0
     parent[2] = C
@@ -129,8 +168,9 @@ def step_regions(d: int, n: int, seed: int) -> list:
     for r in STEP_RADII:
         region = Intersection((cell, Annulus(parent, r + MU - DELTA, r + MU + DELTA)))
         bounding = Cell((0.0, 0.0), EPS, parent[2:], step_layer_radii(r)[2])
-        est = mc_region_volume(region, bounding, n, derive_seed(seed, int(r * 100)))
-        row = _bracket_row(f"step-region-d{d}-r{r}", est, *step_volume_bracket(d, r))
+        name = f"step-region-d{d}-r{r}"
+        est = _estimate(name, region, bounding, n, derive_seed(seed, int(r * 100)))
+        row = _bracket_row(name, est, *step_volume_bracket(d, r))
         row["cells_C"] = C
         if floor is not None:
             row["floor"] = floor
@@ -142,15 +182,20 @@ def step_regions(d: int, n: int, seed: int) -> list:
 
 
 def geometry_suite(d: int, n: int, seed: int) -> list:
-    """Cell volume, slab sections and step regions in dimension d, n
-    samples each; d must lie in GEOMETRY_DIMS."""
+    """Cell volume, overlap constant, slab sections and step regions in
+    dimension d, n samples each; d must lie in GEOMETRY_DIMS."""
     lo, hi = GEOMETRY_DIMS
     if not lo <= d <= hi:
         raise ValueError(
             f"the geometry checks need {lo} <= dim <= {hi} "
             f"(a batch of 2^18 points holds 2 MiB per dimension), got {d}"
         )
-    return cell_volume(d, n, seed) + slab_sections(d, n, seed) + step_regions(d, n, seed)
+    return (
+        cell_volume(d, n, seed)
+        + overlap_constant(d, n, seed)
+        + slab_sections(d, n, seed)
+        + step_regions(d, n, seed)
+    )
 
 
 @dataclass(frozen=True)

@@ -197,14 +197,14 @@ def _resolve_lambda(spec: str, d: int) -> float:
     return lam
 
 
-def _resolve_C(spec: str, d: int, seed: int) -> float:
+def _resolve_C(spec: str, d: int) -> float:
     if spec != "auto":
         C = float(spec)
         if not 0 < C < math.inf:
             raise UsageError(f"cells-C must be finite and > 0, got {C}")
         return C
     try:
-        return checks.searched_C(d, seed)
+        return checks.searched_C(d)
     except RuntimeError as exc:
         raise UsageError(f"{exc}; pass --cells-C explicitly") from exc
 
@@ -267,7 +267,7 @@ def cmd_simulate(args) -> int:
     if args.out:
         _check_writable(*(args.out + ext for ext in SIMULATE_OUTPUTS))
     lam = _resolve_lambda(args.lam, args.dim)
-    C = _resolve_C(args.cells_C, args.dim, seed)
+    C = _resolve_C(args.cells_C, args.dim)
     params = ConstructionParams(
         d=args.dim,
         C=C,

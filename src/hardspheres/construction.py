@@ -46,7 +46,7 @@ from .geometry import (
 )
 from .hexlattice import KIND_SITE, StarLattice, build_lattice
 from .percolation2d import UnionFind
-from .poisson import RegionRegistry
+from .poisson import RegionRegistry, RegistryError
 from .rngutil import derive_seed
 
 UNEXPLORED = 0
@@ -409,8 +409,12 @@ def _lattice(radius: float) -> StarLattice:
     return _LATTICE_CACHE[key]
 
 
-def run_layer(params: ConstructionParams, seed: int, layer_vec=None):
-    """Explore one layer to its stop; returns (state, constructed spheres)."""
+def run_layer(params: ConstructionParams, seed: int, layer_vec=None, index: int = 0):
+    """Explore one layer to its stop; returns (state, constructed spheres).
+
+    A RegistryError or ConstructionError of a step is raised again, of the
+    same type, with the layer ``index``, the step number and the vertex
+    leading its message."""
     if layer_vec is None:
         layer_vec = (0,) * (params.d - 2)
     lattice = _lattice(params.lattice_radius)
@@ -418,7 +422,13 @@ def run_layer(params: ConstructionParams, seed: int, layer_vec=None):
     state = ExplorationState(params, lattice, registry, layer_vec)
     state.pending = (0, "step0")
     while state.pending is not None:
-        explore_step(state)
+        step, vertex = state.n_explored, state.pending[0]
+        try:
+            explore_step(state)
+        except (RegistryError, ConstructionError) as exc:
+            raise type(exc)(
+                f"layer {index}, step {step}, vertex {vertex}: {exc}"
+            ) from exc
         choice = choose_next_vertex(state)
         if choice[0] == "stop":
             state.stopped_reason = choice[1]
@@ -426,27 +436,6 @@ def run_layer(params: ConstructionParams, seed: int, layer_vec=None):
             state.pending = None
             state.stopped_reason = STOP_BUDGET
     return state, list(state.spheres)
-
-
-def rescan_stop(state: ExplorationState) -> bool:
-    """Asserts rule-(iii) stop correctness: no vertex matching rule (i) or
-    (ii) anywhere in the lattice, and none at the rim where a match could
-    not have been evaluated.  Returns True when the stop is sound."""
-    if state.stopped_reason != STOP_RULE_III:
-        raise ConstructionError("rescan only applies to rule-iii stops")
-    lat = state.lattice
-    for v in range(lat.n_vertices):
-        if state.status[v] != UNEXPLORED:
-            continue
-        good, bad, unexplored, missing = state.neighbor_counts(v)
-        if good != 1 or bad != 0:
-            continue
-        if missing:
-            return False  # should have stopped as lattice-truncation instead
-        need = 2 if lat.kinds[v] == KIND_SITE else 1
-        if unexplored == need:
-            return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -623,7 +612,7 @@ def run_multilayer(params: ConstructionParams, seed: int, layers) -> GammaProces
     states = []
     for i, vec in enumerate(vecs):
         child = derive_seed(seed, _LAYER_SEED_TAG, i)
-        state, _ = run_layer(params, child, vec)
+        state, _ = run_layer(params, child, vec, i)
         states.append(state)
     gamma = assemble_gamma(params, states)
     _assert_interlayer_gaps(params, gamma)

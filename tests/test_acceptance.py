@@ -69,6 +69,7 @@ def test_criterion_2_ratio_identity():
 
 
 def test_criterion_3_step_volume_floor():
+    (overlap,) = checks.overlap_constant(11, 1_000_000, 30)
     rows = checks.step_regions(11, 1_000_000, 30)
     floor = rows[0]["floor"]
     margins = [
@@ -77,8 +78,10 @@ def test_criterion_3_step_volume_floor():
     ]
     report(
         3,
-        all(row["passed"] for row in rows),
-        f"step volumes at d=11, C={rows[0]['cells_C']:g}: " + "; ".join(margins),
+        overlap["passed"] and all(row["passed"] for row in rows),
+        f"step volumes at d=11, C={rows[0]['cells_C']:g} (boundary share "
+        f"{overlap['estimate']:.4f} vs exact {overlap['expected']:.4f} "
+        f"+-4*{overlap['std_error']:.1e}): " + "; ".join(margins),
     )
 
 
@@ -211,7 +214,7 @@ def test_criterion_8_supercritical_theta():
 @pytest.mark.slow
 def test_criterion_9_full_dimension_smoke():
     d = 45
-    C = checks.searched_C(d, 90)
+    C = checks.searched_C(d)
     lam = bounds.lambda_star(d)
     params = ConstructionParams(d=d, C=C, lam=lam, max_steps=120)
     st, c = _layer_invariants(params, 7)

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -237,6 +238,28 @@ def test_simulate_cannot_realize_exit_code(monkeypatch, capsys, error):
     assert err == f"error: cannot realize this run exactly: {error}\n"
 
 
+def test_simulate_refusal_names_layer_step_and_vertex(monkeypatch, capsys):
+    pick = poisson.RegionRegistry.pick_in_region
+    calls = []
+
+    def refuse_at_step_3(self, *args, **kwargs):
+        calls.append(None)
+        if len(calls) == 4:
+            raise RegistryError("stream cap exceeded")
+        return pick(self, *args, **kwargs)
+
+    monkeypatch.setattr(poisson.RegionRegistry, "pick_in_region", refuse_at_step_3)
+    argv = ["simulate", "--dim", "31", "--lambda", "7244305.109674826",
+            "--cells-C", "16", "--lattice-radius", "6", "--seed", "71"]
+    assert main(argv) == EXIT_CANNOT_REALIZE
+    err = capsys.readouterr().err
+    assert re.fullmatch(
+        r"error: cannot realize this run exactly: layer 0, step 3, vertex \d+: "
+        r"stream cap exceeded\n",
+        err,
+    ), err
+
+
 def test_simulate_overlap_search_failure_is_usage_error(monkeypatch, capsys):
     def no_constant(*args, **kwargs):
         raise RuntimeError("no power-of-two overlap constant up to 2^12 passed")
@@ -328,10 +351,21 @@ def test_verify_geometry(tmp_path):
     assert code == EXIT_OK, doc
     assert doc["passed"]
     names = [c["name"] for c in doc["checks"]]
-    assert len(names) == 7
+    assert len(names) == 8
     assert any(n.startswith("cell-volume") for n in names)
+    assert any(n.startswith("overlap-constant") for n in names)
     assert any(n.startswith("slab-section") for n in names)
     assert any(n.startswith("step-region") for n in names)
+
+
+@pytest.mark.parametrize("budget", ["1", "10", "100"])
+def test_verify_geometry_refuses_a_budget_that_decides_nothing(capsys, budget):
+    assert main(["verify", "geometry", "--dim", "3", "--budget", budget]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert f" of {budget} samples hit, so the standard error is 0" in err
+    assert err.endswith("; raise --budget\n")
+    assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("dim", ["1", "2", "65"])

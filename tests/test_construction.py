@@ -21,7 +21,6 @@ from hardspheres.construction import (
     assemble_gamma,
     cluster_components,
     explore_step,
-    rescan_stop,
     run_layer,
     run_multilayer,
     step_region,
@@ -47,6 +46,27 @@ from hardspheres.poisson import (
 from registry_snapshot import registry_snapshot
 
 LAM31 = 12.0 * lambda_star(31)
+
+
+def rescan_stop(state) -> bool:
+    """Asserts rule-(iii) stop correctness: no vertex matching rule (i) or
+    (ii) anywhere in the lattice, and none at the rim where a match could
+    not have been evaluated.  Returns True when the stop is sound."""
+    if state.stopped_reason != STOP_RULE_III:
+        raise ConstructionError("rescan only applies to rule-iii stops")
+    lat = state.lattice
+    for v in range(lat.n_vertices):
+        if state.status[v] != UNEXPLORED:
+            continue
+        good, bad, unexplored, missing = state.neighbor_counts(v)
+        if good != 1 or bad != 0:
+            continue
+        if missing:
+            return False  # should have stopped as lattice-truncation instead
+        need = 2 if lat.kinds[v] == KIND_SITE else 1
+        if unexplored == need:
+            return False
+    return True
 
 
 def params31(**kw):

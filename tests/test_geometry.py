@@ -1,10 +1,17 @@
 """Geometry primitives: volumes, regions, brackets, and MC estimation."""
 
 import math
+import time
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from scipy import integrate, special
 
+from hardspheres import checks
+from hardspheres.checks import R_MAX_LAYER
+from hardspheres.cli import VERIFY_SUITES
 from hardspheres.geometry import (
     EPS,
     MU,
@@ -17,11 +24,11 @@ from hardspheres.geometry import (
     Difference,
     Intersection,
     ball_volume,
+    boundary_fraction,
     cylinder_section_bracket,
     exact_volume,
     log_unit_ball_volume,
     mc_region_volume,
-    region_contains,
     region_contains_ball,
     region_lower_distance,
     regions_disjoint,
@@ -33,7 +40,26 @@ from hardspheres.geometry import (
     step_volume_lower_bound,
     unit_ball_volume,
 )
+from hardspheres.poisson import TooFewSamples
 from hardspheres.rngutil import generator
+
+
+def region_contains(region, point) -> bool:
+    """Membership of a single point."""
+    return bool(region.contains(np.asarray(point, dtype=float)[None, :])[0])
+
+
+def step_volume_profile(r: float, d: int) -> float:
+    """Normalized lower-bound profile shell_lo^(d-2)/3 - core_hi^(d-2) for
+    the step-region volume at parent radius r.  Increasing on the radius
+    window for d >= 11, which is where the dimension-independent bound
+    comes from.
+    """
+    if d < 11:
+        raise ValueError(f"profile is only monotone for d >= 11, got {d}")
+    shell_lo, core_hi, _ = step_layer_radii(r)
+    m = d - 2
+    return shell_lo**m / 3.0 - core_hi**m
 
 
 def test_unit_ball_volume_known_values():
@@ -310,8 +336,6 @@ def test_mc_region_volume_deterministic():
 
 def test_step_volume_profile_monotone_on_window():
     rs = np.linspace(RADIUS_MIN, RADIUS_MAX, 17)
-    from hardspheres.geometry import step_volume_profile
-
     vals = [step_volume_profile(float(r), 11) for r in rs]
     assert all(b > a for a, b in zip(vals, vals[1:]))
     # bracket lower entry is the profile times the cell base area
@@ -353,3 +377,91 @@ def test_search_overlap_constant_certifies_target():
     assert p - 4 * math.sqrt(p * (1 - p) / n) >= 1.0 / 3.0
     # determinism
     assert C == search_overlap_constant(3, R_max=1.4, seed=2)
+
+
+def _boundary_integral(dim, c, R):
+    """The boundary share of boundary_fraction's docstring, by adaptive
+    quadrature of its integral over [0, min(1, 2c/R)]."""
+    a = 0.5 * (dim - 1)
+    k = R / (2.0 * c)
+
+    def integrand(s):
+        return dim * s ** (dim - 1) * 0.5 * special.betainc(a, 0.5, 1.0 - (s * k) ** 2)
+
+    with warnings.catch_warnings():
+        # quad warns when roundoff stops it short of epsabs; its result is
+        # still far inside the 1e-12 the test asks for
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        value, _ = integrate.quad(
+            integrand, 0.0, min(1.0, 1.0 / k), epsabs=1e-15, epsrel=1e-14, limit=200
+        )
+    return value
+
+
+def test_boundary_fraction_matches_quadrature_wherever_the_search_looks():
+    worst = 0.0
+    for dim in range(1, 451):
+        for k in range(1, 21):
+            c = (1 << k) - R_MAX_LAYER
+            share = boundary_fraction(dim, c, R_MAX_LAYER)
+            worst = max(worst, abs(share - _boundary_integral(dim, c, R_MAX_LAYER)))
+            if share >= 1.0 / 3.0:
+                break
+    assert worst <= 1e-12
+
+
+def test_boundary_fraction_closed_cases():
+    # B(0, c) inside B(x, R) once 2c <= R; at dim 1 the share is 1/2 beyond
+    assert boundary_fraction(5, 0.5, 1.0) == 0.5**5
+    assert boundary_fraction(1, 0.3, 1.0) == 0.3
+    assert math.isclose(boundary_fraction(1, 3.0, 1.0), 0.5, rel_tol=1e-14)
+    # a vanishing ball keeps half its volume on the flat boundary
+    assert math.isclose(boundary_fraction(20, 1e6, 1.0), 0.5, rel_tol=1e-5)
+
+
+def test_searched_C_where_the_repository_runs():
+    Cs = [checks.searched_C(d) for d in (3, 5, 11, 31, 45, 60, 100)]
+    assert Cs == [2.0, 4.0, 8.0, 16.0, 16.0, 16.0, 32.0]
+    # d = 7: the boundary share at C = 4 clears 1/3 by less than 1%, and
+    # still no seed moves C
+    assert {search_overlap_constant(5, R_MAX_LAYER, seed=s) for s in (0, 7, 99)} == {4}
+
+
+def test_searched_C_is_cheap_at_d100():
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        C = checks.searched_C(100)
+        elapsed = time.perf_counter() - t0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert C == 32.0
+    assert peak < 1 << 20
+    assert elapsed < 0.5
+
+
+@pytest.mark.parametrize("d", [3, 11, 45, 100])
+def test_overlap_constant_row_agrees_with_monte_carlo(d):
+    (row,) = checks.overlap_constant(d, 200_000, 0)
+    assert row["passed"], row
+    assert row["cells_C"] == checks.searched_C(d)
+
+
+DEFAULT_GEOMETRY_BUDGET = VERIFY_SUITES["geometry"][1]
+
+
+@pytest.mark.parametrize("d", [3, 11, 45])
+def test_cell_volume_row_fails_on_a_volume_10_percent_off(monkeypatch, d):
+    (row,) = checks.cell_volume(d, DEFAULT_GEOMETRY_BUDGET, 0)
+    assert row["passed"], row
+    monkeypatch.setattr(checks, "exact_volume", lambda region: 1.1 * region.volume())
+    (row,) = checks.cell_volume(d, DEFAULT_GEOMETRY_BUDGET, 0)
+    assert not row["passed"], row
+
+
+def test_a_row_with_all_or_no_hits_is_too_few_samples():
+    with pytest.raises(TooFewSamples, match="^cell-volume-d3: 1 of 1 samples hit"):
+        checks.cell_volume(3, 1, 0)
+    with pytest.raises(TooFewSamples, match="^slab-section-d3-R1.3: 10 of 10 samples"):
+        checks.slab_sections(3, 10, 0)
