@@ -10,15 +10,18 @@ budget runs out.
 
 import argparse
 import math
+import sys
 
 from hardspheres import bounds
 from hardspheres.construction import (
+    ConstructionError,
     ConstructionParams,
     assemble_gamma,
     cluster_components,
     run_layer,
     verify_hard_sphere,
 )
+from hardspheres.poisson import RegistryError
 
 
 def main() -> None:
@@ -31,16 +34,22 @@ def main() -> None:
     ap.add_argument("--max-steps", type=int, default=200)
     args = ap.parse_args()
 
-    lam = args.lam
-    if lam is None:
-        star = bounds.lambda_star(args.dim)
-        if star is None:
-            ap.error(f"no lambda* at d={args.dim}; give --lam explicitly")
-        lam = 12.0 * star
-    params = ConstructionParams(
-        d=args.dim, C=args.cells_C, lam=lam, max_steps=args.max_steps
-    )
-    state, spheres = run_layer(params, args.seed)
+    try:
+        lam = args.lam
+        if lam is None:
+            star = bounds.lambda_star(args.dim)
+            if star is None:
+                raise ValueError(f"no lambda* at d={args.dim}; give --lam explicitly")
+            lam = 12.0 * star
+        params = ConstructionParams(
+            d=args.dim, C=args.cells_C, lam=lam, max_steps=args.max_steps
+        )
+        state, spheres = run_layer(params, args.seed)
+        gamma = assemble_gamma(params, [state])
+        report = verify_hard_sphere(gamma)
+        clusters = cluster_components(gamma)
+    except (ValueError, RegistryError, ConstructionError) as exc:
+        sys.exit(f"error: {exc}")
 
     by_vertex = {s.vertex: s for s in spheres}
     print(f"d={args.dim}, lambda={lam:.6g}, C={args.cells_C:g}, "
@@ -58,10 +67,6 @@ def main() -> None:
             bits.append(f"radius {e.radius:.6f}{tang}")
         print("  ".join(bits))
     print(f"stop: {state.stopped_reason}")
-
-    gamma = assemble_gamma(params, [state])
-    report = verify_hard_sphere(gamma)
-    clusters = cluster_components(gamma)
     print(f"{len(gamma.constructed)} constructed spheres, "
           f"{len(gamma.leftovers)} leftover points, "
           f"{gamma.n_stream_leftovers} stream-only leftovers")

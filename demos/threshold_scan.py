@@ -8,6 +8,7 @@ that no intensity makes the bound positive) and the success bound clears
 """
 
 import argparse
+import sys
 
 from hardspheres import bounds
 
@@ -19,18 +20,21 @@ def main() -> None:
     ap.add_argument("--threshold", type=float, default=bounds.DEFAULT_THRESHOLD)
     args = ap.parse_args()
 
+    try:
+        rows = bounds.scan_dimensions(args.dim_min, args.dim_max, args.threshold)
+        min_d = bounds.min_dimension(args.threshold)
+    except ValueError as exc:
+        sys.exit(f"error: {exc}")
     print(f"{'d':>4} {'A':>12} {'B':>12} {'A/B':>10} "
           f"{'lambda*':>12} {'F(lambda*)':>11} {'G(lambda*)':>11}")
-    for d in range(args.dim_min, args.dim_max + 1):
-        r = bounds.bounds_report(d, args.threshold)
+    for r in rows:
         lam = "-" if r.lambda_star is None else f"{r.lambda_star:.4e}"
         F = "-" if r.F_star is None else f"{r.F_star:.7f}"
         G = "-" if r.exact_G_star is None else f"{r.exact_G_star:.7f}"
         mark = " <-- clears threshold" if r.passes_threshold else ""
-        print(f"{d:>4} {r.A:>12.4e} {r.B:>12.4e} {r.ratio:>10.4f} "
+        print(f"{r.d:>4} {r.A:>12.4e} {r.B:>12.4e} {r.ratio:>10.4f} "
               f"{lam:>12} {F:>11} {G:>11}{mark}")
 
-    min_d = bounds.min_dimension(args.threshold)
     print()
     print(f"first dimension with F(lambda*) >= {args.threshold}: {min_d}")
     print("the ratio A/B first exceeds 1 at d = 31; below that the success")

@@ -91,7 +91,11 @@ def success_lower_bound(lam: float, d: int) -> float:
 
 
 def lambda_star(d: int) -> Optional[float]:
-    """Maximizer log(A/B)/A of F, or None when A <= B (no useful intensity)."""
+    """Maximizer log(A/B)/A of F, or None when A <= B (no useful intensity).
+    d must lie in [MIN_DIMENSION_SUPPORTED, MAX_DIMENSION_SUPPORTED]."""
+    lo, hi = MIN_DIMENSION_SUPPORTED, MAX_DIMENSION_SUPPORTED
+    if not lo <= d <= hi:
+        raise ValueError(f"lambda_star needs {lo} <= d <= {hi}, got d={d}")
     log_A, log_B = log_constants_AB(d)
     if log_A <= log_B:
         return None
@@ -142,7 +146,10 @@ def bounds_report(d: int, threshold: float = DEFAULT_THRESHOLD) -> BoundsReport:
 def min_dimension(threshold: float = DEFAULT_THRESHOLD) -> int:
     """First dimension whose optimized bound has a valid maximizer and
     F_star >= threshold.  threshold = 0 returns the first dimension with a
-    valid maximizer at all."""
+    valid maximizer at all.  F_star rounds to 1.0 from d = 186, so every
+    threshold in [0, 1] has one; any other threshold is a ValueError."""
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError(f"threshold must lie in [0, 1], got {threshold}")
     for d in range(MIN_DIMENSION_SUPPORTED, MAX_DIMENSION_SUPPORTED + 1):
         rep = bounds_report(d, threshold)
         if rep.lambda_star is not None and rep.F_star >= threshold:
@@ -168,7 +175,11 @@ def isolated_bound(lam: float, d: int, r: float, vol_S: float) -> float:
 def scan_dimensions(
     d_from: int, d_to: int, threshold: float = DEFAULT_THRESHOLD
 ):
-    """Bounds reports for every dimension in [d_from, d_to]."""
-    if d_from > d_to:
-        raise ValueError(f"empty scan range [{d_from}, {d_to}]")
+    """Bounds reports for every dimension in [d_from, d_to], a range inside
+    [MIN_DIMENSION_SUPPORTED, MAX_DIMENSION_SUPPORTED]."""
+    lo, hi = MIN_DIMENSION_SUPPORTED, MAX_DIMENSION_SUPPORTED
+    if not lo <= d_from <= d_to <= hi:
+        raise ValueError(
+            f"need {lo} <= d_from <= d_to <= {hi}, got {d_from}..{d_to}"
+        )
     return [bounds_report(d, threshold) for d in range(d_from, d_to + 1)]

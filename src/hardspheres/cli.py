@@ -6,11 +6,14 @@ theta estimate), verify (seeded Monte Carlo self-checks).  Every command
 emits a manifest with version, config, seed, RNG algorithm, and wall time;
 all CSV floats carry 17 significant digits.
 
-Exit codes: 0 success, 2 usage error (an output path that cannot be
-written, or a verify --budget too small for its check to decide anything),
-3 invariant violation, 4 statistical-check failure, 5 the run cannot be
-realized exactly (the registry refuses a region or the construction breaks
-an invariant).  Output paths are checked before any work starts.
+Exit codes: 0 success, 2 usage error (a ValueError: a value outside the
+range the library function that uses it accepts, an output path that cannot
+be written, or a verify --budget too small for its check to decide
+anything), 3 invariant violation, 4 statistical-check failure, 5 the run
+cannot be realized exactly (the registry refuses a region or the
+construction breaks an invariant).  The CLI checks no range itself: the
+library refuses a bad value before any lattice, registry or Monte Carlo
+work, and output paths are checked before that.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ import csv
 import dataclasses
 import io
 import json
-import math
 import os
 import sys
 import time
@@ -46,10 +48,6 @@ EXIT_STAT_FAIL = 4
 EXIT_CANNOT_REALIZE = 5
 
 SEED_ENV_VAR = "HARDSPHERES_SEED"
-
-
-class UsageError(Exception):
-    pass
 
 
 def f17(x: float) -> str:
@@ -80,7 +78,7 @@ def _check_writable(*paths: str):
             with open(path, "a"):
                 pass
         except OSError as exc:
-            raise UsageError(f"cannot write {path}: {exc.strerror}") from exc
+            raise ValueError(f"cannot write {path}: {exc.strerror}") from exc
         if not existed:
             os.remove(path)
 
@@ -108,16 +106,6 @@ def _jsonable(obj):
 
 
 def cmd_bounds_scan(args) -> int:
-    d_lo, d_hi = bounds.MIN_DIMENSION_SUPPORTED, bounds.MAX_DIMENSION_SUPPORTED
-    if not d_lo <= args.dim_min <= args.dim_max <= d_hi:
-        raise UsageError(
-            f"need {d_lo} <= dim-min <= dim-max <= {d_hi}, "
-            f"got {args.dim_min}..{args.dim_max}"
-        )
-    # F* is a probability bound and rounds to 1.0 from d = 186, so every
-    # threshold in [0, 1] has a minimum dimension.
-    if not 0.0 <= args.threshold <= 1.0:
-        raise UsageError(f"threshold must lie in [0, 1], got {args.threshold}")
     if args.out:
         extra = [args.out + ".manifest.json"] if args.format == "csv" else []
         _check_writable(args.out, *extra)
@@ -181,16 +169,10 @@ def cmd_bounds_scan(args) -> int:
 
 def _resolve_lambda(spec: str, d: int) -> float:
     if spec != "auto":
-        lam = float(spec)
-        if not 0 <= lam < math.inf:
-            raise UsageError(f"lambda must be finite and >= 0, got {lam}")
-        return lam
-    d_lo, d_hi = bounds.MIN_DIMENSION_SUPPORTED, bounds.MAX_DIMENSION_SUPPORTED
-    if not d_lo <= d <= d_hi:
-        raise UsageError(f"auto lambda needs {d_lo} <= d <= {d_hi}, got d={d}")
+        return float(spec)
     lam = bounds.lambda_star(d)
     if lam is None:
-        raise UsageError(
+        raise ValueError(
             f"auto lambda needs the volume ratio above 1, which fails at d={d}; "
             "use d >= 31 or give --lambda explicitly"
         )
@@ -199,14 +181,11 @@ def _resolve_lambda(spec: str, d: int) -> float:
 
 def _resolve_C(spec: str, d: int) -> float:
     if spec != "auto":
-        C = float(spec)
-        if not 0 < C < math.inf:
-            raise UsageError(f"cells-C must be finite and > 0, got {C}")
-        return C
+        return float(spec)
     try:
         return checks.searched_C(d)
     except RuntimeError as exc:
-        raise UsageError(f"{exc}; pass --cells-C explicitly") from exc
+        raise ValueError(f"{exc}; pass --cells-C explicitly") from exc
 
 
 def _sphere_lines(gamma):
@@ -262,8 +241,6 @@ SIMULATE_OUTPUTS = (".spheres.txt", ".steps.csv", ".manifest.json")
 def cmd_simulate(args) -> int:
     t0 = time.perf_counter()
     seed = args.seed if args.seed is not None else _default_seed()
-    if args.layers < 1:
-        raise UsageError("layers must be >= 1")
     if args.out:
         _check_writable(*(args.out + ext for ext in SIMULATE_OUTPUTS))
     lam = _resolve_lambda(args.lam, args.dim)
@@ -338,11 +315,9 @@ def cmd_simulate(args) -> int:
 def cmd_perc2d(args) -> int:
     t0 = time.perf_counter()
     seed = args.seed if args.seed is not None else _default_seed()
-    if not 0.0 <= args.p <= 1.0:
-        raise UsageError("p must lie in [0, 1]")
     if args.out:
         _check_writable(args.out)
-    # estimate_theta refuses a bad radius or trial count before any work
+    # estimate_theta refuses a bad p, radius or trial count before any work
     est = estimate_theta(args.p, args.radius, args.trials, seed)
     config = {
         "p": args.p,
@@ -370,8 +345,6 @@ VERIFY_SUITES = {
 def cmd_verify(args) -> int:
     t0 = time.perf_counter()
     seed = args.seed if args.seed is not None else _default_seed()
-    if args.dim is not None and args.dim < 1:
-        raise UsageError(f"dim must be >= 1, got {args.dim}")
     if args.out:
         _check_writable(args.out)
     default_dim, default_budget, check = VERIFY_SUITES[args.suite]
@@ -380,7 +353,7 @@ def cmd_verify(args) -> int:
     try:
         rows = check(d, budget, seed)
     except TooFewSamples as exc:
-        raise UsageError(f"{exc}; raise --budget") from exc
+        raise ValueError(f"{exc}; raise --budget") from exc
     config = {"suite": args.suite, "budget": budget, "dim": d}
     man = _manifest("verify", config, seed, t0)
     passed = all(c["passed"] for c in rows)
@@ -444,9 +417,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

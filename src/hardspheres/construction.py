@@ -46,7 +46,7 @@ from .geometry import (
 )
 from .hexlattice import KIND_SITE, StarLattice, build_lattice
 from .percolation2d import UnionFind
-from .poisson import RegionRegistry, RegistryError
+from .poisson import MAX_MATERIALIZE, RegionRegistry, RegistryError
 from .rngutil import derive_seed
 
 UNEXPLORED = 0
@@ -70,6 +70,10 @@ CONTACT_TOL = 1e-9
 # about 60,000 vertices and builds in about a second; the vertex count grows
 # with the square of the radius, so larger radii are refused up front.
 MAX_LATTICE_RADIUS = 200.0
+# The overlap search returns at most 2^20.  A layer coordinate of that size
+# has float64 spacing 2^-32, about 2.3e-10, below CONTACT_TOL; far above it
+# tangency cannot be resolved, and near 1.3e154 a cell's C^2 overflows.
+MAX_LAYER_RADIUS = 2.0**20
 
 _LAYER_SEED_TAG = 11
 
@@ -99,7 +103,7 @@ class ConstructionParams:
         if not 0 < self.C < math.inf:
             raise ValueError(f"layer radius C must be finite and > 0, got {self.C}")
         if not 0 <= self.lam < math.inf:
-            raise ValueError(f"intensity must be finite and >= 0, got {self.lam}")
+            raise ValueError(f"lambda must be finite and >= 0, got {self.lam}")
         try:
             cell_volume = self.cell((0.0, 0.0), np.zeros(self.d - 2)).volume()
         except OverflowError:
@@ -109,10 +113,24 @@ class ConstructionParams:
                 f"layer radius C = {self.C:g} is too large at d = {self.d}: "
                 "a cell's volume overflows"
             )
+        if self.C > MAX_LAYER_RADIUS:
+            raise ValueError(
+                f"layer radius C = {self.C:g} exceeds {MAX_LAYER_RADIUS:g}: "
+                "float64 layer coordinates could not resolve tangency"
+            )
         if not 0.0 <= self.eta < RADIUS_MIN:
             raise ValueError(
                 f"eta must lie in [0, {RADIUS_MIN}); the parent "
                 "center would otherwise break every isolation check"
+            )
+        # Every isolation ball is materialized, so above this intensity the
+        # registry refuses the first picked center.
+        mass = self.lam * geometry.ball_volume(self.d, RADIUS_MIN + self.eta)
+        if mass > MAX_MATERIALIZE:
+            raise ValueError(
+                f"lambda = {self.lam:g} is too large at d = {self.d}: an "
+                f"isolation ball would hold {mass:.3e} points on average, above "
+                f"the registry's materialization cap {MAX_MATERIALIZE:.3e}"
             )
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
@@ -602,6 +620,8 @@ def run_multilayer(params: ConstructionParams, seed: int, layers) -> GammaProces
     """Independent layer runs at the given integer layer vectors, merged
     into one GammaProcess."""
     vecs = [tuple(int(x) for x in np.asarray(v).reshape(-1)) for v in layers]
+    if not vecs:
+        raise ValueError("need at least one layer vector")
     if len(set(vecs)) != len(vecs):
         raise ValueError("layer vectors must be distinct")
     for v in vecs:

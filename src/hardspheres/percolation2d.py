@@ -88,22 +88,18 @@ class SiteConfig:
 
 
 def sample_config(graph: SiteGraph, p: float, seed: int, trial: int = 0) -> SiteConfig:
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"occupation density must be in [0, 1], got {p}")
     rng = generator(seed, 1, trial)
     return SiteConfig(
         graph=graph, p=p, seed=seed, trial=trial, uniforms=rng.random(graph.n_sites)
     )
 
 
-def origin_cluster(config: SiteConfig, *, until_boundary: bool = False) -> np.ndarray:
-    """Ids of the open cluster containing the origin site, sorted (empty
-    when the origin is closed).
-
-    With ``until_boundary`` the depth-first search stops at the first
-    boundary site it reaches and returns the sites it visited, in visit
-    order: the last one is a boundary site exactly when the cluster reaches
-    the window's edge.
+def origin_cluster(config: SiteConfig) -> np.ndarray:
+    """Sites of the origin's open cluster that a depth-first search visits
+    before it reaches a boundary site, in visit order (empty when the origin
+    is closed).  The search stops at the first boundary site, so the last
+    site is a boundary site exactly when the cluster reaches the window's
+    edge; otherwise the sites are the whole cluster.
     """
     # One byte per site: indexing bytes is as fast as a list, and building
     # them is a copy rather than one Python bool per site.
@@ -112,13 +108,11 @@ def origin_cluster(config: SiteConfig, *, until_boundary: bool = False) -> np.nd
         return np.empty(0, dtype=np.int64)
     graph = config.graph
     neighbors = graph.neighbors
-    stop = graph.boundary.tobytes() if until_boundary else bytearray(graph.n_sites)
+    stop = graph.boundary.tobytes()
     seen = bytearray(graph.n_sites)
     seen[0] = 1
     out = [0]
-    if stop[0]:
-        return np.asarray(out, dtype=np.int64)
-    stack = [0]
+    stack = [] if stop[0] else [0]
     while stack:
         for w in neighbors[stack.pop()]:
             if is_open[w] and not seen[w]:
@@ -127,13 +121,11 @@ def origin_cluster(config: SiteConfig, *, until_boundary: bool = False) -> np.nd
                 if stop[w]:
                     return np.asarray(out, dtype=np.int64)
                 stack.append(w)
-    if not until_boundary:
-        out.sort()
     return np.asarray(out, dtype=np.int64)
 
 
 def cluster_reaches_boundary(config: SiteConfig) -> bool:
-    visited = origin_cluster(config, until_boundary=True)
+    visited = origin_cluster(config)
     return visited.size > 0 and bool(config.graph.boundary[visited[-1]])
 
 
@@ -178,8 +170,11 @@ def estimate_theta_coupled(
     """Theta estimates for several densities from shared uniforms.  The
     coupling makes the per-trial reach indicator nondecreasing in p, so the
     estimates are monotone with probability one, not just in expectation.
-    A bad trial count or window radius (see build_site_graph) is a
-    ValueError before any work."""
+    A density outside [0, 1], a bad trial count or a bad window radius (see
+    build_site_graph) is a ValueError before any work."""
+    for p in ps:
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"occupation density must be in [0, 1], got {p}")
     if trials <= 0:
         raise ValueError(f"need trials >= 1, got {trials}")
     graph = build_site_graph(radius)

@@ -442,7 +442,6 @@ class RegionRegistry:
         region: Region,
         bounding: Region,
         vol_lower: float,
-        vol_upper: Optional[float] = None,
     ) -> PickResult:
         """Uniformly pick one process point of ``region`` (or report it
         empty), choosing the cheapest exact realization tier from the mass
@@ -451,10 +450,9 @@ class RegionRegistry:
         """
         self._check_dim(region)
         self._check_dim(bounding)
+        vol_upper = exact_volume(bounding)
         if vol_upper is None:
-            vol_upper = exact_volume(bounding)
-            if vol_upper is None:
-                raise RegistryError("bounding region needs an exact volume")
+            raise RegistryError("bounding region needs an exact volume")
         if not 0.0 <= vol_lower <= vol_upper:
             raise RegistryError(
                 f"invalid volume bracket [{vol_lower}, {vol_upper}]"

@@ -125,17 +125,25 @@ def test_scan_dimensions_rows():
     assert [r.d for r in rows] == [30, 31, 32]
     assert rows[0].lambda_star is None
     assert rows[1].lambda_star is not None
-    with pytest.raises(ValueError):
-        scan_dimensions(40, 30)
+    for lo, hi in ((40, 30), (10, 30), (11, 453)):
+        with pytest.raises(ValueError, match=f"got {lo}..{hi}$"):
+            scan_dimensions(lo, hi)
     assert MIN_DIMENSION_SUPPORTED == 11
+
+
+@pytest.mark.parametrize("threshold", [-0.1, 1.5, math.nan, math.inf])
+def test_min_dimension_refuses_a_threshold_outside_the_unit_interval(threshold):
+    with pytest.raises(ValueError, match=r"threshold must lie in \[0, 1\]"):
+        min_dimension(threshold)
 
 
 def test_every_supported_dimension_evaluates():
     rows = scan_dimensions(MIN_DIMENSION_SUPPORTED, MAX_DIMENSION_SUPPORTED)
     assert len(rows) == MAX_DIMENSION_SUPPORTED - MIN_DIMENSION_SUPPORTED + 1
-    # one dimension further, lambda_star's exp(-log A) overflows
-    with pytest.raises(OverflowError):
-        lambda_star(MAX_DIMENSION_SUPPORTED + 1)
+    # below 11 A has no lower bound; above 452 exp(-log A) would overflow
+    for d in (MIN_DIMENSION_SUPPORTED - 1, MAX_DIMENSION_SUPPORTED + 1):
+        with pytest.raises(ValueError, match=f"needs 11 <= d <= 452, got d={d}$"):
+            lambda_star(d)
     assert DEFAULT_THRESHOLD == 0.892
 
 

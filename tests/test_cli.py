@@ -119,7 +119,7 @@ def test_bounds_scan_dimension_cap(capsys):
     over = str(bounds.MAX_DIMENSION_SUPPORTED + 1)
     assert main(["bounds-scan", "--dim-max", over]) == EXIT_USAGE
     err = capsys.readouterr().err
-    assert err.startswith("error: need 11 <= dim-min <= dim-max <= 452")
+    assert err == "error: need 11 <= d_from <= d_to <= 452, got 11..453\n"
     assert len(err.splitlines()) == 1
 
 
@@ -203,14 +203,22 @@ def test_simulate_refuses_lattice_radius_before_building(monkeypatch, capsys, ra
         (["--dim", "45", "--lambda", "nan", "--cells-C", "16"],
          "lambda must be finite and >= 0, got nan"),
         (["--dim", "45", "--lambda", "auto", "--cells-C", "nan"],
-         "cells-C must be finite and > 0, got nan"),
+         "layer radius C must be finite and > 0, got nan"),
         (["--dim", "45", "--lambda", "auto", "--cells-C", "inf"],
-         "cells-C must be finite and > 0, got inf"),
+         "layer radius C must be finite and > 0, got inf"),
         (["--dim", "453", "--lambda", "auto", "--cells-C", "16"],
-         "auto lambda needs 11 <= d <= 452, got d=453"),
-        (["--dim", "45", "--layers", "0"], "layers must be >= 1"),
+         "lambda_star needs 11 <= d <= 452, got d=453"),
+        (["--dim", "45", "--cells-C", "16", "--layers", "0"],
+         "need at least one layer vector"),
         (["--dim", "45", "--lambda", "1", "--cells-C", "1e300"],
          "layer radius C = 1e+300 is too large at d = 45: a cell's volume overflows"),
+        (["--dim", "3", "--lambda", "1", "--cells-C", "1e300"],
+         "layer radius C = 1e+300 exceeds 1.04858e+06: float64 layer coordinates "
+         "could not resolve tangency"),
+        (["--dim", "5", "--lambda", "1e300", "--cells-C", "4"],
+         "lambda = 1e+300 is too large at d = 5: an isolation ball would hold "
+         "6.108e+299 points on average, above the registry's materialization "
+         "cap 5.000e+07"),
     ],
 )
 def test_simulate_refuses_bad_parameters_before_any_work(monkeypatch, capsys, argv, message):
@@ -218,7 +226,7 @@ def test_simulate_refuses_bad_parameters_before_any_work(monkeypatch, capsys, ar
         raise AssertionError("no overlap search or step may run")
 
     monkeypatch.setattr(geometry, "search_overlap_constant", no_work)
-    monkeypatch.setattr(cli, "run_multilayer", no_work)
+    monkeypatch.setattr(construction, "run_layer", no_work)
     assert main(["simulate"] + argv + ["--max-steps", "1"]) == EXIT_USAGE
     assert capsys.readouterr().err == f"error: {message}\n"
 
@@ -381,7 +389,9 @@ def test_verify_geometry_refuses_a_dimension_outside_its_range(monkeypatch, caps
 @pytest.mark.parametrize(
     "argv, message",
     [(["--budget", "0"], "error: need trials >= 1, got 0\n"),
-     (["--dim", "0"], "error: dim must be >= 1, got 0\n"),
+     (["--dim", "0"],
+      "error: the isolation check needs 1 <= dim <= 5 (a trial realizes "
+      "6 * 3^(dim-1) points on average), got 0\n"),
      # one trial at d = 12 realizes about a million points
      (["--dim", "12", "--budget", "1"],
       "error: the isolation check needs 1 <= dim <= 5 (a trial realizes "

@@ -10,6 +10,7 @@ from hardspheres import construction, hexlattice
 from hardspheres.bounds import lambda_star
 from hardspheres.construction import (
     BAD,
+    MAX_LAYER_RADIUS,
     ConstructionError,
     ConstructionParams,
     GammaProcess,
@@ -34,14 +35,17 @@ from hardspheres.geometry import (
     Intersection,
     RADIUS_MAX,
     RADIUS_MIN,
+    ball_volume,
     step_layer_radii,
     step_volume_bracket,
 )
 from hardspheres.hexlattice import KIND_SITE
 from hardspheres.poisson import (
     DEFAULT_STREAM_CAP,
+    MAX_MATERIALIZE,
     SATURATION_MIN_MASS,
     RegionRegistry,
+    RegistryError,
 )
 from registry_snapshot import registry_snapshot
 
@@ -76,10 +80,11 @@ def params31(**kw):
 def test_params_validation():
     with pytest.raises(ValueError):
         ConstructionParams(d=2, C=4.0, lam=1.0)
-    for bad in (0.0, math.nan, math.inf):
+    for bad in (0.0, math.nan, math.inf, 1e300):
         with pytest.raises(ValueError):
-            ConstructionParams(d=5, C=bad, lam=1.0)
-    for bad in (-1.0, math.nan, math.inf):
+            ConstructionParams(d=3, C=bad, lam=1.0)
+    ConstructionParams(d=3, C=MAX_LAYER_RADIUS, lam=1.0)
+    for bad in (-1.0, math.nan, math.inf, 1e300):
         with pytest.raises(ValueError):
             ConstructionParams(d=5, C=4.0, lam=bad)
     with pytest.raises(ValueError):
@@ -303,6 +308,21 @@ def test_multilayer_gap_and_validation():
         run_multilayer(p, 0, [(0,) * 29, (0,) * 29])
     with pytest.raises(ValueError):
         run_multilayer(p, 0, [(0,) * 5])
+    with pytest.raises(ValueError, match="need at least one layer vector"):
+        run_multilayer(p, 0, [])
+
+
+def test_intensity_that_every_isolation_test_refuses():
+    # the smallest isolation ball is B(c, RADIUS_MIN + eta), and the
+    # registry refuses to materialize one whose expected count tops
+    # MAX_MATERIALIZE, so the params refuse that intensity up front
+    lam_max = MAX_MATERIALIZE / ball_volume(5, RADIUS_MIN + 0.1)
+    ConstructionParams(d=5, C=4.0, lam=lam_max * (1 - 1e-9), eta=0.1)
+    with pytest.raises(ValueError, match="materialization cap"):
+        ConstructionParams(d=5, C=4.0, lam=lam_max * (1 + 1e-9), eta=0.1)
+    reg = RegionRegistry(5, lam_max * (1 + 1e-9), seed=0)
+    with pytest.raises(RegistryError, match="materialization cap"):
+        reg.points_in_ball(np.zeros(5), RADIUS_MIN + 0.1)
 
 
 def test_assembly_bookkeeping():

@@ -50,8 +50,6 @@ def test_sample_config_deterministic_and_bernoulli():
 def test_origin_cluster_p_extremes():
     g = build_site_graph(8.0)
     full = sample_config(g, 1.0, seed=0)
-    cl = origin_cluster(full)
-    assert cl.size == g.n_sites
     assert cluster_reaches_boundary(full)
     empty = sample_config(g, 0.0, seed=0)
     assert origin_cluster(empty).size == 0
@@ -140,8 +138,10 @@ def test_origin_cluster_matches_union_find():
             assert cl.size == 0
             continue
         root = uf.find(0)
-        component = [v for v in range(g.n_sites) if open_mask[v] and uf.find(v) == root]
-        assert cl.tolist() == component
+        component = {v for v in range(g.n_sites) if open_mask[v] and uf.find(v) == root}
+        assert set(cl.tolist()) <= component
+        if not g.boundary[cl[-1]]:
+            assert sorted(cl.tolist()) == sorted(component)
 
 
 def reference_build_site_graph(radius):
@@ -205,7 +205,7 @@ def test_early_exit_search_matches_union_find(radius):
             reaches = any(g.boundary[v] for v in component)
             assert cluster_reaches_boundary(cfg) == reaches
             outcomes.add(reaches)
-            visited = origin_cluster(cfg, until_boundary=True).tolist()
+            visited = origin_cluster(cfg).tolist()
             assert len(set(visited)) == len(visited)
             assert set(visited) <= component
             if not component:
@@ -221,7 +221,6 @@ def test_early_exit_search_matches_union_find(radius):
                 assert stops == [visited[-1]]
             else:
                 assert stops == [] and sorted(visited) == sorted(component)
-            assert origin_cluster(cfg).tolist() == sorted(component)
     assert outcomes == {True, False}
 
 
@@ -236,3 +235,13 @@ def test_window_radius_is_refused_before_building(monkeypatch, radius):
         build_site_graph(radius)
     with pytest.raises(ValueError, match=message):
         estimate_theta_coupled([0.5, 0.7], radius, 10, 0)
+
+
+@pytest.mark.parametrize("p", [-0.1, 1.5, math.nan, math.inf])
+def test_density_is_refused_before_building(monkeypatch, p):
+    def no_lattice(*args, **kwargs):
+        raise AssertionError("the lattice must not be built")
+
+    monkeypatch.setattr(percolation2d, "build_lattice", no_lattice)
+    with pytest.raises(ValueError, match=f"must be in \\[0, 1\\], got {p}$"):
+        estimate_theta_coupled([0.5, p], 10.0, 10, 0)
