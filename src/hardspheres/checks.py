@@ -215,6 +215,8 @@ def _bounding_box(regions, pad: float):
     lo = np.full(d, np.inf)
     hi = np.full(d, -np.inf)
     for reg in regions:
+        if not isinstance(reg, (Ball, Cell, Annulus)):
+            raise ValueError(f"{type(reg).__name__} has no bounding ball")
         b = reg.bounding_ball()
         lo = np.minimum(lo, b.center - b.radius - pad)
         hi = np.maximum(hi, b.center + b.radius + pad)

@@ -287,11 +287,6 @@ class Intersection:
             ok &= part.contains(points)
         return ok
 
-    def bounding_ball(self) -> Ball:
-        # Any part bounds the intersection; pick the smallest bounding ball.
-        balls = [p.bounding_ball() for p in self.parts]
-        return min(balls, key=lambda b: b.radius)
-
 
 @dataclass(frozen=True)
 class Difference:
@@ -318,9 +313,6 @@ class Difference:
             # boundary of s is removed.  Measure zero either way.
             ok &= ~s.contains(points)
         return ok
-
-    def bounding_ball(self) -> Ball:
-        return self.outer.bounding_ball()
 
 
 Region = Union[Ball, Cell, Annulus, Intersection, Difference]

@@ -45,7 +45,9 @@ saturated  For masses beyond any enumeration (a first-layer cell in d = 45
            (later realized mass) / (saturated mass); the registry tracks
            that ratio and refuses to proceed when it could ever matter
            (tolerance 1e-9; acceptance criterion 9's d = 45 layer prints
-           q_max 6.7e-45).
+           q_max 1.8e-55).  A realization, or a second saturated zone,
+           that regions_disjoint certifies as separated from the zone is
+           independent of it and is neither charged nor refused.
 
 Same seed and same query sequence give bit-identical results; streams
 replay from SeedSequence-derived Philox keys, derived once per record, that
@@ -200,7 +202,6 @@ class _Record:
         "rid",
         "region",
         "mode",
-        "bball",
         "coords",
         "n_candidates",
         "n_fresh",
@@ -211,11 +212,10 @@ class _Record:
         "realized_mass_in_zone",
     )
 
-    def __init__(self, rid, region, mode, bball):
+    def __init__(self, rid, region, mode):
         self.rid = rid
         self.region = region
         self.mode = mode
-        self.bball = bball
         # stored mode: (n, d) fresh points; saturated mode: the (1, d) pick,
         # set once it has landed; streamed mode: None
         self.coords = None
@@ -270,26 +270,19 @@ class RegionRegistry:
                 f"region dimension {region.dim} != registry dimension {self.dim}"
             )
 
-    def _saturated_overlapping(self, bball) -> list:
-        """Saturated records whose bounding ball meets ``bball``."""
-        return [
-            r
-            for r in self.records
-            if r.mode == "saturated"
-            and math.dist(bball.center, r.bball.center) - (bball.radius + r.bball.radius)
-            <= 1e-12
-        ]
-
     def _reaching(self, region: Region) -> list:
         """Records, in id order, whose zone can reach into the region:
-        provably disjoint ones are skipped."""
+        provably disjoint ones are skipped.  A new record scans once, for
+        the region it realizes: its stored and streamed records are the
+        record's filter_ids (the membership test of any other could never
+        fire), and its saturated ones are the zones the record meets.
+        Skipping a disjoint zone is exact, because a Poisson process is
+        independent on disjoint sets."""
         return [r for r in self.records if not regions_disjoint(region, r.region)]
 
-    def _determined_filter_ids(self, region: Region) -> tuple:
-        """Earlier stored and streamed records whose owned zone can reach
-        into this sampling region; the membership test of any other record
-        could never fire."""
-        return tuple(r.rid for r in self._reaching(region) if r.mode != "saturated")
+    @staticmethod
+    def _filter_ids(reach: list) -> tuple:
+        return tuple(r.rid for r in reach if r.mode != "saturated")
 
     def _drop_determined(self, pts: np.ndarray, filter_ids) -> np.ndarray:
         """Mask of candidates NOT owned by the given earlier records."""
@@ -299,10 +292,12 @@ class RegionRegistry:
             keep &= ~rec.region.contains(pts)
         return keep
 
-    def _note_saturated_realization(self, bball, mass_upper: float):
-        """Track how much mass later queries realize inside saturated zones
-        and enforce the exactness tolerance."""
-        for rec in self._saturated_overlapping(bball):
+    def _note_saturated_realization(self, reach: list, mass_upper: float):
+        """Track how much mass later queries realize inside the saturated
+        zones they reach and enforce the exactness tolerance."""
+        for rec in reach:
+            if rec.mode != "saturated":
+                continue
             rec.realized_mass_in_zone += mass_upper
             q = rec.realized_mass_in_zone / rec.mass_lower
             self.q_max = max(self.q_max, q)
@@ -374,11 +369,11 @@ class RegionRegistry:
                     f"expected count {mass:.3e} exceeds the materialization "
                     f"cap {MAX_MATERIALIZE:.3e}; use pick_in_region"
                 )
-            bball = region.bounding_ball()
-            self._note_saturated_realization(bball, mass)
+            reach = self._reaching(region)
+            self._note_saturated_realization(reach, mass)
             rid = len(self.records)
-            rec = _Record(rid, region, "stored", bball)
-            rec.filter_ids = self._determined_filter_ids(region)
+            rec = _Record(rid, region, "stored")
+            rec.filter_ids = self._filter_ids(reach)
             n = int(self.rng.poisson(mass)) if mass > 0 else 0
             rec.n_candidates = n
             if n:
@@ -392,6 +387,7 @@ class RegionRegistry:
             self._stored_by_key[key] = rid
             self.stored_points += rec.n_fresh
             self.peak_stored_points = max(self.peak_stored_points, self.stored_points)
+            return self._collect(region, reach + [rec])
         return self.collect(region)
 
     def points_in_ball(self, center, radius: float) -> PointSet:
@@ -405,9 +401,14 @@ class RegionRegistry:
         first).  Records come in id order and each yields ascending
         indices, so the ids come out sorted."""
         self._check_dim(region)
+        return self._collect(region, self._reaching(region))
+
+    def _collect(self, region: Region, records: list) -> PointSet:
+        """collect over the given records, which must include every record
+        that can reach into the region, in id order."""
         ids = []
         coords = []
-        for rec in self._reaching(region):
+        for rec in records:
             if rec.mode == "streamed":
                 batches = self._replay(rec)
             elif rec.coords is not None and len(rec.coords):
@@ -476,14 +477,14 @@ class RegionRegistry:
         return self._pick_saturated(region, bounding, m_lo, m_hi)
 
     def _pick_streamed(self, region, bounding, m_lo, m_hi) -> PickResult:
-        bball = bounding.bounding_ball()
-        self._note_saturated_realization(bball, m_hi)
+        reach = self._reaching(bounding)
+        self._note_saturated_realization(reach, m_hi)
         # Earlier determined points inside the region are members too; they
         # must be collected before the new record exists.
         earlier = self.collect(region)
         rid = len(self.records)
-        rec = _Record(rid, bounding, "streamed", bball)
-        rec.filter_ids = self._determined_filter_ids(bounding)
+        rec = _Record(rid, bounding, "streamed")
+        rec.filter_ids = self._filter_ids(reach)
         stream = generator(self.seed, _STREAM_PATH, rid)
         rec.stream_key = stream.bit_generator.state["state"]["key"]
         rec.n_candidates = int(self.rng.poisson(m_hi))
@@ -542,20 +543,21 @@ class RegionRegistry:
                 "stream but its lower bound is below the saturation minimum "
                 f"{SATURATION_MIN_MASS}; cannot realize exactly"
             )
-        bball = bounding.bounding_ball()
+        # The zone is the region: only points inside it can be picked.
+        reach = self._reaching(region)
         # The saturated pick must come from the undetermined sea; any already
         # determined point inside the region would carry selection weight
         # ~ 1/mass that the sea pick ignores.  Refuse instead of approximate.
-        if len(self.collect(region)) > 0:
+        if len(self._collect(region, reach)) > 0:
             raise RegistryError(
                 "saturated pick over a region that already holds determined "
                 "points; realize it with a lighter tier instead"
             )
-        if self._saturated_overlapping(bball):
+        if any(r.mode == "saturated" for r in reach):
             raise RegistryError("overlapping saturated zones are not supported")
         rid = len(self.records)
-        rec = _Record(rid, region, "saturated", bball)
-        rec.filter_ids = self._determined_filter_ids(bounding)
+        rec = _Record(rid, region, "saturated")
+        rec.filter_ids = self._filter_ids(reach)
         rec.mass_lower = m_lo
         self.records.append(rec)
 
@@ -779,7 +781,8 @@ def sampler_consistency_check(
     most-overlapping query pairs, at familywise significance _ALPHA
     (Bonferroni).  Fewer than MIN_CONSISTENCY_SEEDS seeds, or a degenerate
     projection (too few populated categories to test), is TooFewSamples, not
-    a pass."""
+    a pass.  The script's dimension is checked first."""
+    consistency_regions(dim)
     if n_seeds < MIN_CONSISTENCY_SEEDS:
         raise TooFewSamples(
             f"the chi-squared table needs at least {MIN_CONSISTENCY_SEEDS} seeds, "

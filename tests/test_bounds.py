@@ -197,6 +197,13 @@ def test_mc_isolated_check_requires_exact_volume():
         mc_isolated_check(Intersection((b, b)), lam=1.0, r=0.5, trials=100, seed=0)
 
 
+def test_conditional_isolation_refuses_a_region_without_a_bounding_ball():
+    b = Ball(np.zeros(2), 1.0)
+    away = Intersection((Ball(np.array([3.0, 0.0]), 1.0),))
+    with pytest.raises(ValueError, match="^Intersection has no bounding ball$"):
+        mc_conditional_isolated_check(b, away, lam=1.0, r=0.5, trials=5, seed=0)
+
+
 def test_isolation_checks_need_a_trial():
     b = Ball(np.zeros(2), 1.0)
     with pytest.raises(ValueError, match="trials >= 1"):

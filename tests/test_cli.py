@@ -433,6 +433,14 @@ def test_verify_sampler_refuses_a_budget_below_its_floor(monkeypatch, capsys, bu
     )
 
 
+def test_verify_sampler_refuses_a_dimension_before_the_budget(capsys):
+    argv = ["verify", "sampler", "--dim", "3", "--budget", "100"]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "error: the consistency script is planar (dim = 2)\n"
+    )
+
+
 def test_verify_sampler_refuses_a_degenerate_table(capsys):
     # seed 5 needs 460 seeds before every pooled table can be tested
     assert main(["verify", "sampler", "--budget", "400", "--seed", "5"]) == EXIT_USAGE

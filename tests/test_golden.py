@@ -3,8 +3,9 @@
 Replay within one process is checked elsewhere; these digests also catch a
 refactor that changes the realized configuration, the step log, or the
 manifest's counts and hard-sphere report between versions.  Together the
-two runs reach all three registry tiers (stored, streamed, saturated) and
-multi-layer assembly.  Two more digests pin what the registry itself
+d45 and d31 runs reach all three registry tiers (stored, streamed,
+saturated) and multi-layer assembly; the d = 100 run makes only saturated
+picks, one beside another.  Two more digests pin what the registry itself
 realizes: the ``dump()`` of the d = 45 layer, and the ids and coordinates
 that a small d = 3 registry returns from overlapping streamed records,
 where every later query is answered by replaying earlier streams.  The
@@ -56,6 +57,19 @@ GOLDEN = {
             "steps": "5311a11511de9104573cae962f8fae3db1e05c2173a82c46ab3aa0000ae232c0",
             "counts": "d65454a5d2d3efd0e9cbeb93509cfecb90c7b9ef3476cefd1124c112c9436489",
             "hard_sphere": "73a8567de8db6e78f74c4abfd434b5c76370eb0846ecd0e7033318c165fc96ff",
+        },
+    ),
+    # d = 100 at lambda*, cut to twelve steps: every pick is saturated, and
+    # each later zone's bounding ball meets the earlier zones' bounding
+    # balls while the cells lie apart in the plane.
+    "d100-lambda-star-12-steps": (
+        ["simulate", "--dim", "100", "--lambda", "auto", "--cells-C", "32",
+         "--lattice-radius", "12", "--max-steps", "12", "--seed", "7"],
+        {
+            "spheres": "7cef9135f6c8bfe72dec4044ca7ff4ff097d96687583f7f99f4a3c29ab18b958",
+            "steps": "2c77f7d035a0fca6a8d40b50163098f78a64113a1970b2e5a5eb1fafb9239a67",
+            "counts": "0ad78279ad02a7e1eaa8d322cece518c543eab340c2efaf29570d0f9208988f7",
+            "hard_sphere": "37ba5ea7f479cf710786eac7e2311c5236927a738a45204b3b3dd0d31aed9ded",
         },
     ),
 }

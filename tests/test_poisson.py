@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from hardspheres.geometry import Annulus, Ball, Cell, Intersection
+from hardspheres import poisson
+from hardspheres.geometry import Annulus, Ball, Cell, Intersection, regions_disjoint
 from hardspheres.poisson import (
     MAX_MATERIALIZE,
     MIN_CONSISTENCY_SEEDS,
@@ -242,6 +243,59 @@ def test_saturated_zones_cannot_overlap():
     reg.pick_in_region(b1, b1, b1.volume())
     with pytest.raises(RegistryError):
         reg.pick_in_region(b2, b2, b2.volume())
+
+
+def _thin_cell(x):
+    """A d = 3 cell whose bounding ball (radius about 5) meets that of the
+    cell one unit away, while the two discs lie 0.98 apart in the plane."""
+    return Cell(np.array([x, 0.0]), 0.01, np.zeros(1), 5.0)
+
+
+def _saturating_registry(seed):
+    # lam * vol(_thin_cell) is about 6283 >= SATURATION_MIN_MASS
+    return RegionRegistry(3, 2e6, seed=seed, store_cap=5.0, stream_cap=10.0)
+
+
+def test_saturated_zones_apart_in_the_plane_are_both_picked():
+    reg = _saturating_registry(15)
+    for x in (0.0, 1.0):
+        cell = _thin_cell(x)
+        res = reg.pick_in_region(cell, cell, cell.volume())
+        assert res.status == "picked" and res.mode == "saturated"
+        assert cell.contains(res.coords[None, :])[0]
+    assert [r.mode for r in reg.records] == ["saturated", "saturated"]
+
+
+def test_realization_apart_from_a_saturated_zone_is_not_charged():
+    reg = _saturating_registry(16)
+    cell = _thin_cell(0.0)
+    reg.pick_in_region(cell, cell, cell.volume())
+    # inside the cell's bounding ball, but 0.39 from the cell
+    reg.materialize(Ball(np.array([0.5, 0.0, 0.0]), 0.1))
+    assert reg.metrics()["q_max"] == 0.0
+    inside = Ball(np.array([0.0, 0.0, 1.0]), 5e-5)
+    reg.materialize(inside)
+    q = 2e6 * inside.volume() / reg.records[0].mass_lower
+    assert reg.metrics()["q_max"] == pytest.approx(q, rel=1e-12)
+
+
+def test_a_new_record_scans_each_earlier_record_once(monkeypatch):
+    calls = []
+
+    def counting(a, b):
+        calls.append(b)
+        return regions_disjoint(a, b)
+
+    monkeypatch.setattr(poisson, "regions_disjoint", counting)
+    reg = RegionRegistry(2, 2.0, seed=17)
+    for k in range(6):
+        calls.clear()
+        reg.materialize(ball2(0.5 * k, 0.0, 0.4))
+        assert len(calls) == k
+    # a repeated region collects without a new record
+    calls.clear()
+    reg.materialize(ball2(0.0, 0.0, 0.4))
+    assert len(calls) == 6
 
 
 def test_saturated_q_guard():

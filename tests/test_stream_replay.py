@@ -256,7 +256,7 @@ class _SlowBall(Ball):
 def _bare_record(reg, region, n_candidates, filter_ids=()):
     """A streamed record appended to a registry by hand."""
     rid = len(reg.records)
-    rec = poisson._Record(rid, region, "streamed", region.bounding_ball())
+    rec = poisson._Record(rid, region, "streamed")
     rec.stream_key = generator(reg.seed, 2, rid).bit_generator.state["state"]["key"]
     rec.n_candidates = n_candidates
     rec.filter_ids = filter_ids
