@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import geometry
 from .geometry import (
@@ -549,6 +548,8 @@ def _reassign_leftover_radii(params: ConstructionParams, spheres, states):
     to the nearest other sphere surface, but only when the ball of that
     diameter is provably inside one realized record, so nothing unseen can
     be closer.  Unresolvable leftovers keep radius 0 and an annotation."""
+    from scipy.spatial import cKDTree
+
     registries = {tuple(st.layer_vec): st.registry for st in states}
     positive = [s for s in spheres if s.radius > 0]
     pos_centers = np.asarray([s.center for s in positive])
@@ -685,6 +686,8 @@ def _contact_pairs(centers: np.ndarray, radii: np.ndarray, slack: float):
     positive-radius spheres seed the queries.  Their query radius is
     widened by _TIE_REL, so that the tree's own rounding cannot drop a pair
     whose math.dist lies exactly on a threshold."""
+    from scipy.spatial import cKDTree
+
     n = len(radii)
     positive = np.flatnonzero(radii > 0)
     if positive.size == 0:

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy import special
 
 # Construction profile: sphere radii live in [MU - DELTA, MU + DELTA] and
 # cells are 2-discs of radius EPS crossed with a large (d-2)-ball.  The
@@ -549,6 +548,8 @@ def boundary_fraction(dim: int, c: float, R: float) -> float:
     """
     if 2.0 * c <= R:
         return (c / R) ** dim
+    from scipy import special
+
     nodes, weights = special.roots_legendre(64)
     s = 0.5 * (nodes + 1.0)
     t = s * (R / (2.0 * c))

@@ -462,8 +462,14 @@ class RegionRegistry:
         m_hi = self.lam * vol_upper
 
         if m_hi <= self.store_cap:
-            self.materialize(bounding)
-            members = self.collect(region)
+            # The region lies inside bounding, so its members are the rows
+            # of bounding's points that it contains, ids kept in order.
+            stored = self.materialize(bounding)
+            inside = np.flatnonzero(region.contains(stored.coords))
+            members = PointSet(
+                ids=tuple(stored.ids[i] for i in inside.tolist()),
+                coords=stored.coords[inside],
+            )
             if len(members) == 0:
                 return PickResult("empty", None, None, "stored", 0, m_lo, m_hi)
             pid, coords = self.uniform_choice(members)

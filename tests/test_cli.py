@@ -474,6 +474,28 @@ def test_importing_the_cli_leaves_scipy_stats_unloaded():
     assert out.stdout == "False\n"
 
 
+def test_perc2d_bounds_scan_and_verify_isolation_leave_scipy_unloaded(tmp_path):
+    # scipy costs about 0.3 s of start-up and 35 MB; only the overlap
+    # constant, the contact scans and the chi-squared battery call it.
+    out = str(tmp_path / "out.json")
+    argvs = [
+        ["perc2d", "--p", "0.7", "--radius", "10", "--trials", "10", "--out", out],
+        ["bounds-scan", "--out", out],
+        ["verify", "isolation", "--dim", "2", "--budget", "3000", "--out", out],
+    ]
+    code = (
+        "import sys\n"
+        "from hardspheres import cli\n"
+        "print('scipy' in sys.modules)\n"
+        f"for argv in {argvs!r}:\n"
+        "    print(cli.main(argv), 'scipy' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, timeout=60, check=True)
+    assert res.stdout.splitlines() == ["False"] + ["0 False"] * len(argvs)
+
+
 def test_version_and_missing_command():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -298,6 +298,60 @@ def test_a_new_record_scans_each_earlier_record_once(monkeypatch):
     assert len(calls) == 6
 
 
+def test_a_stored_pick_scans_each_record_once_and_replays_each_stream_once(
+    monkeypatch,
+):
+    calls = []
+    replays = []
+    replay = RegionRegistry._replay
+
+    def counting(a, b):
+        calls.append(b)
+        return regions_disjoint(a, b)
+
+    def counting_replay(self, rec):
+        replays.append(rec.rid)
+        return replay(self, rec)
+
+    monkeypatch.setattr(poisson, "regions_disjoint", counting)
+    monkeypatch.setattr(RegionRegistry, "_replay", counting_replay)
+    reg = RegionRegistry(2, 4.0, seed=18, store_cap=3.0)
+    for x in (0.0, 3.0):  # two streams; only the first reaches the pick
+        b = ball2(x, 0.0, 0.9)
+        assert reg.pick_in_region(b, b, b.volume()).mode == "streamed"
+    reg.materialize(ball2(0.6, 0.5, 0.3))  # a stored record that reaches it
+    k = len(reg.records)
+    calls.clear()
+    replays.clear()
+    bounding = ball2(0.6, 0.0, 0.35)
+    region = Intersection((bounding, ball2(0.5, 0.0, 0.3)))
+    res = reg.pick_in_region(region, bounding, 0.0)
+    assert res.mode == "stored"
+    assert len(calls) == k
+    assert replays == [0]
+    # the members are exactly the region's collect, ids in order
+    members = reg.collect(region)
+    assert res.n_members == len(members) > 0
+    assert res.point_id in members.ids
+    assert np.array_equal(res.coords, members.coords[members.ids.index(res.point_id)])
+
+
+def test_a_stored_pick_with_nothing_found_is_empty():
+    region = Intersection((ball2(0.0, 0.0, 0.5), ball2(0.3, 0.0, 0.5)))
+    # nothing realized in bounding at all
+    reg = RegionRegistry(2, 0.0, seed=19)
+    res = reg.pick_in_region(region, ball2(0.0, 0.0, 0.5), 0.0)
+    assert (res.status, res.mode, res.n_members) == ("empty", "stored", 0)
+    assert len(reg.collect(ball2(0.0, 0.0, 0.5))) == 0
+    # points in bounding, none of them in the region
+    reg = RegionRegistry(2, 2.0, seed=20)
+    bounding = ball2(0.0, 0.0, 1.0)
+    tiny = Intersection((bounding, ball2(0.0, 0.0, 1e-6)))
+    res = reg.pick_in_region(tiny, bounding, 0.0)
+    assert len(reg.collect(bounding)) > 0
+    assert (res.status, res.mode, res.n_members) == ("empty", "stored", 0)
+
+
 def test_saturated_q_guard():
     reg = RegionRegistry(2, 1.0, seed=14, store_cap=5.0, stream_cap=10.0)
     big = Ball(np.zeros(2), 40.0)
