@@ -40,6 +40,7 @@ from .geometry import (
     MU,
     RADIUS_MAX,
     RADIUS_MIN,
+    StepShell,
     region_contains_ball,
     step_volume_bracket,
 )
@@ -302,9 +303,10 @@ def step_region(
     parent_radius: float,
 ):
     """(region, bounding, vol_lower) for the step from a parent sphere into
-    the cell at planar_center.  The bounding product replaces the cell's
-    layer ball by the slice of the annulus' outer sphere that can meet the
-    cell at all."""
+    the cell at planar_center.  The bounding region is the StepShell of the
+    annulus over the product that replaces the cell's layer ball by the
+    slice of the annulus' outer sphere that can meet the cell at all; the
+    registry chooses the pick's tier from that product's mass."""
     cell = params.cell(planar_center, layer_center)
     annulus = Annulus(
         parent_center,
@@ -312,9 +314,10 @@ def step_region(
         parent_radius + MU + DELTA + MEMBERSHIP_TOL,
     )
     region = Intersection((cell, annulus))
-    outer = parent_radius + MU + DELTA + MEMBERSHIP_TOL
-    bound_layer = math.sqrt(outer**2 - (1.0 - 2.0 * EPS) ** 2)
-    bounding = Cell(planar_center, EPS, parent_center[2:], bound_layer)
+    bound_layer = math.sqrt(annulus.outer**2 - (1.0 - 2.0 * EPS) ** 2)
+    bounding = StepShell(
+        Cell(planar_center, EPS, parent_center[2:], bound_layer), annulus
+    )
     vol_lower = max(0.0, step_volume_bracket(params.d, parent_radius)[0])
     return region, bounding, vol_lower
 

@@ -2,8 +2,9 @@
 cluster construction.
 
 Everything here is plain d-dimensional geometry: closed balls, thin
-product cells (a 2-disc crossed with a (d-2)-ball), spherical shells, and
-Monte Carlo volume estimation against an exactly sampleable bounding region.
+product cells (a 2-disc crossed with a (d-2)-ball), spherical shells, the
+ring-sliced shells that bound a growth step, and Monte Carlo volume
+estimation against an exactly sampleable bounding region.
 The closed-form quantities (shell radii, the shell-minus-core profile, the
 step-region lower bound) are what the dimension bounds in
 :mod:`hardspheres.bounds` are built from.
@@ -261,6 +262,138 @@ class Annulus:
         return Ball(self.center, self.outer)
 
 
+# Rings of a StepShell's planar disc.
+STEP_RINGS = 16
+
+
+def _lens_area(dist: float, r1: float, r2: float) -> float:
+    """Area of the intersection of two discs of radii r1 and r2 whose
+    centers lie dist apart."""
+    if r1 <= 0.0 or r2 <= 0.0 or dist >= r1 + r2:
+        return 0.0
+    if dist <= abs(r1 - r2):
+        return math.pi * min(r1, r2) ** 2
+    c1 = (dist * dist + r1 * r1 - r2 * r2) / (2.0 * dist * r1)
+    c2 = (dist * dist + r2 * r2 - r1 * r1) / (2.0 * dist * r2)
+    heron = (-dist + r1 + r2) * (dist + r1 - r2) * (dist - r1 + r2) * (dist + r1 + r2)
+    return (
+        r1 * r1 * math.acos(min(1.0, max(-1.0, c1)))
+        + r2 * r2 * math.acos(min(1.0, max(-1.0, c2)))
+        - 0.5 * math.sqrt(max(0.0, heron))
+    )
+
+
+@dataclass(frozen=True)
+class StepShell:
+    """Ring-sliced bounding region of a step: the planar disc of ``cell``
+    cut into STEP_RINGS rings by the planar distance s from the annulus
+    center's planar coordinates, over [D - eps, D + eps] with D the distance
+    between the two planar centers.  Over ring k, [s_k, s_k+1], the layer
+    part is the (d-2)-shell around the annulus center's layer coordinates
+    with radii
+
+        g_out,k = min(layer_radius, sqrt(outer^2 - s_k^2)),
+        g_in,k  = min(g_out,k, sqrt(max(0, inner^2 - s_k+1^2))),
+
+    so that cell & annulus lies inside the shell and the shell inside the
+    cell.  ``cell``'s layer center must be the annulus center's layer part.
+
+    The volume is omega_m sum_k area_k (g_out,k^m - g_in,k^m), with each
+    ring's area a difference of two lens areas.  The sampler draws a uniform
+    disc point, keeps it with probability W_k / max W (W_k = g_out,k^m -
+    g_in,k^m, rejection from a dominating density; Devroye 1986, II.3),
+    then a uniform point of ring k's shell.
+    """
+
+    cell: Cell
+    annulus: Annulus
+
+    def __post_init__(self):
+        cell, ann = self.cell, self.annulus
+        m = cell.layer_center.shape[0]
+        if m == 0 or ann.dim != cell.dim:
+            raise ValueError("a step shell needs a cell and an annulus of one dim >= 3")
+        if not np.array_equal(cell.layer_center, ann.center[2:]):
+            raise ValueError("the cell's layer center must be the annulus center's")
+        D = math.dist(cell.planar_center, ann.center[:2])
+        s = np.linspace(max(0.0, D - cell.eps), D + cell.eps, STEP_RINGS + 1)
+        g_out2 = np.clip(ann.outer**2 - s[:-1] ** 2, 0.0, cell.layer_radius**2)
+        g_in2 = np.clip(ann.inner**2 - s[1:] ** 2, 0.0, g_out2)
+        g_max = math.sqrt(g_out2[0])
+        # shell powers relative to g_max^m: the sampler needs only ratios
+        lo = (np.sqrt(g_in2) / g_max) ** m
+        hi = (np.sqrt(g_out2) / g_max) ** m
+        lens = [_lens_area(D, cell.eps, x) for x in s]
+        area = np.diff(lens)
+        weight = hi - lo
+        accept = weight / weight.max()
+        for name, value in (
+            ("_edges", s),
+            ("_area", area),
+            ("_g_in2", g_in2),
+            ("_g_out2", g_out2),
+            ("_g_max", g_max),
+            ("_lo", lo),
+            ("_hi", hi),
+            ("_accept", accept),
+            ("_keep_rate", float(area @ accept / area.sum())),
+            ("_volume", unit_ball_volume(m) * g_max**m * float(area @ weight)),
+        ):
+            object.__setattr__(self, name, value)
+
+    @property
+    def dim(self) -> int:
+        return self.cell.dim
+
+    def volume(self) -> float:
+        return self._volume
+
+    def _rings(self, planar: np.ndarray) -> np.ndarray:
+        """Ring index of each planar point; points off the edges (never in
+        the disc, but for roundoff) take the nearest ring."""
+        s = np.sqrt(_squared_distances(planar, self.annulus.center[:2]))
+        s -= self._edges[0]
+        s *= STEP_RINGS / (self._edges[-1] - self._edges[0])
+        return np.clip(s, 0, STEP_RINGS - 1).astype(np.intp)
+
+    def contains(self, points: np.ndarray) -> np.ndarray:
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        cell = self.cell
+        ok = _squared_distances(points[:, :2], cell.planar_center) <= cell.eps**2
+        ring = self._rings(points[:, :2])
+        l2 = _squared_distances(points[:, 2:], cell.layer_center)
+        ok &= l2 >= self._g_in2[ring]
+        ok &= l2 <= self._g_out2[ring]
+        return ok
+
+    def sample(
+        self, n: int, rng: np.random.Generator, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        if out is None:
+            out = np.empty((n, self.dim))
+        cell = self.cell
+        ring = np.empty(n, dtype=np.intp)
+        filled = 0
+        while filled < n:
+            want = n - filled
+            k = int(want / self._keep_rate) + 16
+            disc = sample_in_ball(cell.planar_center, cell.eps, k, rng)
+            rings = self._rings(disc)
+            kept = np.flatnonzero(rng.random(k) < self._accept[rings])[:want]
+            out[filled : filled + kept.size, :2] = disc[kept]
+            ring[filled : filled + kept.size] = rings[kept]
+            filled += kept.size
+        m = self.dim - 2
+        layer = _unit_directions(n, m, rng, out[:, 2:])
+        lo = self._lo[ring][:, None]
+        u = rng.random((n, 1))
+        u *= self._hi[ring][:, None] - lo
+        u += lo
+        layer *= self._g_max * u ** (1.0 / m)
+        layer += cell.layer_center
+        return out
+
+
 @dataclass(frozen=True)
 class Intersection:
     """Intersection of regions.  No closed-form volume; membership only."""
@@ -314,12 +447,12 @@ class Difference:
         return ok
 
 
-Region = Union[Ball, Cell, Annulus, Intersection, Difference]
+Region = Union[Ball, Cell, Annulus, StepShell, Intersection, Difference]
 
 
 def exact_volume(region: Region) -> Optional[float]:
     """Closed-form volume if the region type has one, else None."""
-    if isinstance(region, (Ball, Cell, Annulus)):
+    if isinstance(region, (Ball, Cell, Annulus, StepShell)):
         return region.volume()
     return None
 
@@ -328,9 +461,12 @@ def region_contains_ball(region: Region, center: np.ndarray, radius: float) -> b
     """True if B(center, radius) provably lies inside the region.
 
     Exact for Ball, Cell, and Annulus; conservatively requires every part
-    for Intersection and returns False for Difference (no cheap certificate).
+    for Intersection, tests a StepShell's cell & annulus (a subset of it),
+    and returns False for Difference (no cheap certificate).
     """
     center = np.asarray(center, dtype=float)
+    if isinstance(region, StepShell):
+        region = Intersection((region.cell, region.annulus))
     if isinstance(region, Ball):
         return math.dist(center, region.center) + radius <= region.radius
     if isinstance(region, Cell):
@@ -353,8 +489,9 @@ def region_lower_distance(a: Region, b: Region) -> float:
     """Provable lower bound on the distance between two regions.
 
     Exact for Ball/Cell pairs (product-cell distance decomposes over the
-    planar and layer factors); annuli fall back to their outer balls,
-    intersections take the best part, differences use their outer region.
+    planar and layer factors); annuli fall back to their outer balls, step
+    shells to their cells, intersections take the best part, differences use
+    their outer region.
     Returns a value <= 0 when no positive separation is certified; never
     overestimates the true distance.
     """
@@ -366,6 +503,10 @@ def region_lower_distance(a: Region, b: Region) -> float:
         return region_lower_distance(a.outer, b)
     if isinstance(b, Difference):
         return region_lower_distance(a, b.outer)
+    if isinstance(a, StepShell):
+        a = a.cell
+    if isinstance(b, StepShell):
+        b = b.cell
     if isinstance(a, Annulus):
         a = a.bounding_ball()
     if isinstance(b, Annulus):
@@ -412,7 +553,7 @@ def mc_region_volume(
     """Hit-or-miss volume estimate of ``region`` against ``bounding``.
 
     ``bounding`` must have an exact sampler and an exact volume (Ball,
-    Cell, or Annulus).  The estimate is of vol(region & bounding), the
+    Cell, Annulus or StepShell).  The estimate is of vol(region & bounding), the
     region's volume when ``bounding`` contains it.  Deterministic in
     ``seed``; the binomial standard error is reported alongside the
     estimate.

@@ -27,8 +27,9 @@ streamed   For masses too heavy to keep in memory: the same thinning, but
            Streams of more than one batch are regenerated on a pool of two
            worker threads (REPLAY_WORKERS), REPLAY_WORKERS batches ahead of
            the caller; a batch's bytes do not depend on which thread draws
-           it or when, and a pick regenerates only the batch holding the
-           chosen member.  Memory rule: every replay, the first included,
+           it or when.  A pick is one replay: it chooses its member batch by
+           batch as the stream goes by (reservoir selection), keeping only
+           the chosen row.  Memory rule: every replay, the first included,
            holds at most REPLAY_WORKERS + 1 batches of (STREAM_BATCH, d)
            doubles, all allocated on the calling thread; the samplers' and
            membership tests' other temporaries are blocks of
@@ -72,6 +73,7 @@ from .geometry import (
     Cell,
     Intersection,
     Region,
+    StepShell,
     exact_volume,
     regions_disjoint,
 )
@@ -169,6 +171,8 @@ def region_key(region: Region) -> tuple:
         )
     if isinstance(region, Annulus):
         return ("annulus", region.center.tobytes(), region.inner, region.outer)
+    if isinstance(region, StepShell):
+        return ("step-shell", region_key(region.cell), region_key(region.annulus))
     raise RegistryError(f"no structural key for region type {type(region).__name__}")
 
 
@@ -261,6 +265,7 @@ class RegionRegistry:
         self.stream_replays = 0
         self.stream_checkpoint_bytes = 0
         self.q_max = 0.0
+        self.picks = dict.fromkeys(("stored", "streamed", "saturated"), 0)
 
     # -- helpers -------------------------------------------------------
 
@@ -448,6 +453,8 @@ class RegionRegistry:
         empty), choosing the cheapest exact realization tier from the mass
         bracket.  ``bounding`` must contain the region and have an exact
         volume and sampler; ``vol_lower`` must underestimate vol(region).
+        A StepShell is tiered by the mass of its cell, the product that
+        bounded steps before the shell did, so that no step changes tier.
         """
         self._check_dim(region)
         self._check_dim(bounding)
@@ -460,8 +467,14 @@ class RegionRegistry:
             )
         m_lo = self.lam * vol_lower
         m_hi = self.lam * vol_upper
+        tier_mass = (
+            self.lam * bounding.cell.volume()
+            if isinstance(bounding, StepShell)
+            else m_hi
+        )
 
-        if m_hi <= self.store_cap:
+        if tier_mass <= self.store_cap:
+            self.picks["stored"] += 1
             # The region lies inside bounding, so its members are the rows
             # of bounding's points that it contains, ids kept in order.
             stored = self.materialize(bounding)
@@ -477,12 +490,19 @@ class RegionRegistry:
                 "picked", pid, coords, "stored", len(members), m_lo, m_hi
             )
 
-        if m_hi <= self.stream_cap:
+        if tier_mass <= self.stream_cap:
+            self.picks["streamed"] += 1
             return self._pick_streamed(region, bounding, m_lo, m_hi)
 
+        self.picks["saturated"] += 1
         return self._pick_saturated(region, bounding, m_lo, m_hi)
 
     def _pick_streamed(self, region, bounding, m_lo, m_hi) -> PickResult:
+        """One replay of the new stream, choosing as it goes (weighted
+        reservoir selection; Vitter, ACM TOMS 11, 1985): the choice starts
+        as a uniform member of ``earlier``, and a batch with c members,
+        bringing the count to T, replaces it by a uniform one of them with
+        probability c / T."""
         reach = self._reaching(bounding)
         self._note_saturated_realization(reach, m_hi)
         # Earlier determined points inside the region are members too; they
@@ -497,50 +517,21 @@ class RegionRegistry:
         self.records.append(rec)
         self.streamed_candidates_total += rec.n_candidates
 
-        # Pass 1: count fresh candidates, and members per batch.
-        n_fresh = 0
-        members = []
-        for _, pts, fresh in self._replay(rec):
-            n_fresh += int(np.count_nonzero(fresh))
-            members.append(int(np.count_nonzero(fresh & region.contains(pts))))
-        rec.n_fresh = n_fresh
-        n_members = sum(members)
-
-        total = n_members + len(earlier)
+        total = len(earlier)
+        if total:
+            j = int(self.rng.integers(total))
+            pid, coords = earlier.ids[j], earlier.coords[j]
+        for start, pts, fresh in self._replay(rec):
+            rec.n_fresh += int(np.count_nonzero(fresh))
+            inside = np.flatnonzero(fresh & region.contains(pts))
+            if inside.size:
+                total += inside.size
+                j = int(self.rng.integers(total))
+                if j < inside.size:
+                    pid, coords = (rid, start + int(inside[j])), pts[inside[j]].copy()
         if total == 0:
             return PickResult("empty", None, None, "streamed", 0, m_lo, m_hi)
-        j = int(self.rng.integers(total))
-        if j < len(earlier):
-            return PickResult(
-                "picked",
-                earlier.ids[j],
-                earlier.coords[j],
-                "streamed",
-                total,
-                m_lo,
-                m_hi,
-            )
-        j -= len(earlier)
-
-        # Pass 2: regenerate only the batch that holds the j-th member.  It
-        # counts as one replay, as the linear pass it replaces did.
-        self.stream_replays += 1
-        b = 0
-        while j >= members[b]:
-            j -= members[b]
-            b += 1
-        k = min(STREAM_BATCH, rec.n_candidates - b * STREAM_BATCH)
-        start, pts, fresh = self._stream_batch(rec, b, np.empty((k, self.dim)))
-        local = np.flatnonzero(fresh & region.contains(pts))[j]
-        return PickResult(
-            "picked",
-            (rid, start + int(local)),
-            pts[local].copy(),
-            "streamed",
-            total,
-            m_lo,
-            m_hi,
-        )
+        return PickResult("picked", pid, coords, "streamed", total, m_lo, m_hi)
 
     def _pick_saturated(self, region, bounding, m_lo, m_hi) -> PickResult:
         if m_lo < SATURATION_MIN_MASS:
@@ -611,6 +602,7 @@ class RegionRegistry:
             "rng_algorithm": self.rng_algorithm,
             "stream_checkpoint_bytes": self.stream_checkpoint_bytes,
             "q_max": self.q_max,
+            **{f"{tier}_picks": n for tier, n in self.picks.items()},
         }
 
     def dump(self) -> str:
@@ -643,6 +635,9 @@ def region_key_safe(region: Region) -> str:
     if isinstance(region, Annulus):
         c = ",".join(f"{x:.6g}" for x in region.center)
         return f"annulus[{c};{region.inner:.6g},{region.outer:.6g}]"
+    if isinstance(region, StepShell):
+        cell, ann = region_key_safe(region.cell), region_key_safe(region.annulus)
+        return f"step-shell[{cell};{ann}]"
     return type(region).__name__.lower()
 
 

@@ -35,12 +35,14 @@ from hardspheres.geometry import (
     Intersection,
     RADIUS_MAX,
     RADIUS_MIN,
+    StepShell,
     ball_volume,
     step_layer_radii,
     step_volume_bracket,
 )
 from hardspheres.hexlattice import KIND_SITE
 from hardspheres.poisson import (
+    DEFAULT_STORE_CAP,
     DEFAULT_STREAM_CAP,
     MAX_MATERIALIZE,
     SATURATION_MIN_MASS,
@@ -133,25 +135,27 @@ def test_step_region_contract():
         p, np.array([1.0, 0.0]), np.zeros(3), parent, r_v
     )
     assert isinstance(region, Intersection)
-    assert isinstance(bounding, Cell)
+    assert isinstance(bounding, StepShell)
     want_layer = step_layer_radii(r_v)[2]
-    assert bounding.layer_radius == pytest.approx(want_layer, abs=1e-9)
+    assert bounding.cell.layer_radius == pytest.approx(want_layer, abs=1e-9)
     assert vol_lower == max(0.0, step_volume_bracket(5, r_v)[0])
+    assert vol_lower <= bounding.volume() < bounding.cell.volume()
     rng = np.random.default_rng(0)
-    cand = bounding.sample(4000, rng)
+    cand = bounding.cell.sample(4000, rng)
     keep = cand[region.contains(cand)]
     assert len(keep) > 0
     dist = np.linalg.norm(keep - parent, axis=1)
     assert np.all(dist >= r_v + 0.65 - 1e-9)
     assert np.all(dist <= r_v + 0.85 + 1e-9)
-    # membership in the region implies membership in its bounding product
+    # membership in the region implies membership in its bounding shell
     assert np.all(bounding.contains(keep))
 
 
 def test_step_bracket_cannot_fall_between_tiers():
-    # A step too heavy to stream (m_hi > stream cap) has m_lo = m_hi / ratio
-    # above the saturation floor while ratio < cap / floor, so the registry
-    # never refuses a construction step for landing between the two tiers.
+    # A step too heavy to stream (the shell's cell mass above the stream cap)
+    # has m_lo = cell mass / ratio above the saturation floor while ratio <
+    # cap / floor, so the registry never refuses a construction step for
+    # landing between the two tiers.
     limit = DEFAULT_STREAM_CAP / SATURATION_MIN_MASS
     worst = 0.0
     for d in range(11, 101):
@@ -160,9 +164,67 @@ def test_step_bracket_cannot_fall_between_tiers():
             _, bounding, vol_lower = step_region(
                 p, np.array([1.0, 0.0]), np.zeros(d - 2), np.zeros(d), r
             )
-            worst = max(worst, bounding.volume() / vol_lower)
+            worst = max(worst, bounding.cell.volume() / vol_lower)
     assert worst < limit
     assert worst == pytest.approx(69.18, abs=0.01)  # d = 100, r = RADIUS_MIN
+
+
+TIERS = ("stored", "streamed", "saturated")
+
+
+class _Tier(Exception):
+    pass
+
+
+def test_step_tier_follows_the_bounding_cell_mass(monkeypatch):
+    """A step is tiered by the mass of its shell's cell, as steps were
+    before the shell bounded them; the shell's own, smaller mass would move
+    some steps to a lighter tier (a d = 100 golden step from 7.4e7 to 1.9e7,
+    below the stream cap, so that it would stream instead of saturating)."""
+
+    def tier(name):
+        def chosen(*args, **kwargs):
+            raise _Tier(name)
+
+        return chosen
+
+    monkeypatch.setattr(RegionRegistry, "materialize", tier("stored"))
+    monkeypatch.setattr(RegionRegistry, "_pick_streamed", tier("streamed"))
+    monkeypatch.setattr(RegionRegistry, "_pick_saturated", tier("saturated"))
+
+    def rule(mass):
+        if mass <= DEFAULT_STORE_CAP:
+            return "stored"
+        return "streamed" if mass <= DEFAULT_STREAM_CAP else "saturated"
+
+    tiers = set()
+    moved = 0
+    for d in (11, 31, 45, 60, 100):
+        lam = lambda_star(d)
+        if lam is None:
+            # d = 11 has no lambda*: put the store cap at the middle step
+            mid = step_region(
+                ConstructionParams(d=d, C=16.0, lam=1.0),
+                np.array([1.0, 0.0]), np.zeros(d - 2), np.zeros(d), MU,
+            )[1]
+            lam = DEFAULT_STORE_CAP / mid.cell.volume()
+        p = ConstructionParams(d=d, C=16.0, lam=lam)
+        for r in np.linspace(RADIUS_MIN, RADIUS_MAX, 9):
+            for offset in (1.0 - EPS, 1.0, 1.0 + EPS):
+                region, shell, vol_lower = step_region(
+                    p, np.array([offset, 0.0]), np.zeros(d - 2), np.zeros(d), r
+                )
+                want = rule(lam * shell.cell.volume())
+                reg = RegionRegistry(d, lam, 0)
+                with pytest.raises(_Tier) as got:
+                    reg.pick_in_region(region, shell, vol_lower)
+                assert str(got.value) == want
+                counts = {t: reg.metrics()[f"{t}_picks"] for t in TIERS}
+                assert counts == {t: int(t == want) for t in TIERS}
+                tiers.add(want)
+                moved += rule(lam * shell.volume()) != want
+    assert tiers == set(TIERS)
+    assert moved > 0
 
 
 def test_step0_cases():

@@ -12,12 +12,14 @@ from scipy import integrate, special
 from hardspheres import checks
 from hardspheres.checks import R_MAX_LAYER
 from hardspheres.cli import VERIFY_SUITES
+from hardspheres.construction import ConstructionParams, step_region
 from hardspheres.geometry import (
     EPS,
     MU,
     DELTA,
     RADIUS_MAX,
     RADIUS_MIN,
+    STEP_RINGS,
     Annulus,
     Ball,
     Cell,
@@ -41,7 +43,7 @@ from hardspheres.geometry import (
     unit_ball_volume,
 )
 from hardspheres.poisson import TooFewSamples
-from hardspheres.rngutil import generator
+from hardspheres.rngutil import derive_seed, generator
 
 
 def region_contains(region, point) -> bool:
@@ -322,6 +324,51 @@ def test_mc_region_volume_against_closed_forms():
     est3 = mc_region_volume(disc, disc, 10_000, seed=7)
     assert est3.value == pytest.approx(math.pi * 0.49, rel=1e-12)
     assert est3.std_error == 0.0
+
+
+SHELL_CASES = [
+    (r, offset) for r in (RADIUS_MIN, MU, RADIUS_MAX) for offset in (1.0 - EPS, 1.0 + EPS)
+]
+
+
+@pytest.mark.parametrize("d", [3, 5, 45, 100])
+def test_step_shell_bounds_samples_and_volume(d):
+    """The step region lies in its shell, and the shell in its cell; the
+    shell's draws pass its own test, spread over the rings by area_k W_k and
+    within a ring's layer shell by volume, and its closed-form volume
+    agrees with hit-or-miss against the cell."""
+    from scipy.stats import chisquare
+
+    params = ConstructionParams(d=d, C=16.0, lam=1.0)
+    alpha = 1e-3 / (2 * 4 * len(SHELL_CASES))  # Bonferroni over every d
+    n = 20_000
+    for i, (r, offset) in enumerate(SHELL_CASES):
+        region, shell, _ = step_region(
+            params, np.array([offset, 0.0]), np.zeros(d - 2), np.zeros(d), r
+        )
+        cell = shell.cell
+        rng = generator(d, i)
+        pts = cell.sample(n, rng)
+        in_region = region.contains(pts)
+        in_shell = shell.contains(pts)
+        assert in_region.any() and not in_shell.all()
+        assert np.all(in_shell[in_region])
+        draws = shell.sample(n, rng)
+        assert np.all(shell.contains(draws))
+        assert np.all(cell.contains(draws))
+
+        est = mc_region_volume(shell, cell, 100_000, seed=derive_seed(d, i, 1))
+        assert abs(est.value - shell.volume()) <= 4 * est.std_error
+
+        ring = shell._rings(draws[:, :2])
+        share = shell._area * (shell._hi - shell._lo)
+        got = np.bincount(ring, minlength=STEP_RINGS)
+        assert chisquare(got, n * share / share.sum()).pvalue >= alpha
+        rho = np.linalg.norm(draws[:, 2:] - cell.layer_center, axis=1) / shell._g_max
+        lo, hi = shell._lo[ring], shell._hi[ring]
+        t = (rho ** (d - 2) - lo) / (hi - lo)
+        deciles = np.bincount(np.clip((10 * t).astype(int), 0, 9), minlength=10)
+        assert chisquare(deciles).pvalue >= alpha
 
 
 def test_mc_region_volume_deterministic():

@@ -41,10 +41,10 @@ GOLDEN = {
         ["simulate", "--dim", "45", "--lambda", "auto", "--cells-C", "16",
          "--lattice-radius", "12", "--max-steps", "3", "--seed", "7"],
         {
-            "spheres": "0e2af9b250bee6afda433224fbe28c642640e7b0c1d7170369faeacdfb34dca1",
-            "steps": "8b01ffcfad52d09b0513d0b4921f62e271774191952b8f7f4bd8af3196259222",
-            "counts": "01927245626e8b420ecf225d13ce057ae0ff0b4cc73ab254c674e81423b91b74",
-            "hard_sphere": "136f7b7bee3b473fad473e00794b3cb741285cdf45c028791307db5a66cf30cb",
+            "spheres": "dc84b43dc96b5d74f0fa2b47bb3d7a6a7622ee6ab1f805149d04f6dcbfedc82d",
+            "steps": "43a7a3fd318300a20634d03e72a16a98916ff28a9ad2f8c14b6929b1255309e3",
+            "counts": "6f84e8e9b8cfa52bc4280d0666186e7c3ad7c49344b43051d08c5149482b0965",
+            "hard_sphere": "a1714d3c6ae91ca74f8c5c6d4d757be6f24c4915ab25ea6d04f64eea1473b70a",
         },
     ),
     # Two d = 31 layers at 12 lambda*: stored and saturated tiers, clusters
@@ -53,10 +53,10 @@ GOLDEN = {
         ["simulate", "--dim", "31", "--lambda", LAMBDA_D31, "--cells-C", "16",
          "--lattice-radius", "6", "--layers", "2", "--seed", "71"],
         {
-            "spheres": "b27862d141d99f14e14073d01d765a6ca5f59a91773e20e8a834fea9706dbe69",
-            "steps": "5311a11511de9104573cae962f8fae3db1e05c2173a82c46ab3aa0000ae232c0",
-            "counts": "d65454a5d2d3efd0e9cbeb93509cfecb90c7b9ef3476cefd1124c112c9436489",
-            "hard_sphere": "73a8567de8db6e78f74c4abfd434b5c76370eb0846ecd0e7033318c165fc96ff",
+            "spheres": "477ada069498fc8fb89cf115b0db9419a7bc20fdb67451f13e403e128c600e64",
+            "steps": "fd3c0f58370ed710cb043e216e786a0e17eb31f8207766dfa1c2f229ae00bb14",
+            "counts": "4f435746ed4411b6251f462ae15195c809a28e8153be49e2e921717a2dbaaaf5",
+            "hard_sphere": "fca52741bb0baef07ab736c81d0efbc73d17958d9b973327602bc845ba77b20a",
         },
     ),
     # d = 100 at lambda*, cut to twelve steps: every pick is saturated, and
@@ -66,8 +66,8 @@ GOLDEN = {
         ["simulate", "--dim", "100", "--lambda", "auto", "--cells-C", "32",
          "--lattice-radius", "12", "--max-steps", "12", "--seed", "7"],
         {
-            "spheres": "7cef9135f6c8bfe72dec4044ca7ff4ff097d96687583f7f99f4a3c29ab18b958",
-            "steps": "2c77f7d035a0fca6a8d40b50163098f78a64113a1970b2e5a5eb1fafb9239a67",
+            "spheres": "854b4b126ef39433240b558c11d58b64b5861fa671d2a9b555c2b5674b6becc6",
+            "steps": "17351c2add223b4b7137ad02ace755d259e37f834e983724a62ec39abb919e1b",
             "counts": "0ad78279ad02a7e1eaa8d322cece518c543eab340c2efaf29570d0f9208988f7",
             "hard_sphere": "37ba5ea7f479cf710786eac7e2311c5236927a738a45204b3b3dd0d31aed9ded",
         },
@@ -97,11 +97,14 @@ def test_simulate_golden_digests(name, tmp_path):
         "hard_sphere": sha256_json(man["hard_sphere"]),
     }
     assert got == want
+    if name.startswith("d100"):
+        # a step is tiered by its shell's cell, so every d = 100 pick saturates
+        assert [(m["stored_picks"], m["streamed_picks"]) for m in man["registry_metrics"]] == [(0, 0)]
 
 
 # The registry dump of the d45 golden run's only layer.  cmd_simulate seeds
 # layer 0 with derive_seed(seed, 11, 0).
-D45_REGISTRY_DUMP = "28352d98354593762e04282a3e5ab7497c3450a541fc80aa11c13e9bf8109e70"
+D45_REGISTRY_DUMP = "29c3dca63fb593e2f3e811a0299f9fc183eb046d6e6c98db7104ffd4987053f6"
 
 
 def test_d45_layer_registry_dump_digest():
@@ -142,16 +145,16 @@ def d3_streamed_queries():
 
 
 D3_REPLAY_DIGESTS = {
-    "pick0": "781ee561d37a810b34967f323fb8c371e4e4e7bb14695facf9ccb6e00f29903a",
-    "pick1": "a7c127068ed0bc3bfda1d75a6ffdfd5f6d16ddd6d41feaf4bd3889091fb1210b",
-    "pick2": "6d3690eb5f602b0def1616a599896ebb9059b4030572bbc09b6a0b331b0cafed",
-    "pick3": "c38ab9a965252e5abc085b8da838a966c779784fc784226c9fe139586fcfcdf6",
+    "pick0": "fe2a9e15a784f53d11374667339b0f32b5b81d7e6ffa72a4ea42431c4f9eddae",
+    "pick1": "9d3c73f583745d57c9441478f33d5e8de6db57f5b0b8de13abd5a19cb0d7ac8e",
+    "pick2": "0c9fc452f9faac9761b882e32f9dbe7c5c2f067d324dbe3e8b429c72da57801a",
+    "pick3": "3a7329580506ed793df61e16e5510370e4bb83994c90dbedf7f49e62f532a853",
     "ball": "19030e491ed1efa436fa614b7f32b01ffe31cb4ada7dffd8578f39b2044dc1ba",
     "cell": "b6af3d8fafa09a1d355433167b77e772002db861ba9efc8ad8ddea2fe667b471",
     "annulus": "09b37094f668fbf50e4b359173b852472dd3c3861908cee04b24160b17005479",
-    "rim": "4d0229049d76c6b8ca2cdd2a6ff31c38b3095507d3c42d3c5d2b81279901ccd6",
-    "intersection": "338ab161ef26a2fe3413bb3eb5958e26411e9e7275d488a161d5e4f061a0a5d6",
-    "dump": "dedfc2067bb3213049fdeb0bdd3acdb993d8c8c5605440363f767de1e1823419",
+    "rim": "d070d1357f073aa5d20b00bdf8e01683ed574249bfc600bcce85059f8047b184",
+    "intersection": "b576626b43a46f3873babf40142cbdb2220ff51595cb53fa6a6614511ec2b773",
+    "dump": "f39e6890b54c4eb3193cf1d224c516385f55d20393fc1716f1a1383481c15bb4",
 }
 
 
@@ -179,7 +182,7 @@ def test_d3_streamed_replay_digests():
 
 
 # The benchmark's verify_sampler argv at program seed 61.
-VERIFY_SAMPLER_CHECKS = "8c81379874b77577960dbb3c45557811961896f57ab37af0e8dc20ba0152c147"
+VERIFY_SAMPLER_CHECKS = "100854caec47ea0c481b1372ca24d1f968b561d12a9bf1fa18fe2965512f8a07"
 
 
 def test_verify_sampler_checks_digest(tmp_path):

@@ -6,7 +6,17 @@ import numpy as np
 import pytest
 
 from hardspheres import poisson
-from hardspheres.geometry import Annulus, Ball, Cell, Intersection, regions_disjoint
+from hardspheres.construction import ConstructionParams, step_region
+from hardspheres.geometry import (
+    EPS,
+    RADIUS_MAX,
+    RADIUS_MIN,
+    Annulus,
+    Ball,
+    Cell,
+    Intersection,
+    regions_disjoint,
+)
 from hardspheres.poisson import (
     MAX_MATERIALIZE,
     MIN_CONSISTENCY_SEEDS,
@@ -14,6 +24,7 @@ from hardspheres.poisson import (
     PointSet,
     RegionRegistry,
     RegistryError,
+    _chi2_two_sample,
     brute_force_counts,
     consistency_counts_lazy,
     consistency_counts_oracle,
@@ -476,3 +487,52 @@ def test_sampler_consistency_check_passes():
     assert len(out["projections"]) == 17
     with pytest.raises(ValueError, match="needs at least 400 seeds, got 399"):
         sampler_consistency_check(2, 3.0, n_seeds=MIN_CONSISTENCY_SEEDS - 1, seed=0)
+
+
+def _two_steps_into_one_cell(through_cell: bool, seed: int) -> tuple:
+    """Two d = 3 steps into the cell at (1, 0): the first, from a parent of
+    radius RADIUS_MIN, stores its bounding region; the second, from a
+    parent of radius RADIUS_MAX whose step region overlaps the first's,
+    streams it and finds the first's points among its members.  Each step
+    is bounded by its StepShell, or with ``through_cell`` by the shell's
+    cell.  Returns the pick counts, the counts of three later collects and
+    where the picks landed (1 inside a test region, 0 outside, -1 empty)."""
+    params = ConstructionParams(d=3, C=16.0, lam=1e5)
+    planar = np.array([1.0, 0.0])
+    # the cell masses are 71 and 87, so the cap falls between the steps
+    reg = RegionRegistry(3, params.lam, seed, store_cap=75.0)
+    steps = []
+    for parent, r in ((np.zeros(3), RADIUS_MIN), (np.array([2.0, 0.0, 0.3]), RADIUS_MAX)):
+        region, shell, vol_lower = step_region(params, planar, np.zeros(1), parent, r)
+        res = reg.pick_in_region(region, shell.cell if through_cell else shell, vol_lower)
+        steps.append((region, res))
+    (reg_a, pick_a), (reg_b, pick_b) = steps
+    assert [r.mode for r in reg.records] == ["stored", "streamed"]
+    below = Cell(planar, EPS, np.array([-1.0]), 1.0)  # layer coordinate <= 0
+    above = Cell(planar, EPS, np.array([1.0]), 1.0)
+    later = [
+        len(reg.collect(Intersection(parts)))
+        for parts in ((reg_a, reg_b), (reg_a, below), (reg_b, above))
+    ]
+    landed = [
+        -1 if res.status == "empty" else int(where.contains(res.coords)[0])
+        for res, where in ((pick_a, below), (pick_b, reg_a))
+    ]
+    return (pick_a.n_members, pick_b.n_members, *later, *landed)
+
+
+def test_step_shell_picks_have_the_law_of_cell_picks():
+    """Over 1000 seeds each, picks through the StepShell and picks through
+    its cell agree in law, by two-sample chi-squared tests (Bonferroni over
+    the projections): the member counts of a stored and a streamed step,
+    the counts of later collects inside the step regions, and where the
+    picks land.  A shell whose volume is 10% too large fails it."""
+    n = 1000
+    shell = [_two_steps_into_one_cell(False, derive_seed(18, 1, i)) for i in range(n)]
+    cell = [_two_steps_into_one_cell(True, derive_seed(18, 2, i)) for i in range(n)]
+    projections = list(zip(*shell)), list(zip(*cell))
+    alpha = 1e-3 / len(projections[0])
+    for j, (a, b) in enumerate(zip(*projections)):
+        out = _chi2_two_sample(a, b)
+        assert out is not None, f"projection {j} is degenerate"
+        assert out[1] >= alpha, f"projection {j}: p = {out[1]:.3g}"

@@ -387,32 +387,79 @@ def test_registries_on_several_threads_share_the_pool_safely():
         assert got == [want] * 3
 
 
-def test_pick_regenerates_only_the_batch_of_the_picked_member():
-    """A streamed pick is the j-th member in the order of the re-derived
-    stream, j being the registry's own draw, wherever that member lies."""
-    batches_hit = set()
+def _source(point_id):
+    """Where a picked point comes from: "earlier" (the stored record 0) or
+    the index of its stream batch."""
+    rid, i = point_id
+    return "earlier" if rid == 0 else i // STREAM_BATCH
+
+
+def test_streamed_pick_is_one_replay_choosing_batch_by_batch():
+    """A streamed pick replays its stream once.  Its choice starts as a
+    uniform earlier member; a batch with c members, bringing the count to
+    T, takes over when the registry's draw j out of T falls below c, with
+    member j of the batch."""
+    sources = set()
     for seed in range(6):
         reg = RegionRegistry(3, 3e5, seed, store_cap=500.0)
         bounding = Ball(np.zeros(3), 0.5)
         region = Ball(np.array([0.1, 0.0, 0.0]), 0.35)
+        earlier = reg.materialize(Ball(np.array([0.3, 0.0, 0.0]), 0.05))
         rng = np.random.Generator(np.random.Philox(0))
         rng.bit_generator.state = reg.rng.bit_generator.state
         res = reg.pick_in_region(region, bounding, exact_volume(region))
-        rec = reg.records[0]
+        rec = reg.records[1]
         assert rec.n_candidates == rng.poisson(3e5 * bounding.volume())
         assert rec.n_candidates > 2 * STREAM_BATCH
-        members = [
-            (start + int(i), pts[i])
-            for start, pts, fresh in ref_replay(reg, rec)
-            for i in np.flatnonzero(fresh & region.contains(pts))
-        ]
-        j = int(rng.integers(len(members)))
-        assert res.n_members == len(members)
-        assert res.point_id == (0, members[j][0])
-        assert res.coords.tobytes() == members[j][1].tobytes()
-        assert reg.metrics()["stream_replays"] == 2  # pass 1 and pass 2
-        batches_hit.add(members[j][0] // STREAM_BATCH)
-    assert len(batches_hit) >= 2
+        total = len(earlier)
+        j = int(rng.integers(total))
+        want = earlier.ids[j], earlier.coords[j]
+        for start, pts, fresh in ref_replay(reg, rec):
+            inside = np.flatnonzero(fresh & region.contains(pts))
+            if inside.size:
+                total += inside.size
+                j = int(rng.integers(total))
+                if j < inside.size:
+                    want = (1, start + int(inside[j])), pts[inside[j]]
+        assert res.n_members == total
+        assert res.point_id == want[0]
+        assert res.coords.tobytes() == want[1].tobytes()
+        assert reg.metrics()["stream_replays"] == 1
+        sources.add(_source(res.point_id))
+    assert len(sources) >= 2
+
+
+def test_streamed_pick_takes_each_batch_by_its_share_of_members(monkeypatch):
+    """Over 200 seeds, the source of a streamed pick (the earlier stored
+    members or one of three stream batches) follows each source's share of
+    the members, by a chi-squared test."""
+    from scipy.stats import chisquare
+
+    lam = 2.0e5  # about 2.4 batches of candidates in the bounding disc
+    bounding = Ball(np.zeros(2), 0.5)
+    region = Ball(np.array([0.1, 0.0]), 0.35)
+    members = []
+    replay = RegionRegistry._replay
+
+    def counting(registry, rec):
+        for batch in replay(registry, rec):
+            _, pts, fresh = batch
+            members.append(int(np.count_nonzero(fresh & region.contains(pts))))
+            yield batch
+
+    monkeypatch.setattr(RegionRegistry, "_replay", counting)
+    labels = ["earlier", 0, 1, 2]
+    observed = np.zeros(len(labels))
+    expected = np.zeros(len(labels))
+    for seed in range(200):
+        reg = RegionRegistry(2, lam, seed, store_cap=500.0)
+        members[:] = [len(reg.materialize(Ball(np.array([0.2, 0.0]), 0.1)))]
+        res = reg.pick_in_region(region, bounding, exact_volume(region))
+        assert len(members) == len(labels) and res.n_members == sum(members)
+        observed[labels.index(_source(res.point_id))] += 1
+        expected += np.array(members) / res.n_members
+    assert expected.min() >= 5
+    assert chisquare(observed, expected).pvalue >= 1e-3
 
 
 def test_traced_replay_signature_keeps_consistency_counts(monkeypatch):
