@@ -29,7 +29,7 @@ import time
 
 import numpy as np
 
-from . import __version__, bounds, checks
+from . import __version__, bounds, checks, g17
 from .construction import (
     ConstructionError,
     ConstructionParams,
@@ -188,21 +188,42 @@ def _resolve_C(spec: str, d: int) -> float:
         raise ValueError(f"{exc}; pass --cells-C explicitly") from exc
 
 
-def _sphere_lines(gamma):
-    """One line per sphere: ``layer|vertex|kind|radius|coords``, the layer
-    vector comma-joined, floats as ``%.17g`` (the same digits as f17).
-    Lines are yielded one at a time, so a file receives them without the
-    whole text being held in memory."""
-    if not gamma.spheres:
+# Rows per block of the spheres file: at d = 31 one block is about 1.4 MB
+# of columns before the NULs go.
+SPHERE_BLOCK_ROWS = 1024
+
+
+def _sphere_blocks(gamma):
+    """The spheres file as ASCII blocks of whole lines, one line per sphere:
+    ``layer|vertex|kind|radius|coords``, the layer vector comma-joined,
+    floats as ``%.17g`` (the same digits as f17).  Each block is formatted
+    from gamma.centers() and gamma.radii() by g17_text and yielded at
+    once, so a file receives it without the whole text being held."""
+    n = len(gamma.spheres)
+    if n == 0:
         return
-    d = len(gamma.spheres[0].center)
-    row = "%s|%s|%s|%.17g|" + " ".join(["%.17g"] * d) + "\n"
+    centers, radii = gamma.centers(), gamma.radii()
+    d = centers.shape[1]
+    seps = np.full(d + 1, ord(" "), dtype=np.uint8)
+    seps[0], seps[-1] = ord("|"), ord("\n")
     layers: dict = {}
-    for s in gamma.spheres:
-        layer = layers.get(s.layer)
-        if layer is None:
-            layer = layers[s.layer] = ",".join(str(v) for v in s.layer)
-        yield row % (layer, s.vertex, s.kind, s.radius, *s.center.tolist())
+    for start in range(0, n, SPHERE_BLOCK_ROWS):
+        stop = min(start + SPHERE_BLOCK_ROWS, n)
+        heads = []
+        for s in gamma.spheres[start:stop]:
+            layer = layers.get(s.layer)
+            if layer is None:
+                layer = layers[s.layer] = ",".join(str(v) for v in s.layer)
+            heads.append(f"{layer}|{s.vertex}|{s.kind}|")
+        head = np.array(heads, dtype=bytes)
+        rows, width = stop - start, head.itemsize
+        text = np.empty((rows, width + (d + 1) * g17.WIDTH), dtype=np.uint8)
+        text[:, :width] = head.view(np.uint8).reshape(rows, width)
+        fields = text[:, width:].reshape(rows, d + 1, g17.WIDTH)
+        fields[:, 0] = g17.g17_text(radii[start:stop])
+        fields[:, 1:] = g17.g17_text(centers[start:stop])
+        fields[:, :, -1] = seps
+        yield text.tobytes().translate(None, b"\0")
 
 
 def _step_log_csv(states) -> str:
@@ -292,13 +313,13 @@ def cmd_simulate(args) -> int:
     steps_text = _step_log_csv(states)
     if args.out:
         spheres, steps, manifest = (args.out + ext for ext in SIMULATE_OUTPUTS)
-        with open(spheres, "w") as fh:
-            fh.writelines(_sphere_lines(gamma))
+        with open(spheres, "wb") as fh:
+            fh.writelines(_sphere_blocks(gamma))
         with open(steps, "w") as fh:
             fh.write(steps_text)
         _emit_json(man, manifest)
     else:
-        man["spheres"] = "".join(_sphere_lines(gamma))
+        man["spheres"] = b"".join(_sphere_blocks(gamma)).decode()
         man["step_log"] = steps_text
         _emit_json(man, None)
     if not report.passed:

@@ -467,7 +467,7 @@ class GammaProcess:
     n_stream_leftovers: int  # realized but unenumerated (replay-only) points
     layer_states: tuple
     annotations: dict
-    # centers() and the contact pairs, computed once for the report
+    # centers(), radii() and the contact pairs, computed once for the report
     _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
@@ -490,7 +490,12 @@ class GammaProcess:
         return self._memo["centers"]
 
     def radii(self) -> np.ndarray:
-        return np.asarray([s.radius for s in self.spheres])
+        """(n,) sphere radii, built once and read-only."""
+        if "radii" not in self._memo:
+            radii = np.asarray([s.radius for s in self.spheres], dtype=float)
+            radii.flags.writeable = False
+            self._memo["radii"] = radii
+        return self._memo["radii"]
 
 
 def assemble_gamma(params: ConstructionParams, states) -> GammaProcess:
@@ -645,23 +650,32 @@ def run_multilayer(params: ConstructionParams, seed: int, layers) -> GammaProces
 
 def _assert_interlayer_gaps(params: ConstructionParams, gamma: GammaProcess):
     """Constructed spheres of different layers must keep surface gaps >= 2;
-    that is what the layer spacing L was chosen for."""
+    that is what the layer spacing L was chosen for.  The first pair, in
+    layer and sphere order, whose gap math.dist(x_a, x_b) - r_a - r_b falls
+    below 2 - 1e-9 is reported.  numpy's distance settles every pair but
+    those within _dist_below's tie band of the bound: the gap rounds
+    monotonically in the distance, and near the bound the distance exceeds
+    both radii, so the band also covers the two subtractions."""
     by_layer: dict = {}
     for s in gamma.constructed:
         by_layer.setdefault(s.layer, []).append(s)
     layers = sorted(by_layer)
+    bound = 2.0 - 1e-9
     for a in range(len(layers)):
         for b in range(a + 1, len(layers)):
-            for sa in by_layer[layers[a]]:
-                for sb in by_layer[layers[b]]:
-                    gap = (
-                        float(math.dist(sa.center, sb.center))
-                        - sa.radius
-                        - sb.radius
-                    )
-                    if gap < 2.0 - 1e-9:
+            group_a, group_b = by_layer[layers[a]], by_layer[layers[b]]
+            x_b = np.asarray([s.center for s in group_b])
+            r_b = np.asarray([s.radius for s in group_b])
+            for sa in group_a:
+                diff = x_b - sa.center
+                dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+                gap = dist - sa.radius - r_b
+                for k in np.flatnonzero(gap < bound + _TIE_REL * dist + _TIE_ABS):
+                    sb = group_b[k]
+                    exact = float(math.dist(sa.center, sb.center)) - sa.radius - sb.radius
+                    if exact < bound:
                         raise ConstructionError(
-                            f"inter-layer surface gap {gap} < 2 between "
+                            f"inter-layer surface gap {exact} < 2 between "
                             f"layers {layers[a]} and {layers[b]}"
                         )
 
@@ -777,32 +791,37 @@ def cluster_components(gamma: GammaProcess):
     radii = gamma.radii()
     I, J = _gamma_contact_pairs(gamma)
     touch = _dist_below(centers, I, J, radii[I] + radii[J] + CONTACT_TOL, strict=False)
-    uf = UnionFind(n)
-    for i, j in zip(I[touch].tolist(), J[touch].tolist()):
+    I, J = I[touch], J[touch]
+    # Only spheres with a touching pair are unioned; their components have
+    # two members or more, so the singletons follow them in index order.
+    linked = np.unique(np.concatenate((I, J)))
+    uf = UnionFind(linked.size)
+    for i, j in zip(np.searchsorted(linked, I).tolist(), np.searchsorted(linked, J).tolist()):
         uf.union(i, j)
     groups: dict = {}
-    for i in range(n):
-        groups.setdefault(uf.find(i), []).append(i)
+    for k, i in enumerate(linked.tolist()):
+        groups.setdefault(uf.find(k), []).append(i)
+    spheres = gamma.spheres
     clusters = []
     for members in groups.values():
-        if len(members) == 1:
-            # The mean of one center is that center, at distance 0.0.
-            reach = 0.0 + radii[members[0]]
-        else:
-            pts = centers[members]
-            mid = pts.mean(axis=0)
-            reach = max(
-                float(math.dist(mid, centers[i])) + radii[i] for i in members
-            )
+        mid = centers[members].mean(axis=0)
         clusters.append(
             Cluster(
                 members=tuple(members),
                 size=len(members),
-                n_constructed=sum(
-                    1 for i in members if gamma.spheres[i].kind == "constructed"
+                n_constructed=sum(1 for i in members if spheres[i].kind == "constructed"),
+                bounding_radius=max(
+                    float(math.dist(mid, centers[i])) + radii[i] for i in members
                 ),
-                bounding_radius=reach,
             )
         )
     clusters.sort(key=lambda c: (-c.size, c.members))
+    alone = np.ones(n, dtype=bool)
+    alone[linked] = False
+    alone = np.flatnonzero(alone)
+    # The mean of one center is that center, at distance 0.0.
+    clusters += [
+        Cluster((i,), 1, int(spheres[i].kind == "constructed"), reach)
+        for i, reach in zip(alone.tolist(), 0.0 + radii[alone])
+    ]
     return clusters

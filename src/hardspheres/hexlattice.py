@@ -24,6 +24,7 @@ distance, 313.6941185295.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -97,18 +98,24 @@ class StarLattice:
     """Finite piece of the decorated lattice within ``radius`` of the origin.
 
     positions[id] is the planar coordinate, kinds[id] is KIND_SITE or
-    KIND_BOND, neighbors[id] the ids of adjacent vertices (sorted).  Ids are
-    already in canonical order; id 0 is the origin site whenever radius >= 0.
+    KIND_BOND, edges[k] = (site, bond) the ids of one adjacent pair, and
+    neighbors[id] the ids of adjacent vertices (sorted).  Ids are already in
+    canonical order; id 0 is the origin site whenever radius >= 0.
     """
 
     radius: float
     positions: np.ndarray
     kinds: np.ndarray
-    neighbors: tuple
+    edges: np.ndarray
 
     @property
     def n_vertices(self) -> int:
         return self.positions.shape[0]
+
+    @functools.cached_property
+    def neighbors(self) -> tuple:
+        """Built on first use: the site graph needs only the edges."""
+        return neighbor_tuples(self.n_vertices, self.edges[:, 0], self.edges[:, 1])
 
     def kind_name(self, v: int) -> str:
         return KIND_NAMES[int(self.kinds[v])]
@@ -187,7 +194,7 @@ def build_lattice(radius: float) -> StarLattice:
         radius=float(radius),
         positions=np.stack((xs[keep], ys[keep]), axis=1),
         kinds=kind[keep],
-        neighbors=neighbor_tuples(n, ids[:, 0], ids[:, 1]),
+        edges=ids,
     )
 
 

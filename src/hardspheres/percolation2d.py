@@ -56,13 +56,14 @@ def build_site_graph(radius: float) -> SiteGraph:
     star = build_lattice(radius)
     is_site = star.kinds == KIND_SITE
     site_id = np.cumsum(is_site) - 1
-    # Two sites are neighbors when a bond vertex joins them.
-    bonds = [
-        ns for ns, site in zip(star.neighbors, is_site.tolist()) if not site and len(ns) == 2
-    ]
-    ends = np.asarray(bonds, dtype=np.int64).reshape(-1, 2)
+    # Two sites are neighbors when a bond vertex joins them: sorted by bond,
+    # the two edges of a bond with both ends in the window are adjacent.
+    n = star.n_vertices
+    codes = np.unique(star.edges[:, 1].astype(np.int64) * n + star.edges[:, 0])
+    bond, site = np.divmod(codes, n)
+    pair = np.flatnonzero(bond[1:] == bond[:-1])
     neighbors = neighbor_tuples(
-        int(is_site.sum()), site_id[ends[:, 0]], site_id[ends[:, 1]]
+        int(is_site.sum()), site_id[site[pair]], site_id[site[pair + 1]]
     )
     return SiteGraph(
         radius=float(radius),

@@ -1,6 +1,7 @@
 """Decorated hexagonal lattice: degrees, spacing, canonical order."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -145,10 +146,12 @@ def test_small_radius_validation():
     assert len(tiny.neighbors[0]) == 3
 
 
-def reference_build_lattice(radius: float) -> StarLattice:
+def reference_build_lattice(radius: float) -> SimpleNamespace:
     """The per-vertex loop that ``build_lattice`` replaced, kept verbatim as
     the byte-identity reference: vertices keyed by coordinates rounded to
-    1e-6, the first candidate inside the radius kept by ``setdefault``."""
+    1e-6, the first candidate inside the radius kept by ``setdefault``.
+    Its result has StarLattice's fields, with the neighbor tuples built
+    here rather than from an edge array."""
 
     def key_of(pos):
         return (round(pos[0], 6), round(pos[1], 6))
@@ -188,7 +191,7 @@ def reference_build_lattice(radius: float) -> StarLattice:
         if ka in ids and kb in ids:
             neigh[ids[ka]].add(ids[kb])
             neigh[ids[kb]].add(ids[ka])
-    return StarLattice(
+    return SimpleNamespace(
         radius=float(radius),
         positions=np.asarray([pos for pos, _ in order], dtype=float).reshape(n, 2),
         kinds=np.asarray([kind for _, kind in order], dtype=np.int8),

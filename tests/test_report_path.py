@@ -2,8 +2,9 @@
 
 verify_hard_sphere and cluster_components prefilter pairs with a k-d tree
 and decide them with numpy, re-deciding near ties with math.dist; the
-references here check every pair with math.dist.  _sphere_lines formats
-a whole row at once; the reference formats field by field with f17.
+references here check every pair with math.dist.  _sphere_blocks formats
+whole blocks of rows from the center array; the reference formats field by
+field with f17.
 """
 
 import math
@@ -11,12 +12,15 @@ import math
 import numpy as np
 import pytest
 
-from hardspheres.cli import _sphere_lines, f17
+from hardspheres import cli
+from hardspheres.cli import _sphere_blocks, f17
 from hardspheres.construction import (
     Cluster,
+    ConstructionError,
     GammaProcess,
     HardSphereReport,
     SphereRecord,
+    _assert_interlayer_gaps,
     cluster_components,
     verify_hard_sphere,
 )
@@ -237,6 +241,87 @@ def test_crafted_ties_match_brute_force(d):
 
 
 
+# -- inter-layer gaps ---------------------------------------------------------
+
+
+def pairwise_gap_error(gamma):
+    """The message of the ConstructionError the pairwise math.dist loop
+    raises for gamma, or None."""
+    by_layer = {}
+    for s in gamma.constructed:
+        by_layer.setdefault(s.layer, []).append(s)
+    layers = sorted(by_layer)
+    for a in range(len(layers)):
+        for b in range(a + 1, len(layers)):
+            for sa in by_layer[layers[a]]:
+                for sb in by_layer[layers[b]]:
+                    gap = float(math.dist(sa.center, sb.center)) - sa.radius - sb.radius
+                    if gap < 2.0 - 1e-9:
+                        return (
+                            f"inter-layer surface gap {gap} < 2 between "
+                            f"layers {layers[a]} and {layers[b]}"
+                        )
+    return None
+
+
+def gap_error(gamma):
+    try:
+        _assert_interlayer_gaps(None, gamma)
+    except ConstructionError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("d", [3, 31])
+def test_interlayer_gaps_match_the_pairwise_loop(d):
+    """One pair per gamma at a distance within ulps of the gap bound, among
+    spheres far apart, so that the decision at the bound is tested."""
+    rng = np.random.default_rng(d)
+    outcomes = []
+    for r1, r2 in ((0.75, 0.75), (0.7, 0.85), (0.8, 1.0 / 3.0)):
+        base = np.float64(2.0 - 1e-9) + r1 + r2
+        targets = [base]
+        for direction in (-math.inf, math.inf):
+            t = base
+            for _ in range(3):
+                t = np.nextafter(t, direction)
+                targets.append(t)
+        for target in targets:
+            a = np.zeros(d)
+            b = place_at(rng, a, float(target))
+            if b is None:
+                continue
+            far = [rng.uniform(-1.0, 1.0, size=d) + 50.0 * (k + 1) for k in range(4)]
+            gamma = make_gamma(
+                [a, far[0], far[1], b, far[2], far[3]],
+                [r1, 0.75, 0.0, r2, 0.8, 0.75],
+                layers=[(0,), (0,), (0,), (1,), (1,), (2,)],
+            )
+            want = pairwise_gap_error(gamma)
+            assert gap_error(gamma) == want
+            outcomes.append(want is None)
+    assert len(outcomes) > 12 and True in outcomes and False in outcomes
+
+
+def test_interlayer_gaps_report_the_first_pair_in_order():
+    rng = np.random.default_rng(4)
+    d = 5
+    centers, radii, layers = [], [], []
+    for layer in range(3):
+        for _ in range(30):
+            centers.append(rng.uniform(-3.0, 3.0, size=d) + 2.0 * layer)
+            radii.append(float(rng.choice([0.75, 0.8, 0.0])))
+            layers.append((layer,))
+    gamma = make_gamma(centers, radii, layers=layers)
+    want = pairwise_gap_error(gamma)
+    assert want is not None
+    assert gap_error(gamma) == want
+    spread = make_gamma(
+        [c + 1000.0 * lay[0] for c, lay in zip(centers, layers)], radii, layers=layers
+    )
+    assert gap_error(spread) is pairwise_gap_error(spread) is None
+
+
 # -- sphere dump -------------------------------------------------------------
 
 
@@ -255,7 +340,64 @@ def test_sphere_dump_matches_field_by_field_f17():
         layers=[(0, 0, 0), (1, 0, -2), (1, 0, -2), (0, 0, 0)],
         vertices=[0, 7, -1, np.int64(12)],
     )
-    text = "".join(_sphere_lines(gamma))
+    text = b"".join(_sphere_blocks(gamma)).decode()
     assert text == old_sphere_dump(gamma)
     assert text.splitlines()[0] == "0,0,0|0|constructed|0.75|-0 4.9406564584124654e-324 1.0000000000000001e+300"
-    assert list(_sphere_lines(make_gamma([], []))) == []
+    assert list(_sphere_blocks(make_gamma([], []))) == []
+
+
+def mixed_gamma(rng, d, n):
+    """Rows over four layers that change inside blocks, with coordinates of
+    every magnitude %.17g distinguishes, specials among them."""
+    scale = 10.0 ** rng.integers(-7, 18, size=(n, d))
+    centers = rng.normal(size=(n, d)) * scale
+    specials = np.array([0.0, -0.0, 5e-324, -1e-310, 1e-4, 1e15, math.inf, math.nan])
+    hit = rng.random((n, d)) < 0.05
+    centers[hit] = rng.choice(specials, size=int(hit.sum()))
+    radii = [float(r) for r in rng.choice([0.0, 0.75, 1.0 / 3.0, 12345.678], size=n)]
+    layers = [(int(k), 0, -int(k)) for k in np.sort(rng.integers(0, 4, size=n))]
+    vertices = [int(v) if r > 0 else -1 for v, r in zip(rng.integers(0, 500, size=n), radii)]
+    return make_gamma(list(centers), radii, layers=layers, vertices=vertices)
+
+
+@pytest.mark.parametrize("rows", [1, 5, 7, 8, 15])
+def test_sphere_dump_across_small_blocks(monkeypatch, rows):
+    monkeypatch.setattr(cli, "SPHERE_BLOCK_ROWS", rows)
+    gamma = mixed_gamma(np.random.default_rng(rows), 4, 3 * 7 + 1)
+    blocks = list(_sphere_blocks(gamma))
+    assert len(blocks) == -(-len(gamma.spheres) // rows)
+    assert all(b.endswith(b"\n") for b in blocks)
+    assert b"".join(blocks).decode() == old_sphere_dump(gamma)
+
+
+def test_sphere_dump_across_default_blocks():
+    rows = cli.SPHERE_BLOCK_ROWS
+    gamma = mixed_gamma(np.random.default_rng(0), 3, 2 * rows + 1)
+    blocks = list(_sphere_blocks(gamma))
+    assert [b.count(b"\n") for b in blocks] == [rows, rows, 1]
+    assert b"".join(blocks).decode() == old_sphere_dump(gamma)
+
+
+def test_isolated_leftovers_beside_touching_chains():
+    """Thousands of zero-radius leftovers, few of them on a sphere's
+    surface: cluster_components unions only the touching spheres and must
+    still return brute_clusters' list, singletons included."""
+    rng = np.random.default_rng(11)
+    d = 5
+    chains = random_gamma(rng, d, 40)
+    centers = [np.asarray(s.center) for s in chains.spheres]
+    radii = [s.radius for s in chains.spheres]
+    for _ in range(1500):
+        k = int(rng.integers(len(chains.spheres)))
+        if radii[k] > 0 and rng.random() < 0.05:  # a leftover on a surface
+            u = rng.normal(size=d)
+            centers.append(centers[k] + radii[k] * u / np.linalg.norm(u))
+        else:
+            centers.append(rng.uniform(-40.0, 40.0, size=d))
+        radii.append(0.0)
+    order = rng.permutation(len(radii))
+    gamma = make_gamma([centers[i] for i in order], [radii[i] for i in order])
+    clusters = cluster_components(gamma)
+    assert clusters == brute_clusters(gamma, TOL)
+    assert sum(c.size == 1 for c in clusters) > 1000
+    assert b"".join(_sphere_blocks(gamma)).decode() == old_sphere_dump(gamma)
