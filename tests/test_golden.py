@@ -5,9 +5,10 @@ refactor that changes the realized configuration, the step log, or the
 manifest's counts and hard-sphere report between versions.  Together the
 d45 and d31 runs reach all three registry tiers (stored, streamed,
 saturated) and multi-layer assembly; the d = 100 run makes only saturated
-picks, one beside another.  Two more digests pin what the registry itself
-realizes: the ``dump()`` of the d = 45 layer, and the ids and coordinates
-that a small d = 3 registry returns from overlapping streamed records,
+picks, one beside another; a second d31 run at eta = 0.1 pins the
+positive-radii post-pass that grows leftovers.  Two more digests pin what
+the registry itself realizes: the ``dump()`` of the d = 45 layer, and the
+ids and coordinates that a small d = 3 registry returns from overlapping streamed records,
 where every later query is answered by replaying earlier streams.  The
 planar side is pinned too: the ``perc2d`` theta block, a coupled theta
 estimate at three densities, and the positions, kinds and neighbor tuples
@@ -59,6 +60,18 @@ GOLDEN = {
             "hard_sphere": "fca52741bb0baef07ab736c81d0efbc73d17958d9b973327602bc845ba77b20a",
         },
     ),
+    # The same two layers at program seed 2 with eta = 0.1: the positive-
+    # radii post-pass grows 6 leftovers and marks 578 window-truncated.
+    "d31-12-lambda-star-2-layers-eta": (
+        ["simulate", "--dim", "31", "--lambda", LAMBDA_D31, "--cells-C", "16",
+         "--lattice-radius", "6", "--layers", "2", "--seed", "2", "--eta", "0.1"],
+        {
+            "spheres": "139679664d2f9498271415df82b9348d334c5af6d373c3637b3ff2eed08ee508",
+            "steps": "e0844d2d7b0cb319ccb09a6fb5ffc0f9cf4f50a0eb83e20b1ce592f6932b25dd",
+            "counts": "26362c6249920a78dbb2e0d5e8987998bf7638e8e40d430ec1329fb4d2f8b2dc",
+            "hard_sphere": "7dd6c88dfe2a10a6363f12b5499386f23e96623d9900bc6301470b1f9e7cfd64",
+        },
+    ),
     # d = 100 at lambda*, cut to twelve steps: every pick is saturated, and
     # each later zone's bounding ball meets the earlier zones' bounding
     # balls while the cells lie apart in the plane.
@@ -97,6 +110,12 @@ def test_simulate_golden_digests(name, tmp_path):
         "hard_sphere": sha256_json(man["hard_sphere"]),
     }
     assert got == want
+    if name.endswith("-eta"):
+        assert man["annotations"] == {
+            "leftovers_grown": 6, "leftovers_window_truncated": 578
+        }
+    else:
+        assert man["annotations"] == {}
     if name.startswith("d100"):
         # a step is tiered by its shell's cell, so every d = 100 pick saturates
         assert [(m["stored_picks"], m["streamed_picks"]) for m in man["registry_metrics"]] == [(0, 0)]
