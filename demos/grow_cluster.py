@@ -12,6 +12,8 @@ import argparse
 import math
 import sys
 
+import numpy as np
+
 from hardspheres import bounds
 from hardspheres.construction import (
     ConstructionError,
@@ -47,7 +49,7 @@ def main() -> None:
         state, spheres = run_layer(params, args.seed)
         gamma = assemble_gamma(params, [state])
         report = verify_hard_sphere(gamma)
-        clusters = cluster_components(gamma)
+        labels = cluster_components(gamma)
     except (ValueError, RegistryError, ConstructionError) as exc:
         sys.exit(f"error: {exc}")
 
@@ -67,16 +69,18 @@ def main() -> None:
             bits.append(f"radius {e.radius:.6f}{tang}")
         print("  ".join(bits))
     print(f"stop: {state.stopped_reason}")
-    print(f"{len(gamma.constructed)} constructed spheres, "
-          f"{len(gamma.leftovers)} leftover points, "
+    print(f"{gamma.n_constructed} constructed spheres, "
+          f"{len(gamma.vertex) - gamma.n_constructed} leftover points, "
           f"{gamma.n_stream_leftovers} stream-only leftovers")
     print(f"hard-sphere check: {'pass' if report.passed else 'FAIL'} "
           f"({report.n_pairs_checked} close pairs)")
-    if clusters:
-        c = clusters[0]
-        print(f"largest tangency cluster: {c.size} spheres "
-              f"({c.n_constructed} constructed) within radius "
-              f"{c.bounding_radius:.3f}")
+    if len(labels):
+        members = np.flatnonzero(labels == 0)
+        mid = gamma.centers[members].mean(axis=0)
+        reach = max(math.dist(mid, gamma.centers[i]) + gamma.radii[i] for i in members)
+        print(f"largest tangency cluster: {len(members)} spheres "
+              f"({np.count_nonzero(gamma.vertex[members] >= 0)} constructed) "
+              f"within radius {reach:.3f}")
 
 
 if __name__ == "__main__":

@@ -197,24 +197,19 @@ def _sphere_blocks(gamma):
     """The spheres file as ASCII blocks of whole lines, one line per sphere:
     ``layer|vertex|kind|radius|coords``, the layer vector comma-joined,
     floats as ``%.17g`` (the same digits as f17).  Each block is formatted
-    from gamma.centers() and gamma.radii() by g17_text and yielded at
-    once, so a file receives it without the whole text being held."""
-    n = len(gamma.spheres)
-    if n == 0:
-        return
-    centers, radii = gamma.centers(), gamma.radii()
-    d = centers.shape[1]
+    from gamma's columns by g17_text and yielded at once, so a file
+    receives it without the whole text being held."""
+    centers, radii = gamma.centers, gamma.radii
+    n, d = centers.shape
     seps = np.full(d + 1, ord(" "), dtype=np.uint8)
     seps[0], seps[-1] = ord("|"), ord("\n")
-    layers: dict = {}
+    layers = [",".join(str(v) for v in vec) for vec in gamma.layers]
     for start in range(0, n, SPHERE_BLOCK_ROWS):
         stop = min(start + SPHERE_BLOCK_ROWS, n)
-        heads = []
-        for s in gamma.spheres[start:stop]:
-            layer = layers.get(s.layer)
-            if layer is None:
-                layer = layers[s.layer] = ",".join(str(v) for v in s.layer)
-            heads.append(f"{layer}|{s.vertex}|{s.kind}|")
+        heads = [
+            f"{layers[k]}|{v}|{'constructed' if v >= 0 else 'leftover'}|"
+            for k, v in zip(gamma.layer[start:stop].tolist(), gamma.vertex[start:stop].tolist())
+        ]
         head = np.array(heads, dtype=bytes)
         rows, width = stop - start, head.itemsize
         text = np.empty((rows, width + (d + 1) * g17.WIDTH), dtype=np.uint8)
@@ -277,7 +272,7 @@ def cmd_simulate(args) -> int:
     vecs = [(k,) + (0,) * (args.dim - 3) for k in range(args.layers)]
     gamma = run_multilayer(params, seed, vecs)
     report = verify_hard_sphere(gamma)
-    clusters = cluster_components(gamma)
+    cluster_sizes = np.bincount(cluster_components(gamma))
     states = gamma.layer_states
     config = {
         "dim": args.dim,
@@ -296,12 +291,12 @@ def cmd_simulate(args) -> int:
         ",".join(map(str, st.layer_vec)): st.stopped_reason for st in states
     }
     man["counts"] = {
-        "constructed": len(gamma.constructed),
-        "leftovers": len(gamma.leftovers),
+        "constructed": gamma.n_constructed,
+        "leftovers": len(gamma.vertex) - gamma.n_constructed,
         "stream_leftovers": gamma.n_stream_leftovers,
         "steps": sum(len(st.log) for st in states),
-        "clusters": len(clusters),
-        "largest_cluster": clusters[0].size if clusters else 0,
+        "clusters": len(cluster_sizes),
+        "largest_cluster": int(cluster_sizes[0]) if len(cluster_sizes) else 0,
     }
     man["registry_metrics"] = [st.registry.metrics() for st in states]
     man["hard_sphere"] = {

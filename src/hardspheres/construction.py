@@ -159,14 +159,13 @@ class ConstructionParams:
 
 @dataclass(frozen=True)
 class SphereRecord:
+    """A constructed sphere as its layer's exploration keeps it."""
+
     center: np.ndarray
     radius: float
-    vertex: int  # lattice vertex id, -1 for leftovers
-    layer: tuple
-    kind: str  # "constructed" | "leftover"
-    point_id: Optional[tuple] = None
-    parent: Optional[int] = None
-    annotation: str = ""
+    vertex: int  # lattice vertex id
+    point_id: tuple
+    parent: Optional[int]  # the good neighbor it grew from; None at step 0
 
 
 @dataclass
@@ -391,8 +390,6 @@ def explore_step(state: ExplorationState) -> ExplorationState:
                 center=y_w,
                 radius=r_w,
                 vertex=w,
-                layer=state.layer_vec,
-                kind="constructed",
                 point_id=result.point_id,
                 parent=parent,
             )
@@ -460,72 +457,57 @@ def run_layer(params: ConstructionParams, seed: int, layer_vec=None, index: int 
 
 @dataclass(frozen=True)
 class GammaProcess:
-    """The assembled sphere process: constructed tangent spheres plus a
-    zero-radius sphere at every enumerated unconsumed Poisson point."""
+    """The assembled sphere process as read-only columns, one row per
+    sphere: each layer's constructed tangent spheres, then a sphere at
+    every enumerated unconsumed Poisson point of that layer (a leftover).
+    A leftover has radius 0 unless the eta post-pass grew it."""
 
-    spheres: tuple
+    centers: np.ndarray  # (n, d)
+    radii: np.ndarray  # (n,)
+    vertex: np.ndarray  # (n,) lattice vertex id, -1 for a leftover
+    layer: np.ndarray  # (n,) index into layers
+    point_ids: np.ndarray  # (n, 2) (record id, local index) of the point
+    layers: tuple  # layer vectors
     n_stream_leftovers: int  # realized but unenumerated (replay-only) points
     layer_states: tuple
     annotations: dict
-    # centers(), radii() and the contact pairs, computed once for the report
+    # the contact pairs, computed once for the report
     _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
-    @property
-    def constructed(self) -> tuple:
-        return tuple(s for s in self.spheres if s.kind == "constructed")
+    def __post_init__(self):
+        for col in (self.centers, self.radii, self.vertex, self.layer, self.point_ids):
+            col.flags.writeable = False
 
     @property
-    def leftovers(self) -> tuple:
-        return tuple(s for s in self.spheres if s.kind == "leftover")
-
-    def centers(self) -> np.ndarray:
-        """(n, d) sphere centers, built once and read-only."""
-        if "centers" not in self._memo:
-            if not self.spheres:
-                centers = np.empty((0, 0))
-            else:
-                centers = np.asarray([s.center for s in self.spheres])
-            centers.flags.writeable = False
-            self._memo["centers"] = centers
-        return self._memo["centers"]
-
-    def radii(self) -> np.ndarray:
-        """(n,) sphere radii, built once and read-only."""
-        if "radii" not in self._memo:
-            radii = np.asarray([s.radius for s in self.spheres], dtype=float)
-            radii.flags.writeable = False
-            self._memo["radii"] = radii
-        return self._memo["radii"]
+    def n_constructed(self) -> int:
+        return int(np.count_nonzero(self.vertex >= 0))
 
 
 def assemble_gamma(params: ConstructionParams, states) -> GammaProcess:
-    """Merge layer runs into one process.  Streamed points are realized but
-    not stored; they are reported by count and stay out of the sphere list
+    """Merge layer runs into one process: each layer's constructed spheres,
+    then its leftovers in point-id order.  Streamed points are realized but
+    not stored; they are reported by count and stay out of the columns
     (documented restriction of the finite simulation)."""
-    spheres: list = []
+    centers: list = []
+    radii: list = []
+    vertex: list = []
+    point_ids: list = []
+    n_rows = []
     n_stream_leftovers = 0
     for state in states:
-        spheres.extend(state.spheres)
         reg = state.registry
-        listed: dict = {}
         realized = reg.realized_points()
-        for pid, coords in zip(realized.ids, realized.coords):
-            listed[pid] = coords
+        listed = dict(zip(realized.ids, realized.coords))
         for pid, coords in state.failed_picks:
             listed.setdefault(pid, coords)
         for pid in state.consumed_ids:
             listed.pop(pid, None)
-        for pid in sorted(listed):
-            spheres.append(
-                SphereRecord(
-                    center=listed[pid],
-                    radius=0.0,
-                    vertex=-1,
-                    layer=state.layer_vec,
-                    kind="leftover",
-                    point_id=pid,
-                )
-            )
+        left = sorted(listed)
+        centers += [s.center for s in state.spheres] + [listed[pid] for pid in left]
+        radii += [s.radius for s in state.spheres] + [0.0] * len(left)
+        vertex += [s.vertex for s in state.spheres] + [-1] * len(left)
+        point_ids += [s.point_id for s in state.spheres] + left
+        n_rows.append(len(state.spheres) + len(left))
         # Streamed points exist only as replayable counts; the ones whose
         # coordinates did surface (consumed centers, failed picks) are
         # accounted above, the rest are reported as a count.
@@ -539,87 +521,71 @@ def assemble_gamma(params: ConstructionParams, states) -> GammaProcess:
             if reg.records[pid[0]].mode == "streamed"
         }
         n_stream_leftovers += streamed_fresh - len(surfaced)
+    centers = np.asarray(centers, dtype=float).reshape(-1, params.d)
+    radii = np.asarray(radii, dtype=float)
+    vertex = np.asarray(vertex, dtype=np.intp)
+    layer = np.repeat(np.arange(len(states)), n_rows)
+    point_ids = np.asarray(point_ids, dtype=np.intp).reshape(-1, 2)
     annotations = {}
     if params.eta > 0:
-        spheres, notes = _reassign_leftover_radii(params, spheres, states)
-        annotations.update(notes)
+        annotations = _reassign_leftover_radii(
+            centers, radii, np.flatnonzero(vertex < 0), layer, point_ids, states
+        )
     return GammaProcess(
-        spheres=tuple(spheres),
+        centers=centers,
+        radii=radii,
+        vertex=vertex,
+        layer=layer,
+        point_ids=point_ids,
+        layers=tuple(st.layer_vec for st in states),
         n_stream_leftovers=n_stream_leftovers,
         layer_states=tuple(states),
         annotations=annotations,
     )
 
 
-def _reassign_leftover_radii(params: ConstructionParams, spheres, states):
+def _reassign_leftover_radii(centers, radii, leftovers, layer, point_ids, states) -> dict:
     """Positive-radii post-pass: a leftover at z grows to half the distance
     to the nearest other sphere surface, but only when the ball of that
     diameter is provably inside one realized record, so nothing unseen can
-    be closer.  Unresolvable leftovers keep radius 0 and an annotation."""
+    be closer.  Grown radii are written into ``radii``; unresolvable
+    leftovers keep radius 0.  Returns the two counts for the manifest."""
     from scipy.spatial import cKDTree
 
-    registries = {tuple(st.layer_vec): st.registry for st in states}
-    positive = [s for s in spheres if s.radius > 0]
-    pos_centers = np.asarray([s.center for s in positive])
-    pos_radii = np.asarray([s.radius for s in positive])
-    left_centers = np.asarray(
-        [s.center for s in spheres if s.kind == "leftover"]
-    )
-    left_tree = cKDTree(left_centers) if len(left_centers) > 1 else None
-    out = []
+    positive = radii > 0
+    pos_centers, pos_radii = centers[positive], radii[positive]
+    left_tree = cKDTree(centers[leftovers]) if len(leftovers) > 1 else None
     n_resolved = 0
     n_truncated = 0
-    for s in spheres:
-        if s.kind != "leftover":
-            out.append(s)
-            continue
+    for k in leftovers.tolist():
+        z = centers[k]
         dist = math.inf
-        if len(positive):
-            gaps = np.linalg.norm(pos_centers - s.center, axis=1) - pos_radii
+        if len(pos_radii):
+            gaps = np.linalg.norm(pos_centers - z, axis=1) - pos_radii
             dist = float(gaps.min())
         if left_tree is not None:
-            d_near = left_tree.query(s.center, k=2)[0][1]  # [0] is s itself
+            d_near = left_tree.query(z, k=2)[0][1]  # [0] is z itself
             dist = min(dist, float(d_near))
-        reg = registries[tuple(s.layer)]
+        reg = states[layer[k]].registry
         covered = any(
             rec.mode in ("stored", "streamed")
-            and region_contains_ball(rec.region, s.center, dist)
+            and region_contains_ball(rec.region, z, dist)
             for rec in reg.records
         )
         if not covered or not math.isfinite(dist) or dist <= 0:
             n_truncated += 1
-            out.append(
-                SphereRecord(
-                    center=s.center,
-                    radius=0.0,
-                    vertex=s.vertex,
-                    layer=s.layer,
-                    kind="leftover",
-                    point_id=s.point_id,
-                    annotation="window-truncated",
-                )
-            )
             continue
-        # Streamed points are not in the sphere list; replaying the covering
+        # Streamed points are not in the columns; replaying the covering
         # records inside B(z, dist) closes that gap exactly.
-        near = reg.collect(Ball(s.center, dist))
+        own = tuple(point_ids[k].tolist())
+        near = reg.collect(Ball(z, dist))
         for pid, coords in zip(near.ids, near.coords):
-            if pid == s.point_id:
+            if pid == own:
                 continue
-            dist = min(dist, float(math.dist(coords, s.center)))
+            dist = min(dist, float(math.dist(coords, z)))
         n_resolved += 1
-        out.append(
-            SphereRecord(
-                center=s.center,
-                radius=dist / 2.0,
-                vertex=s.vertex,
-                layer=s.layer,
-                kind="leftover",
-                point_id=s.point_id,
-                annotation="grown",
-            )
-        )
-    return out, {
+        radii[k] = dist / 2.0
+    return {
         "leftovers_grown": n_resolved,
         "leftovers_window_truncated": n_truncated,
     }
@@ -656,27 +622,26 @@ def _assert_interlayer_gaps(params: ConstructionParams, gamma: GammaProcess):
     those within _dist_below's tie band of the bound: the gap rounds
     monotonically in the distance, and near the bound the distance exceeds
     both radii, so the band also covers the two subtractions."""
-    by_layer: dict = {}
-    for s in gamma.constructed:
-        by_layer.setdefault(s.layer, []).append(s)
-    layers = sorted(by_layer)
+    centers, radii = gamma.centers, gamma.radii
+    constructed = gamma.vertex >= 0
+    groups = [
+        (gamma.layers[k], np.flatnonzero(constructed & (gamma.layer == k)))
+        for k in sorted(range(len(gamma.layers)), key=gamma.layers.__getitem__)
+    ]
     bound = 2.0 - 1e-9
-    for a in range(len(layers)):
-        for b in range(a + 1, len(layers)):
-            group_a, group_b = by_layer[layers[a]], by_layer[layers[b]]
-            x_b = np.asarray([s.center for s in group_b])
-            r_b = np.asarray([s.radius for s in group_b])
-            for sa in group_a:
-                diff = x_b - sa.center
+    for a, (vec_a, rows_a) in enumerate(groups):
+        for vec_b, rows_b in groups[a + 1 :]:
+            x_b, r_b = centers[rows_b], radii[rows_b]
+            for i in rows_a.tolist():
+                diff = x_b - centers[i]
                 dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-                gap = dist - sa.radius - r_b
-                for k in np.flatnonzero(gap < bound + _TIE_REL * dist + _TIE_ABS):
-                    sb = group_b[k]
-                    exact = float(math.dist(sa.center, sb.center)) - sa.radius - sb.radius
+                near = dist - radii[i] - r_b < bound + _TIE_REL * dist + _TIE_ABS
+                for j in rows_b[near].tolist():
+                    exact = math.dist(centers[i], centers[j]) - float(radii[i]) - float(radii[j])
                     if exact < bound:
                         raise ConstructionError(
                             f"inter-layer surface gap {exact} < 2 between "
-                            f"layers {layers[a]} and {layers[b]}"
+                            f"layers {vec_a} and {vec_b}"
                         )
 
 
@@ -729,7 +694,7 @@ def _gamma_contact_pairs(gamma: GammaProcess):
     """_contact_pairs of gamma's spheres at CONTACT_TOL, computed once: the
     hard-sphere check and the cluster search ask for the same pairs."""
     if "pairs" not in gamma._memo:
-        pairs = _contact_pairs(gamma.centers(), gamma.radii(), CONTACT_TOL)
+        pairs = _contact_pairs(gamma.centers, gamma.radii, CONTACT_TOL)
         for arr in pairs:
             arr.flags.writeable = False
         gamma._memo["pairs"] = pairs
@@ -752,11 +717,10 @@ def _dist_below(centers, I, J, thresh, strict: bool) -> np.ndarray:
 def verify_hard_sphere(gamma: GammaProcess) -> HardSphereReport:
     """Check |x_i - x_j| >= r_i + r_j - CONTACT_TOL for all pairs that could
     touch."""
-    n = len(gamma.spheres)
+    centers, radii = gamma.centers, gamma.radii
+    n = len(radii)
     if n < 2:
         return HardSphereReport(n, 0, (), True)
-    centers = gamma.centers()
-    radii = gamma.radii()
     I, J = _gamma_contact_pairs(gamma)
     need = radii[I] + radii[J]
     violations = []
@@ -773,55 +737,27 @@ def verify_hard_sphere(gamma: GammaProcess) -> HardSphereReport:
     )
 
 
-@dataclass(frozen=True)
-class Cluster:
-    members: tuple  # indices into gamma.spheres
-    size: int
-    n_constructed: int
-    bounding_radius: float
-
-
-def cluster_components(gamma: GammaProcess):
+def cluster_components(gamma: GammaProcess) -> np.ndarray:
     """Connected components of the tangency graph (spheres touch when the
-    surface gap is within CONTACT_TOL), largest first."""
-    n = len(gamma.spheres)
-    if n == 0:
-        return []
-    centers = gamma.centers()
-    radii = gamma.radii()
+    surface gap is within CONTACT_TOL) as one label per sphere: components
+    are numbered largest first, ties broken by their lowest index, so
+    np.bincount(labels) lists the sizes in that order."""
+    centers, radii = gamma.centers, gamma.radii
     I, J = _gamma_contact_pairs(gamma)
     touch = _dist_below(centers, I, J, radii[I] + radii[J] + CONTACT_TOL, strict=False)
     I, J = I[touch], J[touch]
-    # Only spheres with a touching pair are unioned; their components have
-    # two members or more, so the singletons follow them in index order.
+    # Only spheres with a touching pair are unioned; every other sphere is
+    # its own root.
     linked = np.unique(np.concatenate((I, J)))
     uf = UnionFind(linked.size)
     for i, j in zip(np.searchsorted(linked, I).tolist(), np.searchsorted(linked, J).tolist()):
         uf.union(i, j)
-    groups: dict = {}
-    for k, i in enumerate(linked.tolist()):
-        groups.setdefault(uf.find(k), []).append(i)
-    spheres = gamma.spheres
-    clusters = []
-    for members in groups.values():
-        mid = centers[members].mean(axis=0)
-        clusters.append(
-            Cluster(
-                members=tuple(members),
-                size=len(members),
-                n_constructed=sum(1 for i in members if spheres[i].kind == "constructed"),
-                bounding_radius=max(
-                    float(math.dist(mid, centers[i])) + radii[i] for i in members
-                ),
-            )
-        )
-    clusters.sort(key=lambda c: (-c.size, c.members))
-    alone = np.ones(n, dtype=bool)
-    alone[linked] = False
-    alone = np.flatnonzero(alone)
-    # The mean of one center is that center, at distance 0.0.
-    clusters += [
-        Cluster((i,), 1, int(spheres[i].kind == "constructed"), reach)
-        for i, reach in zip(alone.tolist(), 0.0 + radii[alone])
-    ]
-    return clusters
+    root = np.arange(len(radii))
+    root[linked] = linked[[uf.find(k) for k in range(linked.size)]]
+    # first: each component's lowest index, the first row holding its root
+    _, first, component, sizes = np.unique(
+        root, return_index=True, return_inverse=True, return_counts=True
+    )
+    rank = np.empty_like(first)
+    rank[np.lexsort((first, -sizes))] = np.arange(first.size)
+    return rank[component]

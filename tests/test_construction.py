@@ -14,7 +14,6 @@ from hardspheres.construction import (
     ConstructionError,
     ConstructionParams,
     GammaProcess,
-    SphereRecord,
     STOP_BUDGET,
     STOP_RULE_III,
     STOP_TRUNCATION,
@@ -357,14 +356,17 @@ def test_multilayer_gap_and_validation():
     p = params31(eta=0.1)
     layers = [(0,) * 29, (1,) + (0,) * 28]
     gamma = run_multilayer(p, 2, layers)
-    by_layer = {}
-    for s in gamma.constructed:
-        by_layer.setdefault(s.layer, []).append(s)
-    assert len(by_layer) == 2  # both layers produced spheres
-    (la, sa), (lb, sb) = sorted(by_layer.items())
-    for x in sa:
-        for y in sb:
-            gap = math.dist(x.center, y.center) - x.radius - y.radius
+    assert gamma.layers == tuple(layers)
+    constructed = gamma.vertex >= 0
+    sa, sb = (np.flatnonzero(constructed & (gamma.layer == k)) for k in (0, 1))
+    assert sa.size and sb.size  # both layers produced spheres
+    for k in (0, 1):
+        ids = [tuple(pid) for pid in gamma.point_ids[~constructed & (gamma.layer == k)].tolist()]
+        assert ids == sorted(ids)  # each layer's leftovers in ascending id order
+    x, r = gamma.centers, gamma.radii
+    for i in sa:
+        for j in sb:
+            gap = math.dist(x[i], x[j]) - r[i] - r[j]
             assert gap >= 2.0 - 1e-9
     with pytest.raises(ValueError):
         run_multilayer(p, 0, [(0,) * 29, (0,) * 29])
@@ -391,14 +393,18 @@ def test_assembly_bookkeeping():
     p = ConstructionParams(d=5, C=4.0, lam=5.0)
     gamma = run_multilayer(p, 0, [(0, 0, 0)])
     state = gamma.layer_states[0]
-    leftover_ids = [s.point_id for s in gamma.leftovers]
+    left = gamma.vertex == -1
+    leftover_ids = [tuple(pid) for pid in gamma.point_ids[left].tolist()]
     assert len(set(leftover_ids)) == len(leftover_ids)
-    for s in gamma.leftovers:
-        assert s.point_id not in state.consumed_ids
-        assert s.radius == 0.0
-        assert s.vertex == -1
-    for s in gamma.constructed:
-        assert s.point_id in state.consumed_ids
+    assert not set(leftover_ids) & state.consumed_ids
+    assert np.all(gamma.radii[left] == 0.0)
+    # each layer lists its constructed spheres first, in exploration order
+    n = gamma.n_constructed
+    assert n == len(state.spheres) and not left[:n].any()
+    assert gamma.vertex[:n].tolist() == [s.vertex for s in state.spheres]
+    assert np.array_equal(gamma.radii[:n], [s.radius for s in state.spheres])
+    assert {tuple(pid) for pid in gamma.point_ids[:n].tolist()} == state.consumed_ids
+    assert np.all(gamma.layer == 0) and gamma.layers == ((0, 0, 0),)
     assert gamma.annotations == {}  # eta = 0: no post-pass
     assert gamma.n_stream_leftovers == 0  # everything fit in the stored tier
 
@@ -419,45 +425,63 @@ def test_stream_leftovers_counted_not_listed(monkeypatch):
     assert streamed_rids
     assert gamma.n_stream_leftovers > 0
     surfaced = {pid for pid, _ in state.failed_picks} | state.consumed_ids
-    for s in gamma.leftovers:
-        if s.point_id[0] in streamed_rids:
-            assert s.point_id in surfaced  # only surfaced stream points listed
+    left = gamma.vertex == -1
+    leftover_ids = [tuple(pid) for pid in gamma.point_ids[left].tolist()]
+    assert leftover_ids == sorted(leftover_ids)  # one layer: ascending ids
+    rows = {pid: k for k, pid in zip(np.flatnonzero(left).tolist(), leftover_ids)}
+    assert len(rows) == len(leftover_ids)
+    for pid in leftover_ids:
+        if pid[0] in streamed_rids:
+            assert pid in surfaced  # only surfaced stream points listed
+    # and the converse: every failed pick that was not consumed is listed
+    # exactly once, with its own coordinates
+    failed = [(pid, xy) for pid, xy in state.failed_picks if pid not in state.consumed_ids]
+    assert any(pid[0] in streamed_rids for pid, _ in failed)
+    for pid, xy in failed:
+        assert leftover_ids.count(pid) == 1
+        assert np.array_equal(gamma.centers[rows[pid]], xy)
 
 
 def test_eta_postpass_grows_leftovers():
     p = params31(eta=0.1)
     gamma = run_multilayer(p, 2, [(0,) * 29, (1,) + (0,) * 28])
-    grown = [s for s in gamma.leftovers if s.annotation == "grown"]
-    truncated = [s for s in gamma.leftovers if s.annotation == "window-truncated"]
-    assert len(grown) + len(truncated) == len(gamma.leftovers)
-    assert gamma.annotations["leftovers_grown"] == len(grown)
-    assert gamma.annotations["leftovers_window_truncated"] == len(truncated)
+    left = gamma.vertex == -1
+    grown = np.count_nonzero(gamma.radii[left] > 0.0)
+    truncated = np.count_nonzero(gamma.radii[left] == 0.0)
+    assert grown + truncated == np.count_nonzero(left)
+    assert gamma.annotations["leftovers_grown"] == grown
+    assert gamma.annotations["leftovers_window_truncated"] == truncated
     assert grown  # this seed resolves some leftovers
-    for s in grown:
-        assert s.radius > 0.0
-    for s in truncated:
-        assert s.radius == 0.0
+    # a grown leftover overlaps no other sphere
+    for k in np.flatnonzero(left & (gamma.radii > 0)):
+        others = np.delete(np.arange(len(gamma.radii)), k)
+        gaps = np.linalg.norm(gamma.centers[others] - gamma.centers[k], axis=1)
+        assert gamma.radii[k] <= np.min(gaps - gamma.radii[others]) + 1e-12
     report = verify_hard_sphere(gamma)
     assert report.passed, report.violations
     assert report.n_pairs_checked > 0
 
 
-def test_verify_hard_sphere_flags_overlap():
-    def rec(x, r, kind="constructed"):
-        return SphereRecord(
-            center=np.array([x, 0.0, 0.0]),
-            radius=r,
-            vertex=-1,
-            layer=(0,),
-            kind=kind,
-        )
-
-    bad = GammaProcess(
-        spheres=(rec(0.0, 1.0), rec(1.5, 1.0)),
+def line_gamma(xs, radii, vertex):
+    """Spheres on the first axis of R^3, all in one layer."""
+    n = len(xs)
+    centers = np.zeros((n, 3))
+    centers[:, 0] = xs
+    return GammaProcess(
+        centers=centers,
+        radii=np.asarray(radii, dtype=float),
+        vertex=np.asarray(vertex),
+        layer=np.zeros(n, dtype=np.intp),
+        point_ids=np.stack([np.zeros(n, dtype=np.intp), np.arange(n)], axis=1),
+        layers=((0,),),
         n_stream_leftovers=0,
         layer_states=(),
         annotations={},
     )
+
+
+def test_verify_hard_sphere_flags_overlap():
+    bad = line_gamma([0.0, 1.5], [1.0, 1.0], [0, 1])
     report = verify_hard_sphere(bad)
     assert not report.passed
     assert len(report.violations) == 1
@@ -467,37 +491,28 @@ def test_verify_hard_sphere_flags_overlap():
 
 
 def test_cluster_components_crafted():
-    def rec(x, r, kind="constructed"):
-        return SphereRecord(
-            center=np.array([x, 0.0, 0.0]),
-            radius=r,
-            vertex=-1,
-            layer=(0,),
-            kind=kind,
-        )
-
-    gamma = GammaProcess(
-        spheres=(rec(0.0, 1.0), rec(2.0, 1.0), rec(10.0, 1.0),
-                 rec(20.0, 0.0, kind="leftover")),
-        n_stream_leftovers=0,
-        layer_states=(),
-        annotations={},
-    )
-    clusters = cluster_components(gamma)
-    assert [c.size for c in clusters] == [2, 1, 1]
-    assert clusters[0].members == (0, 1)
-    assert clusters[0].n_constructed == 2
-    assert clusters[0].bounding_radius == pytest.approx(2.0, abs=1e-12)
-    assert {c.n_constructed for c in clusters[1:]} == {1, 0}
+    gamma = line_gamma([0.0, 2.0, 10.0, 20.0], [1.0, 1.0, 1.0, 0.0], [0, 1, 2, -1])
+    labels = cluster_components(gamma)
+    assert labels.tolist() == [0, 0, 1, 2]
+    assert np.bincount(labels).tolist() == [2, 1, 1]
+    n_constructed = [np.count_nonzero(gamma.vertex[labels == c] >= 0) for c in range(3)]
+    assert n_constructed == [2, 1, 0]
+    members = np.flatnonzero(labels == 0)
+    mid = gamma.centers[members].mean(axis=0)
+    reach = max(math.dist(mid, gamma.centers[i]) + gamma.radii[i] for i in members)
+    assert reach == pytest.approx(2.0, abs=1e-12)
+    # a lone sphere ahead of the pair: size ranks first, then lowest index
+    gamma = line_gamma([10.0, 0.0, 2.0, 20.0, 30.0], [1.0, 1.0, 1.0, 0.0, 1.0], [0, 1, 2, -1, 3])
+    assert cluster_components(gamma).tolist() == [1, 0, 0, 2, 3]
 
 
 def test_cluster_components_real_run():
     st, spheres = run_layer(params31(), 1)
     gamma = assemble_gamma(params31(), [st])
-    clusters = cluster_components(gamma)
-    sizes = [c.size for c in clusters]
-    assert sizes == sorted(sizes, reverse=True)
-    assert sum(sizes) == len(gamma.spheres)
+    labels = cluster_components(gamma)
+    sizes = np.bincount(labels)
+    assert sizes.tolist() == sorted(sizes, reverse=True)
+    assert sizes.sum() == len(gamma.radii) and sizes.min() >= 1
     # every constructed sphere is tangent to its parent, so they are one
     # component and it leads the list
-    assert clusters[0].n_constructed == len(spheres)
+    assert np.count_nonzero(gamma.vertex[labels == 0] >= 0) == len(spheres)

@@ -9,14 +9,17 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# script -> (arguments, a line its output must hold).  theta_sweep repeats a
+# script -> (arguments, lines its output must hold).  theta_sweep repeats a
 # density, which once counted its hits twice and overflowed theta above 1.
 DEMOS = {
     "theta_sweep.py": (["--radius", "10", "--trials", "20", "--p", "0.5", "0.7957", "0.7957"],
-                       "radius 10, 20 trials, seed 0"),
-    "grow_cluster.py": (["--max-steps", "4"], "hard-sphere check: pass"),
+                       ["radius 10, 20 trials, seed 0"]),
+    "grow_cluster.py": (["--max-steps", "4"], [
+        "hard-sphere check: pass",
+        "largest tangency cluster: 4 spheres (4 constructed) within radius 2.674",
+    ]),
     "threshold_scan.py": (["--dim-min", "30", "--dim-max", "32"],
-                          "first dimension with F(lambda*) >= 0.892: 45"),
+                          ["first dimension with F(lambda*) >= 0.892: 45"]),
 }
 
 
@@ -37,7 +40,8 @@ def test_demo_runs(script):
     proc = run_demo(script, args)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
-    assert expected in proc.stdout
+    for line in expected:
+        assert line in proc.stdout
 
 
 def test_theta_sweep_refuses_an_infinite_radius_in_one_line():

@@ -15,11 +15,9 @@ import pytest
 from hardspheres import cli
 from hardspheres.cli import _sphere_blocks, f17
 from hardspheres.construction import (
-    Cluster,
     ConstructionError,
     GammaProcess,
     HardSphereReport,
-    SphereRecord,
     _assert_interlayer_gaps,
     cluster_components,
     verify_hard_sphere,
@@ -28,23 +26,21 @@ from hardspheres.construction import (
 TOL = 1e-9  # construction.CONTACT_TOL, written out for the references below
 
 
-def make_gamma(centers, radii, kinds=None, layers=None, vertices=None):
+def make_gamma(centers, radii, layers=None, vertices=None):
+    """Columns for the given rows.  By default every positive-radius sphere
+    is constructed (at vertex 0) and every zero-radius one a leftover, all
+    in one layer."""
     n = len(radii)
-    kinds = kinds or ["constructed" if r > 0 else "leftover" for r in radii]
     layers = layers or [(0,)] * n
-    vertices = vertices or [-1] * n
-    spheres = tuple(
-        SphereRecord(
-            center=np.asarray(c, dtype=float),
-            radius=r,
-            vertex=v,
-            layer=lay,
-            kind=k,
-        )
-        for c, r, k, lay, v in zip(centers, radii, kinds, layers, vertices)
-    )
+    vertices = vertices or [0 if r > 0 else -1 for r in radii]
+    vecs = tuple(dict.fromkeys(layers))
     return GammaProcess(
-        spheres=spheres,
+        centers=np.asarray(centers, dtype=float).reshape(n, -1) if n else np.empty((0, 2)),
+        radii=np.asarray(radii, dtype=float),
+        vertex=np.asarray(vertices, dtype=np.intp),
+        layer=np.asarray([vecs.index(lay) for lay in layers], dtype=np.intp),
+        point_ids=np.stack([np.zeros(n, dtype=np.intp), np.arange(n)], axis=1),
+        layers=vecs,
         n_stream_leftovers=0,
         layer_states=(),
         annotations={},
@@ -55,10 +51,10 @@ def make_gamma(centers, radii, kinds=None, layers=None, vertices=None):
 
 
 def brute_verify(gamma, tol):
-    n = len(gamma.spheres)
+    n = len(gamma.radii)
     if n < 2:
         return HardSphereReport(n, 0, (), True)
-    centers, radii = gamma.centers(), gamma.radii()
+    centers, radii = gamma.centers, gamma.radii
     r_max = radii.max()
     checked = 0
     violations = []
@@ -74,8 +70,10 @@ def brute_verify(gamma, tol):
 
 
 def brute_clusters(gamma, tol):
-    n = len(gamma.spheres)
-    centers, radii = gamma.centers(), gamma.radii()
+    """One label per sphere: components numbered largest first, ties
+    broken by their lowest index."""
+    n = len(gamma.radii)
+    centers, radii = gamma.centers, gamma.radii
     parent = list(range(n))
 
     def find(a):
@@ -90,30 +88,27 @@ def brute_clusters(gamma, tol):
     groups = {}
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
-    clusters = []
-    for members in groups.values():
-        mid = centers[members].mean(axis=0)
-        reach = max(float(math.dist(mid, centers[i])) + radii[i] for i in members)
-        clusters.append(
-            Cluster(
-                members=tuple(members),
-                size=len(members),
-                n_constructed=sum(
-                    1 for i in members if gamma.spheres[i].kind == "constructed"
-                ),
-                bounding_radius=reach,
-            )
-        )
-    clusters.sort(key=lambda c: (-c.size, c.members))
-    return clusters
+    labels = np.full(n, -1)
+    for label, members in enumerate(sorted(groups.values(), key=lambda m: (-len(m), m))):
+        labels[members] = label
+    return labels
+
+
+def same_clusters(gamma, tol):
+    labels = cluster_components(gamma)
+    return labels.shape == (len(gamma.radii),) and np.array_equal(
+        labels, brute_clusters(gamma, tol)
+    )
 
 
 def old_sphere_dump(gamma):
     lines = []
-    for s in gamma.spheres:
-        layer = ",".join(str(v) for v in s.layer)
-        coords = " ".join(f17(x) for x in s.center)
-        lines.append(f"{layer}|{s.vertex}|{s.kind}|{f17(s.radius)}|{coords}")
+    for k in range(len(gamma.radii)):
+        layer = ",".join(str(v) for v in gamma.layers[gamma.layer[k]])
+        vertex = int(gamma.vertex[k])
+        kind = "constructed" if vertex >= 0 else "leftover"
+        coords = " ".join(f17(x) for x in gamma.centers[k])
+        lines.append(f"{layer}|{vertex}|{kind}|{f17(gamma.radii[k])}|{coords}")
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -146,7 +141,7 @@ def test_random_gammas_match_brute_force(seed):
     d = int(rng.choice([2, 3, 5, 31]))
     gamma = random_gamma(rng, d, int(rng.integers(2, 60)))
     assert verify_hard_sphere(gamma) == brute_verify(gamma, TOL)
-    assert cluster_components(gamma) == brute_clusters(gamma, TOL)
+    assert same_clusters(gamma, TOL)
 
 
 def test_contact_pairs_computed_once_per_slack(monkeypatch):
@@ -162,11 +157,12 @@ def test_contact_pairs_computed_once_per_slack(monkeypatch):
     monkeypatch.setattr(construction, "_contact_pairs", counting)
     gamma = random_gamma(np.random.default_rng(3), 5, 60)
     report = verify_hard_sphere(gamma)
-    clusters = cluster_components(gamma)
+    labels = cluster_components(gamma)
     assert calls == [TOL]
     assert report == brute_verify(gamma, TOL)
-    assert clusters == brute_clusters(gamma, TOL)
-    assert not gamma.centers().flags.writeable
+    assert np.array_equal(labels, brute_clusters(gamma, TOL))
+    for col in (gamma.centers, gamma.radii, gamma.vertex, gamma.layer, gamma.point_ids):
+        assert not col.flags.writeable
 
 
 def test_tiny_gammas_match_brute_force():
@@ -178,7 +174,7 @@ def test_tiny_gammas_match_brute_force():
     ):
         gamma = make_gamma(centers, radii)
         assert verify_hard_sphere(gamma) == brute_verify(gamma, TOL)
-        assert cluster_components(gamma) == brute_clusters(gamma, TOL)
+        assert same_clusters(gamma, TOL)
 
 
 # -- crafted near-tie pairs -------------------------------------------------
@@ -235,9 +231,9 @@ def test_crafted_ties_match_brute_force(d):
     # here distances sit on the k-d tree's query radius by construction.
     assert (got.violations, got.passed) == (want.violations, want.passed)
     assert len(got.violations) == 4 * 3  # the -tol - 1 ulp pairs overlap
-    clusters = cluster_components(gamma)
-    assert clusters == brute_clusters(gamma, TOL)
-    assert [c.size for c in clusters].count(2) == 4 * 3 * 6  # all but +tol + 1 ulp
+    assert same_clusters(gamma, TOL)
+    sizes = np.bincount(cluster_components(gamma))
+    assert list(sizes).count(2) == 4 * 3 * 6  # all but +tol + 1 ulp
 
 
 
@@ -248,14 +244,15 @@ def pairwise_gap_error(gamma):
     """The message of the ConstructionError the pairwise math.dist loop
     raises for gamma, or None."""
     by_layer = {}
-    for s in gamma.constructed:
-        by_layer.setdefault(s.layer, []).append(s)
+    for k in np.flatnonzero(gamma.vertex >= 0):
+        by_layer.setdefault(gamma.layers[gamma.layer[k]], []).append(k)
     layers = sorted(by_layer)
+    x, r = gamma.centers, gamma.radii.tolist()
     for a in range(len(layers)):
         for b in range(a + 1, len(layers)):
-            for sa in by_layer[layers[a]]:
-                for sb in by_layer[layers[b]]:
-                    gap = float(math.dist(sa.center, sb.center)) - sa.radius - sb.radius
+            for i in by_layer[layers[a]]:
+                for j in by_layer[layers[b]]:
+                    gap = float(math.dist(x[i], x[j])) - r[i] - r[j]
                     if gap < 2.0 - 1e-9:
                         return (
                             f"inter-layer surface gap {gap} < 2 between "
@@ -336,7 +333,6 @@ def test_sphere_dump_matches_field_by_field_f17():
     gamma = make_gamma(
         centers,
         radii,
-        kinds=["constructed", "constructed", "leftover", "constructed"],
         layers=[(0, 0, 0), (1, 0, -2), (1, 0, -2), (0, 0, 0)],
         vertices=[0, 7, -1, np.int64(12)],
     )
@@ -365,7 +361,7 @@ def test_sphere_dump_across_small_blocks(monkeypatch, rows):
     monkeypatch.setattr(cli, "SPHERE_BLOCK_ROWS", rows)
     gamma = mixed_gamma(np.random.default_rng(rows), 4, 3 * 7 + 1)
     blocks = list(_sphere_blocks(gamma))
-    assert len(blocks) == -(-len(gamma.spheres) // rows)
+    assert len(blocks) == -(-len(gamma.radii) // rows)
     assert all(b.endswith(b"\n") for b in blocks)
     assert b"".join(blocks).decode() == old_sphere_dump(gamma)
 
@@ -385,10 +381,10 @@ def test_isolated_leftovers_beside_touching_chains():
     rng = np.random.default_rng(11)
     d = 5
     chains = random_gamma(rng, d, 40)
-    centers = [np.asarray(s.center) for s in chains.spheres]
-    radii = [s.radius for s in chains.spheres]
+    centers = list(chains.centers)
+    radii = chains.radii.tolist()
     for _ in range(1500):
-        k = int(rng.integers(len(chains.spheres)))
+        k = int(rng.integers(len(chains.radii)))
         if radii[k] > 0 and rng.random() < 0.05:  # a leftover on a surface
             u = rng.normal(size=d)
             centers.append(centers[k] + radii[k] * u / np.linalg.norm(u))
@@ -397,7 +393,6 @@ def test_isolated_leftovers_beside_touching_chains():
         radii.append(0.0)
     order = rng.permutation(len(radii))
     gamma = make_gamma([centers[i] for i in order], [radii[i] for i in order])
-    clusters = cluster_components(gamma)
-    assert clusters == brute_clusters(gamma, TOL)
-    assert sum(c.size == 1 for c in clusters) > 1000
+    assert same_clusters(gamma, TOL)
+    assert np.count_nonzero(np.bincount(cluster_components(gamma)) == 1) > 1000
     assert b"".join(_sphere_blocks(gamma)).decode() == old_sphere_dump(gamma)
