@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .hexlattice import KIND_SITE, SITE_DEGREE, build_lattice, neighbor_tuples
-from .rngutil import generator
+from .rngutil import keyed_generator, philox_key
 
 
 # The window is built in full, and each trial draws one uniform per site.
@@ -89,7 +89,9 @@ class SiteConfig:
 
 
 def sample_config(graph: SiteGraph, p: float, seed: int, trial: int = 0) -> SiteConfig:
-    rng = generator(seed, 1, trial)
+    """The trial's uniforms are those of generator(seed, 1, trial), drawn
+    on the thread's reused keyed generator."""
+    rng = keyed_generator(philox_key(seed, 1, trial))
     return SiteConfig(
         graph=graph, p=p, seed=seed, trial=trial, uniforms=rng.random(graph.n_sites)
     )

@@ -35,20 +35,33 @@ streamed   For masses too heavy to keep in memory: the same thinning, but
            membership tests' other temporaries are blocks of
            geometry.ROW_BLOCK rows.
 
-saturated  For masses beyond any enumeration (a first-layer cell in d = 45
-           holds ~1e51 points): no count is drawn.  Emptiness has
-           probability exp(-mass) which underflows to exactly 0.0 for the
-           enforced minimum mass, a uniformly chosen process point is just
-           a uniform location in the region (a one-row ``coords`` once it
-           has landed), and points of later overlapping queries are
-           realized as fresh Poisson inside the zone.  Removing
-           the picked point perturbs later counts only at relative order
-           (later realized mass) / (saturated mass); the registry tracks
-           that ratio and refuses to proceed when it could ever matter
-           (tolerance 1e-9; acceptance criterion 9's d = 45 layer prints
-           q_max 1.8e-55).  A realization, or a second saturated zone,
-           that regions_disjoint certifies as separated from the zone is
-           independent of it and is neither charged nor refused.
+saturated  A sea pick, for masses beyond any enumeration (a first-layer
+           cell in d = 45 holds ~1e51 points).  The zone S is the region
+           less the earlier records that reach it, and none of them may
+           hold a point of S.  No count is drawn: emptiness has probability
+           at most exp(-m), 0.0 in binary64 for the enforced minimum mass,
+           and by the Mecke equation (Last and Penrose, Lectures on the
+           Poisson Process, 2017, Thm 4.1) a uniform point Y of the process
+           in S is a uniform location in S, kept as a one-row ``coords``.
+           The rest R of the process then has density proportional to
+           1/(R(S) + 1) against the Poisson law.  Each later realization
+           that reaches S is proposed as a fresh Poisson realization and
+           accepted by a coin (mecke_coin) with probability K'/(j + K'),
+           where j is the number of points all accepted realizations and
+           the proposal put in S, and K' ~ Poisson(mu) | K' >= 1 with mu
+           the unrealized mass of S; a rejected proposal is redrawn.  The
+           coin is settled from a lower bound on mu when the chance that it
+           errs is below 2^-1074, the same convention as the mass floor;
+           otherwise K' is drawn exactly from an auxiliary, discarded
+           realization of S's bounding region, refused (RegistryError) past
+           the stream cap.  Its draws come from their own Philox path keyed
+           by the realizing record, so a coin that settles leaves every
+           other draw unchanged.  A streamed record that would reach S, a
+           second sea zone overlapping S, and determined points inside the
+           region are refused.  ``q_max``, the largest share of a zone's
+           lower mass that later queries realized, is a diagnostic only.
+           A realization that regions_disjoint certifies as separated from
+           the zone is independent of it and takes no coin.
 
 Same seed and same query sequence give bit-identical results; streams
 replay from SeedSequence-derived Philox keys, derived once per record, that
@@ -58,7 +71,6 @@ never touch the main stream.
 from __future__ import annotations
 
 import math
-import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
@@ -77,18 +89,26 @@ from .geometry import (
     exact_volume,
     regions_disjoint,
 )
-from .rngutil import RNG_ALGORITHM, derive_seed, generator
+from .rngutil import (
+    RNG_ALGORITHM,
+    derive_seed,
+    generator,
+    keyed_generator,
+    philox_key,
+)
 
 STREAM_BATCH = 1 << 16  # frozen: replay identity depends on it
 
 DEFAULT_STORE_CAP = 10_000.0
 DEFAULT_STREAM_CAP = 2e7
 SATURATION_MIN_MASS = 4096.0  # exp(-m) == 0.0 in binary64 needs m >= 746
-DEFAULT_SATURATION_Q_TOL = 1e-9
 MAX_MATERIALIZE = 5e7
 
 _MAIN_PATH = 0
 _STREAM_PATH = 2
+_COIN_PATH = 3
+_LOG_TINY = -1074 * math.log(2.0)  # log of the least positive binary64
+_COIN_BATCH = 1 << 12  # rows per batch of a coin's auxiliary realization
 
 
 class RegistryError(RuntimeError):
@@ -103,25 +123,13 @@ REPLAY_WORKERS = 2
 _REPLAY_POOL = ThreadPoolExecutor(
     max_workers=REPLAY_WORKERS, thread_name_prefix="stream-replay"
 )
-_THREAD_RNG = threading.local()  # each thread's generator for stream batches
 
 
 def _draw_batch(region: Region, key: np.ndarray, b: int, out: np.ndarray) -> np.ndarray:
-    """Batch b of a stream, drawn into ``out`` on the calling thread's own
-    generator: the stream's Philox key with the counter at block b, the
-    state of generator(seed, 2, rid).bit_generator.jumped(b)."""
-    rng = getattr(_THREAD_RNG, "rng", None)
-    if rng is None:
-        rng = _THREAD_RNG.rng = np.random.Generator(np.random.Philox(0))
-        # a fresh state (counter 0, empty buffer) that each batch edits:
-        # setting it copies the values, and reusing it costs no more than
-        # restoring a saved state did
-        _THREAD_RNG.state = rng.bit_generator.state
-    state = _THREAD_RNG.state
-    state["state"]["key"] = key
-    state["state"]["counter"][2] = b
-    rng.bit_generator.state = state
-    return region.sample(out.shape[0], rng, out=out)
+    """Batch b of a stream, drawn into ``out`` on the calling thread's
+    keyed generator: the stream's Philox key with the counter at block b,
+    the state of generator(seed, 2, rid).bit_generator.jumped(b)."""
+    return region.sample(out.shape[0], keyed_generator(key, b), out=out)
 
 
 def _in_order(fn, sizes: list, dim: int):
@@ -155,6 +163,40 @@ def _in_order(fn, sizes: list, dim: int):
         for future in pending:
             future.cancel()
         wait(pending)
+
+
+def mecke_coin(j: int, mu_lo: float, rng, aux_counts) -> bool:
+    """Whether a realization that leaves j points of the process in a sea
+    zone (besides its pick) is accepted: with probability K'/(j + K'),
+    where K' ~ Poisson(mu) | K' >= 1 and mu >= mu_lo is the zone's
+    unrealized mass.
+
+    With U uniform and t = jU/(1 - U), P(K' > t) = E[K'/(j + K')], so the
+    coin accepts iff K' > t.  For t < mu_lo, P(K' <= t) is at most
+    P(Poisson(mu_lo) <= t) <= exp(-mu_lo + t + t ln(mu_lo/t)) (Chernoff;
+    the conditioning on K' >= 1 divides by 1 - exp(-mu_lo), which is 1.0
+    at the masses where the bound settles anything); below 2^-1074 that
+    accepts outright.  Otherwise K' is drawn exactly: ``aux_counts(rng)``
+    yields, batch by batch, the counts of one auxiliary realization of the
+    zone's unrealized part, K ~ Poisson(mu) in all, and a draw with K = 0
+    is redrawn.  The count stops as soon as it exceeds t."""
+    if j == 0:
+        return True
+    u = rng.random()
+    t = j * u / (1.0 - u)
+    if t == 0.0:
+        return True
+    if -_LOG_TINY < mu_lo and t < mu_lo:
+        if t - mu_lo + t * math.log(mu_lo / t) < _LOG_TINY:
+            return True
+    while True:
+        k = 0
+        for c in aux_counts(rng):
+            k += c
+            if k > t:
+                return True
+        if k:
+            return False
 
 
 def region_key(region: Region) -> tuple:
@@ -212,8 +254,10 @@ class _Record:
         "filter_ids",
         "stream_key",
         "fresh_masks",
+        "bounding",
         "mass_lower",
         "realized_mass_in_zone",
+        "zone_points",
     )
 
     def __init__(self, rid, region, mode):
@@ -230,8 +274,13 @@ class _Record:
         # streamed mode: per batch, the packed fresh mask; None until a
         # replay has run through every batch
         self.fresh_masks = None
-        self.mass_lower = 0.0  # saturated mode
+        # saturated mode: the zone's bounding region, the lower mass of its
+        # unrealized part when it was picked, the upper mass realized in it
+        # since, and the points those realizations put in it
+        self.bounding = None
+        self.mass_lower = 0.0
         self.realized_mass_in_zone = 0.0
+        self.zone_points = 0
 
 
 class RegionRegistry:
@@ -265,6 +314,8 @@ class RegionRegistry:
         self.stream_replays = 0
         self.stream_checkpoint_bytes = 0
         self.q_max = 0.0
+        self.coin_rejections = 0
+        self.coin_candidates = 0
         self.picks = dict.fromkeys(("stored", "streamed", "saturated"), 0)
 
     # -- helpers -------------------------------------------------------
@@ -297,22 +348,56 @@ class RegionRegistry:
             keep &= ~rec.region.contains(pts)
         return keep
 
-    def _note_saturated_realization(self, reach: list, mass_upper: float):
-        """Track how much mass later queries realize inside the saturated
-        zones they reach and enforce the exactness tolerance."""
-        for rec in reach:
-            if rec.mode != "saturated":
-                continue
-            rec.realized_mass_in_zone += mass_upper
-            q = rec.realized_mass_in_zone / rec.mass_lower
-            self.q_max = max(self.q_max, q)
-            if q > DEFAULT_SATURATION_Q_TOL:
+    def _sea_coins(self, rec, seas: list, attempt: int) -> bool:
+        """Whether the proposed realization ``rec`` passes the Mecke coin of
+        every sea zone it reaches; if so, each zone adds the points the
+        proposal put in it.  The coins draw from the Philox path keyed by
+        (rec.rid, attempt), and only once a zone holds points."""
+        js = [
+            sea.zone_points + int(np.count_nonzero(sea.region.contains(rec.coords)))
+            for sea in seas
+        ]
+        if any(js):
+            rng = generator(self.seed, _COIN_PATH, rec.rid, attempt)
+            for sea, j in zip(seas, js):
+                if not self._sea_coin(sea, j, rec.region, rng):
+                    self.coin_rejections += 1
+                    return False
+        for sea, j in zip(seas, js):
+            sea.zone_points = j
+        return True
+
+    def _sea_coin(self, sea, j: int, proposal: Region, rng) -> bool:
+        """mecke_coin for one sea zone.  Its exact count draws auxiliary
+        realizations of the zone's unrealized part: Poisson(lam *
+        vol(bounding)) uniform points of the zone's bounding region,
+        thinned to the zone less every realized region that reaches it and
+        the proposal, and discarded.  More candidates in all than the
+        stream cap are refused."""
+        realized = [
+            r.region for r in self._reaching(sea.region) if r.mode != "saturated"
+        ] + [proposal]
+        mass = self.lam * exact_volume(sea.bounding)
+        drawn = 0
+
+        def counts(rng):
+            nonlocal drawn
+            n = int(rng.poisson(mass))
+            drawn += n
+            self.coin_candidates += n
+            if drawn > self.stream_cap:
                 raise RegistryError(
-                    f"realized mass inside saturated record {rec.rid} reached "
-                    f"relative ratio {q:.3e} > {DEFAULT_SATURATION_Q_TOL:.1e}; "
-                    "the remove-one-point correction would no longer be "
-                    "negligible"
+                    f"the Mecke coin of saturated record {sea.rid} needs more "
+                    f"than the stream cap of {self.stream_cap:.3e} candidates"
                 )
+            for start in range(0, n, _COIN_BATCH):
+                pts = sea.bounding.sample(min(_COIN_BATCH, n - start), rng)
+                keep = sea.region.contains(pts)
+                for region in realized:
+                    keep &= ~region.contains(pts)
+                yield int(np.count_nonzero(keep))
+
+        return mecke_coin(j, sea.mass_lower - sea.realized_mass_in_zone, rng, counts)
 
     def _replay(self, rec):
         """Yield (start_index, candidates, fresh_mask) batches of a streamed
@@ -357,8 +442,9 @@ class RegionRegistry:
 
     def materialize(self, region: Region) -> PointSet:
         """All process points in a region with an exact volume and sampler.
-        First call realizes the fresh zone and stores it; later calls only
-        collect.  The cached realization is never redrawn."""
+        First call realizes the fresh zone and stores it, redrawing it until
+        the Mecke coin of every sea zone it reaches accepts; later calls
+        only collect.  The cached realization is never redrawn."""
         self._check_dim(region)
         key = region_key(region)
         if key not in self._stored_by_key:
@@ -375,18 +461,26 @@ class RegionRegistry:
                     f"cap {MAX_MATERIALIZE:.3e}; use pick_in_region"
                 )
             reach = self._reaching(region)
-            self._note_saturated_realization(reach, mass)
+            seas = [r for r in reach if r.mode == "saturated"]
+            for sea in seas:  # q_max, a diagnostic
+                sea.realized_mass_in_zone += mass
+                self.q_max = max(self.q_max, sea.realized_mass_in_zone / sea.mass_lower)
             rid = len(self.records)
             rec = _Record(rid, region, "stored")
             rec.filter_ids = self._filter_ids(reach)
-            n = int(self.rng.poisson(mass)) if mass > 0 else 0
-            rec.n_candidates = n
-            if n:
-                pts = region.sample(n, self.rng)
-                keep = self._drop_determined(pts, rec.filter_ids)
-                rec.coords = pts[keep]
-            else:
-                rec.coords = np.empty((0, self.dim))
+            attempt = 0
+            while True:
+                n = int(self.rng.poisson(mass)) if mass > 0 else 0
+                rec.n_candidates = n
+                if n:
+                    pts = region.sample(n, self.rng)
+                    keep = self._drop_determined(pts, rec.filter_ids)
+                    rec.coords = pts[keep]
+                else:
+                    rec.coords = np.empty((0, self.dim))
+                if self._sea_coins(rec, seas, attempt):
+                    break
+                attempt += 1
             rec.n_fresh = rec.coords.shape[0]
             self.records.append(rec)
             self._stored_by_key[key] = rid
@@ -451,11 +545,12 @@ class RegionRegistry:
     ) -> PickResult:
         """Uniformly pick one process point of ``region`` (or report it
         empty), choosing the cheapest exact realization tier from the mass
-        bracket.  ``bounding`` must contain the region and have an exact
-        volume and sampler; ``vol_lower`` must underestimate vol(region).
-        A StepShell is tiered by the mass of its cell, the product that
-        bounded steps before the shell did, so that no step changes tier.
-        """
+        bracket [m_lo, m_hi] = lam * [vol_lower, vol(bounding)]: stored when
+        m_hi is at most the store cap, a sea pick when the zone's lower
+        mass is at least SATURATION_MIN_MASS, streamed when m_hi is at most
+        the stream cap, and refused otherwise.  ``bounding`` must contain
+        the region and have an exact volume and sampler; ``vol_lower`` must
+        underestimate vol(region)."""
         self._check_dim(region)
         self._check_dim(bounding)
         vol_upper = exact_volume(bounding)
@@ -467,13 +562,8 @@ class RegionRegistry:
             )
         m_lo = self.lam * vol_lower
         m_hi = self.lam * vol_upper
-        tier_mass = (
-            self.lam * bounding.cell.volume()
-            if isinstance(bounding, StepShell)
-            else m_hi
-        )
 
-        if tier_mass <= self.store_cap:
+        if m_hi <= self.store_cap:
             self.picks["stored"] += 1
             # The region lies inside bounding, so its members are the rows
             # of bounding's points that it contains, ids kept in order.
@@ -490,12 +580,27 @@ class RegionRegistry:
                 "picked", pid, coords, "stored", len(members), m_lo, m_hi
             )
 
-        if tier_mass <= self.stream_cap:
+        if m_lo >= SATURATION_MIN_MASS:
+            # The zone is the region less the earlier records that reach it;
+            # their upper masses come off its lower mass.
+            reach = self._reaching(region)
+            sea_lower = m_lo - sum(
+                self.lam * exact_volume(r.region) for r in reach if r.mode != "saturated"
+            )
+            if sea_lower >= SATURATION_MIN_MASS:
+                self.picks["saturated"] += 1
+                return self._pick_sea(region, bounding, reach, sea_lower, m_lo, m_hi)
+
+        if m_hi <= self.stream_cap:
             self.picks["streamed"] += 1
             return self._pick_streamed(region, bounding, m_lo, m_hi)
 
-        self.picks["saturated"] += 1
-        return self._pick_saturated(region, bounding, m_lo, m_hi)
+        raise RegistryError(
+            f"mass bracket [{m_lo:.3e}, {m_hi:.3e}] is too heavy to stream but "
+            "its lower bound, less the earlier records that reach the region, "
+            f"is below the saturation minimum {SATURATION_MIN_MASS}; cannot "
+            "realize exactly"
+        )
 
     def _pick_streamed(self, region, bounding, m_lo, m_hi) -> PickResult:
         """One replay of the new stream, choosing as it goes (weighted
@@ -504,15 +609,19 @@ class RegionRegistry:
         bringing the count to T, replaces it by a uniform one of them with
         probability c / T."""
         reach = self._reaching(bounding)
-        self._note_saturated_realization(reach, m_hi)
+        for rec in reach:
+            if rec.mode == "saturated":
+                raise RegistryError(
+                    f"a streamed record would reach saturated record {rec.rid}, "
+                    "whose Mecke coin cannot redraw a stream"
+                )
         # Earlier determined points inside the region are members too; they
         # must be collected before the new record exists.
         earlier = self.collect(region)
         rid = len(self.records)
         rec = _Record(rid, bounding, "streamed")
         rec.filter_ids = self._filter_ids(reach)
-        stream = generator(self.seed, _STREAM_PATH, rid)
-        rec.stream_key = stream.bit_generator.state["state"]["key"]
+        rec.stream_key = philox_key(self.seed, _STREAM_PATH, rid)
         rec.n_candidates = int(self.rng.poisson(m_hi))
         self.records.append(rec)
         self.streamed_candidates_total += rec.n_candidates
@@ -533,29 +642,24 @@ class RegionRegistry:
             return PickResult("empty", None, None, "streamed", 0, m_lo, m_hi)
         return PickResult("picked", pid, coords, "streamed", total, m_lo, m_hi)
 
-    def _pick_saturated(self, region, bounding, m_lo, m_hi) -> PickResult:
-        if m_lo < SATURATION_MIN_MASS:
-            raise RegistryError(
-                f"mass bracket [{m_lo:.3e}, {m_hi:.3e}] is too heavy to "
-                "stream but its lower bound is below the saturation minimum "
-                f"{SATURATION_MIN_MASS}; cannot realize exactly"
-            )
-        # The zone is the region: only points inside it can be picked.
-        reach = self._reaching(region)
-        # The saturated pick must come from the undetermined sea; any already
-        # determined point inside the region would carry selection weight
-        # ~ 1/mass that the sea pick ignores.  Refuse instead of approximate.
+    def _pick_sea(self, region, bounding, reach, sea_lower, m_lo, m_hi) -> PickResult:
+        """A uniform location of the zone: the region less the records in
+        ``reach``, which must hold none of its points."""
+        if any(r.mode == "saturated" for r in reach):
+            raise RegistryError("overlapping saturated zones are not supported")
+        # The sea pick must come from the undetermined sea; a determined
+        # point inside the region would carry selection weight ~ 1/mass that
+        # the sea pick ignores.  Refuse instead of approximate.
         if len(self._collect(region, reach)) > 0:
             raise RegistryError(
                 "saturated pick over a region that already holds determined "
                 "points; realize it with a lighter tier instead"
             )
-        if any(r.mode == "saturated" for r in reach):
-            raise RegistryError("overlapping saturated zones are not supported")
         rid = len(self.records)
         rec = _Record(rid, region, "saturated")
         rec.filter_ids = self._filter_ids(reach)
-        rec.mass_lower = m_lo
+        rec.bounding = bounding
+        rec.mass_lower = sea_lower
         self.records.append(rec)
 
         for _ in range(10_000):
@@ -602,6 +706,8 @@ class RegionRegistry:
             "rng_algorithm": self.rng_algorithm,
             "stream_checkpoint_bytes": self.stream_checkpoint_bytes,
             "q_max": self.q_max,
+            "coin_rejections": self.coin_rejections,
+            "coin_candidates": self.coin_candidates,
             **{f"{tier}_picks": n for tier, n in self.picks.items()},
         }
 
@@ -746,15 +852,18 @@ class TooFewSamples(ValueError):
 
 def _chi2_two_sample(vals_a, vals_b):
     """Two-sample chi-squared on categorical values, pooling categories
-    rarer than _MIN_POOLED combined.  Returns (chi2, p, dof, n_categories)
-    or None when the pooled table is degenerate."""
+    rarer than _MIN_POOLED combined.  The commonest value (the first in
+    sorted order on a tie) always keeps its own category, so the table has
+    two columns unless every value is the same.  Returns (chi2, p, dof,
+    n_categories), or None when the table is degenerate."""
     from collections import Counter
 
     from scipy.stats import chi2_contingency
 
     ca, cb = Counter(vals_a), Counter(vals_b)
     keys = sorted(set(ca) | set(cb))
-    main = [k for k in keys if ca[k] + cb[k] >= _MIN_POOLED]
+    top = max(keys, key=lambda k: ca[k] + cb[k], default=None)
+    main = [k for k in keys if ca[k] + cb[k] >= _MIN_POOLED or k == top]
     row_a = [ca[k] for k in main]
     row_b = [cb[k] for k in main]
     rest_a = sum(ca[k] for k in keys if k not in main)

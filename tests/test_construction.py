@@ -151,10 +151,10 @@ def test_step_region_contract():
 
 
 def test_step_bracket_cannot_fall_between_tiers():
-    # A step too heavy to stream (the shell's cell mass above the stream cap)
-    # has m_lo = cell mass / ratio above the saturation floor while ratio <
+    # A step too heavy to stream (shell mass above the stream cap) has
+    # m_lo = shell mass / ratio above the saturation floor while ratio <
     # cap / floor, so the registry never refuses a construction step for
-    # landing between the two tiers.
+    # landing between the sea and the stream tiers.
     limit = DEFAULT_STREAM_CAP / SATURATION_MIN_MASS
     worst = 0.0
     for d in range(11, 101):
@@ -163,9 +163,9 @@ def test_step_bracket_cannot_fall_between_tiers():
             _, bounding, vol_lower = step_region(
                 p, np.array([1.0, 0.0]), np.zeros(d - 2), np.zeros(d), r
             )
-            worst = max(worst, bounding.cell.volume() / vol_lower)
+            worst = max(worst, bounding.volume() / vol_lower)
     assert worst < limit
-    assert worst == pytest.approx(69.18, abs=0.01)  # d = 100, r = RADIUS_MIN
+    assert worst == pytest.approx(16.94, abs=0.01)  # d = 100, r = RADIUS_MIN
 
 
 TIERS = ("stored", "streamed", "saturated")
@@ -175,11 +175,11 @@ class _Tier(Exception):
     pass
 
 
-def test_step_tier_follows_the_bounding_cell_mass(monkeypatch):
-    """A step is tiered by the mass of its shell's cell, as steps were
-    before the shell bounded them; the shell's own, smaller mass would move
-    some steps to a lighter tier (a d = 100 golden step from 7.4e7 to 1.9e7,
-    below the stream cap, so that it would stream instead of saturating)."""
+def test_step_tier_follows_the_step_mass_bracket(monkeypatch):
+    """A step is stored when its shell's mass m_hi is at most the store
+    cap, a sea pick ("saturated") when its lower mass m_lo reaches the
+    saturation floor, and streamed otherwise; at lambda* every dimension
+    from 11 to 100 lands in one of the three."""
 
     def tier(name):
         def chosen(*args, **kwargs):
@@ -189,15 +189,17 @@ def test_step_tier_follows_the_bounding_cell_mass(monkeypatch):
 
     monkeypatch.setattr(RegionRegistry, "materialize", tier("stored"))
     monkeypatch.setattr(RegionRegistry, "_pick_streamed", tier("streamed"))
-    monkeypatch.setattr(RegionRegistry, "_pick_saturated", tier("saturated"))
+    monkeypatch.setattr(RegionRegistry, "_pick_sea", tier("saturated"))
 
-    def rule(mass):
-        if mass <= DEFAULT_STORE_CAP:
+    def rule(m_lo, m_hi):
+        if m_hi <= DEFAULT_STORE_CAP:
             return "stored"
-        return "streamed" if mass <= DEFAULT_STREAM_CAP else "saturated"
+        if m_lo >= SATURATION_MIN_MASS:
+            return "saturated"
+        assert m_hi <= DEFAULT_STREAM_CAP
+        return "streamed"
 
     tiers = set()
-    moved = 0
     for d in (11, 31, 45, 60, 100):
         lam = lambda_star(d)
         if lam is None:
@@ -206,14 +208,14 @@ def test_step_tier_follows_the_bounding_cell_mass(monkeypatch):
                 ConstructionParams(d=d, C=16.0, lam=1.0),
                 np.array([1.0, 0.0]), np.zeros(d - 2), np.zeros(d), MU,
             )[1]
-            lam = DEFAULT_STORE_CAP / mid.cell.volume()
+            lam = DEFAULT_STORE_CAP / mid.volume()
         p = ConstructionParams(d=d, C=16.0, lam=lam)
         for r in np.linspace(RADIUS_MIN, RADIUS_MAX, 9):
             for offset in (1.0 - EPS, 1.0, 1.0 + EPS):
                 region, shell, vol_lower = step_region(
                     p, np.array([offset, 0.0]), np.zeros(d - 2), np.zeros(d), r
                 )
-                want = rule(lam * shell.cell.volume())
+                want = rule(lam * vol_lower, lam * shell.volume())
                 reg = RegionRegistry(d, lam, 0)
                 with pytest.raises(_Tier) as got:
                     reg.pick_in_region(region, shell, vol_lower)
@@ -221,9 +223,7 @@ def test_step_tier_follows_the_bounding_cell_mass(monkeypatch):
                 counts = {t: reg.metrics()[f"{t}_picks"] for t in TIERS}
                 assert counts == {t: int(t == want) for t in TIERS}
                 tiers.add(want)
-                moved += rule(lam * shell.volume()) != want
     assert tiers == set(TIERS)
-    assert moved > 0
 
 
 def test_step0_cases():

@@ -2,20 +2,22 @@
 
 Replay within one process is checked elsewhere; these digests also catch a
 refactor that changes the realized configuration, the step log, or the
-manifest's counts and hard-sphere report between versions.  Together the
-d45 and d31 runs reach all three registry tiers (stored, streamed,
-saturated) and multi-layer assembly; the d = 100 run makes only saturated
-picks, one beside another; a second d31 run at eta = 0.1 pins the
-positive-radii post-pass that grows leftovers.  Two more digests pin what
-the registry itself realizes: the ``dump()`` of the d = 45 layer, and the
-ids and coordinates that a small d = 3 registry returns from overlapping streamed records,
-where every later query is answered by replaying earlier streams.  The
-planar side is pinned too: the ``perc2d`` theta block, a coupled theta
-estimate at three densities, and the positions, kinds and neighbor tuples
-of ``build_lattice`` at seven radii (vertex ids fix ``simulate``'s exploration
-order).  The ``verify sampler`` checks pin the lazy-vs-oracle battery, whose
-streams are all single-batch.  A change that alters these bytes on purpose must re-pin them and
-say why in CHANGES.md.
+manifest's counts and hard-sphere report between versions.  The d45 and
+d31 runs reach the stored and saturated (sea pick) tiers and multi-layer
+assembly; no simulate argv streams any more, since a step heavy enough to
+stream is a sea pick.  The d = 100 run makes only sea picks, one beside
+another; a second d31 run at eta = 0.1 pins the positive-radii post-pass
+that grows leftovers.  Two more digests pin what the registry itself
+realizes: the ``dump()`` of the d = 45 layer, and the ids and coordinates
+that a small d = 3 registry returns from overlapping streamed records,
+where every later query is answered by replaying earlier streams; those d
+= 3 digests carry the stream tier's coverage.  The planar side is pinned
+too: the ``perc2d`` theta block, a coupled theta estimate at three
+densities, and the positions, kinds and neighbor tuples of
+``build_lattice`` at seven radii (vertex ids fix ``simulate``'s
+exploration order).  The ``verify sampler`` checks pin the lazy-vs-oracle
+battery, whose streams are all single-batch.  A change that alters these
+bytes on purpose must re-pin them and say why in CHANGES.md.
 """
 
 import hashlib
@@ -42,9 +44,9 @@ GOLDEN = {
         ["simulate", "--dim", "45", "--lambda", "auto", "--cells-C", "16",
          "--lattice-radius", "12", "--max-steps", "3", "--seed", "7"],
         {
-            "spheres": "dc84b43dc96b5d74f0fa2b47bb3d7a6a7622ee6ab1f805149d04f6dcbfedc82d",
-            "steps": "43a7a3fd318300a20634d03e72a16a98916ff28a9ad2f8c14b6929b1255309e3",
-            "counts": "6f84e8e9b8cfa52bc4280d0666186e7c3ad7c49344b43051d08c5149482b0965",
+            "spheres": "5f2730d4996935420361fa2333dc627e84e772f667f2dda352b9c6711f88a352",
+            "steps": "e799edd3fcb0b1b9dbf0825abdbb73eaa49c43bd06b26a09d00dc893e3f0c27b",
+            "counts": "f93c0ebd1f9f0ae5d4eab8987de6c1c407d14c8318ad53fd17baad235a8389cd",
             "hard_sphere": "a1714d3c6ae91ca74f8c5c6d4d757be6f24c4915ab25ea6d04f64eea1473b70a",
         },
     ),
@@ -117,13 +119,13 @@ def test_simulate_golden_digests(name, tmp_path):
     else:
         assert man["annotations"] == {}
     if name.startswith("d100"):
-        # a step is tiered by its shell's cell, so every d = 100 pick saturates
+        # every d = 100 step has m_lo >= SATURATION_MIN_MASS, so every pick is a sea pick
         assert [(m["stored_picks"], m["streamed_picks"]) for m in man["registry_metrics"]] == [(0, 0)]
 
 
 # The registry dump of the d45 golden run's only layer.  cmd_simulate seeds
 # layer 0 with derive_seed(seed, 11, 0).
-D45_REGISTRY_DUMP = "29c3dca63fb593e2f3e811a0299f9fc183eb046d6e6c98db7104ffd4987053f6"
+D45_REGISTRY_DUMP = "658b1e61649edd3c3c7a3044e8961ce262b7a7f89b01464722904c6b2dcefec4"
 
 
 def test_d45_layer_registry_dump_digest():
@@ -135,7 +137,8 @@ def test_d45_layer_registry_dump_digest():
 
 
 def d3_streamed_queries():
-    """A d = 3 registry whose store cap forces streaming: two overlapping
+    """A d = 3 registry whose store cap forces streaming (each pick passes
+    vol_lower = 0.0, so that none is a sea pick): two overlapping
     multi-batch streamed balls (the second filtered by the first), a stored
     ball on their rim, a streamed cell and a streamed intersection pick.
     Returns (registry, pick results, {name: collected PointSet})."""
@@ -147,11 +150,11 @@ def d3_streamed_queries():
         (Ball(np.array([0.1, 0.0, 0.0]), 0.45), Ball(np.array([0.3, 0.0, 0.0]), 0.45))
     )
     picks = [
-        reg.pick_in_region(a, a, exact_volume(a)),
-        reg.pick_in_region(b, b, exact_volume(b)),
+        reg.pick_in_region(a, a, 0.0),
+        reg.pick_in_region(b, b, 0.0),
     ]
     reg.materialize(Ball(np.array([0.0, 0.55, 0.0]), 0.1))
-    picks.append(reg.pick_in_region(c, c, exact_volume(c)))
+    picks.append(reg.pick_in_region(c, c, 0.0))
     picks.append(reg.pick_in_region(inter, Ball(np.array([0.2, 0.0, 0.0]), 0.5), 0.0))
     queries = {
         "ball": Ball(np.array([0.1, 0.0, 0.0]), 0.3),

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hardspheres import poisson
+from hardspheres import cli, poisson
 from hardspheres.construction import ConstructionParams, step_region
 from hardspheres.geometry import (
     EPS,
@@ -28,10 +28,11 @@ from hardspheres.poisson import (
     brute_force_counts,
     consistency_counts_lazy,
     consistency_counts_oracle,
+    mecke_coin,
     region_key,
     sampler_consistency_check,
 )
-from hardspheres.rngutil import derive_seed
+from hardspheres.rngutil import derive_seed, generator
 
 
 def ball2(x, y, r):
@@ -363,17 +364,90 @@ def test_a_stored_pick_with_nothing_found_is_empty():
     assert (res.status, res.mode, res.n_members) == ("empty", "stored", 0)
 
 
-def test_saturated_q_guard():
+def test_saturated_q_is_a_diagnostic():
     reg = RegionRegistry(2, 1.0, seed=14, store_cap=5.0, stream_cap=10.0)
     big = Ball(np.zeros(2), 40.0)
     reg.pick_in_region(big, big, big.volume())
-    # a tiny overlapping realization stays within tolerance
     reg.materialize(Ball(np.array([5.0, 5.0]), 1e-3))
     q = reg.records[0].realized_mass_in_zone / reg.records[0].mass_lower
-    assert q <= 1e-9
-    # a meaningfully sized one trips the guard instead of degrading silently
-    with pytest.raises(RegistryError):
-        reg.materialize(Ball(np.array([-5.0, 5.0]), 0.05))
+    assert reg.metrics()["q_max"] == q <= 1e-9
+    # a realization 2500 times as heavy proceeds: the Mecke coin makes it
+    # exact, and q_max only reports it
+    reg.materialize(Ball(np.array([-5.0, 5.0]), 0.05))
+    assert reg.metrics()["q_max"] == pytest.approx(2501 * q, rel=1e-12)
+
+
+def _stream_into_a_sea():
+    reg = RegionRegistry(2, 1.0, seed=13, store_cap=5.0, stream_cap=1e5)
+    big = Ball(np.zeros(2), 40.0)
+    reg.pick_in_region(big, big, big.volume())
+    mid = Ball(np.array([10.0, 0.0]), 10.0)  # mass ~ 314, streamed
+    reg.pick_in_region(mid, mid, 0.0)
+
+
+def _two_overlapping_seas():
+    reg = RegionRegistry(2, 1.0, seed=13, store_cap=5.0, stream_cap=10.0)
+    for x in (0.0, 10.0):
+        b = Ball(np.array([x, 0.0]), 40.0)
+        reg.pick_in_region(b, b, b.volume())
+
+
+def _sea_over_determined_points():
+    reg = RegionRegistry(2, 1.0, seed=12, store_cap=5.0, stream_cap=10.0)
+    assert len(reg.materialize(ball2(0, 0, 1.0))) > 0
+    big = Ball(np.zeros(2), 40.0)
+    reg.pick_in_region(big, big, big.volume())
+
+
+@pytest.mark.parametrize(
+    "scenario, message",
+    [
+        (_stream_into_a_sea, "a streamed record would reach saturated record 0"),
+        (_two_overlapping_seas, "overlapping saturated zones are not supported"),
+        (_sea_over_determined_points, "saturated pick over a region that already holds"),
+    ],
+)
+def test_sea_refusals_exit_5_with_one_line(monkeypatch, capsys, scenario, message):
+    """The three realizations a sea zone still refuses end a run with exit
+    code 5 and a one-line message."""
+    monkeypatch.setattr(cli, "run_multilayer", lambda *args: scenario())
+    argv = ["simulate", "--dim", "5", "--lambda", "5.0", "--cells-C", "4.0"]
+    assert cli.main(argv) == cli.EXIT_CANNOT_REALIZE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot realize this run exactly: {message}")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def _sea_then_heavy_realization(seed, stream_cap):
+    """A sea pick in a ball of mass 5027 (lam = 1), then a stored ball of
+    mass 3848 inside it: the coin's bound cannot settle, so it counts the
+    unrealized mass of about 1179 exactly."""
+    reg = RegionRegistry(2, 1.0, seed=seed, store_cap=5.0, stream_cap=stream_cap)
+    big = Ball(np.zeros(2), 40.0)
+    reg.pick_in_region(big, big, big.volume())
+    inner = reg.materialize(Ball(np.zeros(2), 35.0))
+    return reg, inner
+
+
+def test_a_heavy_realization_in_a_sea_zone_takes_the_exact_coin():
+    # each exact count draws about 5027 candidates of the zone's ball, and
+    # most proposals are rejected: K' / (j + K') is about 1179 / 5027
+    rejections = 0
+    for seed in range(21, 26):
+        reg, inner = _sea_then_heavy_realization(seed, 1e4)
+        m = reg.metrics()
+        assert m["coin_candidates"] > 4000 * (1 + m["coin_rejections"])
+        rejections += m["coin_rejections"]
+    assert rejections >= 5
+    reg, inner = _sea_then_heavy_realization(21, 1e4)
+    sea, rec = reg.records
+    # inner holds the stored points and, when it landed there, the pick
+    assert sea.zone_points == rec.n_fresh == len(inner) - rec.region.contains(sea.coords)[0]
+    again, _ = _sea_then_heavy_realization(21, 1e4)
+    assert again.dump() == reg.dump()
+    # the same exact count past the stream cap is refused
+    with pytest.raises(RegistryError, match="Mecke coin of saturated record 0"):
+        _sea_then_heavy_realization(21, 1e3)
 
 
 def test_saturation_floor_makes_emptiness_impossible():
@@ -489,25 +563,38 @@ def test_sampler_consistency_check_passes():
         sampler_consistency_check(2, 3.0, n_seeds=MIN_CONSISTENCY_SEEDS - 1, seed=0)
 
 
+def test_chi2_keeps_the_commonest_value_as_a_category():
+    # every value is rarer than _MIN_POOLED, yet the table keeps two columns
+    values = list(range(40))
+    assert _chi2_two_sample(values, values)[3] == 2
+    assert _chi2_two_sample([1] * 30, [1] * 30) is None
+
+
 def _two_steps_into_one_cell(through_cell: bool, seed: int) -> tuple:
-    """Two d = 3 steps into the cell at (1, 0): the first, from a parent of
-    radius RADIUS_MIN, stores its bounding region; the second, from a
-    parent of radius RADIUS_MAX whose step region overlaps the first's,
-    streams it and finds the first's points among its members.  Each step
-    is bounded by its StepShell, or with ``through_cell`` by the shell's
-    cell.  Returns the pick counts, the counts of three later collects and
-    where the picks landed (1 inside a test region, 0 outside, -1 empty)."""
+    """Two d = 3 steps into the cell at (1, 0), from a parent of radius
+    RADIUS_MIN and then from a parent of radius RADIUS_MAX whose step
+    region overlaps the first's.  Through the shells' cells, the first
+    step stores its bounding region and the second streams it, finding the
+    first's points among its members; through the StepShells themselves,
+    the first streams and the second stores.  Returns the pick counts, the
+    counts of three later collects and where the picks landed (1 inside a
+    test region, 0 outside, -1 empty)."""
     params = ConstructionParams(d=3, C=16.0, lam=1e5)
     planar = np.array([1.0, 0.0])
-    # the cell masses are 71 and 87, so the cap falls between the steps
-    reg = RegionRegistry(3, params.lam, seed, store_cap=75.0)
+    # the cell masses are 71 and 87, the shell masses 18.1 and 16.2: each
+    # cap falls between the steps
+    if through_cell:
+        store_cap, modes = 75.0, ["stored", "streamed"]
+    else:
+        store_cap, modes = 17.0, ["streamed", "stored"]
+    reg = RegionRegistry(3, params.lam, seed, store_cap=store_cap)
     steps = []
     for parent, r in ((np.zeros(3), RADIUS_MIN), (np.array([2.0, 0.0, 0.3]), RADIUS_MAX)):
         region, shell, vol_lower = step_region(params, planar, np.zeros(1), parent, r)
         res = reg.pick_in_region(region, shell.cell if through_cell else shell, vol_lower)
         steps.append((region, res))
     (reg_a, pick_a), (reg_b, pick_b) = steps
-    assert [r.mode for r in reg.records] == ["stored", "streamed"]
+    assert [r.mode for r in reg.records] == modes
     below = Cell(planar, EPS, np.array([-1.0]), 1.0)  # layer coordinate <= 0
     above = Cell(planar, EPS, np.array([1.0]), 1.0)
     later = [
@@ -524,13 +611,141 @@ def _two_steps_into_one_cell(through_cell: bool, seed: int) -> tuple:
 def test_step_shell_picks_have_the_law_of_cell_picks():
     """Over 1000 seeds each, picks through the StepShell and picks through
     its cell agree in law, by two-sample chi-squared tests (Bonferroni over
-    the projections): the member counts of a stored and a streamed step,
-    the counts of later collects inside the step regions, and where the
-    picks land.  A shell whose volume is 10% too large fails it."""
+    the projections): the member counts of each step, stored one way and
+    streamed the other, the counts of later collects inside the step
+    regions, and where the picks land."""
     n = 1000
     shell = [_two_steps_into_one_cell(False, derive_seed(18, 1, i)) for i in range(n)]
     cell = [_two_steps_into_one_cell(True, derive_seed(18, 2, i)) for i in range(n)]
     projections = list(zip(*shell)), list(zip(*cell))
+    alpha = 1e-3 / len(projections[0])
+    for j, (a, b) in enumerate(zip(*projections)):
+        out = _chi2_two_sample(a, b)
+        assert out is not None, f"projection {j} is degenerate"
+        assert out[1] >= alpha, f"projection {j}: p = {out[1]:.3g}"
+
+
+# -- the Mecke coin -------------------------------------------------------
+#
+# A 1-D sea: a Poisson(1) process on S = [0, 6], a uniform point of it
+# picked, then A = [0, 3] realized.  The rest of the process puts k points
+# in A with probability proportional to Poisson(3)(k) E[1/(k + K + 1)],
+# K ~ Poisson(3): mean 2.51, where realizing A as fresh Poisson gives 3.0.
+
+COIN_S, COIN_A = 6.0, 3.0
+
+
+def _brute_force_count_in_a(rng) -> int:
+    while True:
+        x = rng.random(rng.poisson(COIN_S)) * COIN_S
+        if len(x):
+            break
+    rest = np.delete(x, rng.integers(len(x)))
+    return int(np.count_nonzero(rest < COIN_A))
+
+
+def _unrealized_counts(rng):
+    """One auxiliary realization of S less A, in two batches: Poisson
+    points of S thinned to [3, 6]."""
+    x = rng.random(rng.poisson(COIN_S)) * COIN_S
+    for half in np.array_split(x, 2):
+        yield int(np.count_nonzero(half >= COIN_A))
+
+
+def _sea_count_in_a(rng, coin) -> int:
+    while True:
+        j = int(rng.poisson(COIN_A))
+        if coin(j, COIN_S - COIN_A, rng, _unrealized_counts):
+            return j
+
+
+def test_mecke_coin_gives_the_law_of_a_uniform_pick():
+    """Against a brute-force oracle at a mass where the bound never
+    settles, so that every coin with j > 0 draws K' exactly: the count in A
+    through the coin has the oracle's law by a two-sample chi-squared test,
+    and the same test rejects accepting every realization."""
+    n = 4000
+    brute = [_brute_force_count_in_a(generator(31, 1, i)) for i in range(n)]
+    sea = [_sea_count_in_a(generator(31, 2, i), mecke_coin) for i in range(n)]
+    fresh = [_sea_count_in_a(generator(31, 3, i), lambda *a: True) for i in range(n)]
+    assert abs(np.mean(brute) - 2.51) < 0.1 and abs(np.mean(fresh) - 3.0) < 0.1
+    assert _chi2_two_sample(sea, brute)[1] >= 1e-3
+    assert _chi2_two_sample(fresh, brute)[1] < 1e-6
+
+
+class _FixedU:
+    """A stand-in generator whose uniform is always u."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+def test_mecke_coin_settles_by_the_bound_or_draws_exactly():
+    drawn = []
+
+    def counts(rng):
+        drawn.append(None)
+        yield 10**9
+
+    # j = 0 accepts without a draw
+    assert mecke_coin(0, 1.0, None, counts) and not drawn
+    # t = 1000 at mu_lo = 4096: P(K' <= t) < exp(-1686), below 2^-1074
+    assert mecke_coin(1, 4096.0, _FixedU(1000 / 1001), counts) and not drawn
+    # t = 2500 is not settled (the bound is exp(-362)), nor is any t >= mu_lo
+    for u in (2500 / 2501, 5000 / 5001):
+        assert mecke_coin(1, 4096.0, _FixedU(u), counts)
+    assert len(drawn) == 2
+    # an auxiliary count of 0 is redrawn (K' >= 1); one in (0, t] rejects
+    rounds = iter([[0, 0], [2], [1, 5]])
+    assert not mecke_coin(2, 3.0, _FixedU(0.5), lambda rng: next(rounds))
+    assert next(rounds) == [1, 5]
+
+
+# -- sea picks against streamed picks ---------------------------------------
+
+SEA_LAMBDA = 3e5
+SEA_BOUNDING = Ball(np.zeros(3), 0.25)  # mass 19,635
+SEA_REGION = Intersection((SEA_BOUNDING, Ball(np.array([0.1, 0.0, 0.0]), 0.25)))
+SEA_INNER = Ball(np.array([0.05, 0.0, 0.0]), 0.2)  # inside both parts: mass 10,053
+SEA_FIXED = Ball(np.array([0.1, 0.05, 0.0]), 0.015)  # inside the region
+
+
+def _sea_or_streamed_step(sea: bool, seed: int) -> tuple:
+    """One d = 3 pick in SEA_REGION: a sea pick when given SEA_INNER's
+    volume as its lower bound, streamed when given 0.  Then the isolation
+    ball of radius 0.015 around the pick and a fixed ball inside the
+    region are materialized, each proposing points inside the zone.
+    Returns the octant the pick landed in (around SEA_INNER's center),
+    whether it lies in SEA_INNER, the isolation ball's other points, their
+    collect inside the region, and the fixed ball's count."""
+    reg = RegionRegistry(3, SEA_LAMBDA, seed)
+    res = reg.pick_in_region(SEA_REGION, SEA_BOUNDING, SEA_INNER.volume() if sea else 0.0)
+    assert res.status == "picked" and res.mode == ("saturated" if sea else "streamed")
+    y = res.coords
+    iso = Ball(y, 0.015)
+    octant = int(np.packbits(y > SEA_INNER.center, bitorder="little")[0])
+    return (
+        octant,
+        int(SEA_INNER.contains(y[None, :])[0]),
+        len(reg.materialize(iso)) - 1,
+        len(reg.collect(Intersection((SEA_REGION, iso)))) - 1,
+        len(reg.materialize(SEA_FIXED)),
+    )
+
+
+@pytest.mark.slow
+def test_sea_picks_have_the_law_of_streamed_picks():
+    """Over 400 seeds each, sea picks and streamed picks of the same step
+    agree in law, by two-sample chi-squared tests (Bonferroni over the
+    projections): where the pick lands and the counts of the later
+    isolation-ball and collect queries inside the zone."""
+    n = 400
+    sea = [_sea_or_streamed_step(True, derive_seed(19, 1, i)) for i in range(n)]
+    streamed = [_sea_or_streamed_step(False, derive_seed(19, 2, i)) for i in range(n)]
+    projections = list(zip(*sea)), list(zip(*streamed))
     alpha = 1e-3 / len(projections[0])
     for j, (a, b) in enumerate(zip(*projections)):
         out = _chi2_two_sample(a, b)

@@ -2,7 +2,13 @@
 
 import numpy as np
 
-from hardspheres.rngutil import RNG_ALGORITHM, derive_seed, generator
+from hardspheres.rngutil import (
+    RNG_ALGORITHM,
+    derive_seed,
+    generator,
+    keyed_generator,
+    philox_key,
+)
 
 
 def test_generator_deterministic_per_path():
@@ -40,3 +46,13 @@ def test_derived_seed_matches_path_generator():
 
 def test_algorithm_string():
     assert "Philox" in RNG_ALGORITHM
+
+
+def test_keyed_generator_draws_the_path_generator_jumped():
+    for path, block in (((1, 80), 0), ((2, 5), 3)):
+        key = philox_key(7, *path)
+        want = generator(7, *path).bit_generator.jumped(block)
+        # a partly used buffer of the reused generator must not carry over
+        keyed_generator(philox_key(9), 1).random(3)
+        got = keyed_generator(key, block).random(5)
+        assert np.array_equal(got, np.random.Generator(want).random(5))

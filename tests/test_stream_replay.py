@@ -7,7 +7,9 @@ filters or a later one that unpacks the saved fresh masks, must yield
 exactly the batches that re-deriving each batch from the record's Philox
 key and re-filtering it would.  The references are frozen on purpose: the
 golden digests depend on these bytes, so they must not follow later edits
-of geometry.py or poisson.py.
+of geometry.py or poisson.py.  Picks meant to stream pass vol_lower = 0.0:
+their lower mass would otherwise reach SATURATION_MIN_MASS and make them
+sea picks.
 """
 
 import math
@@ -167,8 +169,8 @@ def _two_streams():
     reg = RegionRegistry(3, 2.5e5, 77, store_cap=500.0)
     a = Ball(np.array([0.0, 0.0, 0.0]), 0.5)
     b = Ball(np.array([0.35, 0.1, 0.0]), 0.55)
-    reg.pick_in_region(a, a, exact_volume(a))
-    reg.pick_in_region(b, b, exact_volume(b))
+    reg.pick_in_region(a, a, 0.0)
+    reg.pick_in_region(b, b, 0.0)
     first, second = reg.records
     assert first.mode == second.mode == "streamed"
     assert second.n_candidates > 2 * STREAM_BATCH
@@ -407,7 +409,7 @@ def test_streamed_pick_is_one_replay_choosing_batch_by_batch():
         earlier = reg.materialize(Ball(np.array([0.3, 0.0, 0.0]), 0.05))
         rng = np.random.Generator(np.random.Philox(0))
         rng.bit_generator.state = reg.rng.bit_generator.state
-        res = reg.pick_in_region(region, bounding, exact_volume(region))
+        res = reg.pick_in_region(region, bounding, 0.0)
         rec = reg.records[1]
         assert rec.n_candidates == rng.poisson(3e5 * bounding.volume())
         assert rec.n_candidates > 2 * STREAM_BATCH
@@ -454,7 +456,7 @@ def test_streamed_pick_takes_each_batch_by_its_share_of_members(monkeypatch):
     for seed in range(200):
         reg = RegionRegistry(2, lam, seed, store_cap=500.0)
         members[:] = [len(reg.materialize(Ball(np.array([0.2, 0.0]), 0.1)))]
-        res = reg.pick_in_region(region, bounding, exact_volume(region))
+        res = reg.pick_in_region(region, bounding, 0.0)
         assert len(members) == len(labels) and res.n_members == sum(members)
         observed[labels.index(_source(res.point_id))] += 1
         expected += np.array(members) / res.n_members
@@ -498,7 +500,7 @@ def _law_registry(seed):
     reg = RegionRegistry(3, LAW_LAMBDA, seed, store_cap=500.0)
     reg.materialize(Ball(np.array([0.3, 0.25, 0.0]), 0.15))
     stream = Ball(np.zeros(3), 0.5)
-    reg.pick_in_region(stream, stream, exact_volume(stream))
+    reg.pick_in_region(stream, stream, 0.0)
     rec = reg.records[1]
     assert rec.mode == "streamed" and rec.filter_ids == (0,)
     assert rec.n_candidates > 2 * STREAM_BATCH
