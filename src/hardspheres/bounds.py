@@ -11,8 +11,8 @@ success probability at intensity lam the lower bound
 maximized at lam_star = log(A/B) / A with value 1 - (log(A/B) + 1) / (A/B).
 A/B grows geometrically in the dimension: it first exceeds 1 at d = 31 and
 F(lam_star) first clears 0.892 at d = 45.  0.892 matters because a site is
-kept when two independent steps succeed, and 0.892^2 = 0.7957 beats the
-0.794 upper bound for the planar site-percolation threshold used here.
+kept when two independent steps succeed, and 0.892^2 = 0.7957 lies above
+the planar site-percolation threshold used here.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .geometry import (
 
 # Success threshold whose square clears the planar site-percolation bound.
 DEFAULT_THRESHOLD = 0.892
-SITE_THRESHOLD_BOUND = 0.794
 
 MIN_DIMENSION_SUPPORTED = 11  # the step-volume lower bound needs d >= 11
 MAX_DIMENSION_SUPPORTED = 452  # exp(-log A) in lambda_star overflows at 453

@@ -144,10 +144,8 @@ class Ball:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         return _squared_distances(points, self.center) <= self.radius**2
 
-    def sample(
-        self, n: int, rng: np.random.Generator, out: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        return sample_in_ball(self.center, self.radius, n, rng, out)
+    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        return sample_in_ball(self.center, self.radius, n, rng)
 
     def bounding_ball(self) -> "Ball":
         return self
@@ -204,11 +202,8 @@ class Cell:
             ok &= l2 <= self.layer_radius**2
         return ok
 
-    def sample(
-        self, n: int, rng: np.random.Generator, out: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        if out is None:
-            out = np.empty((n, self.dim))
+    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        out = np.empty((n, self.dim))
         sample_in_ball(self.planar_center, self.eps, n, rng, out=out[:, :2])
         if self.layer_center.shape[0]:
             sample_in_ball(
@@ -248,11 +243,9 @@ class Annulus:
         d2 = _squared_distances(points, self.center)
         return (d2 >= self.inner**2) & (d2 <= self.outer**2)
 
-    def sample(
-        self, n: int, rng: np.random.Generator, out: Optional[np.ndarray] = None
-    ) -> np.ndarray:
+    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         d = self.dim
-        g = _unit_directions(n, d, rng, out)
+        g = _unit_directions(n, d, rng)
         u = rng.random((n, 1))
         lo, hi = self.inner**d, self.outer**d
         g *= (lo + u * (hi - lo)) ** (1.0 / d)
@@ -366,11 +359,8 @@ class StepShell:
         ok &= l2 <= self._g_out2[ring]
         return ok
 
-    def sample(
-        self, n: int, rng: np.random.Generator, out: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        if out is None:
-            out = np.empty((n, self.dim))
+    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        out = np.empty((n, self.dim))
         cell = self.cell
         ring = np.empty(n, dtype=np.intp)
         filled = 0

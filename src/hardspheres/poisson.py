@@ -14,26 +14,19 @@ stored     Points drawn and kept: draw N ~ Poisson(lam * vol), place them
 
 streamed   For masses too heavy to keep in memory: the same thinning, but
            candidates are generated in fixed-size batches and immediately
-           discarded (``coords`` stays None).  Batch b draws from the
-           record's own Philox key with the counter starting at block b,
-           i.e. generator(seed, 2, rid).bit_generator.jumped(b): every batch
-           can be regenerated on its own, and no two batches overlap.  The
-           first replay keeps each batch's fresh mask, packed to one bit per
-           candidate; any later query overlapping the region regenerates the
-           batches and unpacks their masks, so the realization is exact at
-           every scale while storing 1 bit per candidate instead of d
-           coordinates, and the ownership filter runs once per candidate.
-
-           Streams of more than one batch are regenerated on a pool of two
-           worker threads (REPLAY_WORKERS), REPLAY_WORKERS batches ahead of
-           the caller; a batch's bytes do not depend on which thread draws
-           it or when.  A pick is one replay: it chooses its member batch by
-           batch as the stream goes by (reservoir selection), keeping only
-           the chosen row.  Memory rule: every replay, the first included,
-           holds at most REPLAY_WORKERS + 1 batches of (STREAM_BATCH, d)
-           doubles, all allocated on the calling thread; the samplers' and
-           membership tests' other temporaries are blocks of
-           geometry.ROW_BLOCK rows.
+           discarded (``coords`` stays None), so a stream costs only its
+           Philox key.  Batch b draws from the record's own key with the
+           counter starting at block b, i.e.
+           generator(seed, 2, rid).bit_generator.jumped(b): every batch can
+           be regenerated on its own, and no two batches overlap.  Every
+           replay regenerates the batches on the calling thread and filters
+           them again against the same earlier records, so the realization
+           is exact at every scale.  A pick is one replay: it chooses its
+           member batch by batch as the stream goes by (reservoir
+           selection), keeping only the chosen row.  Memory rule: a replay
+           draws one batch of (STREAM_BATCH, d) doubles at a time, the next
+           only when the caller asks for it; the samplers' and membership
+           tests' other temporaries are blocks of geometry.ROW_BLOCK rows.
 
 saturated  A sea pick, for masses beyond any enumeration (a first-layer
            cell in d = 45 holds ~1e51 points).  The zone S is the region
@@ -71,10 +64,7 @@ never touch the main stream.
 from __future__ import annotations
 
 import math
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -113,56 +103,6 @@ _COIN_BATCH = 1 << 12  # rows per batch of a coin's auxiliary realization
 
 class RegistryError(RuntimeError):
     pass
-
-
-# Stream batches are regenerated on one pool of two worker threads, shared
-# by every registry in the process; its threads start with the first replay
-# of a record that has more than one batch.  numpy's Philox fills release
-# the GIL, so workers draw while the calling thread filters.
-REPLAY_WORKERS = 2
-_REPLAY_POOL = ThreadPoolExecutor(
-    max_workers=REPLAY_WORKERS, thread_name_prefix="stream-replay"
-)
-
-
-def _draw_batch(region: Region, key: np.ndarray, b: int, out: np.ndarray) -> np.ndarray:
-    """Batch b of a stream, drawn into ``out`` on the calling thread's
-    keyed generator: the stream's Philox key with the counter at block b,
-    the state of generator(seed, 2, rid).bit_generator.jumped(b)."""
-    return region.sample(out.shape[0], keyed_generator(key, b), out=out)
-
-
-def _in_order(fn, sizes: list, dim: int):
-    """Yield fn(i, out) for i = 0, 1, ... in order, where ``out`` is a
-    fresh (sizes[i], dim) array for fn to fill.
-
-    A single call runs inline.  More run on the replay pool, each submitted
-    REPLAY_WORKERS results before the caller asks for it.  The arrays are
-    allocated on the calling thread, so freed batches go back to its heap
-    instead of piling up in the workers' own malloc arenas.  When the caller
-    stops early, calls not yet started are cancelled and running ones
-    awaited, so no work outlives the generator."""
-    if len(sizes) <= 1:
-        for i, k in enumerate(sizes):
-            yield fn(i, np.empty((k, dim)))
-        return
-    pending = deque()
-
-    def submit(i):
-        pending.append(_REPLAY_POOL.submit(fn, i, np.empty((sizes[i], dim))))
-
-    try:
-        for i in range(min(REPLAY_WORKERS, len(sizes))):
-            submit(i)
-        for i in range(len(sizes)):
-            result = pending.popleft().result()
-            if i + REPLAY_WORKERS < len(sizes):
-                submit(i + REPLAY_WORKERS)
-            yield result
-    finally:
-        for future in pending:
-            future.cancel()
-        wait(pending)
 
 
 def mecke_coin(j: int, mu_lo: float, rng, aux_counts) -> bool:
@@ -253,7 +193,6 @@ class _Record:
         "n_fresh",
         "filter_ids",
         "stream_key",
-        "fresh_masks",
         "bounding",
         "mass_lower",
         "realized_mass_in_zone",
@@ -271,9 +210,6 @@ class _Record:
         self.n_fresh = 0
         self.filter_ids = ()
         self.stream_key = None  # streamed mode: the Philox key of its batches
-        # streamed mode: per batch, the packed fresh mask; None until a
-        # replay has run through every batch
-        self.fresh_masks = None
         # saturated mode: the zone's bounding region, the lower mass of its
         # unrealized part when it was picked, the upper mass realized in it
         # since, and the points those realizations put in it
@@ -312,7 +248,6 @@ class RegionRegistry:
         self.peak_stored_points = 0
         self.streamed_candidates_total = 0
         self.stream_replays = 0
-        self.stream_checkpoint_bytes = 0
         self.q_max = 0.0
         self.coin_rejections = 0
         self.coin_candidates = 0
@@ -401,42 +336,15 @@ class RegionRegistry:
 
     def _replay(self, rec):
         """Yield (start_index, candidates, fresh_mask) batches of a streamed
-        record, identical on every call.
-
-        Batches are regenerated on the worker pool, REPLAY_WORKERS ahead of
-        the caller.  The first replay filters each batch against the earlier
-        records and leaves the packed fresh masks on the record; later
-        replays unpack them instead of filtering again.  An abandoned first
-        replay leaves nothing behind, and a closed replay leaves no work
-        running."""
+        record, identical on every call.  Batch b is drawn on the calling
+        thread from the record's Philox key with the counter at block b and
+        filtered against the records in rec.filter_ids; both are fixed when
+        the record is created, so every replay recomputes the same bits."""
         self.stream_replays += 1
-        sizes = [
-            min(STREAM_BATCH, rec.n_candidates - start)
-            for start in range(0, rec.n_candidates, STREAM_BATCH)
-        ]
-        batches = _in_order(partial(self._stream_batch, rec), sizes, self.dim)
-        masks = []
-        try:
-            for start, pts, fresh in batches:
-                if fresh is None:
-                    fresh = self._drop_determined(pts, rec.filter_ids)
-                    masks.append(np.packbits(fresh))
-                yield start, pts, fresh
-        finally:
-            batches.close()
-        if rec.fresh_masks is None:
-            rec.fresh_masks = tuple(masks)
-            self.stream_checkpoint_bytes += sum(bits.nbytes for bits in masks)
-
-    @staticmethod
-    def _stream_batch(rec, b, out):
-        """Batch b of a streamed record regenerated into ``out``, with its
-        fresh mask once the first replay has saved them (else None)."""
-        pts = _draw_batch(rec.region, rec.stream_key, b, out)
-        if rec.fresh_masks is None:
-            return b * STREAM_BATCH, pts, None
-        fresh = np.unpackbits(rec.fresh_masks[b], count=len(pts)).view(bool)
-        return b * STREAM_BATCH, pts, fresh
+        for b, start in enumerate(range(0, rec.n_candidates, STREAM_BATCH)):
+            n = min(STREAM_BATCH, rec.n_candidates - start)
+            pts = rec.region.sample(n, keyed_generator(rec.stream_key, b))
+            yield start, pts, self._drop_determined(pts, rec.filter_ids)
 
     # -- core queries --------------------------------------------------
 
@@ -704,7 +612,6 @@ class RegionRegistry:
             "streamed_candidates_total": self.streamed_candidates_total,
             "stream_replays": self.stream_replays,
             "rng_algorithm": self.rng_algorithm,
-            "stream_checkpoint_bytes": self.stream_checkpoint_bytes,
             "q_max": self.q_max,
             "coin_rejections": self.coin_rejections,
             "coin_candidates": self.coin_candidates,

@@ -1,13 +1,12 @@
-"""Stream replays on the worker pool, and the row-block samplers.
+"""Stream replays on the calling thread, and the row-block samplers.
 
 The samplers must reproduce the reference formulas below byte for byte
 (Gaussian directions normalized by np.linalg.norm, temporaries per step,
-hstack of the cell's two factors), and every replay, the first one that
-filters or a later one that unpacks the saved fresh masks, must yield
-exactly the batches that re-deriving each batch from the record's Philox
-key and re-filtering it would.  The references are frozen on purpose: the
-golden digests depend on these bytes, so they must not follow later edits
-of geometry.py or poisson.py.  Picks meant to stream pass vol_lower = 0.0:
+hstack of the cell's two factors), and every replay must yield exactly the
+batches that re-deriving each batch from the record's Philox key and
+re-filtering it would.  The references are frozen on purpose: the golden
+digests depend on these bytes, so they must not follow later edits of
+geometry.py or poisson.py.  Picks meant to stream pass vol_lower = 0.0:
 their lower mass would otherwise reach SATURATION_MIN_MASS and make them
 sea picks.
 """
@@ -15,7 +14,7 @@ sea picks.
 import math
 import sys
 import threading
-import time
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -73,7 +72,7 @@ def batch_rng(registry, rec, b):
 
 def ref_replay(registry, rec):
     """A streamed record's batches re-derived from their keys and
-    re-filtered against the earlier records, without saved masks."""
+    re-filtered against the earlier records."""
     for b, done in enumerate(range(0, rec.n_candidates, STREAM_BATCH)):
         k = min(STREAM_BATCH, rec.n_candidates - done)
         pts = rec.region.sample(k, batch_rng(registry, rec, b))
@@ -116,15 +115,6 @@ def test_samplers_match_frozen_formulas(d, n):
         assert got.tobytes() == want.tobytes(), name
         # the same draws were consumed, so later draws match too
         assert rng_new.random() == rng_ref.random(), name
-
-
-@pytest.mark.parametrize("n", [ROW_BLOCK - 1, ROW_BLOCK + 1])
-def test_samplers_fill_a_given_array(n):
-    for name, region, ref in _regions(31):
-        out = np.full((n, 31), np.nan)
-        got = region.sample(n, generator(6, n), out=out)
-        assert got is out, name
-        assert out.tobytes() == ref(n, generator(6, n)).tobytes(), name
 
 
 @pytest.mark.parametrize("n", [1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 3 * ROW_BLOCK + 5])
@@ -188,7 +178,6 @@ def _batches(replay):
 def test_checkpointed_replay_matches_rederived_stream():
     reg = _two_streams()
     rec = reg.records[1]
-    assert len(rec.fresh_masks) == math.ceil(rec.n_candidates / STREAM_BATCH)
     want = _batches(ref_replay(reg, rec))
     assert _batches(reg._replay(rec)) == want
     assert _batches(reg._replay(rec)) == want
@@ -228,33 +217,6 @@ def test_interleaved_replays_do_not_disturb_each_other():
     assert _batches(got_one) == _batches(got_two) == want
 
 
-class _Probe:
-    """Counts sampler calls started and running, across threads."""
-
-    def __init__(self):
-        self.lock = threading.Lock()
-        self.started = 0
-        self.running = 0
-
-
-class _SlowBall(Ball):
-    """A ball whose sampler sleeps, so that a lookahead is still running
-    when its replay is closed."""
-
-    probe = None
-
-    def sample(self, n, rng, out=None):
-        with self.probe.lock:
-            self.probe.started += 1
-            self.probe.running += 1
-        try:
-            time.sleep(0.05)
-            return super().sample(n, rng, out)
-        finally:
-            with self.probe.lock:
-                self.probe.running -= 1
-
-
 def _bare_record(reg, region, n_candidates, filter_ids=()):
     """A streamed record appended to a registry by hand."""
     rid = len(reg.records)
@@ -266,73 +228,32 @@ def _bare_record(reg, region, n_candidates, filter_ids=()):
     return rec
 
 
-def _slow_record(n_candidates):
-    _SlowBall.probe = _Probe()
-    reg = RegionRegistry(3, 1.0, 3)
-    return reg, _bare_record(reg, _SlowBall(np.zeros(3), 1.0), n_candidates)
-
-
-def _until_started(probe, n):
-    """Waits, up to 10 s, until n sampler calls have started."""
-    deadline = time.monotonic() + 10.0
-    while probe.started < n and time.monotonic() < deadline:
-        time.sleep(0.001)
-    assert probe.started == n
-
-
-def _settled(probe):
-    """Sampler calls started, once no further call starts."""
-    started = probe.started
-    time.sleep(0.2)
-    assert probe.running == 0
-    assert probe.started == started
-    return started
-
-
-def test_abandoned_first_replay_leaves_no_checkpoints():
-    reg, rec = _slow_record(4 * STREAM_BATCH + 5)
-    replay = reg._replay(rec)
-    next(replay)
-    # the first replay runs two batches ahead: 1 and 2 run on the workers
-    _until_started(_SlowBall.probe, 3)
-    replay.close()
-    # the lookahead was awaited, not left running
-    assert _SlowBall.probe.running == 0
-    assert _settled(_SlowBall.probe) == 3
-    assert rec.fresh_masks is None
-    assert reg.metrics()["stream_checkpoint_bytes"] == 0
-    want = _batches(ref_replay(reg, rec))
-    assert _batches(reg._replay(rec)) == want  # the first full replay
-    assert len(rec.fresh_masks) == 5
-    assert _batches(reg._replay(rec)) == want  # with the saved masks
-
-
-def test_early_closed_checkpointed_replay_leaves_no_work():
-    reg, rec = _slow_record(4 * STREAM_BATCH)
-    want = _batches(reg._replay(rec))
-    started = _settled(_SlowBall.probe)
-    replay = reg._replay(rec)
-    assert _batches([next(replay)]) == want[:1]
-    _until_started(_SlowBall.probe, started + 3)  # batch 2 runs on a worker
-    replay.close()
-    assert _SlowBall.probe.running == 0
-    # batch 3 was never submitted
-    assert _settled(_SlowBall.probe) == started + 3
-    assert _batches(reg._replay(rec)) == want
-
-
 @pytest.mark.parametrize(
-    "n_candidates",
-    [0, 1000, STREAM_BATCH, STREAM_BATCH + 5, 2 * STREAM_BATCH, 3 * STREAM_BATCH + 17],
+    "n_candidates, closed_after",
+    [
+        (0, None),
+        (1000, None),
+        (STREAM_BATCH, None),
+        (STREAM_BATCH + 5, None),
+        (2 * STREAM_BATCH, None),
+        (3 * STREAM_BATCH + 17, None),
+        (4 * STREAM_BATCH, 1),
+    ],
 )
-def test_pooled_replays_match_rederived_stream(n_candidates):
+def test_replays_match_rederived_stream(n_candidates, closed_after):
+    """Full replays, also after an earlier replay was closed after
+    ``closed_after`` batches, yield the re-derived stream."""
     reg = RegionRegistry(3, 1.0, 11)
     owner = _bare_record(reg, Ball(np.array([0.5, 0.0, 0.0]), 0.8), 10)
     rec = _bare_record(reg, Ball(np.zeros(3), 1.0), n_candidates, (owner.rid,))
     want = _batches(ref_replay(reg, rec))
     assert len(want) == -(-n_candidates // STREAM_BATCH)
-    assert _batches(reg._replay(rec)) == want  # filtered
-    assert _batches(reg._replay(rec)) == want  # with the saved masks
+    if closed_after:
+        replay = reg._replay(rec)
+        assert _batches(islice(replay, closed_after)) == want[:closed_after]
+        replay.close()
+    assert _batches(reg._replay(rec)) == want
+    assert _batches(reg._replay(rec)) == want
     if n_candidates:
         fresh = np.concatenate([np.frombuffer(f, dtype=bool) for *_, f in want])
         assert 0 < np.count_nonzero(fresh) < n_candidates
@@ -344,7 +265,7 @@ def test_interleaved_pooled_replays_do_not_disturb_each_other():
     b = _bare_record(reg, Cell(np.zeros(2), 0.5, np.zeros(1), 1.0), 2 * STREAM_BATCH + 9)
     want_a = _batches(ref_replay(reg, a))
     want_b = _batches(ref_replay(reg, b))
-    list(reg._replay(a))  # a has saved masks, b not yet
+    list(reg._replay(a))  # a has been replayed once, b not yet
     replays = [reg._replay(a), reg._replay(b), reg._replay(a), reg._replay(b)]
     got = [[] for _ in replays]
     for _ in range(len(want_a)):  # one round past b's last batch
@@ -354,15 +275,12 @@ def test_interleaved_pooled_replays_do_not_disturb_each_other():
                 out.append(batch)
     assert _batches(got[0]) == _batches(got[2]) == want_a
     assert _batches(got[1]) == _batches(got[3]) == want_b
-    assert len(b.fresh_masks) == len(want_b)
-    workers = [t for t in threading.enumerate() if t.name.startswith("stream-replay")]
-    assert len(workers) == poisson.REPLAY_WORKERS == 2
 
 
-def test_registries_on_several_threads_share_the_pool_safely():
-    """Four caller threads, each with its own registry, replay through the
-    two shared workers under a short switch interval; a generator shared
-    by mistake between threads would mix their batches."""
+def test_replays_on_several_threads_keep_one_generator_per_thread():
+    """Four caller threads, each with its own registry, replay under a short
+    switch interval; keyed_generator keeps one generator per thread, and a
+    generator shared by mistake between threads would mix their batches."""
     cases = []
     for seed in range(4):
         reg = RegionRegistry(3, 1.0, 20 + seed)
@@ -387,6 +305,25 @@ def test_registries_on_several_threads_share_the_pool_safely():
     assert not any(t.is_alive() for t in threads)
     for (_, _, want), got in zip(cases, results):
         assert got == [want] * 3
+
+
+def test_replay_starts_no_thread(monkeypatch):
+    """A replay of several batches draws each one on the calling thread and
+    starts no thread, as bench/run.py's single-caller loop assumes."""
+    drawn_on = []
+    sample = Ball.sample
+
+    def logged(self, *args, **kwargs):
+        drawn_on.append(threading.current_thread())
+        return sample(self, *args, **kwargs)
+
+    monkeypatch.setattr(Ball, "sample", logged)
+    reg = RegionRegistry(3, 1.0, 13)
+    rec = _bare_record(reg, Ball(np.zeros(3), 1.0), 3 * STREAM_BATCH + 1)
+    before = set(threading.enumerate())
+    assert len(list(reg._replay(rec))) == 4
+    assert set(threading.enumerate()) == before
+    assert drawn_on == [threading.current_thread()] * 4
 
 
 def _source(point_id):
@@ -529,17 +466,6 @@ def test_streamed_counts_follow_the_poisson_law():
 
 
 # -- metrics -------------------------------------------------------------------
-
-
-def test_checkpoint_bytes_metric():
-    reg = _two_streams()
-    want = 0
-    for rec in reg.records:
-        for start in range(0, rec.n_candidates, STREAM_BATCH):
-            k = min(STREAM_BATCH, rec.n_candidates - start)
-            want += (k + 7) // 8  # the packed fresh mask
-    assert reg.metrics()["stream_checkpoint_bytes"] == want
-    assert RegionRegistry(3, 1.0, 0).metrics()["stream_checkpoint_bytes"] == 0
 
 
 def test_q_max_metric():
