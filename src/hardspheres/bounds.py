@@ -71,24 +71,6 @@ def ratio_AB(d: int) -> float:
     return math.exp(log_A - log_B)
 
 
-def ratio_closed_form(d: int) -> float:
-    """A/B via the reduced closed form
-    1e-4 * d * (1.2^((d-2)/2) - 1) / (6 * 0.85^d), using the exact identity
-    omega_{d-2} / omega_d = d / (2 pi)."""
-    if d < MIN_DIMENSION_SUPPORTED:
-        raise ValueError(f"need d >= {MIN_DIMENSION_SUPPORTED}, got {d}")
-    m = d - 2
-    return 1e-4 * d * (1.2 ** (m / 2.0) - 1.0) / (6.0 * RADIUS_MAX**d)
-
-
-def success_lower_bound(lam: float, d: int) -> float:
-    """F(lam) = 1 - lam*B - exp(-lam*A), a lower bound on per-step success."""
-    if lam < 0:
-        raise ValueError(f"intensity must be >= 0, got {lam}")
-    A, B = constants_AB(d)
-    return 1.0 - lam * B - math.exp(-lam * A)
-
-
 def lambda_star(d: int) -> Optional[float]:
     """Maximizer log(A/B)/A of F, or None when A <= B (no useful intensity).
     d must lie in [MIN_DIMENSION_SUPPORTED, MAX_DIMENSION_SUPPORTED]."""

@@ -215,7 +215,7 @@ def _bounding_box(regions, pad: float):
     lo = np.full(d, np.inf)
     hi = np.full(d, -np.inf)
     for reg in regions:
-        if not isinstance(reg, (Ball, Cell, Annulus)):
+        if not hasattr(reg, "bounding_ball"):
             raise ValueError(f"{type(reg).__name__} has no bounding ball")
         b = reg.bounding_ball()
         lo = np.minimum(lo, b.center - b.radius - pad)

@@ -22,9 +22,10 @@ are computed from them.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -219,7 +220,6 @@ class ExplorationState:
         self.n_explored = 0
         self.stopped_reason: Optional[str] = None
         self.pending: Optional[tuple] = None  # (vertex, rule)
-        self.consumed_ids: set = set()
         self.failed_picks: list = []  # (point_id, coords) of non-good picks
 
     def mark_good(self, vertex: int, sphere_index: int):
@@ -394,7 +394,6 @@ def explore_step(state: ExplorationState) -> ExplorationState:
                 parent=parent,
             )
             state.spheres.append(sphere)
-            state.consumed_ids.add(result.point_id)
             state.mark_good(w, len(state.spheres) - 1)
             entry.case = "good"
             entry.outcome = "good"
@@ -471,8 +470,6 @@ class GammaProcess:
     n_stream_leftovers: int  # realized but unenumerated (replay-only) points
     layer_states: tuple
     annotations: dict
-    # the contact pairs, computed once for the report
-    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         for col in (self.centers, self.radii, self.vertex, self.layer, self.point_ids):
@@ -481,6 +478,15 @@ class GammaProcess:
     @property
     def n_constructed(self) -> int:
         return int(np.count_nonzero(self.vertex >= 0))
+
+    @functools.cached_property
+    def pairs(self):
+        """_contact_pairs of the spheres at CONTACT_TOL, computed once: the
+        hard-sphere check and the cluster search ask for the same pairs."""
+        pairs = _contact_pairs(self.centers, self.radii, CONTACT_TOL)
+        for arr in pairs:
+            arr.flags.writeable = False
+        return pairs
 
 
 def assemble_gamma(params: ConstructionParams, states) -> GammaProcess:
@@ -500,7 +506,8 @@ def assemble_gamma(params: ConstructionParams, states) -> GammaProcess:
         listed = dict(zip(realized.ids, realized.coords))
         for pid, coords in state.failed_picks:
             listed.setdefault(pid, coords)
-        for pid in state.consumed_ids:
+        consumed = {s.point_id for s in state.spheres}
+        for pid in consumed:
             listed.pop(pid, None)
         left = sorted(listed)
         centers += [s.center for s in state.spheres] + [listed[pid] for pid in left]
@@ -517,7 +524,7 @@ def assemble_gamma(params: ConstructionParams, states) -> GammaProcess:
                 streamed_fresh += rec.n_fresh
         surfaced = {
             pid
-            for pid in set(state.consumed_ids) | {p for p, _ in state.failed_picks}
+            for pid in consumed | {p for p, _ in state.failed_picks}
             if reg.records[pid[0]].mode == "streamed"
         }
         n_stream_leftovers += streamed_fresh - len(surfaced)
@@ -610,11 +617,11 @@ def run_multilayer(params: ConstructionParams, seed: int, layers) -> GammaProces
         state, _ = run_layer(params, child, vec, i)
         states.append(state)
     gamma = assemble_gamma(params, states)
-    _assert_interlayer_gaps(params, gamma)
+    _assert_interlayer_gaps(gamma)
     return gamma
 
 
-def _assert_interlayer_gaps(params: ConstructionParams, gamma: GammaProcess):
+def _assert_interlayer_gaps(gamma: GammaProcess):
     """Constructed spheres of different layers must keep surface gaps >= 2;
     that is what the layer spacing L was chosen for.  The first pair, in
     layer and sphere order, whose gap math.dist(x_a, x_b) - r_a - r_b falls
@@ -690,17 +697,6 @@ def _contact_pairs(centers: np.ndarray, radii: np.ndarray, slack: float):
     return keys // n, keys % n
 
 
-def _gamma_contact_pairs(gamma: GammaProcess):
-    """_contact_pairs of gamma's spheres at CONTACT_TOL, computed once: the
-    hard-sphere check and the cluster search ask for the same pairs."""
-    if "pairs" not in gamma._memo:
-        pairs = _contact_pairs(gamma.centers, gamma.radii, CONTACT_TOL)
-        for arr in pairs:
-            arr.flags.writeable = False
-        gamma._memo["pairs"] = pairs
-    return gamma._memo["pairs"]
-
-
 def _dist_below(centers, I, J, thresh, strict: bool) -> np.ndarray:
     """Per pair, whether math.dist(x_i, x_j) < thresh (strict) or <= thresh."""
     diff = centers[I]
@@ -721,7 +717,7 @@ def verify_hard_sphere(gamma: GammaProcess) -> HardSphereReport:
     n = len(radii)
     if n < 2:
         return HardSphereReport(n, 0, (), True)
-    I, J = _gamma_contact_pairs(gamma)
+    I, J = gamma.pairs
     need = radii[I] + radii[J]
     violations = []
     overlap = _dist_below(centers, I, J, need - CONTACT_TOL, strict=True)
@@ -743,7 +739,7 @@ def cluster_components(gamma: GammaProcess) -> np.ndarray:
     are numbered largest first, ties broken by their lowest index, so
     np.bincount(labels) lists the sizes in that order."""
     centers, radii = gamma.centers, gamma.radii
-    I, J = _gamma_contact_pairs(gamma)
+    I, J = gamma.pairs
     touch = _dist_below(centers, I, J, radii[I] + radii[J] + CONTACT_TOL, strict=False)
     I, J = I[touch], J[touch]
     # Only spheres with a touching pair are unioned; every other sphere is

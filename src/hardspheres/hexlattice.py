@@ -44,7 +44,6 @@ _A_NEIGHBOR_KEYS = ((0, 4), (2, -2), (-2, -2))
 
 SITE_DEGREE = 3
 BOND_DEGREE = 2
-MIN_NONADJACENT_DISTANCE = SQRT3
 
 # A float coordinate of a vertex at distance D from the origin, and
 # math.hypot of it, are off by less than 6e-16 D + 6e-16: SQRT3 * u and the

@@ -69,16 +69,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import (
-    Annulus,
-    Ball,
-    Cell,
-    Intersection,
-    Region,
-    StepShell,
-    exact_volume,
-    regions_disjoint,
-)
+from .geometry import Ball, Cell, Region, exact_volume, regions_disjoint
 from .rngutil import (
     RNG_ALGORITHM,
     derive_seed,
@@ -137,25 +128,6 @@ def mecke_coin(j: int, mu_lo: float, rng, aux_counts) -> bool:
                 return True
         if k:
             return False
-
-
-def region_key(region: Region) -> tuple:
-    """Hashable structural identity of a region (bit-exact on coordinates)."""
-    if isinstance(region, Ball):
-        return ("ball", region.center.tobytes(), region.radius)
-    if isinstance(region, Cell):
-        return (
-            "cell",
-            region.planar_center.tobytes(),
-            region.eps,
-            region.layer_center.tobytes(),
-            region.layer_radius,
-        )
-    if isinstance(region, Annulus):
-        return ("annulus", region.center.tobytes(), region.inner, region.outer)
-    if isinstance(region, StepShell):
-        return ("step-shell", region_key(region.cell), region_key(region.annulus))
-    raise RegistryError(f"no structural key for region type {type(region).__name__}")
 
 
 @dataclass(frozen=True)
@@ -241,11 +213,9 @@ class RegionRegistry:
         self.stream_cap = stream_cap
         self.rng = generator(self.seed, _MAIN_PATH)
         self.records: list = []
-        self._stored_by_key: dict = {}
         self.rng_algorithm = RNG_ALGORITHM
         # budget metrics
         self.stored_points = 0
-        self.peak_stored_points = 0
         self.streamed_candidates_total = 0
         self.stream_replays = 0
         self.q_max = 0.0
@@ -350,52 +320,49 @@ class RegionRegistry:
 
     def materialize(self, region: Region) -> PointSet:
         """All process points in a region with an exact volume and sampler.
-        First call realizes the fresh zone and stores it, redrawing it until
-        the Mecke coin of every sea zone it reaches accepts; later calls
-        only collect.  The cached realization is never redrawn."""
+        Every call realizes a new stored record: it draws the region's
+        candidates, keeps those no earlier record owns, and redraws until
+        the Mecke coin of every sea zone it reaches accepts.  A repeat of a
+        realized region keeps no fresh points, since the earlier record
+        owns every candidate, so it returns the same ids and coordinates."""
         self._check_dim(region)
-        key = region_key(region)
-        if key not in self._stored_by_key:
-            vol = exact_volume(region)
-            if vol is None:
-                raise RegistryError(
-                    "only regions with exact volumes can be materialized "
-                    "directly; wrap composite regions via pick_in_region"
-                )
-            mass = self.lam * vol
-            if mass > MAX_MATERIALIZE:
-                raise RegistryError(
-                    f"expected count {mass:.3e} exceeds the materialization "
-                    f"cap {MAX_MATERIALIZE:.3e}; use pick_in_region"
-                )
-            reach = self._reaching(region)
-            seas = [r for r in reach if r.mode == "saturated"]
-            for sea in seas:  # q_max, a diagnostic
-                sea.realized_mass_in_zone += mass
-                self.q_max = max(self.q_max, sea.realized_mass_in_zone / sea.mass_lower)
-            rid = len(self.records)
-            rec = _Record(rid, region, "stored")
-            rec.filter_ids = self._filter_ids(reach)
-            attempt = 0
-            while True:
-                n = int(self.rng.poisson(mass)) if mass > 0 else 0
-                rec.n_candidates = n
-                if n:
-                    pts = region.sample(n, self.rng)
-                    keep = self._drop_determined(pts, rec.filter_ids)
-                    rec.coords = pts[keep]
-                else:
-                    rec.coords = np.empty((0, self.dim))
-                if self._sea_coins(rec, seas, attempt):
-                    break
-                attempt += 1
-            rec.n_fresh = rec.coords.shape[0]
-            self.records.append(rec)
-            self._stored_by_key[key] = rid
-            self.stored_points += rec.n_fresh
-            self.peak_stored_points = max(self.peak_stored_points, self.stored_points)
-            return self._collect(region, reach + [rec])
-        return self.collect(region)
+        vol = exact_volume(region)
+        if vol is None:
+            raise RegistryError(
+                "only regions with exact volumes can be materialized "
+                "directly; wrap composite regions via pick_in_region"
+            )
+        mass = self.lam * vol
+        if mass > MAX_MATERIALIZE:
+            raise RegistryError(
+                f"expected count {mass:.3e} exceeds the materialization "
+                f"cap {MAX_MATERIALIZE:.3e}; use pick_in_region"
+            )
+        reach = self._reaching(region)
+        seas = [r for r in reach if r.mode == "saturated"]
+        for sea in seas:  # q_max, a diagnostic
+            sea.realized_mass_in_zone += mass
+            self.q_max = max(self.q_max, sea.realized_mass_in_zone / sea.mass_lower)
+        rid = len(self.records)
+        rec = _Record(rid, region, "stored")
+        rec.filter_ids = self._filter_ids(reach)
+        attempt = 0
+        while True:
+            n = int(self.rng.poisson(mass)) if mass > 0 else 0
+            rec.n_candidates = n
+            if n:
+                pts = region.sample(n, self.rng)
+                keep = self._drop_determined(pts, rec.filter_ids)
+                rec.coords = pts[keep]
+            else:
+                rec.coords = np.empty((0, self.dim))
+            if self._sea_coins(rec, seas, attempt):
+                break
+            attempt += 1
+        rec.n_fresh = rec.coords.shape[0]
+        self.records.append(rec)
+        self.stored_points += rec.n_fresh
+        return self._collect(region, reach + [rec])
 
     def points_in_ball(self, center, radius: float) -> PointSet:
         return self.materialize(Ball(np.asarray(center, dtype=float), radius))
@@ -577,9 +544,6 @@ class RegionRegistry:
             if hit.size:
                 rec.coords = pts[hit[:1]]
                 self.stored_points += 1
-                self.peak_stored_points = max(
-                    self.peak_stored_points, self.stored_points
-                )
                 return PickResult(
                     "picked", (rid, 0), rec.coords[0], "saturated", None, m_lo, m_hi
                 )
@@ -608,7 +572,8 @@ class RegionRegistry:
         return {
             "records": len(self.records),
             "stored_points": self.stored_points,
-            "peak_stored_points": self.peak_stored_points,
+            # records are never freed, so the peak is the total
+            "peak_stored_points": self.stored_points,
             "streamed_candidates_total": self.streamed_candidates_total,
             "stream_replays": self.stream_replays,
             "rng_algorithm": self.rng_algorithm,
@@ -617,41 +582,6 @@ class RegionRegistry:
             "coin_candidates": self.coin_candidates,
             **{f"{tier}_picks": n for tier, n in self.picks.items()},
         }
-
-    def dump(self) -> str:
-        """Line-oriented description of every record and stored point."""
-        lines = [
-            f"# poisson registry dim={self.dim} lam={self.lam!r} seed={self.seed}"
-        ]
-        for rec in self.records:
-            reg = rec.region
-            desc = f"{type(reg).__name__.lower()} key={region_key_safe(reg)}"
-            lines.append(
-                f"r {rec.rid} {rec.mode} {desc} candidates={rec.n_candidates} "
-                f"fresh={rec.n_fresh}"
-            )
-            for i, p in enumerate(() if rec.coords is None else rec.coords):
-                xs = " ".join(f"{x:.17g}" for x in p)
-                lines.append(f"p {rec.rid} {i} {xs}")
-        return "\n".join(lines) + "\n"
-
-
-def region_key_safe(region: Region) -> str:
-    """Short printable region description for dumps."""
-    if isinstance(region, Ball):
-        c = ",".join(f"{x:.6g}" for x in region.center)
-        return f"ball[{c};{region.radius:.6g}]"
-    if isinstance(region, Cell):
-        c = ",".join(f"{x:.6g}" for x in region.planar_center)
-        z = ",".join(f"{x:.6g}" for x in region.layer_center)
-        return f"cell[{c};{region.eps:.6g};{z};{region.layer_radius:.6g}]"
-    if isinstance(region, Annulus):
-        c = ",".join(f"{x:.6g}" for x in region.center)
-        return f"annulus[{c};{region.inner:.6g},{region.outer:.6g}]"
-    if isinstance(region, StepShell):
-        cell, ann = region_key_safe(region.cell), region_key_safe(region.annulus)
-        return f"step-shell[{cell};{ann}]"
-    return type(region).__name__.lower()
 
 
 def brute_force_counts(

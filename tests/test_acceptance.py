@@ -24,6 +24,7 @@ from hardspheres.geometry import RADIUS_MAX, RADIUS_MIN
 from hardspheres.percolation2d import estimate_theta
 from hardspheres.poisson import sampler_consistency_check
 from hardspheres.rngutil import derive_seed
+from paper_bounds import ratio_closed_form, success_lower_bound
 from registry_snapshot import registry_snapshot
 
 REPORT_LINES = []
@@ -39,8 +40,8 @@ def report(num: int, ok: bool, detail: str):
 def test_criterion_1_dimension_thresholds():
     t0 = time.perf_counter()
     ratio_ok = bounds.ratio_AB(31) > 1.0 and bounds.ratio_AB(30) <= 1.0
-    f45 = bounds.success_lower_bound(bounds.lambda_star(45), 45)
-    f44 = bounds.success_lower_bound(bounds.lambda_star(44), 44)
+    f45 = success_lower_bound(bounds.lambda_star(45), 45)
+    f44 = success_lower_bound(bounds.lambda_star(44), 44)
     first45 = f45 >= 0.892 and f44 < 0.892
     min_d_ok = bounds.min_dimension(0.892) == 45
     dt = time.perf_counter() - t0
@@ -57,7 +58,7 @@ def test_criterion_2_ratio_identity():
     worst = 0.0
     for d in range(11, 201):
         direct = bounds.ratio_AB(d)
-        closed = bounds.ratio_closed_form(d)
+        closed = ratio_closed_form(d)
         worst = max(worst, abs(direct - closed) / abs(closed))
     dt = time.perf_counter() - t0
     report(

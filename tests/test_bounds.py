@@ -18,9 +18,7 @@ from hardspheres.bounds import (
     log_constants_AB,
     min_dimension,
     ratio_AB,
-    ratio_closed_form,
     scan_dimensions,
-    success_lower_bound,
 )
 from hardspheres.checks import (
     MIN_CONDITIONED_TRIALS,
@@ -29,6 +27,7 @@ from hardspheres.checks import (
 )
 from hardspheres.geometry import Ball, Cell, Intersection, unit_ball_volume
 from hardspheres.poisson import TooFewSamples
+from paper_bounds import ratio_closed_form, success_lower_bound
 
 
 def test_constants_AB_frozen_at_45():

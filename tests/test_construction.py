@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from hardspheres import construction, hexlattice
+from hardspheres import construction
 from hardspheres.bounds import lambda_star
 from hardspheres.construction import (
     BAD,
@@ -104,7 +104,7 @@ def test_params_validation():
 
 def test_step_geometry_constants_keep_the_lattice_margin():
     # spheres at non-adjacent vertices stay apart, and every radius is > 0
-    assert 2 * (MU + DELTA + EPS) < hexlattice.MIN_NONADJACENT_DISTANCE
+    assert 2 * (MU + DELTA + EPS) < math.sqrt(3)
     assert MU - DELTA > 0
 
 
@@ -393,17 +393,21 @@ def test_assembly_bookkeeping():
     p = ConstructionParams(d=5, C=4.0, lam=5.0)
     gamma = run_multilayer(p, 0, [(0, 0, 0)])
     state = gamma.layer_states[0]
+    consumed = {s.point_id for s in state.spheres}
+    assert len(consumed) == len(state.spheres)
     left = gamma.vertex == -1
     leftover_ids = [tuple(pid) for pid in gamma.point_ids[left].tolist()]
     assert len(set(leftover_ids)) == len(leftover_ids)
-    assert not set(leftover_ids) & state.consumed_ids
+    assert not set(leftover_ids) & consumed
     assert np.all(gamma.radii[left] == 0.0)
     # each layer lists its constructed spheres first, in exploration order
     n = gamma.n_constructed
     assert n == len(state.spheres) and not left[:n].any()
     assert gamma.vertex[:n].tolist() == [s.vertex for s in state.spheres]
     assert np.array_equal(gamma.radii[:n], [s.radius for s in state.spheres])
-    assert {tuple(pid) for pid in gamma.point_ids[:n].tolist()} == state.consumed_ids
+    assert [tuple(pid) for pid in gamma.point_ids[:n].tolist()] == [
+        s.point_id for s in state.spheres
+    ]
     assert np.all(gamma.layer == 0) and gamma.layers == ((0, 0, 0),)
     assert gamma.annotations == {}  # eta = 0: no post-pass
     assert gamma.n_stream_leftovers == 0  # everything fit in the stored tier
@@ -424,7 +428,8 @@ def test_stream_leftovers_counted_not_listed(monkeypatch):
     }
     assert streamed_rids
     assert gamma.n_stream_leftovers > 0
-    surfaced = {pid for pid, _ in state.failed_picks} | state.consumed_ids
+    consumed = {s.point_id for s in state.spheres}
+    surfaced = {pid for pid, _ in state.failed_picks} | consumed
     left = gamma.vertex == -1
     leftover_ids = [tuple(pid) for pid in gamma.point_ids[left].tolist()]
     assert leftover_ids == sorted(leftover_ids)  # one layer: ascending ids
@@ -435,7 +440,7 @@ def test_stream_leftovers_counted_not_listed(monkeypatch):
             assert pid in surfaced  # only surfaced stream points listed
     # and the converse: every failed pick that was not consumed is listed
     # exactly once, with its own coordinates
-    failed = [(pid, xy) for pid, xy in state.failed_picks if pid not in state.consumed_ids]
+    failed = [(pid, xy) for pid, xy in state.failed_picks if pid not in consumed]
     assert any(pid[0] in streamed_rids for pid, _ in failed)
     for pid, xy in failed:
         assert leftover_ids.count(pid) == 1

@@ -8,7 +8,7 @@ assembly; no simulate argv streams any more, since a step heavy enough to
 stream is a sea pick.  The d = 100 run makes only sea picks, one beside
 another; a second d31 run at eta = 0.1 pins the positive-radii post-pass
 that grows leftovers.  Two more digests pin what the registry itself
-realizes: the ``dump()`` of the d = 45 layer, and the ids and coordinates
+realizes: the ``registry_dump`` of the d = 45 layer, and the ids and coordinates
 that a small d = 3 registry returns from overlapping streamed records,
 where every later query is answered by replaying earlier streams; those d
 = 3 digests carry the stream tier's coverage.  The planar side is pinned
@@ -34,6 +34,7 @@ from hardspheres.hexlattice import build_lattice
 from hardspheres.percolation2d import estimate_theta_coupled
 from hardspheres.poisson import STREAM_BATCH, RegionRegistry
 from hardspheres.rngutil import derive_seed
+from registry_snapshot import registry_dump
 
 # 12 * lambda_star(31), as repr, so the argv does not depend on bounds.py.
 LAMBDA_D31 = "7244305.109674826"
@@ -133,7 +134,7 @@ def test_d45_layer_registry_dump_digest():
         d=45, C=16.0, lam=lambda_star(45), lattice_radius=12.0, max_steps=3
     )
     state, _ = run_layer(params, derive_seed(7, 11, 0), (0,) * 43)
-    assert sha256_bytes(state.registry.dump().encode()) == D45_REGISTRY_DUMP
+    assert sha256_bytes(registry_dump(state.registry).encode()) == D45_REGISTRY_DUMP
 
 
 def d3_streamed_queries():
@@ -199,7 +200,7 @@ def test_d3_streamed_replay_digests():
     assert streamed[1].n_candidates > STREAM_BATCH and streamed[1].filter_ids
     got = {f"pick{i}": _pick_digest(res) for i, res in enumerate(picks)}
     got.update({name: _points_digest(ps) for name, ps in collected.items()})
-    got["dump"] = sha256_bytes(reg.dump().encode())
+    got["dump"] = sha256_bytes(registry_dump(reg).encode())
     assert got == D3_REPLAY_DIGESTS
 
 

@@ -11,7 +11,6 @@ from hardspheres.geometry import (
     EPS,
     RADIUS_MAX,
     RADIUS_MIN,
-    Annulus,
     Ball,
     Cell,
     Intersection,
@@ -29,10 +28,10 @@ from hardspheres.poisson import (
     consistency_counts_lazy,
     consistency_counts_oracle,
     mecke_coin,
-    region_key,
     sampler_consistency_check,
 )
 from hardspheres.rngutil import derive_seed, generator
+from registry_snapshot import registry_dump
 
 
 def ball2(x, y, r):
@@ -40,16 +39,19 @@ def ball2(x, y, r):
 
 
 def test_materialize_caches_realization():
+    # a repeat is a new record, but the first keeps the realization: it
+    # owns every candidate the repeat draws
     reg = RegionRegistry(2, 2.0, seed=1)
     b = ball2(0, 0, 0.9)
     first = reg.materialize(b)
     second = reg.materialize(b)
     assert first.ids == second.ids
     assert np.array_equal(first.coords, second.coords)
-    assert len(reg.records) == 1
+    assert [r.n_fresh for r in reg.records] == [len(first), 0]
     m = reg.metrics()
-    assert m["records"] == 1
+    assert m["records"] == 2
     assert m["stored_points"] == len(first)
+    assert m["peak_stored_points"] == m["stored_points"]
 
 
 def test_materialize_points_lie_in_region():
@@ -444,7 +446,7 @@ def test_a_heavy_realization_in_a_sea_zone_takes_the_exact_coin():
     # inner holds the stored points and, when it landed there, the pick
     assert sea.zone_points == rec.n_fresh == len(inner) - rec.region.contains(sea.coords)[0]
     again, _ = _sea_then_heavy_realization(21, 1e4)
-    assert again.dump() == reg.dump()
+    assert registry_dump(again) == registry_dump(reg)
     # the same exact count past the stream cap is refused
     with pytest.raises(RegistryError, match="Mecke coin of saturated record 0"):
         _sea_then_heavy_realization(21, 1e3)
@@ -453,20 +455,6 @@ def test_a_heavy_realization_in_a_sea_zone_takes_the_exact_coin():
 def test_saturation_floor_makes_emptiness_impossible():
     # a saturated zone skips the count draw because P(empty) is exactly 0.0
     assert math.exp(-SATURATION_MIN_MASS) == 0.0
-
-
-def test_region_key_identity():
-    b1 = ball2(0, 0, 1.0)
-    b2 = ball2(0, 0, 1.0)
-    b3 = ball2(0, 0, 1.1)
-    assert region_key(b1) == region_key(b2)
-    assert region_key(b1) != region_key(b3)
-    c = Cell(np.zeros(2), 0.1, np.zeros(2), 1.0)
-    a = Annulus(np.zeros(4), 0.5, 1.0)
-    assert region_key(c) != region_key(Cell(np.zeros(2), 0.1, np.zeros(2), 2.0))
-    assert region_key(a) == region_key(Annulus(np.zeros(4), 0.5, 1.0))
-    with pytest.raises(RegistryError):
-        region_key(Intersection((b1, b3)))
 
 
 def three_tier_registry(seed):
@@ -505,8 +493,8 @@ def test_realized_points_inventory():
 
 def test_dump_stable_and_labeled():
     reg, _, _, sat = three_tier_registry(16)
-    d1 = reg.dump()
-    d2 = reg.dump()
+    d1 = registry_dump(reg)
+    d2 = registry_dump(reg)
     assert d1 == d2
     assert d1.startswith("# poisson registry dim=2")
     assert "stored" in d1

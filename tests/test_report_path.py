@@ -263,7 +263,7 @@ def pairwise_gap_error(gamma):
 
 def gap_error(gamma):
     try:
-        _assert_interlayer_gaps(None, gamma)
+        _assert_interlayer_gaps(gamma)
     except ConstructionError as exc:
         return str(exc)
     return None
