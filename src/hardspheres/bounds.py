@@ -33,14 +33,20 @@ from .geometry import (
 DEFAULT_THRESHOLD = 0.892
 
 MIN_DIMENSION_SUPPORTED = 11  # the step-volume lower bound needs d >= 11
-MAX_DIMENSION_SUPPORTED = 452  # exp(-log A) in lambda_star overflows at 453
+MAX_DIMENSION_SUPPORTED = 450  # at 451 lambda_star overflows and A underflows to 0
+
+
+def _check_dimension(d: int) -> None:
+    if d < MIN_DIMENSION_SUPPORTED:
+        raise ValueError(f"need d >= {MIN_DIMENSION_SUPPORTED}, got {d}")
+    if d > MAX_DIMENSION_SUPPORTED:
+        raise ValueError(f"need d <= {MAX_DIMENSION_SUPPORTED}, got {d}")
 
 
 def constants_AB(d: int) -> tuple:
     """(A, B) for dimension d: A is the step-region volume lower bound,
     B = omega_d * RADIUS_MAX^d the largest exclusion-ball volume."""
-    if d < MIN_DIMENSION_SUPPORTED:
-        raise ValueError(f"need d >= {MIN_DIMENSION_SUPPORTED}, got {d}")
+    _check_dimension(d)
     A = step_volume_lower_bound(d)
     B = unit_ball_volume(d) * RADIUS_MAX**d
     return A, B
@@ -48,8 +54,7 @@ def constants_AB(d: int) -> tuple:
 
 def log_constants_AB(d: int) -> tuple:
     """(log A, log B), stable for large d."""
-    if d < MIN_DIMENSION_SUPPORTED:
-        raise ValueError(f"need d >= {MIN_DIMENSION_SUPPORTED}, got {d}")
+    _check_dimension(d)
     m = d - 2
     half = 0.5 * m * math.log(1.2)
     # log(1.2^(m/2) - 1) without forming the big power.

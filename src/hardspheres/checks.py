@@ -5,7 +5,9 @@ The step region keeps volume at least A (``step_regions``; the slab
 sections of ``slab_sections`` check the bracket it is built from, and
 ``overlap_constant`` the closed form that sets the cell radius C), and a
 picked center is isolated with probability at least
-exp(-lam B) - exp(-lam vol) (``isolation_pair``).  Each function builds
+exp(-lam B) - exp(-lam vol), also given an empty disjoint region
+(``isolation_pair``: the conditioned run draws from derive_seed(seed, 32),
+the unconditioned one from derive_seed(seed, 31)).  Each function builds
 its regions, derives its seeds from one seed, runs the Monte Carlo and
 returns result rows ``{"name", "passed", ...}``.  ``hardspheres verify``
 emits these rows, and acceptance criteria 3-5 assert that every row
@@ -16,7 +18,6 @@ TooFewSamples instead of failing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -198,15 +199,6 @@ def geometry_suite(d: int, n: int, seed: int) -> list:
     )
 
 
-@dataclass(frozen=True)
-class IsolationCheck:
-    empirical: float
-    std_error: float
-    reference: float
-    trials_used: int
-    passed: bool
-
-
 def _bounding_box(regions, pad: float):
     dims = {reg.dim for reg in regions}
     if len(dims) != 1:
@@ -286,72 +278,14 @@ def _isolation_trials(
     return success, kept
 
 
-def mc_isolated_check(
-    region: Region,
-    lam: float,
-    r: float,
-    trials: int,
-    seed: int,
-) -> IsolationCheck:
-    """Empirical P(pick exists and is r-isolated) against the analytic
-    lower bound at the region's exact volume; passes when
-    empirical >= bound - 4 * std_error."""
-    vol = exact_volume(region)
-    if vol is None:
-        raise ValueError("region needs an exact volume for the analytic bound")
-    success, _ = _isolation_trials(region, lam, r, trials, seed)
-    p = float(np.mean(success))
-    se = math.sqrt(p * (1.0 - p) / trials)
-    bound = isolated_bound(lam, region.dim, r, vol)
-    return IsolationCheck(
-        empirical=p,
-        std_error=se,
-        reference=bound,
-        trials_used=trials,
-        passed=p >= bound - 4.0 * se,
-    )
-
-
-def mc_conditional_isolated_check(
-    region: Region,
-    condition_empty: Region,
-    lam: float,
-    r: float,
-    trials: int,
-    seed: int,
-) -> IsolationCheck:
-    """Conditioning on a disjoint region being empty cannot hurt isolation:
-    empirical conditional success must be >= the unconditional rate minus
-    4 combined standard errors.  Conditioning is by rejection; when fewer
-    than MIN_CONDITIONED_TRIALS trials survive it, TooFewSamples."""
-    success_u, _ = _isolation_trials(region, lam, r, trials, seed)
-    success_c, kept = _isolation_trials(
-        region, lam, r, trials, seed + 1, condition_empty=condition_empty
-    )
-    n_c = int(np.count_nonzero(kept))
-    if n_c < MIN_CONDITIONED_TRIALS:
-        raise TooFewSamples(
-            f"{n_c} of {trials} trials survived the conditioning, fewer than "
-            f"the {MIN_CONDITIONED_TRIALS} the check needs"
-        )
-    p_u = float(np.mean(success_u))
-    p_c = float(np.mean(success_c[kept]))
-    se = math.sqrt(p_u * (1.0 - p_u) / trials + p_c * (1.0 - p_c) / n_c)
-    return IsolationCheck(
-        empirical=p_c,
-        std_error=se,
-        reference=p_u,
-        trials_used=n_c,
-        passed=p_c >= p_u - 4.0 * se,
-    )
-
-
-def isolation_pair(d: int, trials: int, seed: int, tags=(31, 32)) -> list:
-    """Isolation of a pick in the unit ball at lam = 1, r = 0.5: the
-    unconditioned rate against ``isolated_bound``, and the rate conditioned
-    on an empty unit ball at distance 3 against the unconditioned one
-    (criterion 5).  The two checks draw from derive_seed(seed, tag) for
-    each tag; d must lie in [1, MAX_ISOLATION_DIM]."""
+def isolation_pair(d: int, trials: int, seed: int) -> list:
+    """Isolation of a pick in the unit ball at lam = 1, r = 0.5 (criterion
+    5).  The run conditioned on an empty unit ball at distance 3 draws from
+    derive_seed(seed, 32) and goes first, so a budget that keeps fewer than
+    MIN_CONDITIONED_TRIALS of its trials is TooFewSamples before any other
+    work.  The unconditioned rate, from derive_seed(seed, 31), is checked
+    against ``isolated_bound`` and is the conditioned rate's reference, each
+    within 4 standard errors.  d must lie in [1, MAX_ISOLATION_DIM]."""
     if not 1 <= d <= MAX_ISOLATION_DIM:
         raise ValueError(
             f"the isolation check needs 1 <= dim <= {MAX_ISOLATION_DIM} "
@@ -360,19 +294,33 @@ def isolation_pair(d: int, trials: int, seed: int, tags=(31, 32)) -> list:
     region = Ball(np.zeros(d), 1.0)
     away = np.zeros(d)
     away[0] = 3.0
-    iso = mc_isolated_check(region, 1.0, 0.5, trials, derive_seed(seed, tags[0]))
-    cond = mc_conditional_isolated_check(
-        region, Ball(away, 1.0), 1.0, 0.5, trials, derive_seed(seed, tags[1])
+    success_c, kept = _isolation_trials(
+        region, 1.0, 0.5, trials, derive_seed(seed, 32), Ball(away, 1.0)
     )
+    n_c = int(np.count_nonzero(kept))
+    if n_c < MIN_CONDITIONED_TRIALS:
+        raise TooFewSamples(
+            f"{n_c} of {trials} trials survived the conditioning, fewer than "
+            f"the {MIN_CONDITIONED_TRIALS} the check needs"
+        )
+    success_u, _ = _isolation_trials(region, 1.0, 0.5, trials, derive_seed(seed, 31))
+    p_u = float(np.mean(success_u))
+    p_c = float(np.mean(success_c[kept]))
+    var_u = p_u * (1.0 - p_u) / trials
+    se_u = math.sqrt(var_u)
+    se_c = math.sqrt(var_u + p_c * (1.0 - p_c) / n_c)
     return [
         {
             "name": f"{name}-d{d}",
-            "passed": chk.passed,
-            "empirical": chk.empirical,
-            "reference": chk.reference,
-            "std_error": chk.std_error,
+            "passed": p >= ref - 4.0 * se,
+            "empirical": p,
+            "reference": ref,
+            "std_error": se,
         }
-        for name, chk in (("isolated-bound", iso), ("conditional-isolation", cond))
+        for name, p, ref, se in (
+            ("isolated-bound", p_u, isolated_bound(1.0, d, 0.5, region.volume()), se_u),
+            ("conditional-isolation", p_c, p_u, se_c),
+        )
     ]
 
 

@@ -104,7 +104,7 @@ def test_criterion_4_slab_section_bracket():
 
 
 def test_criterion_5_isolation_bounds():
-    iso, cond = checks.isolation_pair(2, 100_000, 50, tags=(1, 2))
+    iso, cond = checks.isolation_pair(2, 100_000, 50)
     report(
         5,
         iso["passed"] and cond["passed"],

@@ -20,11 +20,8 @@ from hardspheres.bounds import (
     ratio_AB,
     scan_dimensions,
 )
-from hardspheres.checks import (
-    MIN_CONDITIONED_TRIALS,
-    mc_conditional_isolated_check,
-    mc_isolated_check,
-)
+from hardspheres import checks
+from hardspheres.checks import MIN_CONDITIONED_TRIALS, _isolation_trials, isolation_pair
 from hardspheres.geometry import Ball, Cell, Intersection, unit_ball_volume
 from hardspheres.poisson import TooFewSamples
 from paper_bounds import ratio_closed_form, success_lower_bound
@@ -124,7 +121,7 @@ def test_scan_dimensions_rows():
     assert [r.d for r in rows] == [30, 31, 32]
     assert rows[0].lambda_star is None
     assert rows[1].lambda_star is not None
-    for lo, hi in ((40, 30), (10, 30), (11, 453)):
+    for lo, hi in ((40, 30), (10, 30), (11, 451)):
         with pytest.raises(ValueError, match=f"got {lo}..{hi}$"):
             scan_dimensions(lo, hi)
     assert MIN_DIMENSION_SUPPORTED == 11
@@ -139,10 +136,20 @@ def test_min_dimension_refuses_a_threshold_outside_the_unit_interval(threshold):
 def test_every_supported_dimension_evaluates():
     rows = scan_dimensions(MIN_DIMENSION_SUPPORTED, MAX_DIMENSION_SUPPORTED)
     assert len(rows) == MAX_DIMENSION_SUPPORTED - MIN_DIMENSION_SUPPORTED + 1
-    # below 11 A has no lower bound; above 452 exp(-log A) would overflow
+    for row in rows:
+        assert row.A > 0, row.d
+        if row.d >= 31:
+            assert math.isfinite(row.lambda_star) and row.lambda_star > 0, row.d
+            assert math.isfinite(row.F_star) and math.isfinite(row.exact_G_star), row.d
+    # below 11 A has no lower bound; above 450 lambda_star overflows
     for d in (MIN_DIMENSION_SUPPORTED - 1, MAX_DIMENSION_SUPPORTED + 1):
-        with pytest.raises(ValueError, match=f"needs 11 <= d <= 452, got d={d}$"):
+        with pytest.raises(ValueError, match=f"needs 11 <= d <= 450, got d={d}$"):
             lambda_star(d)
+    for f in (constants_AB, log_constants_AB):
+        with pytest.raises(ValueError, match="^need d >= 11, got 10$"):
+            f(10)
+        with pytest.raises(ValueError, match="^need d <= 450, got 451$"):
+            f(451)
     assert DEFAULT_THRESHOLD == 0.892
 
 
@@ -161,64 +168,78 @@ def test_isolated_bound_frozen_value():
 
 
 def test_mc_isolated_check_passes_bound():
-    chk = mc_isolated_check(Ball(np.zeros(2), 1.0), lam=1.0, r=0.5,
-                            trials=20_000, seed=8)
-    assert chk.passed
-    assert math.isclose(chk.reference, 0.412724209502224, rel_tol=1e-12)
+    iso, _ = isolation_pair(2, 20_000, 8)
+    assert iso["passed"]
+    assert math.isclose(iso["reference"], 0.412724209502224, rel_tol=1e-12)
     # the bound is not tight (boundary effects help), so empirical sits above
-    assert chk.empirical >= chk.reference
-    assert chk.trials_used == 20_000
+    assert iso["empirical"] >= iso["reference"]
+
+
+def _rate(success):
+    p = float(np.mean(success))
+    return p, math.sqrt(p * (1.0 - p) / success.size)
 
 
 def test_mc_isolated_check_on_cell():
     # degenerate planar cell region
     cell = Cell(np.zeros(2), 0.6, np.empty(0), 1.0)
-    chk = mc_isolated_check(cell, lam=1.5, r=0.4, trials=20_000, seed=9)
-    assert chk.passed
-    assert chk.empirical >= chk.reference - 4 * chk.std_error
+    success, kept = _isolation_trials(cell, lam=1.5, r=0.4, trials=20_000, seed=9)
+    assert kept.all()
+    p, se = _rate(success)
+    assert p >= isolated_bound(1.5, 2, 0.4, cell.volume()) - 4 * se
 
 
 def test_mc_conditional_isolated_check():
     region = Ball(np.zeros(2), 1.0)
     empty_zone = Ball(np.array([3.0, 0.0]), 1.0)
-    chk = mc_conditional_isolated_check(
-        region, empty_zone, lam=1.0, r=0.5, trials=20_000, seed=10
+    success_u, _ = _isolation_trials(region, lam=1.0, r=0.5, trials=20_000, seed=10)
+    success_c, kept = _isolation_trials(
+        region, lam=1.0, r=0.5, trials=20_000, seed=11, condition_empty=empty_zone
     )
-    assert chk.passed
-    assert 0 < chk.trials_used <= 20_000
     # conditioning on emptiness elsewhere keeps a decent share of trials
-    assert chk.trials_used > 500
-
-
-def test_mc_isolated_check_requires_exact_volume():
-    b = Ball(np.zeros(2), 1.0)
-    with pytest.raises(ValueError):
-        mc_isolated_check(Intersection((b, b)), lam=1.0, r=0.5, trials=100, seed=0)
+    assert np.count_nonzero(kept) > 500
+    (p_u, se_u), (p_c, se_c) = _rate(success_u), _rate(success_c[kept])
+    assert p_c >= p_u - 4 * math.hypot(se_u, se_c)
 
 
 def test_conditional_isolation_refuses_a_region_without_a_bounding_ball():
     b = Ball(np.zeros(2), 1.0)
     away = Intersection((Ball(np.array([3.0, 0.0]), 1.0),))
     with pytest.raises(ValueError, match="^Intersection has no bounding ball$"):
-        mc_conditional_isolated_check(b, away, lam=1.0, r=0.5, trials=5, seed=0)
+        _isolation_trials(b, lam=1.0, r=0.5, trials=5, seed=0, condition_empty=away)
 
 
 def test_isolation_checks_need_a_trial():
     b = Ball(np.zeros(2), 1.0)
     with pytest.raises(ValueError, match="trials >= 1"):
-        mc_isolated_check(b, lam=1.0, r=0.5, trials=0, seed=0)
+        _isolation_trials(b, lam=1.0, r=0.5, trials=0, seed=0)
     with pytest.raises(ValueError, match="trials >= 1"):
-        mc_conditional_isolated_check(
-            b, Ball(np.array([3.0, 0.0]), 1.0), lam=1.0, r=0.5, trials=0, seed=0
-        )
+        isolation_pair(2, 0, 0)
 
 
 def test_conditioning_that_rejects_every_trial_is_refused():
-    b = Ball(np.zeros(2), 1.0)
-    never_empty = Ball(np.array([30.0, 0.0]), 20.0)
     with pytest.raises(
         TooFewSamples,
         match=f"^0 of 5 trials survived the conditioning, fewer than the "
         f"{MIN_CONDITIONED_TRIALS} the check needs$",
     ):
-        mc_conditional_isolated_check(b, never_empty, lam=1.0, r=0.5, trials=5, seed=0)
+        isolation_pair(2, 5, 0)
+
+
+def test_isolation_pair_runs_each_experiment_once(monkeypatch):
+    calls = []
+    trials = checks._isolation_trials
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return trials(*args, **kwargs)
+
+    monkeypatch.setattr(checks, "_isolation_trials", counted)
+    # 226 of 5,000 trials survive the conditioning (2,000 would keep 90)
+    assert all(row["passed"] for row in isolation_pair(2, 5_000, 0))
+    assert len(calls) == 2
+    calls.clear()
+    # a refused budget stops after the conditioned run
+    with pytest.raises(TooFewSamples, match="^1 of 20 trials survived"):
+        isolation_pair(2, 20, 0)
+    assert len(calls) == 1

@@ -119,7 +119,7 @@ def test_bounds_scan_dimension_cap(capsys):
     over = str(bounds.MAX_DIMENSION_SUPPORTED + 1)
     assert main(["bounds-scan", "--dim-max", over]) == EXIT_USAGE
     err = capsys.readouterr().err
-    assert err == "error: need 11 <= d_from <= d_to <= 452, got 11..453\n"
+    assert err == "error: need 11 <= d_from <= d_to <= 450, got 11..451\n"
     assert len(err.splitlines()) == 1
 
 
@@ -206,8 +206,8 @@ def test_simulate_refuses_lattice_radius_before_building(monkeypatch, capsys, ra
          "layer radius C must be finite and > 0, got nan"),
         (["--dim", "45", "--lambda", "auto", "--cells-C", "inf"],
          "layer radius C must be finite and > 0, got inf"),
-        (["--dim", "453", "--lambda", "auto", "--cells-C", "16"],
-         "lambda_star needs 11 <= d <= 452, got d=453"),
+        (["--dim", "451", "--lambda", "auto", "--cells-C", "16"],
+         "lambda_star needs 11 <= d <= 450, got d=451"),
         (["--dim", "45", "--cells-C", "16", "--layers", "0"],
          "need at least one layer vector"),
         (["--dim", "45", "--lambda", "1", "--cells-C", "1e300"],
@@ -404,7 +404,7 @@ def test_verify_isolation_bad_input_is_usage_error(capsys, argv, message):
 
 def test_verify_isolation_refuses_a_budget_the_conditioning_rejects(capsys):
     # about 1 trial in 23 survives the empty-ball conditioning (e^-pi)
-    for budget, kept in ((5, 0), (20, 3)):
+    for budget, kept in ((5, 0), (20, 1)):
         argv = ["verify", "isolation", "--budget", str(budget), "--seed", "0"]
         assert main(argv) == EXIT_USAGE
         assert capsys.readouterr().err == (

@@ -57,9 +57,9 @@ def test_theta_sweep_refuses_an_infinite_radius_in_one_line():
         ("threshold_scan.py", ["--threshold", "1.5"],
          "threshold must lie in [0, 1], got 1.5"),
         ("threshold_scan.py", ["--dim-max", "500"],
-         "need 11 <= d_from <= d_to <= 452, got 28..500"),
+         "need 11 <= d_from <= d_to <= 450, got 28..500"),
         ("grow_cluster.py", ["--dim", "2"],
-         "lambda_star needs 11 <= d <= 452, got d=2"),
+         "lambda_star needs 11 <= d <= 450, got d=2"),
         ("grow_cluster.py", ["--dim", "20"],
          "no lambda* at d=20; give --lam explicitly"),
     ],
