@@ -46,24 +46,23 @@ def main() -> None:
         params = ConstructionParams(
             d=args.dim, C=args.cells_C, lam=lam, max_steps=args.max_steps
         )
-        state, spheres = run_layer(params, args.seed)
+        state, _ = run_layer(params, args.seed)
         gamma = assemble_gamma(params, [state])
         report = verify_hard_sphere(gamma)
         labels = cluster_components(gamma)
     except (ValueError, RegistryError, ConstructionError) as exc:
         sys.exit(f"error: {exc}")
 
-    by_vertex = {s.vertex: s for s in spheres}
     print(f"d={args.dim}, lambda={lam:.6g}, C={args.cells_C:g}, "
           f"seed={args.seed}")
-    for e in state.log:
-        bits = [f"step {e.step:>3}", f"{e.kind:>4} {e.vertex:>5}",
+    for step, e in enumerate(state.log):
+        bits = [f"step {step:>3}", f"{e.kind:>4} {e.vertex:>5}",
                 f"{e.rule:>7}", f"{e.case:>14}", f"[{e.mode}]"]
         if e.outcome == "good":
-            s = by_vertex[e.vertex]
+            s = state.spheres[e.vertex]
             tang = ""
             if s.parent is not None:
-                p = by_vertex[s.parent]
+                p = state.spheres[s.parent]
                 gap = math.dist(s.center, p.center) - s.radius - p.radius
                 tang = f" tangency residual {abs(gap):.2e}"
             bits.append(f"radius {e.radius:.6f}{tang}")

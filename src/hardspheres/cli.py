@@ -222,31 +222,21 @@ def _sphere_blocks(gamma):
 
 
 def _step_log_csv(states) -> str:
+    """The steps file: one row per step, numbered from 0 in each layer.
+    csv writes None as an empty cell."""
     buf = io.StringIO()
-    writer = csv.DictWriter(
-        buf,
-        fieldnames=[
-            "layer",
-            "step",
-            "vertex",
-            "kind",
-            "rule",
-            "case",
-            "candidates",
-            "mode",
-            "outcome",
-            "radius",
-        ],
+    writer = csv.writer(buf)
+    writer.writerow(
+        "layer step vertex kind rule case candidates mode outcome radius".split()
     )
-    writer.writeheader()
     for state in states:
         layer = ",".join(str(v) for v in state.layer_vec)
-        for entry in state.log:
-            row = entry.to_row()
-            if row["radius"] != "":
-                row["radius"] = f17(row["radius"])
-            row["layer"] = layer
-            writer.writerow(row)
+        for step, e in enumerate(state.log):
+            radius = None if e.radius is None else f17(e.radius)
+            writer.writerow([
+                layer, step, e.vertex, e.kind, e.rule,
+                e.case, e.candidates, e.mode, e.outcome, radius,
+            ])
     return buf.getvalue()
 
 

@@ -171,30 +171,19 @@ class SphereRecord:
 
 @dataclass
 class StepLog:
-    step: int
     vertex: int
     kind: str  # "site" | "bond"
     rule: str  # "step0" | "rule-i" | "rule-ii"
     case: str  # "empty" | "isolation-fail" | "good"
     candidates: Optional[int]
     mode: str
-    outcome: str  # "good" | "bad"
     radius: Optional[float] = None
     good_neighbors: int = 0
     bad_neighbors: int = 0
 
-    def to_row(self) -> dict:
-        return {
-            "step": self.step,
-            "vertex": self.vertex,
-            "kind": self.kind,
-            "rule": self.rule,
-            "case": self.case,
-            "candidates": "" if self.candidates is None else self.candidates,
-            "mode": self.mode,
-            "outcome": self.outcome,
-            "radius": "" if self.radius is None else self.radius,
-        }
+    @property
+    def outcome(self) -> str:
+        return "good" if self.case == "good" else "bad"
 
 
 class ExplorationState:
@@ -213,18 +202,16 @@ class ExplorationState:
         self.layer_vec = tuple(int(v) for v in np.asarray(layer_vec).reshape(-1))
         self.layer_center = params.layer_center(self.layer_vec)
         self.status = np.zeros(lattice.n_vertices, dtype=np.int8)
-        self.spheres: list = []
-        self.vertex_sphere: dict = {}  # vertex id -> index into spheres
+        self.spheres: dict = {}  # vertex id -> SphereRecord, in step order
         self.frontier: set = set()
-        self.log: list = []
-        self.n_explored = 0
+        self.log: list = []  # one StepLog per step; its length is the step count
         self.stopped_reason: Optional[str] = None
-        self.pending: Optional[tuple] = None  # (vertex, rule)
         self.failed_picks: list = []  # (point_id, coords) of non-good picks
 
-    def mark_good(self, vertex: int, sphere_index: int):
+    def mark_good(self, sphere: SphereRecord):
+        vertex = sphere.vertex
         self.status[vertex] = GOOD
-        self.vertex_sphere[vertex] = sphere_index
+        self.spheres[vertex] = sphere
         self.frontier.discard(vertex)
         for nb in self.lattice.neighbors[vertex]:
             if self.status[nb] == UNEXPLORED:
@@ -270,8 +257,7 @@ def choose_next_vertex(state: ExplorationState):
     missing neighbors (lattice rim) stops the run as truncated, because the
     rules cannot be evaluated faithfully there.
 
-    Returns ("explore", vertex, rule), ("stop", reason); also records the
-    choice in state.pending.
+    Returns ("explore", vertex, rule) or ("stop", reason).
     """
     ordered = sorted(state.frontier)
     for want_site, rule, need_unexplored in (
@@ -285,12 +271,9 @@ def choose_next_vertex(state: ExplorationState):
             if good != 1 or bad != 0:
                 continue
             if missing:
-                state.pending = None
                 return ("stop", STOP_TRUNCATION)
             if unexplored == need_unexplored:
-                state.pending = (v, rule)
                 return ("explore", v, rule)
-    state.pending = None
     return ("stop", STOP_RULE_III)
 
 
@@ -321,20 +304,16 @@ def step_region(
     return region, bounding, vol_lower
 
 
-def explore_step(state: ExplorationState) -> ExplorationState:
-    """Explore the pending vertex.  Step 0 opens the origin site: it picks
-    a point in the origin cell and gives it radius MU.  Every later step
-    grows from the vertex's unique good neighbor v, picking a point in the
-    step region around v's sphere and making the new sphere tangent to it.
+def explore_step(state: ExplorationState, w: int, rule: str):
+    """Explore vertex w, chosen by ``rule``.  Step 0 opens the origin site:
+    it picks a point in the origin cell and gives it radius MU.  Every later
+    step grows from w's unique good neighbor v, picking a point in the step
+    region around v's sphere and making the new sphere tangent to it.
     Either way the sphere is kept only if its isolation ball holds no other
     point."""
-    if state.pending is None:
-        raise ConstructionError("no pending vertex; call choose_next_vertex first")
-    w, rule = state.pending
-    state.pending = None
     lattice = state.lattice
     if rule == "step0":
-        if w != 0 or state.status[w] != UNEXPLORED or state.n_explored != 0:
+        if w != 0 or state.status[w] != UNEXPLORED or state.log:
             raise ConstructionError("step0 must run first, on an unexplored origin")
         good = bad = 0
         parent = None
@@ -349,7 +328,7 @@ def explore_step(state: ExplorationState) -> ExplorationState:
                 "none bad, none missing"
             )
         parent = next(nb for nb in lattice.neighbors[w] if state.status[nb] == GOOD)
-        parent_sphere = state.spheres[state.vertex_sphere[parent]]
+        parent_sphere = state.spheres[parent]
         region, bounding, vol_lower = step_region(
             state.params,
             lattice.positions[w],
@@ -359,20 +338,15 @@ def explore_step(state: ExplorationState) -> ExplorationState:
         )
     result = state.registry.pick_in_region(region, bounding, vol_lower)
     entry = StepLog(
-        step=state.n_explored,
         vertex=w,
         kind=lattice.kind_name(w),
         rule=rule,
         case="empty",
         candidates=result.n_members,
         mode=result.mode,
-        outcome="bad",
         good_neighbors=good,
         bad_neighbors=bad,
     )
-    state.n_explored += 1
-
-    outcome_good = False
     if result.status == "picked":
         y_w = result.coords
         if parent is None:
@@ -393,17 +367,14 @@ def explore_step(state: ExplorationState) -> ExplorationState:
                 point_id=result.point_id,
                 parent=parent,
             )
-            state.spheres.append(sphere)
-            state.mark_good(w, len(state.spheres) - 1)
+            state.mark_good(sphere)
             entry.case = "good"
-            entry.outcome = "good"
             entry.radius = r_w
-            outcome_good = True
         else:
             state.failed_picks.append((result.point_id, y_w))
             entry.case = "isolation-fail"
 
-    if not outcome_good:
+    if entry.case != "good":
         state.mark_bad(w)
         # A failed bond abandons the site behind it: that site can now
         # never satisfy rule (i), so close it out explicitly.
@@ -412,7 +383,6 @@ def explore_step(state: ExplorationState) -> ExplorationState:
                 if state.status[nb] == UNEXPLORED:
                     state.mark_bad(nb)
     state.log.append(entry)
-    return state
 
 
 _LATTICE_CACHE: dict = {}
@@ -436,22 +406,20 @@ def run_layer(params: ConstructionParams, seed: int, layer_vec=None, index: int 
     lattice = _lattice(params.lattice_radius)
     registry = RegionRegistry(params.d, params.lam, seed)
     state = ExplorationState(params, lattice, registry, layer_vec)
-    state.pending = (0, "step0")
-    while state.pending is not None:
-        step, vertex = state.n_explored, state.pending[0]
+    choice = ("explore", 0, "step0")
+    while choice[0] == "explore":
+        _, vertex, rule = choice
         try:
-            explore_step(state)
+            explore_step(state, vertex, rule)
         except (RegistryError, ConstructionError) as exc:
             raise type(exc)(
-                f"layer {index}, step {step}, vertex {vertex}: {exc}"
+                f"layer {index}, step {len(state.log)}, vertex {vertex}: {exc}"
             ) from exc
         choice = choose_next_vertex(state)
-        if choice[0] == "stop":
-            state.stopped_reason = choice[1]
-        elif state.n_explored >= params.max_steps:
-            state.pending = None
-            state.stopped_reason = STOP_BUDGET
-    return state, list(state.spheres)
+        if choice[0] == "explore" and len(state.log) >= params.max_steps:
+            choice = ("stop", STOP_BUDGET)
+    state.stopped_reason = choice[1]
+    return state, list(state.spheres.values())
 
 
 @dataclass(frozen=True)
@@ -506,15 +474,16 @@ def assemble_gamma(params: ConstructionParams, states) -> GammaProcess:
         listed = dict(zip(realized.ids, realized.coords))
         for pid, coords in state.failed_picks:
             listed.setdefault(pid, coords)
-        consumed = {s.point_id for s in state.spheres}
+        spheres = state.spheres.values()
+        consumed = {s.point_id for s in spheres}
         for pid in consumed:
             listed.pop(pid, None)
         left = sorted(listed)
-        centers += [s.center for s in state.spheres] + [listed[pid] for pid in left]
-        radii += [s.radius for s in state.spheres] + [0.0] * len(left)
-        vertex += [s.vertex for s in state.spheres] + [-1] * len(left)
-        point_ids += [s.point_id for s in state.spheres] + left
-        n_rows.append(len(state.spheres) + len(left))
+        centers += [s.center for s in spheres] + [listed[pid] for pid in left]
+        radii += [s.radius for s in spheres] + [0.0] * len(left)
+        vertex += [s.vertex for s in spheres] + [-1] * len(left)
+        point_ids += [s.point_id for s in spheres] + left
+        n_rows.append(len(spheres) + len(left))
         # Streamed points exist only as replayable counts; the ones whose
         # coordinates did surface (consumed centers, failed picks) are
         # accounted above, the rest are reported as a count.
@@ -654,7 +623,6 @@ def _assert_interlayer_gaps(gamma: GammaProcess):
 
 @dataclass(frozen=True)
 class HardSphereReport:
-    n_spheres: int
     n_pairs_checked: int
     violations: tuple  # (i, j, deficit)
     passed: bool
@@ -714,9 +682,8 @@ def verify_hard_sphere(gamma: GammaProcess) -> HardSphereReport:
     """Check |x_i - x_j| >= r_i + r_j - CONTACT_TOL for all pairs that could
     touch."""
     centers, radii = gamma.centers, gamma.radii
-    n = len(radii)
-    if n < 2:
-        return HardSphereReport(n, 0, (), True)
+    if len(radii) < 2:
+        return HardSphereReport(0, (), True)
     I, J = gamma.pairs
     need = radii[I] + radii[J]
     violations = []
@@ -726,7 +693,6 @@ def verify_hard_sphere(gamma: GammaProcess) -> HardSphereReport:
         dist = float(math.dist(centers[i], centers[j]))
         violations.append((i, j, float(need[k] - dist)))
     return HardSphereReport(
-        n_spheres=n,
         n_pairs_checked=len(I),
         violations=tuple(violations),
         passed=not violations,

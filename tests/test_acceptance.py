@@ -143,7 +143,7 @@ def _layer_invariants(params, seed: int):
             np.array_equal(a.center, b.center) and a.radius == b.radius
             for a, b in zip(sp1, sp2)
         )
-        and [e.to_row() for e in st1.log] == [e.to_row() for e in st2.log]
+        and st1.log == st2.log
         and registry_snapshot(st1.registry) == registry_snapshot(st2.registry)
     )
     by_vertex = {sp.vertex: sp for sp in sp1}

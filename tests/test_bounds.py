@@ -57,6 +57,19 @@ def test_log_constants_match_linear():
         assert la > lb or d < 31
 
 
+def test_B_underflow_leaves_G_star_exact():
+    # from d = 421 omega_d * 0.85^d rounds to 0.0, its correctly rounded
+    # value; G at lambda* from the linear constants still agrees with the
+    # report's ratio form, and the log constants stay finite
+    assert constants_AB(420)[1] > 0.0
+    for d in range(31, MAX_DIMENSION_SUPPORTED + 1):
+        G = exact_success_bound(lambda_star(d), d)
+        assert math.isclose(G, bounds_report(d).exact_G_star, rel_tol=1e-12), d
+        if d >= 421:
+            assert constants_AB(d)[1] == 0.0, d
+            assert all(math.isfinite(x) for x in log_constants_AB(d)), d
+
+
 def test_ratio_identity_closed_form():
     # the simplified ratio expression agrees to 1e-12 relative on [11, 200]
     t0 = time.perf_counter()

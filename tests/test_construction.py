@@ -10,6 +10,7 @@ from hardspheres import construction
 from hardspheres.bounds import lambda_star
 from hardspheres.construction import (
     BAD,
+    GOOD,
     MAX_LAYER_RADIUS,
     ConstructionError,
     ConstructionParams,
@@ -250,14 +251,32 @@ def test_step0_cases():
 
 def test_step0_only_on_a_fresh_layer():
     st, _ = run_layer(ConstructionParams(d=11, C=6.0, lam=0.1), 0)
-    st.pending = (0, "step0")
     with pytest.raises(ConstructionError, match="step0 must run first"):
-        explore_step(st)
+        explore_step(st, 0, "step0")
     # the step count alone refuses it too, with the origin unexplored
     st.status[0] = UNEXPLORED
-    st.pending = (0, "step0")
     with pytest.raises(ConstructionError, match="step0 must run first"):
-        explore_step(st)
+        explore_step(st, 0, "step0")
+
+
+def test_growth_rule_guard_refuses_before_any_pick():
+    st, _ = run_layer(ConstructionParams(d=11, C=6.0, lam=0.1), 0)
+    lattice = st.lattice
+    w = next(
+        v
+        for v in range(lattice.n_vertices)
+        if st.status[v] == UNEXPLORED
+        and all(st.status[nb] != GOOD for nb in lattice.neighbors[v])
+    )
+    rule = "rule-i" if lattice.kinds[w] == KIND_SITE else "rule-ii"
+    log, status, n_records = list(st.log), st.status.copy(), len(st.registry.records)
+    with pytest.raises(
+        ConstructionError, match="growth rules require exactly one good, none bad, none missing"
+    ):
+        explore_step(st, w, rule)
+    assert st.log == log
+    assert np.array_equal(st.status, status)
+    assert len(st.registry.records) == n_records
 
 
 def test_rule_trace_sparse_regime():
@@ -332,14 +351,13 @@ def test_run_layer_deterministic():
         np.asarray([s.center for s in sp1]), np.asarray([s.center for s in sp2])
     )
     assert [s.radius for s in sp1] == [s.radius for s in sp2]
-    assert [e.to_row() for e in st1.log] == [e.to_row() for e in st2.log]
+    assert st1.log == st2.log
     assert registry_snapshot(st1.registry) == registry_snapshot(st2.registry)
 
 
 def test_budget_stop():
     st, _ = run_layer(params31(max_steps=3), 0)
     assert st.stopped_reason == STOP_BUDGET
-    assert st.n_explored == 3
     assert len(st.log) == 3
     with pytest.raises(ConstructionError):
         rescan_stop(st)
@@ -393,8 +411,9 @@ def test_assembly_bookkeeping():
     p = ConstructionParams(d=5, C=4.0, lam=5.0)
     gamma = run_multilayer(p, 0, [(0, 0, 0)])
     state = gamma.layer_states[0]
-    consumed = {s.point_id for s in state.spheres}
-    assert len(consumed) == len(state.spheres)
+    spheres = state.spheres.values()
+    consumed = {s.point_id for s in spheres}
+    assert len(consumed) == len(spheres)
     left = gamma.vertex == -1
     leftover_ids = [tuple(pid) for pid in gamma.point_ids[left].tolist()]
     assert len(set(leftover_ids)) == len(leftover_ids)
@@ -402,11 +421,11 @@ def test_assembly_bookkeeping():
     assert np.all(gamma.radii[left] == 0.0)
     # each layer lists its constructed spheres first, in exploration order
     n = gamma.n_constructed
-    assert n == len(state.spheres) and not left[:n].any()
-    assert gamma.vertex[:n].tolist() == [s.vertex for s in state.spheres]
-    assert np.array_equal(gamma.radii[:n], [s.radius for s in state.spheres])
+    assert n == len(spheres) and not left[:n].any()
+    assert gamma.vertex[:n].tolist() == [s.vertex for s in spheres]
+    assert np.array_equal(gamma.radii[:n], [s.radius for s in spheres])
     assert [tuple(pid) for pid in gamma.point_ids[:n].tolist()] == [
-        s.point_id for s in state.spheres
+        s.point_id for s in spheres
     ]
     assert np.all(gamma.layer == 0) and gamma.layers == ((0, 0, 0),)
     assert gamma.annotations == {}  # eta = 0: no post-pass
@@ -428,7 +447,7 @@ def test_stream_leftovers_counted_not_listed(monkeypatch):
     }
     assert streamed_rids
     assert gamma.n_stream_leftovers > 0
-    consumed = {s.point_id for s in state.spheres}
+    consumed = {s.point_id for s in state.spheres.values()}
     surfaced = {pid for pid, _ in state.failed_picks} | consumed
     left = gamma.vertex == -1
     leftover_ids = [tuple(pid) for pid in gamma.point_ids[left].tolist()]

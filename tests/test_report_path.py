@@ -53,7 +53,7 @@ def make_gamma(centers, radii, layers=None, vertices=None):
 def brute_verify(gamma, tol):
     n = len(gamma.radii)
     if n < 2:
-        return HardSphereReport(n, 0, (), True)
+        return HardSphereReport(0, (), True)
     centers, radii = gamma.centers, gamma.radii
     r_max = radii.max()
     checked = 0
@@ -66,7 +66,7 @@ def brute_verify(gamma, tol):
             need = radii[i] + radii[j]
             if dist < need - tol:
                 violations.append((i, j, float(need - dist)))
-    return HardSphereReport(n, checked, tuple(violations), not violations)
+    return HardSphereReport(checked, tuple(violations), not violations)
 
 
 def brute_clusters(gamma, tol):
