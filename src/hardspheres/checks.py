@@ -52,9 +52,10 @@ STEP_RADII = (0.65, 0.75, 0.85)  # parent radii across [RADIUS_MIN, RADIUS_MAX]
 GEOMETRY_DIMS = (3, 64)
 # Each isolation trial realizes the process on a box of volume 6 * 3^(d-1)
 # at lam = 1, in chunks of 4096 trials: about 80 MB of coordinates at
-# d = 5, and three times that at d = 6.  A chunk peaks at 1.8 times its
-# coordinates (tracemalloc at d = 3), and a 100,000-trial run at d = 5 at
-# 265 MB RSS, interpreter included.
+# d = 5, and 3.6 times that at d = 6.  A chunk peaks at 1.65 times its
+# coordinates at d = 5 (tracemalloc; 2.2 at d = 3, where the per-point
+# index arrays weigh more against the coordinates), and a 100,000-trial
+# run at d = 5 at 175 MB RSS, interpreter included.
 MAX_ISOLATION_DIM = 5
 # Fewer conditioned trials than this give a rate of a handful of 0/1
 # outcomes, which the 4-sigma comparison cannot judge.
@@ -259,22 +260,32 @@ def _isolation_trials(
             in_z = np.flatnonzero(condition_empty.contains(pts))
             kept[done + np.searchsorted(offsets, in_z, side="right") - 1] = False
 
-        # Uniform member pick per trial: max random key among members (a
-        # non-member's key becomes -1), by a short python loop over the
-        # trials of this chunk; counts are small so this stays cheap.
+        # Uniform member pick per trial: the first point at the trial's
+        # largest random key, a non-member's key being -1, so a trial whose
+        # largest key is -1 has no member.  Then each point is tested
+        # against its own trial's pick, ROW_BLOCK points at a time.
         if total:
             keys[~region.contains(pts)] = -1.0
-        for i in range(t):
-            a, b = offsets[i], offsets[i + 1]
-            if a == b:
-                continue
-            j = a + int(np.argmax(keys[a:b]))
-            if keys[j] < 0.0:
-                continue
-            dist2 = np.sum((pts[a:b] - pts[j]) ** 2, axis=1)
-            dist2[j - a] = np.inf  # the picked point itself
-            success[done + i] = not np.any(dist2 <= r * r)
+            filled = np.flatnonzero(counts)
+            best = np.full(t, -1.0)
+            best[filled] = np.maximum.reduceat(keys, offsets[filled])
+            at = np.flatnonzero(keys == np.repeat(best, counts))
+            owner, first = np.unique(
+                np.searchsorted(offsets, at, side="right") - 1, return_index=True
+            )
+            pick = np.zeros(t, dtype=np.int64)
+            pick[owner] = at[first]
+            pick_of = np.repeat(pick, counts)
+            crowded = np.zeros(t, dtype=bool)
+            for s in range(0, total, geometry.ROW_BLOCK):
+                j = pick_of[s : s + geometry.ROW_BLOCK]
+                dist2 = np.sum((pts[s : s + geometry.ROW_BLOCK] - pts[j]) ** 2, axis=1)
+                close = np.flatnonzero(dist2 <= r * r) + s
+                close = close[close != pick_of[close]]  # the pick itself
+                crowded[np.searchsorted(offsets, close, side="right") - 1] = True
+            success[done : done + t] = (best >= 0.0) & ~crowded
         done += t
+        del pts, keys  # before the next chunk allocates its own
     return success, kept
 
 

@@ -9,17 +9,15 @@ are never closer than sqrt(3) (attained by two bonds of a common site),
 which is what the planar separation 2 * (MU + DELTA + EPS) = 1.72 of the
 sphere construction is measured against.
 
-Vertex ids are assigned along the canonical exploration order that
-``vertex_sort_key`` defines: distance from the origin (rounded to 1e-9),
-then angle in [0, 2 pi), then sites before bonds.  "First unexplored vertex
-in order" is then just the lowest id.  ``build_lattice`` computes that
-order in numpy from each vertex's exact integer key (a, b), the point
-(sqrt(3) a / 2, b / 2): q = 3 a^2 + b^2 = 4 |x|^2 orders the distances
-exactly.  The rounding rule is kept: where a distance lies within float
-error of a 9-decimal rounding midpoint, the float distances of vertices at
-it can round apart, and those vertices are ordered by their rounded
-distance before their angle.  Within radius 400 that happens at one
-distance, 313.6941185295.
+Vertex ids follow the canonical exploration order: exact distance from
+the origin, then angle in [0, 2 pi), so "first unexplored vertex in
+order" is the lowest id.  A vertex's exact integer key (a, b) is the point
+(sqrt(3) a / 2, b / 2), and q = 3 a^2 + b^2 = 4 |x|^2: a vertex is in the
+window when its exact distance sqrt(q) / 2 is at most radius + 1e-9.
+Earlier versions ordered by float distance rounded to 9 decimals, which
+put two of the twelve sites at sqrt(393616) / 2 after sites of larger
+angle; so at radius 313.7 or more eight ids now differ from theirs, and
+the law of every run is unchanged.
 """
 
 from __future__ import annotations
@@ -44,52 +42,6 @@ _A_NEIGHBOR_KEYS = ((0, 4), (2, -2), (-2, -2))
 
 SITE_DEGREE = 3
 BOND_DEGREE = 2
-
-# A float coordinate of a vertex at distance D from the origin, and
-# math.hypot of it, are off by less than 6e-16 D + 6e-16: SQRT3 * u and the
-# offset add three roundings, hypot one ulp (measured: below 2.9e-16 D on
-# the outermost candidates at radius 400).  Decisions within
-# _FLOAT_BAND * D of a threshold, five times that bound for D >= 0.5, are
-# made with the per-vertex expressions.
-_FLOAT_BAND = 1e-14
-
-
-def vertex_sort_key(position, kind: int) -> tuple:
-    """Canonical well-ordering key: (rounded distance, rounded angle, kind)."""
-    x, y = float(position[0]), float(position[1])
-    dist = round(math.hypot(x, y), 9)
-    angle = math.atan2(y, x)
-    if angle < 0.0:
-        angle += 2.0 * math.pi
-    return (dist, round(angle, 9), kind)
-
-
-def _canonical_order(x, y, a, b) -> np.ndarray:
-    """Indices that sort the vertices (x, y) ~ (SQRT3 * a / 2, b / 2) by
-    ``vertex_sort_key``, from numpy keys.
-
-    q = 3 a^2 + b^2 = 4 |x|^2 is exact, and distinct q lie more than
-    1 / (8 |x|) apart in distance, far more than the 1e-9 rounding step, so
-    q orders the rounded distances.  Vertices of one q share their rounded
-    distance unless D = sqrt(q) / 2 lies within _FLOAT_BAND * D of a
-    rounding midpoint; only those get the rounded distance itself as a
-    second key.
-    Two vertices at one distance are at least 1 apart, so their angles
-    differ by more than 1 / |x|, far more than 1e-9: np.arctan2 orders them
-    as the rounded angle does, and kind never decides.
-    """
-    q = 3 * a.astype(np.int64) ** 2 + b.astype(np.int64) ** 2
-    exact = np.sqrt(q) / 2.0
-    scaled = exact * 1e9
-    to_midpoint = np.abs(scaled - np.floor(scaled) - 0.5) * 1e-9
-    ties = np.flatnonzero(to_midpoint <= _FLOAT_BAND * exact)
-    rounded = np.zeros(q.shape[0])
-    rounded[ties] = [
-        vertex_sort_key(p, KIND_SITE)[0] for p in zip(x[ties].tolist(), y[ties].tolist())
-    ]
-    angle = np.arctan2(y, x)
-    angle[angle < 0.0] += 2.0 * math.pi
-    return np.lexsort((angle, rounded, q))
 
 
 @dataclass(frozen=True)
@@ -126,8 +78,8 @@ class StarLattice:
 def build_lattice(radius: float) -> StarLattice:
     """All decorated-lattice vertices within ``radius`` of the origin, with
     adjacency restricted to the generated set."""
-    if radius < 0:
-        raise ValueError(f"radius must be >= 0, got {radius}")
+    if not 0.0 <= radius < math.inf:
+        raise ValueError(f"radius must lie in [0, inf), got {radius}")
     margin = radius + 4.0
     m_max = int(margin / 3.0) + 2
     # u = m - n indexes the x extent, v = m + n the y extent.
@@ -147,8 +99,8 @@ def build_lattice(radius: float) -> StarLattice:
     # its B-site neighbor and their midpoint.  The same vertex comes from
     # several rows with coordinates that may differ in the last bit, so
     # vertices are told apart by exact integer keys (a, b), the point
-    # (SQRT3 * a / 2, b / 2), and the first candidate inside the radius
-    # gives a vertex its coordinates.
+    # (SQRT3 * a / 2, b / 2), and the first candidate gives a vertex its
+    # coordinates.
     xs, ys, ka, kb = [ax], [ay], [2 * u], [6 * v]
     row_kinds = [KIND_SITE]
     for (dx, dy), (da, db) in zip(_A_NEIGHBOR_OFFSETS, _A_NEIGHBOR_KEYS):
@@ -164,17 +116,17 @@ def build_lattice(radius: float) -> StarLattice:
     # [0, 4 u_max + 4] and [0, 12 m_max + 8].
     code = (ka + (2 * u_max + 2)) * (12 * m_max + 9) + (kb + (6 * m_max + 4))
 
-    # A candidate is inside when math.hypot(x, y) <= radius + 1e-9.  np.hypot
-    # is within an ulp of math.hypot, so it decides every candidate outside
-    # the band, and math.hypot the few inside it.
-    cutoff = radius + 1e-9
-    dist = np.hypot(xs, ys)
-    close = np.flatnonzero(np.abs(dist - cutoff) <= _FLOAT_BAND * cutoff)
-    dist[close] = list(map(math.hypot, xs[close].tolist(), ys[close].tolist()))
-    inside = np.flatnonzero(dist <= cutoff)
+    # q = 4 |x|^2 is exact, so every candidate of a vertex is inside or none
+    # is.  Two vertices at one distance are at least 1 apart, so their angles
+    # differ by more than 1 / |x|, far more than the float error of
+    # np.arctan2: (q, angle) orders the vertices exactly.
+    q = (3 * ka**2 + kb**2).ravel()
+    inside = np.flatnonzero(np.sqrt(q) / 2.0 <= radius + 1e-9)
     _, first = np.unique(code.ravel()[inside], return_index=True)
-    keep = inside[np.sort(first)]  # first candidate per vertex, in row order
-    keep = keep[_canonical_order(xs[keep], ys[keep], ka.ravel()[keep], kb.ravel()[keep])]
+    keep = inside[first]  # each vertex's first candidate in row order
+    angle = np.arctan2(ys[keep], xs[keep])
+    angle[angle < 0.0] += 2.0 * math.pi
+    keep = keep[np.lexsort((angle, q[keep]))]
     n = keep.shape[0]
 
     # Edges join the A-site (column 0) and the B-site (column 2j + 1) to the

@@ -73,43 +73,26 @@ def build_site_graph(radius: float) -> SiteGraph:
     )
 
 
-@dataclass(frozen=True)
-class SiteConfig:
-    """One Bernoulli configuration: site v is open iff uniforms[v] < p."""
-
-    graph: SiteGraph
-    p: float
-    seed: int
-    trial: int
-    uniforms: np.ndarray
-
-    @property
-    def open_mask(self) -> np.ndarray:
-        return self.uniforms < self.p
+def sample_config(graph: SiteGraph, seed: int, trial: int = 0) -> np.ndarray:
+    """One uniform per site, those of generator(seed, 1, trial), drawn on
+    the thread's reused keyed generator: at density p, site v is open iff
+    uniforms[v] < p."""
+    return keyed_generator(philox_key(seed, 1, trial)).random(graph.n_sites)
 
 
-def sample_config(graph: SiteGraph, p: float, seed: int, trial: int = 0) -> SiteConfig:
-    """The trial's uniforms are those of generator(seed, 1, trial), drawn
-    on the thread's reused keyed generator."""
-    rng = keyed_generator(philox_key(seed, 1, trial))
-    return SiteConfig(
-        graph=graph, p=p, seed=seed, trial=trial, uniforms=rng.random(graph.n_sites)
-    )
-
-
-def origin_cluster(config: SiteConfig) -> np.ndarray:
-    """Sites of the origin's open cluster that a depth-first search visits
-    before it reaches a boundary site, in visit order (empty when the origin
-    is closed).  The search stops at the first boundary site, so the last
-    site is a boundary site exactly when the cluster reaches the window's
-    edge; otherwise the sites are the whole cluster.
+def origin_cluster(graph: SiteGraph, is_open: np.ndarray) -> np.ndarray:
+    """Sites of the origin's cluster among the open sites (``is_open``, one
+    bool per site) that a depth-first search visits before it reaches a
+    boundary site, in visit order (empty when the origin is closed).  The
+    search stops at the first boundary site, so the last site is a boundary
+    site exactly when the cluster reaches the window's edge; otherwise the
+    sites are the whole cluster.
     """
     # One byte per site: indexing bytes is as fast as a list, and building
     # them is a copy rather than one Python bool per site.
-    is_open = config.open_mask.tobytes()
+    is_open = is_open.tobytes()
     if not is_open[0]:
         return np.empty(0, dtype=np.int64)
-    graph = config.graph
     neighbors = graph.neighbors
     stop = graph.boundary.tobytes()
     seen = bytearray(graph.n_sites)
@@ -127,9 +110,9 @@ def origin_cluster(config: SiteConfig) -> np.ndarray:
     return np.asarray(out, dtype=np.int64)
 
 
-def cluster_reaches_boundary(config: SiteConfig) -> bool:
-    visited = origin_cluster(config)
-    return visited.size > 0 and bool(config.graph.boundary[visited[-1]])
+def cluster_reaches_boundary(graph: SiteGraph, is_open: np.ndarray) -> bool:
+    visited = origin_cluster(graph, is_open)
+    return visited.size > 0 and bool(graph.boundary[visited[-1]])
 
 
 @dataclass(frozen=True)
@@ -174,7 +157,10 @@ def estimate_theta_coupled(
     coupling makes the per-trial reach indicator nondecreasing in p, so the
     estimates are monotone with probability one, not just in expectation.
     A density outside [0, 1], a bad trial count or a bad window radius (see
-    build_site_graph) is a ValueError before any work."""
+    build_site_graph) is a ValueError before any work, and so is an empty
+    density list."""
+    if len(ps) == 0:
+        raise ValueError("need at least one occupation density")
     for p in ps:
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"occupation density must be in [0, 1], got {p}")
@@ -183,12 +169,9 @@ def estimate_theta_coupled(
     graph = build_site_graph(radius)
     reached = [0] * len(ps)  # by position, so a repeated p counts once
     for t in range(trials):
-        base = sample_config(graph, max(ps), seed, t)
+        uniforms = sample_config(graph, seed, t)
         for i, p in enumerate(ps):
-            cfg = SiteConfig(
-                graph=graph, p=p, seed=seed, trial=t, uniforms=base.uniforms
-            )
-            reached[i] += cluster_reaches_boundary(cfg)
+            reached[i] += cluster_reaches_boundary(graph, uniforms < p)
     out = []
     for p, hits in zip(ps, reached):
         theta = hits / trials

@@ -256,3 +256,44 @@ def test_isolation_pair_runs_each_experiment_once(monkeypatch):
     with pytest.raises(TooFewSamples, match="^1 of 20 trials survived"):
         isolation_pair(2, 20, 0)
     assert len(calls) == 1
+
+
+def reference_isolation_trials(region, lam, r, trials, seed, condition_empty=None):
+    """``_isolation_trials`` as a per-trial loop over the same draws: the
+    pick is the first point at the trial's largest key among members."""
+    extra = [condition_empty] if condition_empty is not None else []
+    lo, hi = checks._bounding_box([region, *extra], pad=r)
+    rng = np.random.Generator(np.random.Philox(seed))
+    success, kept = [], []
+    done = 0
+    while done < trials:
+        t = min(4096, trials - done)
+        counts = rng.poisson(lam * float(np.prod(hi - lo)), size=t)
+        pts = rng.random((int(counts.sum()), lo.shape[0])) * (hi - lo) + lo
+        keys = rng.random(pts.shape[0])
+        start = 0
+        for c in counts:
+            own, key = pts[start : start + c], keys[start : start + c]
+            start += c
+            kept.append(condition_empty is None or not condition_empty.contains(own).any())
+            members = np.flatnonzero(region.contains(own))
+            if members.size == 0:
+                success.append(False)
+                continue
+            j = members[np.argmax(key[members])]
+            dist2 = np.sum((own - own[j]) ** 2, axis=1)
+            success.append(np.count_nonzero(dist2 <= r * r) == 1)
+        done += t
+    return np.asarray(success), np.asarray(kept)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_isolation_trials_match_a_per_trial_loop(d):
+    region = Ball(np.zeros(d), 1.0)
+    away = np.zeros(d)
+    away[0] = 3.0
+    for zone in (None, Ball(away, 1.0)):
+        got = _isolation_trials(region, 1.0, 0.5, 5_000, 3, zone)
+        want = reference_isolation_trials(region, 1.0, 0.5, 5_000, 3, zone)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert 0 < np.count_nonzero(got[0]) < 5_000

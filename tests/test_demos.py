@@ -62,6 +62,7 @@ def test_theta_sweep_refuses_an_infinite_radius_in_one_line():
          "lambda_star needs 11 <= d <= 450, got d=2"),
         ("grow_cluster.py", ["--dim", "20"],
          "no lambda* at d=20; give --lam explicitly"),
+        ("theta_sweep.py", ["--p"], "need at least one occupation density"),
     ],
 )
 def test_demo_refuses_a_bad_argument_in_one_line(script, args, message):

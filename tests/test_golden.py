@@ -263,12 +263,12 @@ LATTICE_DIGESTS = {
           "934c45e2c7fb84517d06f5e1416898c3242aae370598c4a0192d195fa3b175a8",
           "e04d6244b9cd064b5cdc0d6a122c0d075cdad2265c84b10f93bbabcf257732a3",
           "d01eeb2a1f8c345a33ecf25d346054612912a6e0eb36316d693728a78af0f835"),
-    # MAX_WINDOW_RADIUS: the only pinned radius where rounding the distance
-    # to 9 decimals decides vertex ids (a distance near 313.6941185295).
+    # MAX_WINDOW_RADIUS: the only pinned radius holding the sites at
+    # sqrt(393616) / 2 = 313.694..., which are ordered by angle alone.
     400: (241828,
-          "dd827c6a778166fd1d8338456c3787bce20037020a283247a4d7387c27f96ce4",
+          "008d41c6f9a73dce9af3b526ac82222631754753a6d44f08a8c3dc15ab82f4f6",
           "fdd032460c3a2b801fab71fe81444cc2f003bd70233f4f0711e7229fddd7a030",
-          "a04b24ffcec0ea96770ddb527633e517f1e025483b03921fde77fe6c18d95768"),
+          "39fccd876069d9a982b3f050c2a9231b2cdce07f0d30e0a5dedba4d6f8c3aa85"),
 }
 
 

@@ -12,10 +12,21 @@ from hardspheres.hexlattice import (
     KIND_SITE,
     StarLattice,
     build_lattice,
-    vertex_sort_key,
 )
 
 SQRT3 = math.sqrt(3.0)
+
+
+def exact_key(position) -> tuple:
+    """(q, angle) of a vertex: q = 3 a^2 + b^2 = 4 |x|^2 from the integer key
+    (a, b) recovered from the coordinates (sqrt(3) a / 2, b / 2), and the
+    angle in [0, 2 pi)."""
+    x, y = position
+    a, b = round(2.0 * x / SQRT3), round(2.0 * y)
+    angle = math.atan2(y, x)
+    if angle < 0.0:
+        angle += 2.0 * math.pi
+    return (3 * a * a + b * b, angle)
 
 
 def min_nonadjacent_distance(lattice: StarLattice) -> float:
@@ -85,36 +96,34 @@ def test_min_nonadjacent_distance_sqrt3():
     assert abs(got - math.sqrt(3.0)) < 1e-12
 
 
-def test_canonical_order_and_prefix_stability():
+def test_exact_order_and_prefix_stability():
     small = build_lattice(5.0)
     big = build_lattice(9.0)
-    keys = [
-        vertex_sort_key(small.positions[v], int(small.kinds[v]))
-        for v in range(small.n_vertices)
-    ]
+    keys = list(map(exact_key, small.positions.tolist()))
     assert keys == sorted(keys)
     # growing the window only appends vertices, never reorders them
     assert np.allclose(big.positions[: small.n_vertices], small.positions)
     assert np.array_equal(big.kinds[: small.n_vertices], small.kinds)
 
 
-def test_vertex_sort_key_increases_along_ids_at_radius_400():
+def test_exact_key_increases_along_ids_at_radius_400():
     lat = build_lattice(400.0)
-    keys = list(map(vertex_sort_key, lat.positions.tolist(), lat.kinds.tolist()))
+    keys = list(map(exact_key, lat.positions.tolist()))
     assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
-def test_rounded_distance_orders_before_angle():
-    # Both vertices lie at distance sqrt(393616) / 2 = 313.6941185295000076,
-    # 7.6e-15 above a 9-decimal rounding midpoint.  Within float error of
-    # it, the first one's distance rounds down and the second one's up, so
-    # the first keeps the lower id although its angle is larger.
+def test_sites_at_one_distance_are_ordered_by_angle():
+    # Both sites lie at distance sqrt(393616) / 2 = 313.6941185295000076,
+    # 7.6e-15 above a 9-decimal rounding midpoint.  Ordered by float
+    # distance rounded to 9 decimals, the one of smaller angle came six ids
+    # after the other.
     lat = build_lattice(313.7)
     positions = lat.positions.tolist()
-    low, high = [304.8409421321224, 74.0], [313.5011961699668, 11.0]
+    low, high = [313.5011961699668, 11.0], [304.8409421321224, 74.0]
+    assert exact_key(low)[0] == exact_key(high)[0] == 393616
+    assert exact_key(low)[1] < exact_key(high)[1]
     assert positions.index(low) == 148738
-    assert positions.index(high) == 148744
-    assert vertex_sort_key(low, KIND_SITE)[1] > vertex_sort_key(high, KIND_SITE)[1]
+    assert positions.index(high) == 148739
 
 
 def test_radius_filter():
@@ -147,11 +156,11 @@ def test_small_radius_validation():
 
 
 def reference_build_lattice(radius: float) -> SimpleNamespace:
-    """The per-vertex loop that ``build_lattice`` replaced, kept verbatim as
-    the byte-identity reference: vertices keyed by coordinates rounded to
-    1e-6, the first candidate inside the radius kept by ``setdefault``.
-    Its result has StarLattice's fields, with the neighbor tuples built
-    here rather than from an edge array."""
+    """A per-vertex loop as the byte-identity reference: vertices keyed by
+    coordinates rounded to 1e-6, the first candidate of each kept by
+    ``setdefault``, and membership and order decided by ``exact_key`` of
+    the coordinates.  Its result has StarLattice's fields, with the
+    neighbor tuples built here rather than from an edge array."""
 
     def key_of(pos):
         return (round(pos[0], 6), round(pos[1], 6))
@@ -170,7 +179,7 @@ def reference_build_lattice(radius: float) -> SimpleNamespace:
     verts = {}
 
     def consider(pos, kind):
-        if math.hypot(*pos) <= radius + 1e-9:
+        if math.sqrt(exact_key(pos)[0]) / 2.0 <= radius + 1e-9:
             verts.setdefault(key_of(pos), (pos, kind))
 
     edge_keys = []
@@ -183,7 +192,7 @@ def reference_build_lattice(radius: float) -> SimpleNamespace:
             consider(mid, KIND_BOND)
             edge_keys.append((key_of(p), key_of(mid)))
             edge_keys.append((key_of(q), key_of(mid)))
-    order = sorted(verts.values(), key=lambda item: vertex_sort_key(item[0], item[1]))
+    order = sorted(verts.values(), key=lambda item: exact_key(item[0]))
     ids = {key_of(pos): i for i, (pos, _) in enumerate(order)}
     n = len(order)
     neigh = [set() for _ in range(n)]
@@ -211,12 +220,12 @@ def _radius_with_cutoff(target: float) -> float:
 
 
 def _tie_radius() -> float:
-    """A radius whose cutoff radius + 1e-9 falls between the candidates of
-    B-site (-5 sqrt(3), -1): the first one generated lies one ulp farther
-    out than the later two, so only a later candidate is inside and gives
-    the vertex its coordinates."""
+    """A radius whose cutoff radius + 1e-9 is math.hypot of one candidate of
+    B-site (-5 sqrt(3), -1), one ulp below the float of its exact distance
+    sqrt(304) / 2: a float distance rule admits the vertex there, the exact
+    rule does not."""
     target = math.hypot(-8.660254037844386, -1.0)
-    assert math.hypot(-8.660254037844387, -1.0) > target
+    assert target < math.sqrt(304.0) / 2.0
     return _radius_with_cutoff(target)
 
 
@@ -240,24 +249,23 @@ def test_build_lattice_matches_reference_loop(radius):
     assert all(type(w) is int for ns in got.neighbors for w in ns)
 
 
-def test_first_candidate_inside_the_radius_gives_the_coordinates():
-    r = _tie_radius()
-    inside = build_lattice(r).positions
-    assert [-8.660254037844386, -1.0] in inside.tolist()
-    assert [-8.660254037844387, -1.0] not in inside.tolist()
-    # one ulp less and the vertex is gone
-    below = build_lattice(math.nextafter(r, 0.0)).positions.tolist()
-    assert [-8.660254037844386, -1.0] not in below
+def test_exact_distance_decides_the_window():
+    # B-site (-5 sqrt(3), -1) has key (-10, -2), so q = 304, and the float of
+    # its exact distance D = sqrt(304) / 2 is correctly rounded.
+    target = math.sqrt(304.0) / 2.0
+    r = _radius_with_cutoff(target)
+    below = math.nextafter(r, 0.0)
+    assert below + 1e-9 < target
+
+    def has_site(radius):
+        positions = build_lattice(radius).positions
+        return bool(np.any(np.all(np.abs(positions - [-5.0 * SQRT3, -1.0]) < 1e-12, axis=1)))
+
+    assert has_site(r)
+    assert not has_site(below)
 
 
-def test_math_hypot_decides_candidates_at_the_cutoff():
-    # np.hypot puts this bond one ulp farther out than math.hypot does, and
-    # the cutoff sits on the math.hypot value: the bond is inside.
-    bond = [-9.526279441628825, -15.5]
-    assert np.hypot(*bond) > math.hypot(*bond)
-    r = _radius_with_cutoff(math.hypot(*bond))
-    got, want = build_lattice(r), reference_build_lattice(r)
-    assert bond in got.positions.tolist()
-    assert got.positions.tobytes() == want.positions.tobytes()
-    assert got.neighbors == want.neighbors
-    assert bond not in build_lattice(math.nextafter(r, 0.0)).positions.tolist()
+@pytest.mark.parametrize("radius", [math.nan, math.inf, -1.0])
+def test_non_finite_or_negative_radius_is_refused(radius):
+    with pytest.raises(ValueError, match=f"^radius must lie in \\[0, inf\\), got {radius}$"):
+        build_lattice(radius)

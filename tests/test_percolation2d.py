@@ -8,7 +8,6 @@ import pytest
 from hardspheres import percolation2d
 from hardspheres.hexlattice import KIND_BOND, KIND_SITE, build_lattice
 from hardspheres.percolation2d import (
-    SiteConfig,
     UnionFind,
     build_site_graph,
     cluster_reaches_boundary,
@@ -36,35 +35,35 @@ def test_site_graph_shape():
 
 def test_sample_config_deterministic_and_bernoulli():
     g = build_site_graph(12.0)
-    a = sample_config(g, 0.6, seed=5, trial=3)
-    b = sample_config(g, 0.6, seed=5, trial=3)
-    assert np.array_equal(a.uniforms, b.uniforms)
-    c = sample_config(g, 0.6, seed=5, trial=4)
-    assert not np.array_equal(a.uniforms, c.uniforms)
+    a = sample_config(g, seed=5, trial=3)
+    b = sample_config(g, seed=5, trial=3)
+    assert a.shape == (g.n_sites,)
+    assert np.array_equal(a, b)
+    c = sample_config(g, seed=5, trial=4)
+    assert not np.array_equal(a, c)
     # open frequency matches p
     n = g.n_sites
-    freq = a.open_mask.mean()
+    freq = (a < 0.6).mean()
     assert abs(freq - 0.6) < 4 * math.sqrt(0.6 * 0.4 / n)
 
 
 def test_origin_cluster_p_extremes():
     g = build_site_graph(8.0)
-    full = sample_config(g, 1.0, seed=0)
-    assert cluster_reaches_boundary(full)
-    empty = sample_config(g, 0.0, seed=0)
-    assert origin_cluster(empty).size == 0
-    assert not cluster_reaches_boundary(empty)
+    uniforms = sample_config(g, seed=0)
+    assert cluster_reaches_boundary(g, uniforms < 1.0)
+    assert origin_cluster(g, uniforms < 0.0).size == 0
+    assert not cluster_reaches_boundary(g, uniforms < 0.0)
 
 
 def test_origin_cluster_is_connected_and_open():
     g = build_site_graph(10.0)
-    cfg = sample_config(g, 0.7, seed=11)
-    members = origin_cluster(cfg)
-    if not cfg.open_mask[0]:
+    is_open = sample_config(g, seed=11) < 0.7
+    members = origin_cluster(g, is_open)
+    if not is_open[0]:
         assert members.size == 0
         return
     assert 0 in members
-    assert np.all(cfg.open_mask[members])
+    assert np.all(is_open[members])
     in_cluster = set(members.tolist())
     # every member other than the origin touches another member
     for v in members:
@@ -126,14 +125,13 @@ def test_union_find_basics():
 def test_origin_cluster_matches_union_find():
     g = build_site_graph(12.0)
     for seed in range(6):  # three closed origins, open clusters of 8 to 31
-        cfg = sample_config(g, 0.7, seed=seed)
-        open_mask = cfg.open_mask
+        open_mask = sample_config(g, seed=seed) < 0.7
         uf = UnionFind(g.n_sites)
         for v in range(g.n_sites):
             for w in g.neighbors[v]:
                 if open_mask[v] and open_mask[w]:
                     uf.union(v, w)
-        cl = origin_cluster(cfg)
+        cl = origin_cluster(g, open_mask)
         if not open_mask[0]:
             assert cl.size == 0
             continue
@@ -179,10 +177,9 @@ def test_build_site_graph_matches_reference_loop(radius):
     assert g.boundary.tobytes() == boundary.tobytes()
 
 
-def open_component(cfg):
+def open_component(g, open_mask):
     """The origin's open cluster as a set, from a union-find over every
     open-open edge (empty when the origin is closed)."""
-    g, open_mask = cfg.graph, cfg.open_mask
     uf = UnionFind(g.n_sites)
     for v in range(g.n_sites):
         for w in g.neighbors[v]:
@@ -200,12 +197,12 @@ def test_early_exit_search_matches_union_find(radius):
     outcomes = set()
     for p in (0.0, 0.5, 0.697, 0.7957, 1.0):
         for seed in range(6):
-            cfg = sample_config(g, p, seed=seed)
-            component = open_component(cfg)
+            is_open = sample_config(g, seed=seed) < p
+            component = open_component(g, is_open)
             reaches = any(g.boundary[v] for v in component)
-            assert cluster_reaches_boundary(cfg) == reaches
+            assert cluster_reaches_boundary(g, is_open) == reaches
             outcomes.add(reaches)
-            visited = origin_cluster(cfg).tolist()
+            visited = origin_cluster(g, is_open).tolist()
             assert len(set(visited)) == len(visited)
             assert set(visited) <= component
             if not component:
@@ -214,7 +211,7 @@ def test_early_exit_search_matches_union_find(radius):
             # every visited site is open and joined to an earlier one
             assert visited[0] == 0
             for i, v in enumerate(visited[1:], start=1):
-                assert cfg.open_mask[v]
+                assert is_open[v]
                 assert any(w in visited[:i] for w in g.neighbors[v])
             stops = [v for v in visited if g.boundary[v]]
             if reaches:
@@ -245,3 +242,12 @@ def test_density_is_refused_before_building(monkeypatch, p):
     monkeypatch.setattr(percolation2d, "build_lattice", no_lattice)
     with pytest.raises(ValueError, match=f"must be in \\[0, 1\\], got {p}$"):
         estimate_theta_coupled([0.5, p], 10.0, 10, 0)
+
+
+def test_empty_density_list_is_refused_before_building(monkeypatch):
+    def no_lattice(*args, **kwargs):
+        raise AssertionError("the lattice must not be built")
+
+    monkeypatch.setattr(percolation2d, "build_lattice", no_lattice)
+    with pytest.raises(ValueError, match="^need at least one occupation density$"):
+        estimate_theta_coupled([], 10.0, 10, 0)
