@@ -38,7 +38,7 @@ from .construction import (
     verify_hard_sphere,
 )
 from .percolation2d import estimate_theta
-from .poisson import RegistryError, TooFewSamples
+from .poisson import RegistryError
 from .rngutil import RNG_ALGORITHM
 
 EXIT_OK = 0
@@ -55,7 +55,11 @@ def f17(x: float) -> str:
 
 
 def _default_seed() -> int:
-    return int(os.environ.get(SEED_ENV_VAR, "0"))
+    text = os.environ.get(SEED_ENV_VAR, "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {text!r}") from None
 
 
 def _manifest(command: str, config: dict, seed: int, t0: float) -> dict:
@@ -358,7 +362,7 @@ def cmd_verify(args) -> int:
     budget = args.budget if args.budget is not None else default_budget
     try:
         rows = check(d, budget, seed)
-    except TooFewSamples as exc:
+    except checks.TooFewSamples as exc:
         raise ValueError(f"{exc}; raise --budget") from exc
     config = {"suite": args.suite, "budget": budget, "dim": d}
     man = _manifest("verify", config, seed, t0)

@@ -47,7 +47,7 @@ from .geometry import (
 )
 from .hexlattice import KIND_SITE, StarLattice, build_lattice
 from .percolation2d import UnionFind
-from .poisson import MAX_MATERIALIZE, RegionRegistry, RegistryError
+from .poisson import RegionRegistry, RegistryError, max_materialize
 from .rngutil import derive_seed
 
 UNEXPLORED = 0
@@ -125,13 +125,13 @@ class ConstructionParams:
                 "center would otherwise break every isolation check"
             )
         # Every isolation ball is materialized, so above this intensity the
-        # registry refuses the first picked center.
-        mass = self.lam * geometry.ball_volume(self.d, RADIUS_MIN + self.eta)
-        if mass > MAX_MATERIALIZE:
+        # registry refuses step 0's, B(y0, MU + eta).
+        mass = self.lam * geometry.ball_volume(self.d, MU + self.eta)
+        if mass > max_materialize(self.d):
             raise ValueError(
                 f"lambda = {self.lam:g} is too large at d = {self.d}: an "
                 f"isolation ball would hold {mass:.3e} points on average, above "
-                f"the registry's materialization cap {MAX_MATERIALIZE:.3e}"
+                f"the registry's materialization cap {max_materialize(self.d):.3e}"
             )
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")

@@ -18,6 +18,8 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from .rngutil import generator
+
 # Construction profile: sphere radii live in [MU - DELTA, MU + DELTA] and
 # cells are 2-discs of radius EPS crossed with a large (d-2)-ball.  The
 # planar separation constraint 2*(MU + DELTA + EPS) < sqrt(3) is what keeps
@@ -553,7 +555,7 @@ def mc_region_volume(
         raise ValueError("bounding region must have an exact volume and sampler")
     if n <= 0:
         raise ValueError(f"need n >= 1 samples, got {n}")
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = generator(seed)
     hits = 0
     remaining = n
     while remaining > 0:

@@ -72,7 +72,6 @@ import numpy as np
 from .geometry import Ball, Cell, Region, exact_volume, regions_disjoint
 from .rngutil import (
     RNG_ALGORITHM,
-    derive_seed,
     generator,
     keyed_generator,
     philox_key,
@@ -83,13 +82,22 @@ STREAM_BATCH = 1 << 16  # frozen: replay identity depends on it
 DEFAULT_STORE_CAP = 10_000.0
 DEFAULT_STREAM_CAP = 2e7
 SATURATION_MIN_MASS = 4096.0  # exp(-m) == 0.0 in binary64 needs m >= 746
-MAX_MATERIALIZE = 5e7
+# A materialization of N points peaks at about (4 d + 17) doubles per point:
+# its coordinates, the sampler's and the membership tests' temporaries, and
+# one id tuple (137 + 32 d bytes measured at d = 3 and d = 45).  Regions are
+# refused above the mass that keeps that within MATERIALIZE_BYTES.
+MATERIALIZE_BYTES = 1 << 30
 
 _MAIN_PATH = 0
 _STREAM_PATH = 2
 _COIN_PATH = 3
 _LOG_TINY = -1074 * math.log(2.0)  # log of the least positive binary64
 _COIN_BATCH = 1 << 12  # rows per batch of a coin's auxiliary realization
+
+
+def max_materialize(dim: int) -> int:
+    """The largest expected count a materialization may have in ``dim``."""
+    return MATERIALIZE_BYTES // (8 * (4 * dim + 17))
 
 
 class RegistryError(RuntimeError):
@@ -333,10 +341,10 @@ class RegionRegistry:
                 "directly; wrap composite regions via pick_in_region"
             )
         mass = self.lam * vol
-        if mass > MAX_MATERIALIZE:
+        if mass > max_materialize(self.dim):
             raise RegistryError(
                 f"expected count {mass:.3e} exceeds the materialization "
-                f"cap {MAX_MATERIALIZE:.3e}; use pick_in_region"
+                f"cap {max_materialize(self.dim):.3e}; use pick_in_region"
             )
         reach = self._reaching(region)
         seas = [r for r in reach if r.mode == "saturated"]
@@ -584,34 +592,14 @@ class RegionRegistry:
         }
 
 
-def brute_force_counts(
-    dim: int,
-    lam: float,
-    lo,
-    hi,
-    regions,
-    seed: int,
-) -> list:
-    """Oracle for consistency tests: realize the process once on a box and
-    count region memberships of the same global sample."""
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    if lo.shape != (dim,) or hi.shape != (dim,) or np.any(hi <= lo):
-        raise ValueError("invalid box")
-    rng = generator(seed, _MAIN_PATH)
-    vol = float(np.prod(hi - lo))
-    n = int(rng.poisson(lam * vol))
-    pts = lo + rng.random((n, dim)) * (hi - lo)
-    return [int(np.count_nonzero(reg.contains(pts))) for reg in regions]
-
-
 # -- lazy-vs-oracle consistency ------------------------------------------
 #
 # A fixed planar script of ten overlapping cell/ball queries whose joint
 # count vector has the same law as counting the regions on one global
 # sample.  The picks run with a small store cap, so the first two queries
 # stream while the rest store, exercising ownership thinning, full-overlap
-# replay, and the stored tier in one pass.
+# replay, and the stored tier in one pass.  checks.sampler_consistency
+# compares the laws of the two count vectors.
 
 _SCRIPT_STORE_CAP = 4.0
 _SCRIPT_BOX = 2.5
@@ -660,135 +648,11 @@ def consistency_counts_lazy(dim: int, lam: float, seed: int) -> tuple:
 
 
 def consistency_counts_oracle(dim: int, lam: float, seed: int) -> tuple:
+    """Count vector of the script's ten regions on one realization of the
+    process on the box [-_SCRIPT_BOX, _SCRIPT_BOX]^dim, which holds them."""
     regs = consistency_regions(dim)
-    counted = [regs[k] for k in sorted(regs)]
-    lo = np.full(dim, -_SCRIPT_BOX)
-    hi = np.full(dim, _SCRIPT_BOX)
-    return tuple(brute_force_counts(dim, lam, lo, hi, counted, seed))
-
-
-# Projections of the joint count law tested by the chi-squared battery.
-# The full 10-tuple is too fine to test directly (at 1e4 samples nearly
-# every tuple is unique, so any pooled table degenerates); equality of the
-# joint law implies equality of every projection, so a fixed battery of
-# marginals, the grand total, and strongly overlapping pairs is what a
-# sample of this size can actually falsify.
-_SCRIPT_PAIRS = ((0, 1), (0, 2), (0, 8), (1, 5), (3, 6), (4, 9))
-_ALPHA = 1e-3  # familywise significance of the battery
-_MIN_POOLED = 25
-# Below this many seeds the battery is refused up front.  At lam = 3 the
-# pooled tables of seeds 0-20 first became all testable at 333 to 460 seeds
-# (median 403); a seed that needs more is refused by its degenerate
-# projection instead.
-MIN_CONSISTENCY_SEEDS = 400
-
-
-class TooFewSamples(ValueError):
-    """A Monte Carlo check has too few samples to decide anything."""
-
-
-def _chi2_two_sample(vals_a, vals_b):
-    """Two-sample chi-squared on categorical values, pooling categories
-    rarer than _MIN_POOLED combined.  The commonest value (the first in
-    sorted order on a tie) always keeps its own category, so the table has
-    two columns unless every value is the same.  Returns (chi2, p, dof,
-    n_categories), or None when the table is degenerate."""
-    from collections import Counter
-
-    from scipy.stats import chi2_contingency
-
-    ca, cb = Counter(vals_a), Counter(vals_b)
-    keys = sorted(set(ca) | set(cb))
-    top = max(keys, key=lambda k: ca[k] + cb[k], default=None)
-    main = [k for k in keys if ca[k] + cb[k] >= _MIN_POOLED or k == top]
-    row_a = [ca[k] for k in main]
-    row_b = [cb[k] for k in main]
-    rest_a = sum(ca[k] for k in keys if k not in main)
-    rest_b = sum(cb[k] for k in keys if k not in main)
-    if rest_a + rest_b > 0:
-        row_a.append(rest_a)
-        row_b.append(rest_b)
-    table = np.array([row_a, row_b])
-    if table.shape[1] < 2 or min(table.sum(axis=1)) == 0:
-        return None
-    stat, p, dof, _ = chi2_contingency(table)
-    return float(stat), float(p), int(dof), int(table.shape[1])
-
-
-def sampler_consistency_check(
-    dim: int,
-    lam: float,
-    n_seeds: int,
-    seed: int,
-) -> dict:
-    """Chi-squared battery testing that the lazy registry's joint count law
-    matches the brute-force global-sample oracle.
-
-    The battery covers every marginal count, the grand total, and the six
-    most-overlapping query pairs, at familywise significance _ALPHA
-    (Bonferroni).  Fewer than MIN_CONSISTENCY_SEEDS seeds, or a degenerate
-    projection (too few populated categories to test), is TooFewSamples, not
-    a pass.  The script's dimension is checked first."""
-    consistency_regions(dim)
-    if n_seeds < MIN_CONSISTENCY_SEEDS:
-        raise TooFewSamples(
-            f"the chi-squared table needs at least {MIN_CONSISTENCY_SEEDS} seeds, "
-            f"got {n_seeds}"
-        )
-    lazy = np.array(
-        [
-            consistency_counts_lazy(dim, lam, derive_seed(seed, 41, i))
-            for i in range(n_seeds)
-        ]
-    )
-    oracle = np.array(
-        [
-            consistency_counts_oracle(dim, lam, derive_seed(seed, 42, i))
-            for i in range(n_seeds)
-        ]
-    )
-    n_queries = lazy.shape[1]
-    tests = []
-    for j in range(n_queries):
-        tests.append((f"n{j + 1}", lazy[:, j].tolist(), oracle[:, j].tolist()))
-    tests.append(("total", lazy.sum(axis=1).tolist(), oracle.sum(axis=1).tolist()))
-    for i, j in _SCRIPT_PAIRS:
-        tests.append(
-            (
-                f"n{i + 1}&n{j + 1}",
-                list(zip(lazy[:, i], lazy[:, j])),
-                list(zip(oracle[:, i], oracle[:, j])),
-            )
-        )
-    alpha_each = _ALPHA / len(tests)
-    results = []
-    worst = None
-    for name, va, vb in tests:
-        out = _chi2_two_sample(va, vb)
-        if out is None:
-            raise TooFewSamples(
-                f"count law projection {name} is degenerate at {n_seeds} seeds"
-            )
-        stat, p, dof, ncat = out
-        results.append(
-            {
-                "projection": name,
-                "p_value": p,
-                "chi2": stat,
-                "dof": dof,
-                "categories": ncat,
-                "passed": bool(p >= alpha_each),
-            }
-        )
-        if worst is None or p < worst["p_value"]:
-            worst = results[-1]
-    return {
-        "passed": all(r["passed"] for r in results),
-        "min_p_value": worst["p_value"],
-        "worst_projection": worst["projection"],
-        "n_tests": len(tests),
-        "alpha": _ALPHA,
-        "alpha_each": alpha_each,
-        "n_seeds": n_seeds,
-        "projections": results,
-    }
+    rng = generator(seed, _MAIN_PATH)
+    side = 2.0 * _SCRIPT_BOX
+    n = int(rng.poisson(lam * side**dim))
+    pts = -_SCRIPT_BOX + rng.random((n, dim)) * side
+    return tuple(int(np.count_nonzero(regs[k].contains(pts))) for k in sorted(regs))

@@ -21,9 +21,13 @@ from hardspheres.bounds import (
     scan_dimensions,
 )
 from hardspheres import checks
-from hardspheres.checks import MIN_CONDITIONED_TRIALS, _isolation_trials, isolation_pair
+from hardspheres.checks import (
+    MIN_CONDITIONED_TRIALS,
+    TooFewSamples,
+    _isolation_trials,
+    isolation_pair,
+)
 from hardspheres.geometry import Ball, Cell, Intersection, unit_ball_volume
-from hardspheres.poisson import TooFewSamples
 from paper_bounds import ratio_closed_form, success_lower_bound
 
 

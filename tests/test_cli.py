@@ -217,8 +217,15 @@ def test_simulate_refuses_lattice_radius_before_building(monkeypatch, capsys, ra
          "could not resolve tangency"),
         (["--dim", "5", "--lambda", "1e300", "--cells-C", "4"],
          "lambda = 1e+300 is too large at d = 5: an isolation ball would hold "
-         "6.108e+299 points on average, above the registry's materialization "
-         "cap 5.000e+07"),
+         "1.249e+300 points on average, above the registry's materialization "
+         "cap 3.628e+06"),
+        (["--dim", "2", "--lambda", "1"], "construction needs d >= 3, got 2"),
+        (["--dim", "1", "--lambda", "1"], "construction needs d >= 3, got 1"),
+        (["--dim", "0", "--lambda", "1"], "construction needs d >= 3, got 0"),
+        (["--dim", "3", "--lambda", "4e7", "--cells-C", "2"],
+         "lambda = 4e+07 is too large at d = 3: an isolation ball would hold "
+         "7.069e+07 points on average, above the registry's materialization "
+         "cap 4.628e+06"),
     ],
 )
 def test_simulate_refuses_bad_parameters_before_any_work(monkeypatch, capsys, argv, message):
@@ -291,7 +298,7 @@ def _no_work(*args, **kwargs):
         (["bounds-scan"], (bounds, "scan_dimensions"), "r"),
         (["bounds-scan", "--format", "csv"], (bounds, "scan_dimensions"), "r"),
         (["perc2d", "--p", "0.7"], (cli, "estimate_theta"), "r"),
-        (["verify", "sampler"], (checks, "sampler_consistency_check"), "r"),
+        (["verify", "sampler"], (poisson, "consistency_counts_lazy"), "r"),
     ],
 )
 def test_unwritable_output_fails_before_any_work(
@@ -465,6 +472,14 @@ def test_seed_env_var(tmp_path, monkeypatch):
                  "--seed", "5", "--out", str(out)])
     assert code == EXIT_OK
     assert read_json(out)["manifest"]["seed"] == 5
+
+
+def test_seed_env_var_must_be_an_integer(monkeypatch, capsys):
+    monkeypatch.setenv(SEED_ENV_VAR, "abc")
+    assert main(["perc2d", "--p", "0.5"]) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "error: HARDSPHERES_SEED must be an integer, got 'abc'\n"
+    )
 
 
 def test_importing_the_cli_leaves_scipy_stats_unloaded():

@@ -55,7 +55,7 @@ D_LO, D_HI = bounds.MIN_DIMENSION_SUPPORTED, bounds.MAX_DIMENSION_SUPPORTED
 SEED = numeric(int)
 VERIFY = {
     "--budget": numeric(
-        int, checks.MIN_CONDITIONED_TRIALS, poisson.MIN_CONSISTENCY_SEEDS
+        int, checks.MIN_CONDITIONED_TRIALS, checks.MIN_CONSISTENCY_SEEDS
     ),
     "--dim": numeric(int, 2, *checks.GEOMETRY_DIMS, checks.MAX_ISOLATION_DIM),
     "--seed": SEED,

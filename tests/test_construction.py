@@ -44,10 +44,10 @@ from hardspheres.hexlattice import KIND_SITE
 from hardspheres.poisson import (
     DEFAULT_STORE_CAP,
     DEFAULT_STREAM_CAP,
-    MAX_MATERIALIZE,
     SATURATION_MIN_MASS,
     RegionRegistry,
     RegistryError,
+    max_materialize,
 )
 from registry_snapshot import registry_snapshot
 
@@ -395,16 +395,16 @@ def test_multilayer_gap_and_validation():
 
 
 def test_intensity_that_every_isolation_test_refuses():
-    # the smallest isolation ball is B(c, RADIUS_MIN + eta), and the
-    # registry refuses to materialize one whose expected count tops
-    # MAX_MATERIALIZE, so the params refuse that intensity up front
-    lam_max = MAX_MATERIALIZE / ball_volume(5, RADIUS_MIN + 0.1)
+    # step 0's isolation ball is B(y0, MU + eta), and the registry refuses
+    # to materialize one whose expected count tops max_materialize, so the
+    # params refuse that intensity up front
+    lam_max = max_materialize(5) / ball_volume(5, MU + 0.1)
     ConstructionParams(d=5, C=4.0, lam=lam_max * (1 - 1e-9), eta=0.1)
     with pytest.raises(ValueError, match="materialization cap"):
         ConstructionParams(d=5, C=4.0, lam=lam_max * (1 + 1e-9), eta=0.1)
     reg = RegionRegistry(5, lam_max * (1 + 1e-9), seed=0)
     with pytest.raises(RegistryError, match="materialization cap"):
-        reg.points_in_ball(np.zeros(5), RADIUS_MIN + 0.1)
+        reg.points_in_ball(np.zeros(5), MU + 0.1)
 
 
 def test_assembly_bookkeeping():

@@ -42,7 +42,7 @@ from hardspheres.geometry import (
     step_volume_lower_bound,
     unit_ball_volume,
 )
-from hardspheres.poisson import TooFewSamples
+from hardspheres.checks import TooFewSamples
 from hardspheres.rngutil import derive_seed, generator
 
 

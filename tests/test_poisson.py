@@ -16,19 +16,21 @@ from hardspheres.geometry import (
     Intersection,
     regions_disjoint,
 )
-from hardspheres.poisson import (
-    MAX_MATERIALIZE,
+from hardspheres.checks import (
+    _ALPHA,
     MIN_CONSISTENCY_SEEDS,
+    _chi2_two_sample,
+    sampler_consistency,
+)
+from hardspheres.poisson import (
     SATURATION_MIN_MASS,
     PointSet,
     RegionRegistry,
     RegistryError,
-    _chi2_two_sample,
-    brute_force_counts,
     consistency_counts_lazy,
     consistency_counts_oracle,
+    max_materialize,
     mecke_coin,
-    sampler_consistency_check,
 )
 from hardspheres.rngutil import derive_seed, generator
 from registry_snapshot import registry_dump
@@ -75,10 +77,10 @@ def test_materialize_requires_exact_volume():
 
 def test_materialize_mass_cap():
     # pinned first: a larger cap would let the region below be drawn
-    assert MAX_MATERIALIZE == 5e7
-    reg = RegionRegistry(2, 1e7, seed=3)
-    with pytest.raises(RegistryError, match="materialization cap 5.000e"):
-        reg.materialize(ball2(0, 0, 1.4))  # mass = 1.96 pi 1e7 ~ 1.23 caps
+    assert max_materialize(2) == 5_368_709
+    reg = RegionRegistry(2, 1e6, seed=3)
+    with pytest.raises(RegistryError, match="materialization cap 5.369e"):
+        reg.materialize(ball2(0, 0, 1.4))  # mass = 1.96 pi 1e6 ~ 1.15 caps
     assert reg.records == []
 
 
@@ -504,15 +506,6 @@ def test_dump_stable_and_labeled():
     assert lines[-1] == "p 2 0 " + " ".join(f"{x:.17g}" for x in sat.coords)
 
 
-def test_brute_force_counts_box_validation():
-    b = ball2(0, 0, 0.5)
-    with pytest.raises(ValueError):
-        brute_force_counts(2, 1.0, [0, 0], [0, 0], [b], seed=0)
-    counts = brute_force_counts(2, 2.0, [-1, -1], [1, 1], [b], seed=1)
-    assert len(counts) == 1
-    assert counts[0] >= 0
-
-
 def test_consistency_script_shapes():
     lazy = consistency_counts_lazy(2, 3.0, seed=21)
     oracle = consistency_counts_oracle(2, 3.0, seed=21)
@@ -542,13 +535,12 @@ def test_consistency_means_agree():
 
 
 def test_sampler_consistency_check_passes():
-    out = sampler_consistency_check(2, 3.0, n_seeds=MIN_CONSISTENCY_SEEDS, seed=0)
+    (out,) = sampler_consistency(2, MIN_CONSISTENCY_SEEDS, 0)
     assert out["passed"]
     assert out["n_tests"] == 17
-    assert out["min_p_value"] >= out["alpha_each"]
-    assert len(out["projections"]) == 17
+    assert out["min_p_value"] >= _ALPHA / 17
     with pytest.raises(ValueError, match="needs at least 400 seeds, got 399"):
-        sampler_consistency_check(2, 3.0, n_seeds=MIN_CONSISTENCY_SEEDS - 1, seed=0)
+        sampler_consistency(2, MIN_CONSISTENCY_SEEDS - 1, 0)
 
 
 def test_chi2_keeps_the_commonest_value_as_a_category():
