@@ -409,14 +409,23 @@ class RegionRegistry:
 
     def uniform_choice(self, points: PointSet):
         """Uniform element of a point set, invariant under input permutation:
-        candidates are sorted lexicographically by coordinates first."""
+        the member at a uniform rank j of the lexicographic coordinate order
+        (ties between equal rows go to the lower index, as in a stable
+        np.lexsort).  Rank j is selected in O(n) on the first coordinate;
+        only the rows that share its value are sorted on every coordinate."""
         n = len(points)
         if n == 0:
             raise RegistryError("uniform_choice on an empty point set")
-        order = np.lexsort(points.coords.T[::-1])
+        coords = points.coords
         j = int(self.rng.integers(n))
-        k = int(order[j])
-        return points.ids[k], points.coords[k]
+        first = coords[:, 0]
+        k = int(np.argpartition(first, j)[j])
+        same = first == first[k]
+        if np.count_nonzero(same) > 1:
+            tied = np.flatnonzero(same)
+            rank = j - int(np.count_nonzero(first < first[k]))
+            k = int(tied[np.lexsort(coords[tied].T[::-1])[rank]])
+        return points.ids[k], coords[k]
 
     # -- tiered pick ----------------------------------------------------
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hardspheres import cli, poisson
 from hardspheres.construction import ConstructionParams, step_region
@@ -219,6 +221,35 @@ def test_uniform_choice_permutation_invariant():
         RegionRegistry(2, 1.0, seed=9).uniform_choice(
             PointSet(ids=(), coords=np.empty((0, 2)))
         )
+
+
+# Few distinct values, so that first coordinates tie, whole rows repeat, and
+# -0.0 meets 0.0.
+_TIE_VALUES = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda d: st.lists(st.lists(_TIE_VALUES, min_size=d, max_size=d), min_size=1, max_size=40)
+    ),
+    st.integers(0, 2**32 - 1),
+    st.randoms(use_true_random=False),
+)
+def test_uniform_choice_is_the_lexsort_rank(rows, seed, random):
+    coords = np.array(rows)
+    n = len(rows)
+    pts = PointSet(ids=tuple((0, i) for i in range(n)), coords=coords)
+    j = int(RegionRegistry(2, 1.0, seed=seed).rng.integers(n))
+    want = int(np.lexsort(coords.T[::-1])[j])
+    pid, got = RegionRegistry(2, 1.0, seed=seed).uniform_choice(pts)
+    assert pid == (0, want)
+    assert got.tobytes() == coords[want].tobytes()
+    perm = list(range(n))
+    random.shuffle(perm)
+    shuffled = PointSet(ids=tuple((0, i) for i in perm), coords=coords[perm])
+    _, again = RegionRegistry(2, 1.0, seed=seed).uniform_choice(shuffled)
+    assert np.array_equal(again, got)  # equal rows, up to the sign of a zero
 
 
 def test_saturated_pick_basics():
