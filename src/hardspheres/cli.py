@@ -231,15 +231,16 @@ def _step_log_csv(states) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(
-        "layer step vertex kind rule case candidates mode outcome radius".split()
+        "layer step vertex kind rule case candidates mode outcome radius "
+        "mass_lower mass_upper".split()
     )
     for state in states:
         layer = ",".join(str(v) for v in state.layer_vec)
         for step, e in enumerate(state.log):
             radius = None if e.radius is None else f17(e.radius)
             writer.writerow([
-                layer, step, e.vertex, e.kind, e.rule,
-                e.case, e.candidates, e.mode, e.outcome, radius,
+                layer, step, e.vertex, e.kind, e.rule, e.case, e.candidates,
+                e.mode, e.outcome, radius, f17(e.mass_lower), f17(e.mass_upper),
             ])
     return buf.getvalue()
 

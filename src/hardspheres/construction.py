@@ -177,6 +177,8 @@ class StepLog:
     case: str  # "empty" | "isolation-fail" | "good"
     candidates: Optional[int]
     mode: str
+    mass_lower: float  # the pick's mass bracket, PickResult.mass_lower/_upper
+    mass_upper: float
     radius: Optional[float] = None
     good_neighbors: int = 0
     bad_neighbors: int = 0
@@ -344,6 +346,8 @@ def explore_step(state: ExplorationState, w: int, rule: str):
         case="empty",
         candidates=result.n_members,
         mode=result.mode,
+        mass_lower=result.mass_lower,
+        mass_upper=result.mass_upper,
         good_neighbors=good,
         bad_neighbors=bad,
     )

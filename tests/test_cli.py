@@ -1,6 +1,7 @@
 """CLI surface: exit codes, manifests, file outputs, determinism."""
 
 import csv
+import io
 import json
 import os
 import re
@@ -150,6 +151,11 @@ def test_simulate_outputs_and_determinism(tmp_path):
     assert counts["constructed"] + counts["leftovers"] == n_lines
     n_rows = len(steps1.decode().strip().splitlines()) - 1
     assert counts["steps"] == n_rows
+    rows = list(csv.DictReader(io.StringIO(steps1.decode())))
+    brackets = [(float(r["mass_lower"]), float(r["mass_upper"])) for r in rows]
+    assert all(0.0 <= lo <= hi for lo, hi in brackets)
+    # step 0 picks in the origin cell, its own bounding region
+    assert brackets[0][0] == brackets[0][1] > 0.0
 
 
 def test_simulate_stdout_mode(capsys):

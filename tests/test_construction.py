@@ -308,8 +308,24 @@ def test_bad_bond_propagates_to_site():
             assert site not in explored
 
 
+def first_run(run, wanted):
+    """run(seed) at the first program seed from 0 whose outcome passes
+    ``wanted``.  Rule-iii stops are part of the construction at d = 31, so
+    a test that needs a grown cluster picks its seed by this rule instead
+    of pinning one realization."""
+    for seed in range(20):
+        out = run(seed)
+        if wanted(out):
+            return out
+    raise AssertionError("no program seed in 0..19 gives the run this test needs")
+
+
 def test_grown_cluster_invariants():
-    st, spheres = run_layer(params31(), 1)
+    # the first layer that reaches the lattice rim
+    st, spheres = first_run(
+        lambda seed: run_layer(params31(), seed),
+        lambda out: out[0].stopped_reason == STOP_TRUNCATION,
+    )
     assert len(spheres) > 20
     by_vertex = {s.vertex: s for s in spheres}
     for s in spheres:
@@ -373,7 +389,11 @@ def test_truncation_stop_at_minimal_lattice():
 def test_multilayer_gap_and_validation():
     p = params31(eta=0.1)
     layers = [(0,) * 29, (1,) + (0,) * 28]
-    gamma = run_multilayer(p, 2, layers)
+    # the first run whose two layers both construct spheres
+    gamma = first_run(
+        lambda seed: run_multilayer(p, seed, layers),
+        lambda g: set(g.layer[g.vertex >= 0].tolist()) == {0, 1},
+    )
     assert gamma.layers == tuple(layers)
     constructed = gamma.vertex >= 0
     sa, sb = (np.flatnonzero(constructed & (gamma.layer == k)) for k in (0, 1))

@@ -16,7 +16,7 @@ DEMOS = {
                        ["radius 10, 20 trials, seed 0"]),
     "grow_cluster.py": (["--max-steps", "4"], [
         "hard-sphere check: pass",
-        "largest tangency cluster: 4 spheres (4 constructed) within radius 2.674",
+        "largest tangency cluster: 3 spheres (3 constructed) within radius 2.173",
     ]),
     "threshold_scan.py": (["--dim-min", "30", "--dim-max", "32"],
                           ["first dimension with F(lambda*) >= 0.892: 45"]),

@@ -45,10 +45,10 @@ GOLDEN = {
         ["simulate", "--dim", "45", "--lambda", "auto", "--cells-C", "16",
          "--lattice-radius", "12", "--max-steps", "3", "--seed", "7"],
         {
-            "spheres": "5f2730d4996935420361fa2333dc627e84e772f667f2dda352b9c6711f88a352",
-            "steps": "e799edd3fcb0b1b9dbf0825abdbb73eaa49c43bd06b26a09d00dc893e3f0c27b",
-            "counts": "f93c0ebd1f9f0ae5d4eab8987de6c1c407d14c8318ad53fd17baad235a8389cd",
-            "hard_sphere": "a1714d3c6ae91ca74f8c5c6d4d757be6f24c4915ab25ea6d04f64eea1473b70a",
+            "spheres": "5ca67d2214f84d81662c73a5ddf21d657169d8a337374cfffd9605e659ea022a",
+            "steps": "f3a7e71c2c6159de817514a3ae02452dbf8baa789127a4fb82ebdbfaa7b21114",
+            "counts": "5b0f54087ced58776dc8a067abf377f41e5a1d963e59f112a3ab69854ec7a2d8",
+            "hard_sphere": "017d6d34c4fe2a9180252015ee9e27871a6e259ea1640c0068ae38c82eac7ab5",
         },
     ),
     # Two d = 31 layers at 12 lambda*: stored and saturated tiers, clusters
@@ -57,22 +57,23 @@ GOLDEN = {
         ["simulate", "--dim", "31", "--lambda", LAMBDA_D31, "--cells-C", "16",
          "--lattice-radius", "6", "--layers", "2", "--seed", "71"],
         {
-            "spheres": "477ada069498fc8fb89cf115b0db9419a7bc20fdb67451f13e403e128c600e64",
-            "steps": "fd3c0f58370ed710cb043e216e786a0e17eb31f8207766dfa1c2f229ae00bb14",
-            "counts": "4f435746ed4411b6251f462ae15195c809a28e8153be49e2e921717a2dbaaaf5",
-            "hard_sphere": "fca52741bb0baef07ab736c81d0efbc73d17958d9b973327602bc845ba77b20a",
+            "spheres": "a3f1536a12a7b94fea88d8a1572707335e0ae8140d83103e6a970a1af3f5230a",
+            "steps": "6bc4fbb7fbb4a8afe21159219c30647f8aeca54617dee8c33ad6d397d86eb271",
+            "counts": "7cd8548892e73ef17112d968f0381c80bdc7d6cfa67fcd6674a9b13b48424dad",
+            "hard_sphere": "39ec993a2fdff85f355c98655011484c8ddd366217bf3cec0a4198b167555475",
         },
     ),
     # The same two layers at program seed 2 with eta = 0.1: the positive-
-    # radii post-pass grows 6 leftovers and marks 578 window-truncated.
+    # radii post-pass grows 4 leftovers and marks 224 window-truncated; both
+    # layers stop by rule iii.
     "d31-12-lambda-star-2-layers-eta": (
         ["simulate", "--dim", "31", "--lambda", LAMBDA_D31, "--cells-C", "16",
          "--lattice-radius", "6", "--layers", "2", "--seed", "2", "--eta", "0.1"],
         {
-            "spheres": "139679664d2f9498271415df82b9348d334c5af6d373c3637b3ff2eed08ee508",
-            "steps": "e0844d2d7b0cb319ccb09a6fb5ffc0f9cf4f50a0eb83e20b1ce592f6932b25dd",
-            "counts": "26362c6249920a78dbb2e0d5e8987998bf7638e8e40d430ec1329fb4d2f8b2dc",
-            "hard_sphere": "7dd6c88dfe2a10a6363f12b5499386f23e96623d9900bc6301470b1f9e7cfd64",
+            "spheres": "ffe0f17b582422223be02dd12c255ffacf5da0c0218c9916a71905a13a7dfec1",
+            "steps": "0ccb1a9821173a7bb31e550dbad5cb193b18bebb08a97a2123f4a700171adec6",
+            "counts": "d8f4af30b52ad53ff35c09453a3aded3331e7682904e3e44b8a0fbf48f027a47",
+            "hard_sphere": "7acbafb1b2836baec5c27d3bf7d7f68482edb4537a0bde9f17d437a419eddff2",
         },
     ),
     # d = 100 at lambda*, cut to twelve steps: every pick is saturated, and
@@ -82,8 +83,8 @@ GOLDEN = {
         ["simulate", "--dim", "100", "--lambda", "auto", "--cells-C", "32",
          "--lattice-radius", "12", "--max-steps", "12", "--seed", "7"],
         {
-            "spheres": "854b4b126ef39433240b558c11d58b64b5861fa671d2a9b555c2b5674b6becc6",
-            "steps": "17351c2add223b4b7137ad02ace755d259e37f834e983724a62ec39abb919e1b",
+            "spheres": "72a4d61881711faae21d7cd15d580977bbf562ddb3c961f373ba069bb80ba2cf",
+            "steps": "7c3d24304f33083dfc7134f81364216caf9561dd1ce3f998a5bd1ce3bb3f5b89",
             "counts": "0ad78279ad02a7e1eaa8d322cece518c543eab340c2efaf29570d0f9208988f7",
             "hard_sphere": "37ba5ea7f479cf710786eac7e2311c5236927a738a45204b3b3dd0d31aed9ded",
         },
@@ -115,7 +116,7 @@ def test_simulate_golden_digests(name, tmp_path):
     assert got == want
     if name.endswith("-eta"):
         assert man["annotations"] == {
-            "leftovers_grown": 6, "leftovers_window_truncated": 578
+            "leftovers_grown": 4, "leftovers_window_truncated": 224
         }
     else:
         assert man["annotations"] == {}
@@ -126,7 +127,7 @@ def test_simulate_golden_digests(name, tmp_path):
 
 # The registry dump of the d45 golden run's only layer.  cmd_simulate seeds
 # layer 0 with derive_seed(seed, 11, 0).
-D45_REGISTRY_DUMP = "658b1e61649edd3c3c7a3044e8961ce262b7a7f89b01464722904c6b2dcefec4"
+D45_REGISTRY_DUMP = "d62e340231848e30f4cd2dcc11f0cd99bfe089baaeefbc736ce2e6086dc16e5c"
 
 
 def test_d45_layer_registry_dump_digest():

@@ -265,6 +265,27 @@ def test_saturated_pick_basics():
     assert res.point_id in got.ids
     m = reg.metrics()
     assert m["stored_points"] == 1
+    assert m["sea_candidates"] == poisson._SEA_FIRST_ROWS  # every row lands
+
+
+def test_sea_pick_draws_a_full_block_after_a_missed_first_block(monkeypatch):
+    bounding = Ball(np.zeros(2), 40.0)
+    zone = Ball(np.zeros(2), 39.0)  # mass ~ 4778 >= 4096
+    contains = Ball.contains
+
+    def first_block_misses(self, pts):
+        inside = contains(self, pts)
+        if self is zone and len(pts) == poisson._SEA_FIRST_ROWS:
+            inside[:] = False
+        return inside
+
+    monkeypatch.setattr(Ball, "contains", first_block_misses)
+    reg = RegionRegistry(2, 1.0, seed=10, store_cap=5.0, stream_cap=10.0)
+    res = reg.pick_in_region(zone, bounding, zone.volume())
+    assert res.mode == "saturated"
+    assert contains(zone, res.coords[None, :])[0]
+    drawn = poisson._SEA_FIRST_ROWS + poisson._SEA_BLOCK_ROWS
+    assert reg.metrics()["sea_candidates"] == drawn
 
 
 def test_saturated_requires_mass_floor():
