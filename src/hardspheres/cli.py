@@ -62,15 +62,26 @@ def _default_seed() -> int:
         raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {text!r}") from None
 
 
-def _manifest(command: str, config: dict, seed: int, t0: float) -> dict:
+def _manifest(command: str, config: dict, seed: int) -> dict:
     return {
         "version": __version__,
         "command": command,
         "config": config,
         "seed": seed,
         "rng_algorithm": RNG_ALGORITHM,
-        "wall_time_seconds": time.perf_counter() - t0,
     }
+
+
+def _stamp(man: dict, t0: float):
+    """Set the manifest's wall time since t0; called after all of the
+    command's other work, just before the manifest is written."""
+    man["wall_time_seconds"] = time.perf_counter() - t0
+
+
+def _since(t: float) -> tuple:
+    """(now, seconds from t to now) on the perf_counter clock."""
+    now = time.perf_counter()
+    return now, now - t
 
 
 def _check_writable(*paths: str):
@@ -122,7 +133,7 @@ def cmd_bounds_scan(args) -> int:
         "threshold": args.threshold,
         "format": args.format,
     }
-    man = _manifest("bounds-scan", config, seed=0, t0=t0)
+    man = _manifest("bounds-scan", config, seed=0)
     man["min_dimension"] = min_d
     if args.format == "csv":
         fields = [
@@ -154,15 +165,18 @@ def cmd_bounds_scan(args) -> int:
         if args.out:
             with open(args.out, "w") as fh:
                 fh.write(buf.getvalue())
+            _stamp(man, t0)
             _emit_json(man, args.out + ".manifest.json")
         else:
             sys.stdout.write(buf.getvalue())
+            _stamp(man, t0)
             sys.stderr.write(json.dumps(man, sort_keys=True) + "\n")
     else:
         doc = {
             "manifest": man,
             "results": [dataclasses.asdict(r) for r in rows],
         }
+        _stamp(man, t0)
         _emit_json(doc, args.out)
     print(f"min dimension at threshold {args.threshold}: {min_d}", file=sys.stderr)
     return EXIT_OK
@@ -192,35 +206,42 @@ def _resolve_C(spec: str, d: int) -> float:
         raise ValueError(f"{exc}; pass --cells-C explicitly") from exc
 
 
-# Rows per block of the spheres file: at d = 31 one block is about 1.4 MB
-# of columns before the NULs go.
-SPHERE_BLOCK_ROWS = 1024
+# Bytes of g17 columns per block of the spheres file (at least one row):
+# 142 rows at d = 45, 204 at d = 31.  glibc gives large temporaries back to
+# the kernel when a block frees them (it unmaps them or trims its heap), so
+# the next block faults their pages in again: 1,024-row blocks took 9-12 k
+# minor faults per 3-step d = 45 run.  The temporaries of blocks this small
+# stay in the heap and are reused.
+SPHERE_BLOCK_BYTES = 1 << 18
 
 
 def _sphere_blocks(gamma):
     """The spheres file as ASCII blocks of whole lines, one line per sphere:
     ``layer|vertex|kind|radius|coords``, the layer vector comma-joined,
     floats as ``%.17g`` (the same digits as f17).  Each block is formatted
-    from gamma's columns by g17_text and yielded at once, so a file
-    receives it without the whole text being held."""
+    from gamma's columns by one g17_text call and yielded at once, so a
+    file receives it without the whole text being held."""
     centers, radii = gamma.centers, gamma.radii
     n, d = centers.shape
+    block = max(1, SPHERE_BLOCK_BYTES // ((d + 1) * g17.WIDTH))
     seps = np.full(d + 1, ord(" "), dtype=np.uint8)
     seps[0], seps[-1] = ord("|"), ord("\n")
     layers = [",".join(str(v) for v in vec) for vec in gamma.layers]
-    for start in range(0, n, SPHERE_BLOCK_ROWS):
-        stop = min(start + SPHERE_BLOCK_ROWS, n)
+    values = np.empty((min(block, n), d + 1))
+    for start in range(0, n, block):
+        stop = min(start + block, n)
         heads = [
             f"{layers[k]}|{v}|{'constructed' if v >= 0 else 'leftover'}|"
             for k, v in zip(gamma.layer[start:stop].tolist(), gamma.vertex[start:stop].tolist())
         ]
         head = np.array(heads, dtype=bytes)
         rows, width = stop - start, head.itemsize
+        values[:rows, 0] = radii[start:stop]
+        values[:rows, 1:] = centers[start:stop]
         text = np.empty((rows, width + (d + 1) * g17.WIDTH), dtype=np.uint8)
         text[:, :width] = head.view(np.uint8).reshape(rows, width)
         fields = text[:, width:].reshape(rows, d + 1, g17.WIDTH)
-        fields[:, 0] = g17.g17_text(radii[start:stop])
-        fields[:, 1:] = g17.g17_text(centers[start:stop])
+        fields[:] = g17.g17_text(values[:rows])
         fields[:, :, -1] = seps
         yield text.tobytes().translate(None, b"\0")
 
@@ -265,9 +286,13 @@ def cmd_simulate(args) -> int:
         max_steps=args.max_steps,
     )
     vecs = [(k,) + (0,) * (args.dim - 3) for k in range(args.layers)]
+    t = time.perf_counter()
     gamma = run_multilayer(params, seed, vecs)
+    t, layers_s = _since(t)
     report = verify_hard_sphere(gamma)
+    t, verify_s = _since(t)
     cluster_sizes = np.bincount(cluster_components(gamma))
+    t, clusters_s = _since(t)
     states = gamma.layer_states
     config = {
         "dim": args.dim,
@@ -281,7 +306,7 @@ def cmd_simulate(args) -> int:
         "max_steps": args.max_steps,
         "out": args.out,
     }
-    man = _manifest("simulate", config, seed, t0)
+    man = _manifest("simulate", config, seed)
     man["stop_reasons"] = {
         ",".join(map(str, st.layer_vec)): st.stopped_reason for st in states
     }
@@ -300,6 +325,7 @@ def cmd_simulate(args) -> int:
         "violations": list(report.violations),
     }
     man["annotations"] = gamma.annotations
+    t = time.perf_counter()
     steps_text = _step_log_csv(states)
     if args.out:
         spheres, steps, manifest = (args.out + ext for ext in SIMULATE_OUTPUTS)
@@ -307,11 +333,19 @@ def cmd_simulate(args) -> int:
             fh.writelines(_sphere_blocks(gamma))
         with open(steps, "w") as fh:
             fh.write(steps_text)
-        _emit_json(man, manifest)
     else:
+        manifest = None
         man["spheres"] = b"".join(_sphere_blocks(gamma)).decode()
         man["step_log"] = steps_text
-        _emit_json(man, None)
+    # Disjoint phases of the run, so their sum is at most the wall time.
+    man["timings"] = {
+        "layers_s": layers_s,
+        "verify_s": verify_s,
+        "clusters_s": clusters_s,
+        "write_s": _since(t)[1],
+    }
+    _stamp(man, t0)
+    _emit_json(man, manifest)
     if not report.passed:
         print(
             f"hard-sphere violations: {len(report.violations)}", file=sys.stderr
@@ -335,8 +369,9 @@ def cmd_perc2d(args) -> int:
         "radius": args.radius,
         "trials": args.trials,
     }
-    man = _manifest("perc2d", config, seed, t0)
+    man = _manifest("perc2d", config, seed)
     doc = {"manifest": man, "theta": est.to_dict()}
+    _stamp(man, t0)
     _emit_json(doc, args.out)
     return EXIT_OK
 
@@ -366,9 +401,10 @@ def cmd_verify(args) -> int:
     except checks.TooFewSamples as exc:
         raise ValueError(f"{exc}; raise --budget") from exc
     config = {"suite": args.suite, "budget": budget, "dim": d}
-    man = _manifest("verify", config, seed, t0)
+    man = _manifest("verify", config, seed)
     passed = all(c["passed"] for c in rows)
     doc = {"manifest": man, "checks": rows, "passed": passed}
+    _stamp(man, t0)
     _emit_json(doc, args.out)
     return EXIT_OK if passed else EXIT_STAT_FAIL
 

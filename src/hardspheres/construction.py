@@ -461,51 +461,65 @@ class GammaProcess:
         return pairs
 
 
+def _layer_rows(state, d: int):
+    """One layer's rows as (centers, radii, vertex, point_ids) columns, with
+    its count of unlisted stream points: the constructed spheres in step
+    order, then the leftovers in point-id order.  The leftovers are the
+    points the records hold, less the consumed ones, plus the failed picks
+    that surfaced from streams, each once."""
+    reg = state.registry
+    spheres = list(state.spheres.values())
+    realized = reg.realized_points()
+    # Record r holds the rows first[r]:first[r + 1]; a streamed record none.
+    first = np.searchsorted(realized.ids[:, 0], np.arange(len(reg.records) + 1))
+    n_held = np.diff(first)
+    consumed = np.array([s.point_id for s in spheres], dtype=np.intp).reshape(-1, 2)
+    held = consumed[:, 1] < n_held[consumed[:, 0]]
+    keep = np.ones(len(realized.ids), dtype=bool)
+    keep[first[consumed[held, 0]] + consumed[held, 1]] = False
+    # Streamed points exist only as replayable counts; the ones whose
+    # coordinates did surface (consumed centers, failed picks) are
+    # accounted here, the rest are reported as a count.
+    surfaced = set(map(tuple, consumed[~held].tolist()))
+    extra_ids, extra_coords = [], []
+    for pid, coords in state.failed_picks:
+        if pid[1] >= n_held[pid[0]] and pid not in surfaced:
+            surfaced.add(pid)
+            extra_ids.append(pid)
+            extra_coords.append(coords)
+    ids, coords = realized.ids, realized.coords
+    rows = np.flatnonzero(keep)
+    if extra_ids:
+        rows = np.concatenate((rows, len(ids) + np.arange(len(extra_ids))))
+        ids = np.concatenate((ids, np.array(extra_ids, dtype=np.intp)))
+        coords = np.concatenate((coords, extra_coords))
+        rows = rows[np.lexsort((ids[rows, 1], ids[rows, 0]))]
+    n = len(spheres)
+    radii = np.zeros(n + rows.size)
+    radii[:n] = [s.radius for s in spheres]
+    vertex = np.full(n + rows.size, -1, dtype=np.intp)
+    vertex[:n] = [s.vertex for s in spheres]
+    columns = (
+        np.concatenate((np.reshape([s.center for s in spheres], (n, d)), coords[rows])),
+        radii,
+        vertex,
+        np.concatenate((consumed, ids[rows])),
+    )
+    streamed_fresh = sum(rec.n_fresh for rec in reg.records if rec.mode == "streamed")
+    return columns, streamed_fresh - len(surfaced)
+
+
 def assemble_gamma(params: ConstructionParams, states) -> GammaProcess:
     """Merge layer runs into one process: each layer's constructed spheres,
     then its leftovers in point-id order.  Streamed points are realized but
     not stored; they are reported by count and stay out of the columns
     (documented restriction of the finite simulation)."""
-    centers: list = []
-    radii: list = []
-    vertex: list = []
-    point_ids: list = []
-    n_rows = []
-    n_stream_leftovers = 0
-    for state in states:
-        reg = state.registry
-        realized = reg.realized_points()
-        listed = dict(zip(realized.ids, realized.coords))
-        for pid, coords in state.failed_picks:
-            listed.setdefault(pid, coords)
-        spheres = state.spheres.values()
-        consumed = {s.point_id for s in spheres}
-        for pid in consumed:
-            listed.pop(pid, None)
-        left = sorted(listed)
-        centers += [s.center for s in spheres] + [listed[pid] for pid in left]
-        radii += [s.radius for s in spheres] + [0.0] * len(left)
-        vertex += [s.vertex for s in spheres] + [-1] * len(left)
-        point_ids += [s.point_id for s in spheres] + left
-        n_rows.append(len(spheres) + len(left))
-        # Streamed points exist only as replayable counts; the ones whose
-        # coordinates did surface (consumed centers, failed picks) are
-        # accounted above, the rest are reported as a count.
-        streamed_fresh = 0
-        for rec in reg.records:
-            if rec.mode == "streamed":
-                streamed_fresh += rec.n_fresh
-        surfaced = {
-            pid
-            for pid in consumed | {p for p, _ in state.failed_picks}
-            if reg.records[pid[0]].mode == "streamed"
-        }
-        n_stream_leftovers += streamed_fresh - len(surfaced)
-    centers = np.asarray(centers, dtype=float).reshape(-1, params.d)
-    radii = np.asarray(radii, dtype=float)
-    vertex = np.asarray(vertex, dtype=np.intp)
-    layer = np.repeat(np.arange(len(states)), n_rows)
-    point_ids = np.asarray(point_ids, dtype=np.intp).reshape(-1, 2)
+    layers = [_layer_rows(state, params.d) for state in states]
+    centers, radii, vertex, point_ids = (
+        np.concatenate([columns[k] for columns, _ in layers]) for k in range(4)
+    )
+    layer = np.repeat(np.arange(len(states)), [len(columns[1]) for columns, _ in layers])
+    n_stream_leftovers = sum(n for _, n in layers)
     annotations = {}
     if params.eta > 0:
         annotations = _reassign_leftover_radii(

@@ -143,13 +143,14 @@ def g17_text(x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     flat = x.ravel()
     a = np.abs(flat)
-    fast = (a >= FAST_MIN) & (a < FAST_MAX)
-    if fast.all():
-        words = _fast(flat)
+    slow = np.flatnonzero(~((a >= FAST_MIN) & (a < FAST_MAX)))
+    if slow.size:
+        # One fast pass over every value, 1.0 standing in for the few slow
+        # ones, whose words are then overwritten.
+        stand_in = flat.copy()
+        stand_in[slow] = 1.0
+        words = _fast(stand_in)
+        words[slow] = _slow(flat[slow])
     else:
-        words = np.empty((flat.shape[0], WIDTH // 8), dtype=np.uint64)
-        for where, part in ((fast, _fast), (~fast, _slow)):
-            idx = np.flatnonzero(where)
-            if idx.size:
-                words[idx] = part(flat[idx])
+        words = _fast(flat)
     return words.view(np.uint8).reshape(x.shape + (WIDTH,))

@@ -147,9 +147,10 @@ def mecke_coin(j: int, mu_lo: float, rng, aux_counts) -> bool:
 @dataclass(frozen=True)
 class PointSet:
     """Points of the process inside one query region.  ids are stable
-    (record_id, local_index) pairs; coords is (n, d)."""
+    (record_id, local_index) pairs, a tuple of tuples or an (n, 2) intp
+    array; coords is (n, d)."""
 
-    ids: tuple
+    ids: tuple | np.ndarray
     coords: np.ndarray
 
     def __len__(self) -> int:
@@ -590,15 +591,16 @@ class RegionRegistry:
     def realized_points(self) -> PointSet:
         """Every determined point the registry stores coordinates for
         (stored fresh points and saturated picks; streamed candidates are
-        replay-derived and reported by count only)."""
+        replay-derived and reported by count only), in id order, with the
+        ids as an (n, 2) intp array."""
         held = [r for r in self.records if r.coords is not None and len(r.coords)]
+        if not held:
+            return PointSet(np.empty((0, 2), dtype=np.intp), np.empty((0, self.dim)))
+        rids = np.repeat([r.rid for r in held], [len(r.coords) for r in held])
+        index = np.concatenate([np.arange(len(r.coords)) for r in held])
         return PointSet(
-            ids=tuple((r.rid, i) for r in held for i in range(len(r.coords))),
-            coords=(
-                np.concatenate([r.coords for r in held])
-                if held
-                else np.empty((0, self.dim))
-            ),
+            ids=np.stack((rids, index), axis=1).astype(np.intp, copy=False),
+            coords=np.concatenate([r.coords for r in held]),
         )
 
     def metrics(self) -> dict:

@@ -8,7 +8,7 @@ from hardspheres.geometry import Annulus, Ball, Cell, StepShell
 
 def registry_snapshot(registry) -> tuple:
     """One (rid, mode, pickled region, candidates, fresh) tuple per record,
-    the realized point ids, and the raw bytes of their coordinates.  Two
+    and the raw bytes of the realized point ids and of their coordinates.  Two
     runs of one configuration with equal snapshots have equal
     registry_dump() text; comparing bytes also tells -0.0 from 0.0, and it
     skips formatting every coordinate."""
@@ -17,7 +17,7 @@ def registry_snapshot(registry) -> tuple:
         for r in registry.records
     )
     points = registry.realized_points()
-    return records, points.ids, points.coords.tobytes()
+    return records, points.ids.tobytes(), points.coords.tobytes()
 
 
 def registry_dump(registry) -> str:

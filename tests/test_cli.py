@@ -141,6 +141,7 @@ def test_simulate_outputs_and_determinism(tmp_path):
     man2 = read_json(str(out2) + ".manifest.json")
     for man in (man1, man2):
         man.pop("wall_time_seconds")
+        man.pop("timings")
         man["config"].pop("out")
     assert man1 == man2
     assert man1["seed"] == 3
@@ -156,6 +157,17 @@ def test_simulate_outputs_and_determinism(tmp_path):
     assert all(0.0 <= lo <= hi for lo, hi in brackets)
     # step 0 picks in the origin cell, its own bounding region
     assert brackets[0][0] == brackets[0][1] > 0.0
+
+
+@pytest.mark.parametrize("out", [True, False])
+def test_simulate_timings_fit_in_the_wall_time(tmp_path, capsys, out):
+    prefix = tmp_path / "run"
+    assert main(SIM5 + ["--seed", "3"] + (["--out", str(prefix)] if out else [])) == EXIT_OK
+    man = read_json(str(prefix) + ".manifest.json") if out else json.loads(capsys.readouterr().out)
+    timings = man["timings"]
+    assert sorted(timings) == ["clusters_s", "layers_s", "verify_s", "write_s"]
+    assert all(t >= 0 for t in timings.values())
+    assert sum(timings.values()) <= man["wall_time_seconds"]
 
 
 def test_simulate_stdout_mode(capsys):

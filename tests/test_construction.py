@@ -486,6 +486,101 @@ def test_stream_leftovers_counted_not_listed(monkeypatch):
         assert np.array_equal(gamma.centers[rows[pid]], xy)
 
 
+def dict_assembly(params, states):
+    """The reference assembly, point by point: each layer's realized and
+    failed-pick points in a dict keyed by point id, less the consumed ones,
+    listed in sorted id order.  Returns assemble_gamma's columns, the
+    stream leftover count and the annotations."""
+    centers, radii, vertex, point_ids, n_rows = [], [], [], [], []
+    n_stream_leftovers = 0
+    for state in states:
+        reg = state.registry
+        realized = reg.realized_points()
+        listed = dict(zip(map(tuple, realized.ids.tolist()), realized.coords))
+        for pid, coords in state.failed_picks:
+            listed.setdefault(pid, coords)
+        spheres = state.spheres.values()
+        consumed = {s.point_id for s in spheres}
+        for pid in consumed:
+            listed.pop(pid, None)
+        left = sorted(listed)
+        centers += [s.center for s in spheres] + [listed[pid] for pid in left]
+        radii += [s.radius for s in spheres] + [0.0] * len(left)
+        vertex += [s.vertex for s in spheres] + [-1] * len(left)
+        point_ids += [s.point_id for s in spheres] + left
+        n_rows.append(len(spheres) + len(left))
+        streamed_fresh = sum(rec.n_fresh for rec in reg.records if rec.mode == "streamed")
+        surfaced = {
+            pid
+            for pid in consumed | {p for p, _ in state.failed_picks}
+            if reg.records[pid[0]].mode == "streamed"
+        }
+        n_stream_leftovers += streamed_fresh - len(surfaced)
+    centers = np.asarray(centers, dtype=float).reshape(-1, params.d)
+    radii = np.asarray(radii, dtype=float)
+    vertex = np.asarray(vertex, dtype=np.intp)
+    layer = np.repeat(np.arange(len(states)), n_rows)
+    point_ids = np.asarray(point_ids, dtype=np.intp).reshape(-1, 2)
+    annotations = {}
+    if params.eta > 0:
+        annotations = construction._reassign_leftover_radii(
+            centers, radii, np.flatnonzero(vertex < 0), layer, point_ids, states
+        )
+    columns = dict(
+        centers=centers, radii=radii, vertex=vertex, layer=layer, point_ids=point_ids
+    )
+    return columns, n_stream_leftovers, annotations
+
+
+def small_store(monkeypatch):
+    monkeypatch.setattr(
+        construction, "RegionRegistry", functools.partial(RegionRegistry, store_cap=4.0)
+    )
+
+
+@pytest.mark.parametrize(
+    "params, seed, n_layers, setup",
+    [
+        (ConstructionParams(d=5, C=4.0, lam=5.0), 0, 1, None),  # stored tier only
+        # failed picks from streamed records, as in
+        # test_stream_leftovers_counted_not_listed
+        (params31(), 2, 1, small_store),
+        (params31(), 0, 2, None),
+        (params31(eta=0.1), 2, 2, None),
+    ],
+    ids=["d5-stored", "d31-streamed", "d31-two-layers", "d31-eta"],
+)
+def test_columnar_assembly_matches_the_dict_assembly(monkeypatch, params, seed, n_layers, setup):
+    if setup is not None:
+        setup(monkeypatch)
+    layers = [(k,) + (0,) * (params.d - 3) for k in range(n_layers)]
+    gamma = run_multilayer(params, seed, layers)
+    want, n_stream_leftovers, annotations = dict_assembly(params, gamma.layer_states)
+    assert gamma.centers.tobytes() == want["centers"].tobytes()
+    for name in ("radii", "vertex", "layer", "point_ids"):
+        got = getattr(gamma, name)
+        assert got.dtype == want[name].dtype and np.array_equal(got, want[name]), name
+    assert gamma.n_stream_leftovers == n_stream_leftovers
+    assert gamma.annotations == annotations
+
+
+def test_columnar_assembly_lists_a_repicked_stream_point_once(monkeypatch):
+    # A streamed point can be picked again by a later step whose region
+    # reaches it: it fails twice, or fails and is then consumed.
+    small_store(monkeypatch)
+    p = params31()
+    state = run_multilayer(p, 2, [(0,) * 29]).layer_states[0]
+    streamed = [rec.mode == "streamed" for rec in state.registry.records]
+    failed = next(f for f in state.failed_picks if streamed[f[0][0]])
+    sphere = next(s for s in state.spheres.values() if streamed[s.point_id[0]])
+    state.failed_picks += [failed, (sphere.point_id, sphere.center)]
+    gamma = assemble_gamma(p, [state])
+    want, n_stream_leftovers, _ = dict_assembly(p, [state])
+    assert gamma.centers.tobytes() == want["centers"].tobytes()
+    assert np.array_equal(gamma.point_ids, want["point_ids"])
+    assert gamma.n_stream_leftovers == n_stream_leftovers
+
+
 def test_eta_postpass_grows_leftovers():
     p = params31(eta=0.1)
     gamma = run_multilayer(p, 2, [(0,) * 29, (1,) + (0,) * 28])

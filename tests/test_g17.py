@@ -99,6 +99,19 @@ def test_values_outside_the_fast_path():
     assert texts([-0.0, math.nan])[0] == "-0"
 
 
+def test_slow_values_scattered_through_a_fast_block():
+    # g17_text formats the whole block on the fast path, 1.0 standing in
+    # for the slow values, then overwrites their words.
+    rng = np.random.default_rng(29)
+    mags = 10.0 ** rng.uniform(math.log10(FAST_MIN), math.log10(FAST_MAX), 24_000)
+    values = mags * rng.choice([-1.0, 1.0], mags.size)
+    tiny = struct.unpack("<d", struct.pack("<Q", 3))[0]
+    slow = [0.0, -0.0, tiny, -2.2250738585072009e-308, math.inf, -math.inf, math.nan, 9.99e-5, 1e15]
+    hit = rng.choice(values.size, size=24, replace=False)  # 0.1%
+    values[hit] = np.resize(slow, hit.size)
+    assert_matches(values)
+
+
 def test_shapes_and_mixed_blocks():
     rng = np.random.default_rng(3)
     values = rng.normal(size=(7, 5)) * 10.0 ** rng.integers(-8, 20, size=(7, 5))

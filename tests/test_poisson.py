@@ -530,10 +530,11 @@ def test_realized_points_inventory():
     inv = reg.realized_points()
     # stream candidates are replay-derived: only stored coords and the
     # saturated pick are inventory, in record order
-    assert inv.ids == stored.ids + ((2, 0),)
+    assert inv.ids.dtype == np.intp
+    assert inv.ids.tolist() == [list(pid) for pid in stored.ids + ((2, 0),)]
     assert np.array_equal(inv.coords, np.vstack([stored.coords, sat.coords]))
     if res.status == "picked":
-        assert res.point_id not in inv.ids
+        assert list(res.point_id) not in inv.ids.tolist()
     # a region holding points of all three tiers collects each tier's own
     streamed = reg.collect(ball2(0, 0, 0.8))
     assert len(stored) > 0 and len(streamed) > 0

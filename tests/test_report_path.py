@@ -356,22 +356,35 @@ def mixed_gamma(rng, d, n):
     return make_gamma(list(centers), radii, layers=layers, vertices=vertices)
 
 
-@pytest.mark.parametrize("rows", [1, 5, 7, 8, 15])
-def test_sphere_dump_across_small_blocks(monkeypatch, rows):
-    monkeypatch.setattr(cli, "SPHERE_BLOCK_ROWS", rows)
+# A row of mixed_gamma(rng, 4, n) is 5 values of g17.WIDTH = 40 columns,
+# 200 bytes; each case is named by the rows a block holds.
+@pytest.mark.parametrize(
+    "budget, rows",
+    [
+        pytest.param(1, 1, id="under-one-row"),
+        pytest.param(200, 1, id="1"),
+        pytest.param(1000, 5, id="5"),
+        pytest.param(1599, 7, id="7"),
+        pytest.param(1600, 8, id="8"),
+        pytest.param(3199, 15, id="15"),
+    ],
+)
+def test_sphere_dump_across_small_blocks(monkeypatch, budget, rows):
+    monkeypatch.setattr(cli, "SPHERE_BLOCK_BYTES", budget)
     gamma = mixed_gamma(np.random.default_rng(rows), 4, 3 * 7 + 1)
+    n = len(gamma.radii)
     blocks = list(_sphere_blocks(gamma))
-    assert len(blocks) == -(-len(gamma.radii) // rows)
+    assert [b.count(b"\n") for b in blocks] == [rows] * (n // rows) + [n % rows] * (n % rows > 0)
     assert all(b.endswith(b"\n") for b in blocks)
     assert b"".join(blocks).decode() == old_sphere_dump(gamma)
 
 
 def test_sphere_dump_across_default_blocks():
-    rows = cli.SPHERE_BLOCK_ROWS
-    gamma = mixed_gamma(np.random.default_rng(0), 3, 2 * rows + 1)
-    blocks = list(_sphere_blocks(gamma))
-    assert [b.count(b"\n") for b in blocks] == [rows, rows, 1]
-    assert b"".join(blocks).decode() == old_sphere_dump(gamma)
+    for d, rows in ((3, 1638), (31, 204), (45, 142)):
+        gamma = mixed_gamma(np.random.default_rng(d), d, 2 * rows + 1)
+        blocks = list(_sphere_blocks(gamma))
+        assert [b.count(b"\n") for b in blocks] == [rows, rows, 1]
+        assert b"".join(blocks).decode() == old_sphere_dump(gamma)
 
 
 def test_isolated_leftovers_beside_touching_chains():
