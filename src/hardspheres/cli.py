@@ -227,14 +227,23 @@ def _sphere_blocks(gamma):
     seps = np.full(d + 1, ord(" "), dtype=np.uint8)
     seps[0], seps[-1] = ord("|"), ord("\n")
     layers = [",".join(str(v) for v in vec) for vec in gamma.layers]
+    # A leftover's head depends on its layer alone; only the constructed
+    # rows (few, and first in each layer) are formatted one by one.
+    leftover_heads = np.array([f"{layer}|-1|leftover|" for layer in layers], dtype=bytes)
     values = np.empty((min(block, n), d + 1))
     for start in range(0, n, block):
         stop = min(start + block, n)
-        heads = [
-            f"{layers[k]}|{v}|{'constructed' if v >= 0 else 'leftover'}|"
-            for k, v in zip(gamma.layer[start:stop].tolist(), gamma.vertex[start:stop].tolist())
-        ]
-        head = np.array(heads, dtype=bytes)
+        layer, vertex = gamma.layer[start:stop], gamma.vertex[start:stop]
+        built = np.flatnonzero(vertex >= 0)
+        built_heads = np.array(
+            [
+                f"{layers[k]}|{v}|constructed|"
+                for k, v in zip(layer[built].tolist(), vertex[built].tolist())
+            ],
+            dtype=bytes,
+        )
+        head = leftover_heads[layer].astype(np.result_type(leftover_heads, built_heads))
+        head[built] = built_heads
         rows, width = stop - start, head.itemsize
         values[:rows, 0] = radii[start:stop]
         values[:rows, 1:] = centers[start:stop]

@@ -23,7 +23,6 @@ are computed from them.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -453,8 +452,9 @@ class GammaProcess:
 
     @functools.cached_property
     def pairs(self):
-        """_contact_pairs of the spheres at CONTACT_TOL, computed once: the
-        hard-sphere check and the cluster search ask for the same pairs."""
+        """The pairs of spheres within contact distance, _contact_pairs at
+        CONTACT_TOL, computed once: the hard-sphere check and the cluster
+        search ask for the same pairs."""
         pairs = _contact_pairs(self.centers, self.radii, CONTACT_TOL)
         for arr in pairs:
             arr.flags.writeable = False
@@ -641,46 +641,118 @@ def _assert_interlayer_gaps(gamma: GammaProcess):
 
 @dataclass(frozen=True)
 class HardSphereReport:
+    """The overlap check of verify_hard_sphere.  ``n_pairs_checked`` is the
+    number of pairs within contact distance, |x_i - x_j| <= r_i + r_j +
+    CONTACT_TOL (GammaProcess.pairs): every pair that could overlap is one
+    of them, and no other pair is counted."""
+
     n_pairs_checked: int
     violations: tuple  # (i, j, deficit)
     passed: bool
 
 
-# A distance summed by numpy or cKDTree differs from math.dist by a few
-# ulps (about d/2 relative ulps from the summed squares), or by up to
-# ~1e-160 absolute once squares underflow.  Pairs this close to a threshold
-# are re-decided by math.dist, so every decision is the one math.dist makes.
+# A distance summed by numpy differs from math.dist by a few ulps (about
+# d/2 relative ulps from the summed squares), or by up to ~1e-160 absolute
+# once squares underflow.  Pairs this close to a threshold are re-decided by
+# math.dist, so every decision is the one math.dist makes.
 _TIE_REL = 1e-12
 _TIE_ABS = 1e-150
+# Entries per block of the contact search's matrix product: each of its
+# temporaries holds at most this many floats (512 kB), however many spheres
+# there are.
+PAIR_BLOCK = 1 << 16
+
+
+def _reach_sq(r_sum, norm_sum, slack: float, gamma: float):
+    """Candidate bound on the rounded squared distance of a pair whose
+    radii sum to r_sum and whose center norms sum to norm_sum (see
+    _contact_pairs).  Monotone in both sums, operation by operation."""
+    return ((r_sum + slack) * (1.0 + _TIE_REL)) ** 2 + gamma * norm_sum**2 + _TIE_ABS**2
 
 
 def _contact_pairs(centers: np.ndarray, radii: np.ndarray, slack: float):
-    """Pairs (i, j), i < j, with |x_i - x_j| <= r_i + r_j + slack, as index
-    arrays (I, J) in lexicographic order.  Two zero-radius spheres can
-    never satisfy that (distinct points, slack at tolerance scale), so only
-    positive-radius spheres seed the queries.  Their query radius is
-    widened by _TIE_REL, so that the tree's own rounding cannot drop a pair
-    whose math.dist lies exactly on a threshold."""
-    from scipy.spatial import cKDTree
+    """Pairs (i, j), i < j, with math.dist(x_i, x_j) <= r_i + r_j + slack,
+    as index arrays (I, J) in lexicographic order.  Two zero-radius spheres
+    can never satisfy that (distinct points, slack at tolerance scale), so
+    only pairs with a positive radius are searched.
 
-    n = len(radii)
+    The search squares distances by one matrix product, the positive-radius
+    centers against all centers, in blocks of at most PAIR_BLOCK entries:
+
+        D_ij = fl(e_ij + s_i),  e_ij = fl(s_j + h_ij),  s_i = fl(x_i . x_i),
+                                                       h_ij = fl(-2 x_i . x_j).
+
+    Written out, |x_i - x_j|^2 = sum_k x_ik^2 + sum_k x_jk^2 - 2 sum_k
+    x_ik x_jk is a sum of 3d products.  Each of the three inner products
+    rounds each of its terms at most d times, in any summation order the
+    BLAS picks (Higham, Accuracy and Stability of Numerical Algorithms,
+    2002, section 3.1), scaling x_i by -2 is exact, and the two additions
+    round every term at most twice more.  So D_ij is that sum
+    with every term scaled by some 1 + theta, |theta| <= gamma_{d+2} =
+    (d + 2) u / (1 - (d + 2) u), u = 2^-53, and
+
+        |D_ij - |x_i - x_j|^2| <= gamma_{d+2} (|x_i|^2 + |x_j|^2 + 2 |x_i|.|x_j|)
+                               <= gamma_{d+2} (|x_i| + |x_j|)^2,
+
+    by Cauchy-Schwarz, plus at most 3d + 2 times 2^-1075 where products
+    underflow.  math.dist is within an ulp of the distance, so a pair with
+    math.dist <= r_i + r_j + slack has
+
+        D_ij <= ((r_i + r_j + slack)(1 + _TIE_REL))^2 + 2 gamma_{d+2} (|x_i| + |x_j|)^2
+                + _TIE_ABS^2,
+
+    which is the candidate test.  The factor 1 + _TIE_REL covers math.dist's
+    ulp and the rounding of the square; the factor 2 on gamma covers the
+    rounding of the bound's own terms, which |x_i| takes from the rounded
+    s_i (a relative error far below 1); _TIE_ABS^2 covers underflow.  A
+    block first keeps the entries e_ij below its row's loosest bound L_i,
+    the bound at the largest radius and norm of any column, shifted by
+    -s_i: the bound is monotone in both, so no candidate is lost.  Each
+    candidate is then decided by _dist_below, the decision math.dist makes,
+    so the pairs do not depend on the BLAS, its summation order or its
+    thread count.  The cost is a product of (positives x points x d)
+    flops, against the near-linear cost of a tree search: cheap while the
+    positive radii are a small share of the points."""
+    n, d = centers.shape
     positive = np.flatnonzero(radii > 0)
     if positive.size == 0:
         return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
-    tree = cKDTree(centers)
-    r_max = float(radii.max())
-    near = tree.query_ball_point(
-        centers[positive], r=(radii[positive] + r_max + slack) * (1.0 + _TIE_REL)
-    )
-    lengths = np.fromiter(map(len, near), dtype=np.intp, count=len(near))
-    I = np.repeat(positive, lengths)
-    J = np.fromiter(
-        itertools.chain.from_iterable(near), dtype=np.intp, count=int(lengths.sum())
-    )
-    keep = I != J
-    I, J = I[keep], J[keep]
-    keys = np.unique(np.minimum(I, J) * n + np.maximum(I, J))
-    return keys // n, keys % n
+    sq = np.einsum("ij,ij->i", centers, centers)
+    norm = np.sqrt(sq)
+    ku = (d + 2) * 2.0**-53
+    gamma = 2.0 * ku / (1.0 - ku)  # twice gamma_{d+2}
+    # Row i's loosest bound L_i as a bound on e_ij: fl(e_ij + s_i) <= L_i
+    # needs e_ij <= L_i - s_i + u L_i, and the margin 4 u (L_i + s_i) also
+    # pays for the roundings of this threshold.
+    loose = _reach_sq(radii[positive] + radii.max(), norm[positive] + norm.max(), slack, gamma)
+    loose = (loose - sq[positive]) + 2.0**-50 * (loose + sq[positive])
+    rows_x = -2.0 * centers[positive]
+    rows = min(positive.size, PAIR_BLOCK)
+    cols = max(1, PAIR_BLOCK // rows)
+    found_i, found_j = [], []
+    for c0 in range(0, n, cols):
+        block = centers[c0 : c0 + cols]
+        for r0 in range(0, positive.size, rows):
+            e = np.matmul(rows_x[r0 : r0 + rows], block.T)
+            e += sq[c0 : c0 + cols]
+            # np.nonzero of a 2-d mask costs 8 times a flat one
+            flat = np.flatnonzero(e <= loose[r0 : r0 + rows, None])
+            i, j = np.divmod(flat, e.shape[1])
+            I, J = positive[r0 + i], j + c0
+            # a pair of two positive radii is found from both rows: keep
+            # the row of its lower index
+            keep = (J > I) | (radii[J] == 0)
+            keep &= e.ravel()[flat] + sq[I] <= _reach_sq(
+                radii[I] + radii[J], norm[I] + norm[J], slack, gamma
+            )
+            found_i.append(I[keep])
+            found_j.append(J[keep])
+    I, J = np.concatenate(found_i), np.concatenate(found_j)
+    I, J = np.minimum(I, J), np.maximum(I, J)
+    touch = _dist_below(centers, I, J, radii[I] + radii[J] + slack, strict=False)
+    I, J = I[touch], J[touch]
+    order = np.lexsort((J, I))
+    return I[order], J[order]
 
 
 def _dist_below(centers, I, J, thresh, strict: bool) -> np.ndarray:
@@ -697,8 +769,8 @@ def _dist_below(centers, I, J, thresh, strict: bool) -> np.ndarray:
 
 
 def verify_hard_sphere(gamma: GammaProcess) -> HardSphereReport:
-    """Check |x_i - x_j| >= r_i + r_j - CONTACT_TOL for all pairs that could
-    touch."""
+    """Check |x_i - x_j| >= r_i + r_j - CONTACT_TOL for every pair within
+    contact distance; a pair farther apart cannot overlap."""
     centers, radii = gamma.centers, gamma.radii
     if len(radii) < 2:
         return HardSphereReport(0, (), True)
@@ -722,17 +794,14 @@ def cluster_components(gamma: GammaProcess) -> np.ndarray:
     surface gap is within CONTACT_TOL) as one label per sphere: components
     are numbered largest first, ties broken by their lowest index, so
     np.bincount(labels) lists the sizes in that order."""
-    centers, radii = gamma.centers, gamma.radii
     I, J = gamma.pairs
-    touch = _dist_below(centers, I, J, radii[I] + radii[J] + CONTACT_TOL, strict=False)
-    I, J = I[touch], J[touch]
     # Only spheres with a touching pair are unioned; every other sphere is
     # its own root.
     linked = np.unique(np.concatenate((I, J)))
     uf = UnionFind(linked.size)
     for i, j in zip(np.searchsorted(linked, I).tolist(), np.searchsorted(linked, J).tolist()):
         uf.union(i, j)
-    root = np.arange(len(radii))
+    root = np.arange(len(gamma.radii))
     root[linked] = linked[[uf.find(k) for k in range(linked.size)]]
     # first: each component's lowest index, the first row holding its root
     _, first, component, sizes = np.unique(

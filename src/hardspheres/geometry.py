@@ -123,6 +123,21 @@ def _squared_distances(points: np.ndarray, center: np.ndarray) -> np.ndarray:
     return out
 
 
+def _frozen_point(obj, name: str, value, shape=None) -> tuple:
+    """Store a read-only float copy of ``value`` as ``obj.name`` (reshaped
+    when ``shape`` is given) and return its coordinates as a tuple of
+    floats.  math.dist turns a numpy float64 and the float it converts to
+    into the same C double, so distances of the tuple equal those of the
+    array, at a fraction of the cost per call.  The copy is what keeps the
+    tuple valid: no caller can write into the array behind it."""
+    arr = np.array(value, dtype=float)
+    if shape is not None:
+        arr = arr.reshape(shape)
+    arr.flags.writeable = False
+    object.__setattr__(obj, name, arr)
+    return tuple(arr.tolist())
+
+
 @dataclass(frozen=True)
 class Ball:
     """Closed ball B(center, radius)."""
@@ -131,7 +146,7 @@ class Ball:
     radius: float
 
     def __post_init__(self):
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
+        object.__setattr__(self, "_center", _frozen_point(self, "center", self.center))
         if self.radius < 0:
             raise ValueError(f"ball radius must be >= 0, got {self.radius}")
 
@@ -169,10 +184,10 @@ class Cell:
 
     def __post_init__(self):
         object.__setattr__(
-            self, "planar_center", np.asarray(self.planar_center, dtype=float)
+            self, "_planar", _frozen_point(self, "planar_center", self.planar_center)
         )
         object.__setattr__(
-            self, "layer_center", np.asarray(self.layer_center, dtype=float).reshape(-1)
+            self, "_layer", _frozen_point(self, "layer_center", self.layer_center, -1)
         )
         if self.planar_center.shape != (2,):
             raise ValueError("planar_center must be a 2-vector")
@@ -226,11 +241,12 @@ class Annulus:
     outer: float
 
     def __post_init__(self):
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
+        object.__setattr__(self, "_center", _frozen_point(self, "center", self.center))
         if not 0 <= self.inner <= self.outer:
             raise ValueError(
                 f"need 0 <= inner <= outer, got inner={self.inner} outer={self.outer}"
             )
+        object.__setattr__(self, "_outer_ball", Ball(self.center, self.outer))
 
     @property
     def dim(self) -> int:
@@ -254,7 +270,7 @@ class Annulus:
         return np.add(self.center, g, out=g)
 
     def bounding_ball(self) -> Ball:
-        return Ball(self.center, self.outer)
+        return self._outer_ball
 
 
 # Rings of a StepShell's planar disc.
@@ -308,9 +324,9 @@ class StepShell:
         m = cell.layer_center.shape[0]
         if m == 0 or ann.dim != cell.dim:
             raise ValueError("a step shell needs a cell and an annulus of one dim >= 3")
-        if not np.array_equal(cell.layer_center, ann.center[2:]):
+        if cell._layer != ann._center[2:]:
             raise ValueError("the cell's layer center must be the annulus center's")
-        D = math.dist(cell.planar_center, ann.center[:2])
+        D = math.dist(cell._planar, ann._center[:2])
         s = np.linspace(max(0.0, D - cell.eps), D + cell.eps, STEP_RINGS + 1)
         g_out2 = np.clip(ann.outer**2 - s[:-1] ** 2, 0.0, cell.layer_radius**2)
         g_in2 = np.clip(ann.inner**2 - s[1:] ** 2, 0.0, g_out2)
@@ -456,24 +472,30 @@ def region_contains_ball(region: Region, center: np.ndarray, radius: float) -> b
     for Intersection, tests a StepShell's cell & annulus (a subset of it),
     and returns False for Difference (no cheap certificate).
     """
-    center = np.asarray(center, dtype=float)
+    return _contains_ball(region, tuple(np.asarray(center, dtype=float).tolist()), radius)
+
+
+def _contains_ball(region: Region, x: tuple, radius: float) -> bool:
+    """region_contains_ball with the center as a tuple of floats."""
     if isinstance(region, StepShell):
-        region = Intersection((region.cell, region.annulus))
+        return _contains_ball(region.cell, x, radius) and _contains_ball(
+            region.annulus, x, radius
+        )
     if isinstance(region, Ball):
-        return math.dist(center, region.center) + radius <= region.radius
+        return math.dist(x, region._center) + radius <= region.radius
     if isinstance(region, Cell):
-        planar = math.dist(center[:2], region.planar_center)
+        planar = math.dist(x[:2], region._planar)
         if planar + radius > region.eps:
             return False
-        if region.layer_center.shape[0] == 0:
+        if not region._layer:
             return True
-        layer = math.dist(center[2:], region.layer_center)
+        layer = math.dist(x[2:], region._layer)
         return layer + radius <= region.layer_radius
     if isinstance(region, Annulus):
-        rho = math.dist(center, region.center)
+        rho = math.dist(x, region._center)
         return rho - radius >= region.inner and rho + radius <= region.outer
     if isinstance(region, Intersection):
-        return all(region_contains_ball(p, center, radius) for p in region.parts)
+        return all(_contains_ball(p, x, radius) for p in region.parts)
     return False
 
 
@@ -486,6 +508,11 @@ def region_lower_distance(a: Region, b: Region) -> float:
     their outer region.
     Returns a value <= 0 when no positive separation is certified; never
     overestimates the true distance.
+
+    Every distance is math.dist of the float tuples the regions cache when
+    they are built, which gives the same double as math.dist of their
+    center arrays: the registry's record scans call this once per earlier
+    record, and a tuple costs a tenth of an array per call.
     """
     if isinstance(a, Intersection):
         return max(region_lower_distance(p, b) for p in a.parts)
@@ -504,20 +531,16 @@ def region_lower_distance(a: Region, b: Region) -> float:
     if isinstance(b, Annulus):
         b = b.bounding_ball()
     if isinstance(a, Ball) and isinstance(b, Ball):
-        return math.dist(a.center, b.center) - a.radius - b.radius
+        return math.dist(a._center, b._center) - a.radius - b.radius
     if isinstance(a, Cell) and isinstance(b, Cell):
-        dpl = math.dist(a.planar_center, b.planar_center) - a.eps - b.eps
-        dly = (
-            math.dist(a.layer_center, b.layer_center)
-            - a.layer_radius
-            - b.layer_radius
-        )
+        dpl = math.dist(a._planar, b._planar) - a.eps - b.eps
+        dly = math.dist(a._layer, b._layer) - a.layer_radius - b.layer_radius
         return math.hypot(max(0.0, dpl), max(0.0, dly))
     if isinstance(b, Cell):
         a, b = b, a
     if isinstance(a, Cell) and isinstance(b, Ball):
-        dpl = math.dist(a.planar_center, b.center[:2]) - a.eps
-        dly = math.dist(a.layer_center, b.center[2:]) - a.layer_radius
+        dpl = math.dist(a._planar, b._center[:2]) - a.eps
+        dly = math.dist(a._layer, b._center[2:]) - a.layer_radius
         return math.hypot(max(0.0, dpl), max(0.0, dly)) - b.radius
     return 0.0
 

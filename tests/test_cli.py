@@ -512,7 +512,7 @@ def test_importing_the_cli_leaves_scipy_stats_unloaded():
 
 def test_perc2d_bounds_scan_and_verify_isolation_leave_scipy_unloaded(tmp_path):
     # scipy costs about 0.3 s of start-up and 35 MB; only the overlap
-    # constant, the contact scans and the chi-squared battery call it.
+    # constant, the eta post-pass and the chi-squared battery call it.
     out = str(tmp_path / "out.json")
     argvs = [
         ["perc2d", "--p", "0.7", "--radius", "10", "--trials", "10", "--out", out],
@@ -530,6 +530,23 @@ def test_perc2d_bounds_scan_and_verify_isolation_leave_scipy_unloaded(tmp_path):
     res = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=env, timeout=60, check=True)
     assert res.stdout.splitlines() == ["False"] + ["0 False"] * len(argvs)
+
+
+def test_simulate_at_eta_zero_leaves_scipy_unloaded(tmp_path):
+    # the contact search is a matrix product; only the eta post-pass uses
+    # scipy.spatial
+    argv = ["simulate", "--dim", "45", "--lambda", "auto", "--cells-C", "16",
+            "--lattice-radius", "12", "--max-steps", "3", "--seed", "7",
+            "--out", str(tmp_path / "run")]
+    code = (
+        "import sys\n"
+        "from hardspheres import cli\n"
+        f"print(cli.main({argv!r}), sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, timeout=60, check=True)
+    assert res.stdout == "0 []\n"
 
 
 def test_version_and_missing_command():

@@ -10,6 +10,7 @@ from hardspheres import construction
 from hardspheres.bounds import lambda_star
 from hardspheres.construction import (
     BAD,
+    CONTACT_TOL,
     GOOD,
     MAX_LAYER_RADIUS,
     ConstructionError,
@@ -50,6 +51,7 @@ from hardspheres.poisson import (
     max_materialize,
 )
 from registry_snapshot import registry_snapshot
+from test_report_path import brute_contact_pairs
 
 LAM31 = 12.0 * lambda_star(31)
 
@@ -598,7 +600,8 @@ def test_eta_postpass_grows_leftovers():
         assert gamma.radii[k] <= np.min(gaps - gamma.radii[others]) + 1e-12
     report = verify_hard_sphere(gamma)
     assert report.passed, report.violations
-    assert report.n_pairs_checked > 0
+    want = brute_contact_pairs(gamma.centers, gamma.radii, CONTACT_TOL)
+    assert report.n_pairs_checked == len(want[0])
 
 
 def line_gamma(xs, radii, vertex):

@@ -25,6 +25,7 @@ from hardspheres.geometry import (
     Cell,
     Difference,
     Intersection,
+    StepShell,
     ball_volume,
     boundary_fraction,
     cylinder_section_bracket,
@@ -239,6 +240,49 @@ def test_regions_disjoint_flags():
     assert not regions_disjoint(c1, ball_inside_column)
     # bounding balls overlap here, but the true regions do not
     assert regions_disjoint(c2, ball_inside_column)
+
+
+def cached_point_regions(x):
+    """A Ball, an Annulus, a Cell and a StepShell built from the caller's
+    array x (the cell from views of it)."""
+    cell = Cell(x[:2], 0.2, x[2:], 1.0)
+    annulus = Annulus(x, 0.5, 1.5)
+    return [Ball(x, 0.6), annulus, cell, StepShell(cell, annulus)]
+
+
+def region_readings(regions):
+    """Distances and ball certificates that read every cached center."""
+    far = Ball(np.array([2.0, 0.5, 0.0, 1.0]), 0.3)
+    near = Cell(np.array([0.3, 0.0]), 0.1, np.array([0.0, 0.5]), 0.2)
+    return [
+        (region_lower_distance(r, far), region_lower_distance(near, r),
+         region_contains_ball(r, [0.1, 0.0, 0.0, 0.8], 0.15))
+        for r in regions
+    ]
+
+
+def test_region_center_arrays_are_read_only():
+    regions = cached_point_regions(np.array([0.0, 0.0, 0.0, 0.5]))
+    arrays = [regions[0].center, regions[1].center, regions[2].planar_center,
+              regions[2].layer_center]
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 7.0
+        with pytest.raises(ValueError, match="read-only"):
+            arr += 1.0
+    assert regions[0].center.tolist() == [0.0, 0.0, 0.0, 0.5]
+
+
+def test_regions_ignore_later_writes_to_the_callers_array():
+    x = np.array([0.0, 0.0, 0.0, 0.5])
+    regions = cached_point_regions(x)
+    before = region_readings(regions)
+    assert before == region_readings(cached_point_regions(x.copy()))
+    x[:] = [2.0, 0.5, 0.0, 1.0]
+    assert region_readings(regions) == before
+    assert regions[0].center.tolist() == [0.0, 0.0, 0.0, 0.5]
+    assert regions[2].planar_center.tolist() == [0.0, 0.0]
+    assert regions[2].layer_center.tolist() == [0.0, 0.5]
 
 
 def test_shell_radii_frozen_and_monotone():

@@ -6,8 +6,9 @@ manifest's counts and hard-sphere report between versions.  The d45 and
 d31 runs reach the stored and saturated (sea pick) tiers and multi-layer
 assembly; no simulate argv streams any more, since a step heavy enough to
 stream is a sea pick.  The d = 100 run makes only sea picks, one beside
-another; a second d31 run at eta = 0.1 pins the positive-radii post-pass
-that grows leftovers.  Two more digests pin what the registry itself
+another; two d31 runs at eta = 0.1 pin the positive-radii post-pass that
+grows leftovers, one of them on layers that grow to the lattice rim.  Two
+more digests pin what the registry itself
 realizes: the ``registry_dump`` of the d = 45 layer, and the ids and coordinates
 that a small d = 3 registry returns from overlapping streamed records,
 where every later query is answered by replaying earlier streams; those d
@@ -48,7 +49,7 @@ GOLDEN = {
             "spheres": "5ca67d2214f84d81662c73a5ddf21d657169d8a337374cfffd9605e659ea022a",
             "steps": "f3a7e71c2c6159de817514a3ae02452dbf8baa789127a4fb82ebdbfaa7b21114",
             "counts": "5b0f54087ced58776dc8a067abf377f41e5a1d963e59f112a3ab69854ec7a2d8",
-            "hard_sphere": "017d6d34c4fe2a9180252015ee9e27871a6e259ea1640c0068ae38c82eac7ab5",
+            "hard_sphere": "813d4ccf1e9038c7861ff8df65c00b721ea67b2d9b966773ea1390460ea5cadd",
         },
     ),
     # Two d = 31 layers at 12 lambda*: stored and saturated tiers, clusters
@@ -60,7 +61,7 @@ GOLDEN = {
             "spheres": "a3f1536a12a7b94fea88d8a1572707335e0ae8140d83103e6a970a1af3f5230a",
             "steps": "6bc4fbb7fbb4a8afe21159219c30647f8aeca54617dee8c33ad6d397d86eb271",
             "counts": "7cd8548892e73ef17112d968f0381c80bdc7d6cfa67fcd6674a9b13b48424dad",
-            "hard_sphere": "39ec993a2fdff85f355c98655011484c8ddd366217bf3cec0a4198b167555475",
+            "hard_sphere": "1e06ae1fd248fc36c3f962cdce3b5150f30454ff2d2f3bdf2bd055f303f2d3b2",
         },
     ),
     # The same two layers at program seed 2 with eta = 0.1: the positive-
@@ -73,7 +74,23 @@ GOLDEN = {
             "spheres": "ffe0f17b582422223be02dd12c255ffacf5da0c0218c9916a71905a13a7dfec1",
             "steps": "0ccb1a9821173a7bb31e550dbad5cb193b18bebb08a97a2123f4a700171adec6",
             "counts": "d8f4af30b52ad53ff35c09453a3aded3331e7682904e3e44b8a0fbf48f027a47",
-            "hard_sphere": "7acbafb1b2836baec5c27d3bf7d7f68482edb4537a0bde9f17d437a419eddff2",
+            "hard_sphere": "c791d3fba045aea284ee7638158ab613ebb338bcdbd04cbe55e086d6f49e93dc",
+        },
+    ),
+    # Two d = 31 layers at lambda*(31) (as repr) with eta = 0.1, whose
+    # layers both grow to the lattice rim: 31 steps, 21 constructed spheres,
+    # and the post-pass grows 9 leftovers beside them.  Its seed is the
+    # smallest seed >= 0 at which both layers stop at lattice-truncation.
+    # At 12 lambda* the isolation balls of eta = 0.1 are almost never
+    # empty, so no seed in 0-59 gets past 13 steps there.
+    "d31-lambda-star-2-layers-eta": (
+        ["simulate", "--dim", "31", "--lambda", "603692.0924729021", "--cells-C", "16",
+         "--lattice-radius", "6", "--layers", "2", "--seed", "0", "--eta", "0.1"],
+        {
+            "spheres": "7d0bbb3a9931b0f1714125bce1c808b664918971eccceea4dd642506a9cadc81",
+            "steps": "a90b9a68ecf49d66e20aad52c014936fabb6121788c6f67bccdfc4e6f17d1b44",
+            "counts": "79978579f32793dee923f37e5b8f819beecc86e61336697163811188ae75bfc8",
+            "hard_sphere": "6b30cb7bd55dee5c86a8f4e0fb6b3e1038cbcf34aff52134300d998316385cbb",
         },
     ),
     # d = 100 at lambda*, cut to twelve steps: every pick is saturated, and
@@ -88,6 +105,18 @@ GOLDEN = {
             "counts": "0ad78279ad02a7e1eaa8d322cece518c543eab340c2efaf29570d0f9208988f7",
             "hard_sphere": "37ba5ea7f479cf710786eac7e2311c5236927a738a45204b3b3dd0d31aed9ded",
         },
+    ),
+}
+
+
+# The eta entries' post-pass annotations and the stop of both their layers;
+# every other entry annotates nothing.
+ETA_RUNS = {
+    "d31-12-lambda-star-2-layers-eta": (
+        {"leftovers_grown": 4, "leftovers_window_truncated": 224}, "rule-iii"
+    ),
+    "d31-lambda-star-2-layers-eta": (
+        {"leftovers_grown": 9, "leftovers_window_truncated": 858}, "lattice-truncation"
     ),
 }
 
@@ -114,12 +143,10 @@ def test_simulate_golden_digests(name, tmp_path):
         "hard_sphere": sha256_json(man["hard_sphere"]),
     }
     assert got == want
-    if name.endswith("-eta"):
-        assert man["annotations"] == {
-            "leftovers_grown": 4, "leftovers_window_truncated": 224
-        }
-    else:
-        assert man["annotations"] == {}
+    annotations, stops = ETA_RUNS.get(name, ({}, None))
+    assert man["annotations"] == annotations
+    if stops is not None:
+        assert set(man["stop_reasons"].values()) == {stops}
     if name.startswith("d100"):
         # every d = 100 step has m_lo >= SATURATION_MIN_MASS, so every pick is a sea pick
         assert [(m["stored_picks"], m["streamed_picks"]) for m in man["registry_metrics"]] == [(0, 0)]

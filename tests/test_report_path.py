@@ -1,8 +1,9 @@
 """The simulate report path against brute-force references.
 
-verify_hard_sphere and cluster_components prefilter pairs with a k-d tree
-and decide them with numpy, re-deciding near ties with math.dist; the
-references here check every pair with math.dist.  _sphere_blocks formats
+verify_hard_sphere and cluster_components work on the pairs within contact
+distance, found by one blocked matrix product and decided with numpy,
+re-deciding near ties with math.dist; the references here check every pair
+with math.dist.  _sphere_blocks formats
 whole blocks of rows from the center array; the reference formats field by
 field with f17.
 """
@@ -12,13 +13,14 @@ import math
 import numpy as np
 import pytest
 
-from hardspheres import cli
+from hardspheres import cli, construction
 from hardspheres.cli import _sphere_blocks, f17
 from hardspheres.construction import (
     ConstructionError,
     GammaProcess,
     HardSphereReport,
     _assert_interlayer_gaps,
+    _contact_pairs,
     cluster_components,
     verify_hard_sphere,
 )
@@ -55,18 +57,40 @@ def brute_verify(gamma, tol):
     if n < 2:
         return HardSphereReport(0, (), True)
     centers, radii = gamma.centers, gamma.radii
-    r_max = radii.max()
-    checked = 0
+    checked = 0  # the pairs within contact distance, one radius positive
     violations = []
     for i in range(n):
         for j in range(i + 1, n):
             dist = math.dist(centers[i], centers[j])
-            if any(radii[k] > 0 and dist <= radii[k] + r_max + tol for k in (i, j)):
+            if (radii[i] > 0 or radii[j] > 0) and dist <= radii[i] + radii[j] + tol:
                 checked += 1
             need = radii[i] + radii[j]
             if dist < need - tol:
                 violations.append((i, j, float(need - dist)))
     return HardSphereReport(checked, tuple(violations), not violations)
+
+
+def brute_contact_pairs(centers, radii, tol):
+    """Every pair i < j with at least one positive radius and math.dist at
+    most r_i + r_j + tol, as intp index arrays in lexicographic order.
+    Only the rows of positive radius are scanned, against every row."""
+    points = [tuple(x) for x in np.asarray(centers, dtype=float).tolist()]
+    r = np.asarray(radii, dtype=float).tolist()
+    pairs = set()
+    for i in np.flatnonzero(np.asarray(radii) > 0).tolist():
+        for j in range(len(points)):
+            lo, hi = min(i, j), max(i, j)
+            if j != i and math.dist(points[i], points[j]) <= r[lo] + r[hi] + tol:
+                pairs.add((lo, hi))
+    I, J = np.array(sorted(pairs), dtype=np.intp).reshape(-1, 2).T
+    return I, J
+
+
+def contact_pairs_match(centers, radii) -> bool:
+    """_contact_pairs equals brute_contact_pairs as exact index arrays."""
+    got = _contact_pairs(centers, radii, TOL)
+    want = brute_contact_pairs(centers, radii, TOL)
+    return all(g.dtype == np.intp and np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def brute_clusters(gamma, tol):
@@ -140,6 +164,7 @@ def test_random_gammas_match_brute_force(seed):
     rng = np.random.default_rng(seed)
     d = int(rng.choice([2, 3, 5, 31]))
     gamma = random_gamma(rng, d, int(rng.integers(2, 60)))
+    assert contact_pairs_match(gamma.centers, gamma.radii)
     assert verify_hard_sphere(gamma) == brute_verify(gamma, TOL)
     assert same_clusters(gamma, TOL)
 
@@ -177,6 +202,37 @@ def test_tiny_gammas_match_brute_force():
         assert same_clusters(gamma, TOL)
 
 
+def test_contact_pairs_of_eta_style_leftovers():
+    # many small positive radii, each half the distance to the nearest
+    # other point, as the eta post-pass grows leftovers
+    rng = np.random.default_rng(3)
+    centers = rng.uniform(0.0, 4.0, (300, 5))
+    radii = np.zeros(300)
+    for k in range(0, 300, 3):
+        dist = np.linalg.norm(np.delete(centers, k, axis=0) - centers[k], axis=1)
+        radii[k] = dist.min() / 2.0
+    radii[:10] = 0.75
+    assert contact_pairs_match(centers, radii)
+    assert _contact_pairs(centers, radii, TOL)[0].size >= 10
+
+
+def test_contact_pairs_without_a_positive_radius_are_empty():
+    centers = np.zeros((3, 4))
+    centers[:, 0] = [0.0, 1e-12, 2e-12]
+    I, J = _contact_pairs(centers, np.zeros(3), TOL)
+    assert I.dtype == J.dtype == np.intp and I.size == J.size == 0
+
+
+def test_contact_pairs_at_a_block_of_one_entry(monkeypatch):
+    gamma = random_gamma(np.random.default_rng(8), 5, 60)
+    want = _contact_pairs(gamma.centers, gamma.radii, TOL)
+    monkeypatch.setattr(construction, "PAIR_BLOCK", 1)
+    assert contact_pairs_match(gamma.centers, gamma.radii)
+    got = _contact_pairs(gamma.centers, gamma.radii, TOL)
+    assert [a.tolist() for a in got] == [a.tolist() for a in want]
+    assert got[0].size >= 10
+
+
 # -- crafted near-tie pairs -------------------------------------------------
 
 
@@ -195,19 +251,24 @@ def place_at(rng, a, target):
     return None
 
 
+# The radii of crafted_gamma's pairs: in the last two a point of radius 0
+# follows or precedes its sphere.
+CRAFTED_RADII = ((0.75, 0.75), (0.85, 0.85), (0.7, 0.8), (0.8, 0.0), (0.0, 0.8))
+
+
 def crafted_gamma(rng, d):
     """Pairs far apart from each other, three at each surface gap of
     exactly 0, +tol or -tol, or one ulp either side of +-tol, as math.dist
-    measures it.  Equal radii make the k-d tree's query radius equal the
-    touch threshold."""
+    measures it: the +tol pairs sit on the contact distance that decides
+    which pairs are checked."""
     centers, radii = [], []
-    for r1, r2 in ((0.75, 0.75), (0.85, 0.85), (0.7, 0.8), (0.8, 0.0)):
+    for r1, r2 in CRAFTED_RADII:
         need = np.float64(r1) + np.float64(r2)
         targets = [need, need + TOL, need - TOL]
         targets += [np.nextafter(t, s) for t in targets[1:] for s in (-math.inf, math.inf)]
         for target in targets:
             placed = 0
-            for _ in range(30):
+            for _ in range(200):
                 a = np.zeros(d)
                 a[0] = 50.0 * len(radii)
                 a[1:] = rng.uniform(-1.0, 1.0, size=d - 1)
@@ -225,15 +286,26 @@ def crafted_gamma(rng, d):
 @pytest.mark.parametrize("d", [3, 31, 45])
 def test_crafted_ties_match_brute_force(d):
     gamma = crafted_gamma(np.random.default_rng(d), d)
+    assert contact_pairs_match(gamma.centers, gamma.radii)
     got = verify_hard_sphere(gamma)
-    want = brute_verify(gamma, TOL)
-    # The count of pairs checked is compared on the random gammas only:
-    # here distances sit on the k-d tree's query radius by construction.
-    assert (got.violations, got.passed) == (want.violations, want.passed)
-    assert len(got.violations) == 4 * 3  # the -tol - 1 ulp pairs overlap
+    assert got == brute_verify(gamma, TOL)
+    n = len(CRAFTED_RADII) * 3
+    assert len(got.violations) == n  # the -tol - 1 ulp pairs overlap
+    assert got.n_pairs_checked == n * 6  # all but +tol + 1 ulp
     assert same_clusters(gamma, TOL)
     sizes = np.bincount(cluster_components(gamma))
-    assert list(sizes).count(2) == 4 * 3 * 6  # all but +tol + 1 ulp
+    assert list(sizes).count(2) == n * 6
+
+
+@pytest.mark.parametrize("d", [3, 31, 45])
+def test_crafted_ties_far_from_the_origin_match_brute_force(d):
+    # offset by 10^3, |x_i|^2 + |x_j|^2 - 2 x_i.x_j cancels about 12 of its
+    # digits, while the pairs stay within about 1e-13 of each threshold
+    gamma = crafted_gamma(np.random.default_rng(d), d)
+    gamma = make_gamma(gamma.centers + 1e3, gamma.radii)
+    assert contact_pairs_match(gamma.centers, gamma.radii)
+    assert verify_hard_sphere(gamma) == brute_verify(gamma, TOL)
+    assert same_clusters(gamma, TOL)
 
 
 
