@@ -20,6 +20,7 @@ failing.
 from __future__ import annotations
 
 import math
+import os
 from typing import Optional
 
 import numpy as np
@@ -78,10 +79,18 @@ _MIN_POOLED = 25
 # (median 403); a seed that needs more is refused by its degenerate
 # projection instead.
 MIN_CONSISTENCY_SEEDS = 400
+# A chunk of the battery's counting holds at least this many seeds when
+# the budget allows it: a lazy seed costs about 2.6 ms and a fork a few
+# ms, so no worker is made for less than about 0.1 s of counting.
+_MIN_CHUNK_SEEDS = 50
 
 
 class TooFewSamples(ValueError):
     """A Monte Carlo check has too few samples to decide anything."""
+
+
+class WorkerLost(RuntimeError):
+    """A worker process died before it returned its results."""
 
 
 def searched_C(d: int) -> float:
@@ -380,6 +389,83 @@ def _chi2_two_sample(vals_a, vals_b):
     return float(stat), float(p), int(dof), int(table.shape[1])
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; 1 where the host cannot tell."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _chunks_per_half(n_seeds: int) -> int:
+    """One chunk of seeds per usable CPU, each of at least _MIN_CHUNK_SEEDS
+    seeds when there are that many."""
+    return max(1, min(_usable_cpus(), n_seeds // _MIN_CHUNK_SEEDS))
+
+
+def sampler_workers(n_seeds: int) -> int:
+    """The number of processes ``sampler_consistency`` counts n_seeds seeds
+    with: the usable CPUs, capped by the number of chunks, where fork is
+    available and this process runs no other thread; 1 (this process)
+    otherwise.  Fork copies only the calling thread, so a lock that another
+    thread held would stay held in the worker for good."""
+    import multiprocessing
+    import threading
+
+    if "fork" not in multiprocessing.get_all_start_methods() or threading.active_count() > 1:
+        return 1
+    return min(_usable_cpus(), 2 * _chunks_per_half(n_seeds))
+
+
+def _count_chunk(d: int, seed: int, tag: int, start: int, stop: int) -> list:
+    """Count vectors of seeds start..stop-1 of one half of the battery: tag
+    41 counts through the lazy registry, tag 42 on the oracle.  The counting
+    function is looked up at call time, so a forked worker calls whatever
+    ``poisson`` holds under its name."""
+    if tag == 41:
+        count = poisson.consistency_counts_lazy
+    else:
+        count = poisson.consistency_counts_oracle
+    return [count(d, 3.0, derive_seed(seed, tag, i)) for i in range(start, stop)]
+
+
+def _battery_counts(d: int, n_seeds: int, seed: int) -> tuple:
+    """(lazy, oracle) count arrays, one row per seed in seed order.  Each
+    half (tag 41 the lazy registry, tag 42 the oracle) is split into
+    contiguous chunks of seeds, the lazy ones first; the chunks run in
+    sampler_workers(n_seeds) processes made by fork, or in this process
+    when that is 1.  Each count depends on its seed alone, so the arrays
+    are the same either way.  An exception raised in a worker is raised
+    here; a worker that dies is WorkerLost.  The pool is shut down, and its
+    workers joined, on every path."""
+    parts = _chunks_per_half(n_seeds)
+    size, extra = divmod(n_seeds, parts)  # the first `extra` chunks take one more
+    ends = [i * size + min(i, extra) for i in range(parts + 1)]
+    jobs = [(d, seed, tag, start, stop) for tag in (41, 42) for start, stop in zip(ends, ends[1:])]
+    workers = sampler_workers(n_seeds)
+    if workers == 1:
+        chunks = [_count_chunk(*job) for job in jobs]
+    else:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+        try:
+            chunks = list(pool.map(_count_chunk, *zip(*jobs)))
+        except BrokenProcessPool as exc:
+            raise WorkerLost(
+                "a worker process of the chi-squared battery died before "
+                "returning its counts"
+            ) from exc
+        finally:
+            pool.shutdown(wait=True, cancel_futures=True)
+    half = len(jobs) // 2
+    return tuple(
+        np.array([row for chunk in part for row in chunk])
+        for part in (chunks[:half], chunks[half:])
+    )
+
+
 def sampler_consistency(d: int, n_seeds: int, seed: int) -> list:
     """The lazy registry's joint count law on poisson's planar script at
     lam = 3 against the one-sample oracle's (criterion 6): chi-squared over
@@ -387,20 +473,16 @@ def sampler_consistency(d: int, n_seeds: int, seed: int) -> list:
     familywise significance _ALPHA (Bonferroni).  The script's dimension is
     checked first.  Fewer than MIN_CONSISTENCY_SEEDS seeds, or a degenerate
     projection (too few populated categories to test), is TooFewSamples,
-    not a pass."""
+    not a pass.  Seed i of the lazy half draws from derive_seed(seed, 41, i)
+    and of the oracle half from derive_seed(seed, 42, i), whichever process
+    counts it (``_battery_counts``)."""
     poisson.consistency_regions(d)
     if n_seeds < MIN_CONSISTENCY_SEEDS:
         raise TooFewSamples(
             f"the chi-squared table needs at least {MIN_CONSISTENCY_SEEDS} seeds, "
             f"got {n_seeds}"
         )
-    lazy, oracle = (
-        np.array([count(d, 3.0, derive_seed(seed, tag, i)) for i in range(n_seeds)])
-        for count, tag in (
-            (poisson.consistency_counts_lazy, 41),
-            (poisson.consistency_counts_oracle, 42),
-        )
-    )
+    lazy, oracle = _battery_counts(d, n_seeds, seed)
     tests = [(f"n{j + 1}", lazy[:, j], oracle[:, j]) for j in range(lazy.shape[1])]
     tests.append(("total", lazy.sum(axis=1), oracle.sum(axis=1)))
     tests += [

@@ -11,9 +11,10 @@ range the library function that uses it accepts, an output path that cannot
 be written, or a verify --budget too small for its check to decide
 anything), 3 invariant violation, 4 statistical-check failure, 5 the run
 cannot be realized exactly (the registry refuses a region or the
-construction breaks an invariant).  The CLI checks no range itself: the
-library refuses a bad value before any lattice, registry or Monte Carlo
-work, and output paths are checked before that.
+construction breaks an invariant), 6 a worker process died before it
+returned its results.  The CLI checks no range itself: the library
+refuses a bad value before any lattice, registry or Monte Carlo work, and
+output paths are checked before that.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ EXIT_USAGE = 2
 EXIT_VIOLATION = 3
 EXIT_STAT_FAIL = 4
 EXIT_CANNOT_REALIZE = 5
+EXIT_WORKER_LOST = 6
 
 SEED_ENV_VAR = "HARDSPHERES_SEED"
 
@@ -411,6 +413,8 @@ def cmd_verify(args) -> int:
         raise ValueError(f"{exc}; raise --budget") from exc
     config = {"suite": args.suite, "budget": budget, "dim": d}
     man = _manifest("verify", config, seed)
+    # Only the sampler battery splits its work over processes.
+    man["workers"] = checks.sampler_workers(budget) if args.suite == "sampler" else 1
     passed = all(c["passed"] for c in rows)
     doc = {"manifest": man, "checks": rows, "passed": passed}
     _stamp(man, t0)
@@ -479,6 +483,9 @@ def main(argv=None) -> int:
     except (RegistryError, ConstructionError) as exc:
         print(f"error: cannot realize this run exactly: {exc}", file=sys.stderr)
         return EXIT_CANNOT_REALIZE
+    except checks.WorkerLost as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_WORKER_LOST
 
 
 if __name__ == "__main__":

@@ -3,11 +3,14 @@
 import csv
 import io
 import json
+import multiprocessing
 import os
 import re
 import subprocess
 import sys
+import threading
 
+import numpy as np
 import pytest
 
 from hardspheres import bounds, checks, cli, construction, geometry, percolation2d, poisson
@@ -16,6 +19,7 @@ from hardspheres.cli import (
     EXIT_OK,
     EXIT_STAT_FAIL,
     EXIT_USAGE,
+    EXIT_WORKER_LOST,
     SEED_ENV_VAR,
     f17,
     main,
@@ -446,6 +450,92 @@ def test_verify_sampler_small_budget(tmp_path):
     assert code == EXIT_OK, doc
     assert doc["checks"][0]["n_seeds"] == 400
     assert doc["checks"][0]["n_tests"] == 17
+    assert doc["manifest"]["workers"] == checks.sampler_workers(400)
+    assert multiprocessing.active_children() == []
+
+
+def _two_workers(monkeypatch):
+    """Split the sampler battery over two forked workers, whatever the
+    host's CPU count."""
+    monkeypatch.setattr(checks, "_usable_cpus", lambda: 2)
+    assert checks.sampler_workers(401) == 2
+
+
+def test_sampler_rows_do_not_depend_on_the_worker_count(monkeypatch):
+    # One worker counts each half in one in-process chunk, seed by seed; two
+    # split 401 seeds 201 + 200.  The rows cannot tell the order of the
+    # seeds, so the count arrays are compared as well.
+    counted = []
+
+    def keep(*args, real=checks._battery_counts):
+        counted.append(real(*args))
+        return counted[-1]
+
+    monkeypatch.setattr(checks, "_battery_counts", keep)
+    monkeypatch.setattr(checks, "_usable_cpus", lambda: 1)
+    assert checks.sampler_workers(401) == 1
+    alone = checks.sampler_consistency(2, 401, 0)
+    _two_workers(monkeypatch)
+    assert checks.sampler_consistency(2, 401, 0) == alone
+    assert multiprocessing.active_children() == []
+    for one, two in zip(*counted):
+        assert one.shape == (401, 10)
+        assert np.array_equal(one, two)
+
+
+def test_sampler_counts_in_process_beside_other_threads(monkeypatch):
+    monkeypatch.setattr(checks, "_usable_cpus", lambda: 2)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert checks.sampler_workers(401) == 1
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert checks.sampler_workers(401) == 2
+
+
+def test_verify_manifest_records_the_workers(monkeypatch, tmp_path):
+    _two_workers(monkeypatch)
+    out = tmp_path / "ver.json"
+    assert main(["verify", "sampler", "--budget", "401", "--out", str(out)]) == EXIT_OK
+    assert read_json(out)["manifest"]["workers"] == 2
+    out = tmp_path / "geo.json"
+    argv = ["verify", "geometry", "--dim", "3", "--budget", "2000", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    assert read_json(out)["manifest"]["workers"] == 1
+
+
+@pytest.mark.parametrize(
+    "exc, code, message",
+    [
+        (RegistryError("replay recount 3 != pick-time count 4"), EXIT_CANNOT_REALIZE,
+         "error: cannot realize this run exactly: replay recount 3 != pick-time count 4\n"),
+        (ValueError("bad count"), EXIT_USAGE, "error: bad count\n"),
+    ],
+)
+def test_worker_exception_reaches_main(monkeypatch, capsys, exc, code, message):
+    def fail(dim, lam, seed):
+        raise exc
+
+    _two_workers(monkeypatch)
+    monkeypatch.setattr(poisson, "consistency_counts_lazy", fail)
+    assert main(["verify", "sampler", "--budget", "401"]) == code
+    assert capsys.readouterr().err == message
+    assert multiprocessing.active_children() == []
+
+
+def test_dead_worker_is_one_error_line(monkeypatch, capsys):
+    _two_workers(monkeypatch)
+    monkeypatch.setattr(poisson, "consistency_counts_lazy", lambda dim, lam, seed: os._exit(1))
+    assert main(["verify", "sampler", "--budget", "401"]) == EXIT_WORKER_LOST
+    assert capsys.readouterr().err == (
+        "error: a worker process of the chi-squared battery died before "
+        "returning its counts\n"
+    )
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("budget", ["100", "300", "399"])
