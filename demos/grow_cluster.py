@@ -46,7 +46,7 @@ def main() -> None:
         params = ConstructionParams(
             d=args.dim, C=args.cells_C, lam=lam, max_steps=args.max_steps
         )
-        state, _ = run_layer(params, args.seed)
+        state = run_layer(params, args.seed)
         gamma = assemble_gamma(params, [state])
         report = verify_hard_sphere(gamma)
         labels = cluster_components(gamma)

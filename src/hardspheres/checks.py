@@ -431,19 +431,21 @@ def _count_chunk(d: int, seed: int, tag: int, start: int, stop: int) -> list:
 def _battery_counts(d: int, n_seeds: int, seed: int) -> tuple:
     """(lazy, oracle) count arrays, one row per seed in seed order.  Each
     half (tag 41 the lazy registry, tag 42 the oracle) is split into
-    contiguous chunks of seeds, the lazy ones first; the chunks run in
-    sampler_workers(n_seeds) processes made by fork, or in this process
-    when that is 1.  Each count depends on its seed alone, so the arrays
-    are the same either way.  An exception raised in a worker is raised
-    here; a worker that dies is WorkerLost.  The pool is shut down, and its
-    workers joined, on every path."""
+    contiguous chunks of seeds; the chunks run in sampler_workers(n_seeds)
+    processes made by fork, or in this process when that is 1.  The lazy
+    chunks are mapped first and the oracle chunks only once they all
+    returned, so a lazy count that raises starts no oracle work.  Each
+    count depends on its seed alone, so the arrays are the same either way.
+    An exception raised in a worker is raised here; a worker that dies is
+    WorkerLost.  The pool is shut down, and its workers joined, on every
+    path."""
     parts = _chunks_per_half(n_seeds)
     size, extra = divmod(n_seeds, parts)  # the first `extra` chunks take one more
     ends = [i * size + min(i, extra) for i in range(parts + 1)]
-    jobs = [(d, seed, tag, start, stop) for tag in (41, 42) for start, stop in zip(ends, ends[1:])]
+    halves = [[(d, seed, tag, a, b) for a, b in zip(ends, ends[1:])] for tag in (41, 42)]
     workers = sampler_workers(n_seeds)
     if workers == 1:
-        chunks = [_count_chunk(*job) for job in jobs]
+        chunks = [[_count_chunk(*job) for job in jobs] for jobs in halves]
     else:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
@@ -451,7 +453,7 @@ def _battery_counts(d: int, n_seeds: int, seed: int) -> tuple:
 
         pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
         try:
-            chunks = list(pool.map(_count_chunk, *zip(*jobs)))
+            chunks = [list(pool.map(_count_chunk, *zip(*jobs))) for jobs in halves]
         except BrokenProcessPool as exc:
             raise WorkerLost(
                 "a worker process of the chi-squared battery died before "
@@ -459,11 +461,7 @@ def _battery_counts(d: int, n_seeds: int, seed: int) -> tuple:
             ) from exc
         finally:
             pool.shutdown(wait=True, cancel_futures=True)
-    half = len(jobs) // 2
-    return tuple(
-        np.array([row for chunk in part for row in chunk])
-        for part in (chunks[:half], chunks[half:])
-    )
+    return tuple(np.array([row for chunk in part for row in chunk]) for part in chunks)
 
 
 def sampler_consistency(d: int, n_seeds: int, seed: int) -> list:

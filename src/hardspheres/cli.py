@@ -257,7 +257,7 @@ def _sphere_blocks(gamma):
         yield text.tobytes().translate(None, b"\0")
 
 
-def _step_log_csv(states) -> str:
+def _step_log_csv(gamma) -> str:
     """The steps file: one row per step, numbered from 0 in each layer.
     csv writes None as an empty cell."""
     buf = io.StringIO()
@@ -266,9 +266,9 @@ def _step_log_csv(states) -> str:
         "layer step vertex kind rule case candidates mode outcome radius "
         "mass_lower mass_upper".split()
     )
-    for state in states:
-        layer = ",".join(str(v) for v in state.layer_vec)
-        for step, e in enumerate(state.log):
+    for vec, run in zip(gamma.layers, gamma.runs):
+        layer = ",".join(str(v) for v in vec)
+        for step, e in enumerate(run.log):
             radius = None if e.radius is None else f17(e.radius)
             writer.writerow([
                 layer, step, e.vertex, e.kind, e.rule, e.case, e.candidates,
@@ -304,7 +304,6 @@ def cmd_simulate(args) -> int:
     t, verify_s = _since(t)
     cluster_sizes = np.bincount(cluster_components(gamma))
     t, clusters_s = _since(t)
-    states = gamma.layer_states
     config = {
         "dim": args.dim,
         "lambda": lam,
@@ -319,17 +318,17 @@ def cmd_simulate(args) -> int:
     }
     man = _manifest("simulate", config, seed)
     man["stop_reasons"] = {
-        ",".join(map(str, st.layer_vec)): st.stopped_reason for st in states
+        ",".join(map(str, vec)): run.stopped_reason for vec, run in zip(gamma.layers, gamma.runs)
     }
     man["counts"] = {
         "constructed": gamma.n_constructed,
         "leftovers": len(gamma.vertex) - gamma.n_constructed,
         "stream_leftovers": gamma.n_stream_leftovers,
-        "steps": sum(len(st.log) for st in states),
+        "steps": sum(len(run.log) for run in gamma.runs),
         "clusters": len(cluster_sizes),
         "largest_cluster": int(cluster_sizes[0]) if len(cluster_sizes) else 0,
     }
-    man["registry_metrics"] = [st.registry.metrics() for st in states]
+    man["registry_metrics"] = [run.metrics for run in gamma.runs]
     man["hard_sphere"] = {
         "passed": report.passed,
         "pairs_checked": report.n_pairs_checked,
@@ -337,7 +336,7 @@ def cmd_simulate(args) -> int:
     }
     man["annotations"] = gamma.annotations
     t = time.perf_counter()
-    steps_text = _step_log_csv(states)
+    steps_text = _step_log_csv(gamma)
     if args.out:
         spheres, steps, manifest = (args.out + ext for ext in SIMULATE_OUTPUTS)
         with open(spheres, "wb") as fh:

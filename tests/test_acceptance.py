@@ -134,8 +134,8 @@ def _layer_invariants(params, seed: int):
     the window, parent gaps above 1e-9, steps that broke the one-good,
     no-bad neighbour discipline, and replays that differ from the first
     run.  Returns (first run's state, counts)."""
-    st1, sp1 = run_layer(params, seed)
-    st2, sp2 = run_layer(params, seed)
+    st1, st2 = run_layer(params, seed), run_layer(params, seed)
+    sp1, sp2 = list(st1.spheres.values()), list(st2.spheres.values())
     same = (
         len(sp1) == len(sp2)
         and all(

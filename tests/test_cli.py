@@ -527,6 +527,27 @@ def test_worker_exception_reaches_main(monkeypatch, capsys, exc, code, message):
     assert multiprocessing.active_children() == []
 
 
+def test_a_raising_lazy_count_starts_no_oracle_work(monkeypatch, capsys, tmp_path):
+    # The lazy chunks are mapped before the oracle chunks, so the oracle
+    # never runs once a lazy count raises.
+    ran = tmp_path / "oracle-ran"
+
+    def fail(dim, lam, seed):
+        raise ValueError("bad count")
+
+    def oracle(dim, lam, seed):
+        ran.touch()
+        return (0,) * 10
+
+    _two_workers(monkeypatch)
+    monkeypatch.setattr(poisson, "consistency_counts_lazy", fail)
+    monkeypatch.setattr(poisson, "consistency_counts_oracle", oracle)
+    assert main(["verify", "sampler", "--budget", "401"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: bad count\n"
+    assert not ran.exists()
+    assert multiprocessing.active_children() == []
+
+
 def test_dead_worker_is_one_error_line(monkeypatch, capsys):
     _two_workers(monkeypatch)
     monkeypatch.setattr(poisson, "consistency_counts_lazy", lambda dim, lam, seed: os._exit(1))

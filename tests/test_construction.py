@@ -1,7 +1,10 @@
 """Layer exploration: growth rules, tangency, leftovers, and assembly."""
 
+import dataclasses
 import functools
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from hardspheres.construction import (
     MAX_LAYER_RADIUS,
     ConstructionError,
     ConstructionParams,
+    ExplorationState,
     GammaProcess,
     STOP_BUDGET,
     STOP_RULE_III,
@@ -30,6 +34,7 @@ from hardspheres.construction import (
 )
 from hardspheres.geometry import (
     DELTA,
+    Ball,
     EPS,
     MU,
     Cell,
@@ -38,6 +43,7 @@ from hardspheres.geometry import (
     RADIUS_MIN,
     StepShell,
     ball_volume,
+    region_contains_ball,
     step_layer_radii,
     step_volume_bracket,
 )
@@ -50,6 +56,7 @@ from hardspheres.poisson import (
     RegistryError,
     max_materialize,
 )
+from hardspheres.rngutil import derive_seed
 from registry_snapshot import registry_snapshot
 from test_report_path import brute_contact_pairs
 
@@ -231,19 +238,20 @@ def test_step_tier_follows_the_step_mass_bracket(monkeypatch):
 
 def test_step0_cases():
     p5 = ConstructionParams(d=5, C=4.0, lam=5.0)
-    st, spheres = run_layer(p5, 1)
+    st = run_layer(p5, 1)
     assert st.log[0].case == "empty"
     assert st.log[0].outcome == "bad"
-    assert spheres == []
+    assert st.spheres == {}
     assert st.stopped_reason == STOP_RULE_III
 
-    st, spheres = run_layer(p5, 0)
+    st = run_layer(p5, 0)
     assert st.log[0].case == "isolation-fail"
-    assert spheres == []
+    assert st.spheres == {}
     assert len(st.failed_picks) == 1
 
     p11 = ConstructionParams(d=11, C=6.0, lam=0.1)
-    st, spheres = run_layer(p11, 0)
+    st = run_layer(p11, 0)
+    spheres = list(st.spheres.values())
     assert st.log[0].case == "good"
     assert len(spheres) >= 1
     assert spheres[0].vertex == 0
@@ -252,7 +260,7 @@ def test_step0_cases():
 
 
 def test_step0_only_on_a_fresh_layer():
-    st, _ = run_layer(ConstructionParams(d=11, C=6.0, lam=0.1), 0)
+    st = run_layer(ConstructionParams(d=11, C=6.0, lam=0.1), 0)
     with pytest.raises(ConstructionError, match="step0 must run first"):
         explore_step(st, 0, "step0")
     # the step count alone refuses it too, with the origin unexplored
@@ -262,7 +270,7 @@ def test_step0_only_on_a_fresh_layer():
 
 
 def test_growth_rule_guard_refuses_before_any_pick():
-    st, _ = run_layer(ConstructionParams(d=11, C=6.0, lam=0.1), 0)
+    st = run_layer(ConstructionParams(d=11, C=6.0, lam=0.1), 0)
     lattice = st.lattice
     w = next(
         v
@@ -286,19 +294,19 @@ def test_rule_trace_sparse_regime():
     # surely empty: the canonical trace is step0 good, then the three origin
     # bonds each explored by rule (ii) and going bad
     p11 = ConstructionParams(d=11, C=6.0, lam=0.1)
-    st, spheres = run_layer(p11, 0)
+    st = run_layer(p11, 0)
     assert [e.rule for e in st.log] == ["step0", "rule-ii", "rule-ii", "rule-ii"]
     assert [e.kind for e in st.log] == ["site", "bond", "bond", "bond"]
     bonds = sorted(st.lattice.neighbors[0])
     assert [e.vertex for e in st.log[1:]] == bonds
     assert st.stopped_reason == STOP_RULE_III
     assert rescan_stop(st)
-    assert len(spheres) == 1
+    assert len(st.spheres) == 1
 
 
 def test_bad_bond_propagates_to_site():
     p11 = ConstructionParams(d=11, C=6.0, lam=0.1)
-    st, _ = run_layer(p11, 0)
+    st = run_layer(p11, 0)
     explored = {e.vertex for e in st.log}
     for bond in st.lattice.neighbors[0]:
         assert st.log[[e.vertex for e in st.log].index(bond)].outcome == "bad"
@@ -324,10 +332,11 @@ def first_run(run, wanted):
 
 def test_grown_cluster_invariants():
     # the first layer that reaches the lattice rim
-    st, spheres = first_run(
+    st = first_run(
         lambda seed: run_layer(params31(), seed),
-        lambda out: out[0].stopped_reason == STOP_TRUNCATION,
+        lambda st: st.stopped_reason == STOP_TRUNCATION,
     )
+    spheres = list(st.spheres.values())
     assert len(spheres) > 20
     by_vertex = {s.vertex: s for s in spheres}
     for s in spheres:
@@ -348,7 +357,7 @@ def test_grown_cluster_invariants():
 
 
 def test_rule_i_follows_good_bond():
-    st, _ = run_layer(params31(), 1)
+    st = run_layer(params31(), 1)
     good_so_far = {0}
     seen_rule_i = False
     for e in st.log[1:]:
@@ -362,8 +371,8 @@ def test_rule_i_follows_good_bond():
 
 
 def test_run_layer_deterministic():
-    st1, sp1 = run_layer(params31(), 0)
-    st2, sp2 = run_layer(params31(), 0)
+    st1, st2 = run_layer(params31(), 0), run_layer(params31(), 0)
+    sp1, sp2 = list(st1.spheres.values()), list(st2.spheres.values())
     assert len(sp1) == len(sp2)
     assert np.array_equal(
         np.asarray([s.center for s in sp1]), np.asarray([s.center for s in sp2])
@@ -374,7 +383,7 @@ def test_run_layer_deterministic():
 
 
 def test_budget_stop():
-    st, _ = run_layer(params31(max_steps=3), 0)
+    st = run_layer(params31(max_steps=3), 0)
     assert st.stopped_reason == STOP_BUDGET
     assert len(st.log) == 3
     with pytest.raises(ConstructionError):
@@ -382,10 +391,10 @@ def test_budget_stop():
 
 
 def test_truncation_stop_at_minimal_lattice():
-    st, spheres = run_layer(params31(lattice_radius=2.0), 0)
+    st = run_layer(params31(lattice_radius=2.0), 0)
     assert st.stopped_reason == STOP_TRUNCATION
     # the rim is one good site away from the origin at this radius
-    assert len(spheres) == 2
+    assert len(st.spheres) == 2
 
 
 def test_multilayer_gap_and_validation():
@@ -416,6 +425,28 @@ def test_multilayer_gap_and_validation():
         run_multilayer(p, 0, [])
 
 
+def test_a_returned_gamma_holds_no_registry_state_or_lattice(monkeypatch):
+    made = []
+
+    def tracked(make):
+        def wrapper(*args, **kwargs):
+            obj = make(*args, **kwargs)
+            made.append(weakref.ref(obj))
+            return obj
+
+        return wrapper
+
+    for name in ("RegionRegistry", "ExplorationState", "build_lattice"):
+        monkeypatch.setattr(construction, name, tracked(getattr(construction, name)))
+    layers = [(0,) * 29, (1,) + (0,) * 28, (0, 1) + (0,) * 27]
+    gamma = run_multilayer(params31(eta=0.1), 2, layers)
+    gc.collect()
+    assert len(made) == 3 * len(layers)
+    assert [ref() for ref in made] == [None] * len(made)
+    assert len(gamma.runs) == len(layers) and gamma.annotations["leftovers_grown"] > 0
+    assert "layer_states" not in {f.name for f in dataclasses.fields(GammaProcess)}
+
+
 def test_intensity_that_every_isolation_test_refuses():
     # step 0's isolation ball is B(y0, MU + eta), and the registry refuses
     # to materialize one whose expected count tops max_materialize, so the
@@ -429,10 +460,19 @@ def test_intensity_that_every_isolation_test_refuses():
         reg.points_in_ball(np.zeros(5), MU + 0.1)
 
 
+def layer_runs(params, seed, layers):
+    """The finished layer states that run_multilayer(params, seed, layers)
+    assembles."""
+    return [
+        run_layer(params, derive_seed(seed, construction._LAYER_SEED_TAG, i), vec, i)
+        for i, vec in enumerate(layers)
+    ]
+
+
 def test_assembly_bookkeeping():
     p = ConstructionParams(d=5, C=4.0, lam=5.0)
-    gamma = run_multilayer(p, 0, [(0, 0, 0)])
-    state = gamma.layer_states[0]
+    [state] = layer_runs(p, 0, [(0, 0, 0)])
+    gamma = assemble_gamma(p, [state])
     spheres = state.spheres.values()
     consumed = {s.point_id for s in spheres}
     assert len(consumed) == len(spheres)
@@ -460,8 +500,8 @@ def test_stream_leftovers_counted_not_listed(monkeypatch):
     monkeypatch.setattr(
         construction, "RegionRegistry", functools.partial(RegionRegistry, store_cap=4.0)
     )
-    gamma = run_multilayer(params31(), 2, [(0,) * 29])
-    state = gamma.layer_states[0]
+    [state] = layer_runs(params31(), 2, [(0,) * 29])
+    gamma = assemble_gamma(params31(), [state])
     streamed_rids = {
         rid
         for rid, rec in enumerate(state.registry.records)
@@ -488,11 +528,58 @@ def test_stream_leftovers_counted_not_listed(monkeypatch):
         assert np.array_equal(gamma.centers[rows[pid]], xy)
 
 
+def cross_layer_reassign_leftover_radii(centers, radii, leftovers, layer, point_ids, states) -> dict:
+    """The eta post-pass as it ran over the rows of all layers at once, the
+    reference for assemble_gamma's per-layer one: each leftover looks for
+    its nearest sphere and point in every layer, and for a covering record
+    in its own."""
+    from scipy.spatial import cKDTree
+
+    positive = radii > 0
+    pos_centers, pos_radii = centers[positive], radii[positive]
+    left_tree = cKDTree(centers[leftovers]) if len(leftovers) > 1 else None
+    n_resolved = 0
+    n_truncated = 0
+    for k in leftovers.tolist():
+        z = centers[k]
+        dist = math.inf
+        if len(pos_radii):
+            gaps = np.linalg.norm(pos_centers - z, axis=1) - pos_radii
+            dist = float(gaps.min())
+        if left_tree is not None:
+            d_near = left_tree.query(z, k=2)[0][1]  # [0] is z itself
+            dist = min(dist, float(d_near))
+        reg = states[layer[k]].registry
+        covered = any(
+            rec.mode in ("stored", "streamed")
+            and region_contains_ball(rec.region, z, dist)
+            for rec in reg.records
+        )
+        if not covered or not math.isfinite(dist) or dist <= 0:
+            n_truncated += 1
+            continue
+        # Streamed points are not in the columns; replaying the covering
+        # records inside B(z, dist) closes that gap exactly.
+        own = tuple(point_ids[k].tolist())
+        near = reg.collect(Ball(z, dist))
+        for pid, coords in zip(near.ids, near.coords):
+            if pid == own:
+                continue
+            dist = min(dist, float(math.dist(coords, z)))
+        n_resolved += 1
+        radii[k] = dist / 2.0
+    return {
+        "leftovers_grown": n_resolved,
+        "leftovers_window_truncated": n_truncated,
+    }
+
+
 def dict_assembly(params, states):
     """The reference assembly, point by point: each layer's realized and
     failed-pick points in a dict keyed by point id, less the consumed ones,
-    listed in sorted id order.  Returns assemble_gamma's columns, the
-    stream leftover count and the annotations."""
+    listed in sorted id order, then the eta post-pass over all layers at
+    once.  Returns assemble_gamma's columns, the stream leftover count and
+    the annotations."""
     centers, radii, vertex, point_ids, n_rows = [], [], [], [], []
     n_stream_leftovers = 0
     for state in states:
@@ -525,7 +612,7 @@ def dict_assembly(params, states):
     point_ids = np.asarray(point_ids, dtype=np.intp).reshape(-1, 2)
     annotations = {}
     if params.eta > 0:
-        annotations = construction._reassign_leftover_radii(
+        annotations = cross_layer_reassign_leftover_radii(
             centers, radii, np.flatnonzero(vertex < 0), layer, point_ids, states
         )
     columns = dict(
@@ -548,22 +635,30 @@ def small_store(monkeypatch):
         # test_stream_leftovers_counted_not_listed
         (params31(), 2, 1, small_store),
         (params31(), 0, 2, None),
+        # the eta post-pass per layer against the reference over all layers
         (params31(eta=0.1), 2, 2, None),
+        (params31(eta=0.3), 0, 3, None),
+        (ConstructionParams(d=31, C=16.0, lam=lambda_star(31), eta=0.1), 0, 2, None),
     ],
-    ids=["d5-stored", "d31-streamed", "d31-two-layers", "d31-eta"],
+    ids=[
+        "d5-stored", "d31-streamed", "d31-two-layers", "d31-eta", "d31-eta-three-layers",
+        "d31-lambda-star-eta",
+    ],
 )
 def test_columnar_assembly_matches_the_dict_assembly(monkeypatch, params, seed, n_layers, setup):
     if setup is not None:
         setup(monkeypatch)
     layers = [(k,) + (0,) * (params.d - 3) for k in range(n_layers)]
-    gamma = run_multilayer(params, seed, layers)
-    want, n_stream_leftovers, annotations = dict_assembly(params, gamma.layer_states)
-    assert gamma.centers.tobytes() == want["centers"].tobytes()
-    for name in ("radii", "vertex", "layer", "point_ids"):
+    states = layer_runs(params, seed, layers)
+    gamma = assemble_gamma(params, states)
+    want, n_stream_leftovers, annotations = dict_assembly(params, states)
+    for name in ("centers", "radii", "vertex", "layer", "point_ids"):
         got = getattr(gamma, name)
-        assert got.dtype == want[name].dtype and np.array_equal(got, want[name]), name
+        assert got.dtype == want[name].dtype and got.tobytes() == want[name].tobytes(), name
     assert gamma.n_stream_leftovers == n_stream_leftovers
     assert gamma.annotations == annotations
+    if params.eta > 0:
+        assert annotations["leftovers_grown"] > 0  # some radii were grown
 
 
 def test_columnar_assembly_lists_a_repicked_stream_point_once(monkeypatch):
@@ -571,7 +666,7 @@ def test_columnar_assembly_lists_a_repicked_stream_point_once(monkeypatch):
     # reaches it: it fails twice, or fails and is then consumed.
     small_store(monkeypatch)
     p = params31()
-    state = run_multilayer(p, 2, [(0,) * 29]).layer_states[0]
+    [state] = layer_runs(p, 2, [(0,) * 29])
     streamed = [rec.mode == "streamed" for rec in state.registry.records]
     failed = next(f for f in state.failed_picks if streamed[f[0][0]])
     sphere = next(s for s in state.spheres.values() if streamed[s.point_id[0]])
@@ -617,7 +712,7 @@ def line_gamma(xs, radii, vertex):
         point_ids=np.stack([np.zeros(n, dtype=np.intp), np.arange(n)], axis=1),
         layers=((0,),),
         n_stream_leftovers=0,
-        layer_states=(),
+        runs=(),
         annotations={},
     )
 
@@ -649,7 +744,7 @@ def test_cluster_components_crafted():
 
 
 def test_cluster_components_real_run():
-    st, spheres = run_layer(params31(), 1)
+    st = run_layer(params31(), 1)
     gamma = assemble_gamma(params31(), [st])
     labels = cluster_components(gamma)
     sizes = np.bincount(labels)
@@ -657,4 +752,4 @@ def test_cluster_components_real_run():
     assert sizes.sum() == len(gamma.radii) and sizes.min() >= 1
     # every constructed sphere is tangent to its parent, so they are one
     # component and it leads the list
-    assert np.count_nonzero(gamma.vertex[labels == 0] >= 0) == len(spheres)
+    assert np.count_nonzero(gamma.vertex[labels == 0] >= 0) == len(st.spheres)

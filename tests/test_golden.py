@@ -161,7 +161,7 @@ def test_d45_layer_registry_dump_digest():
     params = ConstructionParams(
         d=45, C=16.0, lam=lambda_star(45), lattice_radius=12.0, max_steps=3
     )
-    state, _ = run_layer(params, derive_seed(7, 11, 0), (0,) * 43)
+    state = run_layer(params, derive_seed(7, 11, 0), (0,) * 43)
     assert sha256_bytes(registry_dump(state.registry).encode()) == D45_REGISTRY_DUMP
 
 

@@ -44,7 +44,7 @@ def make_gamma(centers, radii, layers=None, vertices=None):
         point_ids=np.stack([np.zeros(n, dtype=np.intp), np.arange(n)], axis=1),
         layers=vecs,
         n_stream_leftovers=0,
-        layer_states=(),
+        runs=(),
         annotations={},
     )
 
