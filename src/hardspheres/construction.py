@@ -298,7 +298,7 @@ def step_region(
         parent_radius + MU + DELTA + MEMBERSHIP_TOL,
     )
     region = Intersection((cell, annulus))
-    bound_layer = math.sqrt(annulus.outer**2 - (1.0 - 2.0 * EPS) ** 2)
+    bound_layer = geometry.shell_radii(annulus.outer)[1]
     bounding = StepShell(
         Cell(planar_center, EPS, parent_center[2:], bound_layer), annulus
     )
@@ -465,81 +465,82 @@ class GammaProcess:
         return pairs
 
 
-def _layer_rows(state, d: int):
-    """One layer's rows as (centers, radii, vertex, point_ids) columns, with
-    its count of unlisted stream points: the constructed spheres in step
-    order, then the leftovers in point-id order.  The leftovers are the
-    points the records hold, less the consumed ones, plus the failed picks
-    that surfaced from streams, each once."""
-    reg = state.registry
-    spheres = list(state.spheres.values())
-    realized = reg.realized_points()
-    # Record r holds the rows first[r]:first[r + 1]; a streamed record none.
-    first = np.searchsorted(realized.ids[:, 0], np.arange(len(reg.records) + 1))
-    n_held = np.diff(first)
-    consumed = np.array([s.point_id for s in spheres], dtype=np.intp).reshape(-1, 2)
-    held = consumed[:, 1] < n_held[consumed[:, 0]]
-    keep = np.ones(len(realized.ids), dtype=bool)
-    keep[first[consumed[held, 0]] + consumed[held, 1]] = False
-    # Streamed points exist only as replayable counts; the ones whose
-    # coordinates did surface (consumed centers, failed picks) are
-    # accounted here, the rest are reported as a count.
-    surfaced = set(map(tuple, consumed[~held].tolist()))
-    extra_ids, extra_coords = [], []
+def _leftovers(state) -> tuple:
+    """One layer's leftovers in point-id order, and its count of stream
+    points that never surfaced.  Each record with leftovers gives (record
+    id, local indices, coordinates, their rows): a held record its points
+    that no sphere consumed, as rows of its own coords; a streamed record
+    the failed picks that surfaced from it, each once.  Streamed points
+    exist only as replayable counts, so the rest are reported as a count."""
+    records = state.registry.records
+    consumed = {s.point_id for s in state.spheres.values()}
+    gone, surfaced = {}, {}
+    for rid, i in consumed:
+        gone.setdefault(rid, []).append(i)
     for pid, coords in state.failed_picks:
-        if pid[1] >= n_held[pid[0]] and pid not in surfaced:
-            surfaced.add(pid)
-            extra_ids.append(pid)
-            extra_coords.append(coords)
-    ids, coords = realized.ids, realized.coords
-    rows = np.flatnonzero(keep)
-    if extra_ids:
-        rows = np.concatenate((rows, len(ids) + np.arange(len(extra_ids))))
-        ids = np.concatenate((ids, np.array(extra_ids, dtype=np.intp)))
-        coords = np.concatenate((coords, extra_coords))
-        rows = rows[np.lexsort((ids[rows, 1], ids[rows, 0]))]
-    n = len(spheres)
-    radii = np.zeros(n + rows.size)
-    radii[:n] = [s.radius for s in spheres]
-    vertex = np.full(n + rows.size, -1, dtype=np.intp)
-    vertex[:n] = [s.vertex for s in spheres]
-    columns = (
-        np.concatenate((np.reshape([s.center for s in spheres], (n, d)), coords[rows])),
-        radii,
-        vertex,
-        np.concatenate((consumed, ids[rows])),
-    )
-    streamed_fresh = sum(rec.n_fresh for rec in reg.records if rec.mode == "streamed")
-    return columns, streamed_fresh - len(surfaced)
+        if records[pid[0]].mode == "streamed" and pid not in consumed:
+            surfaced.setdefault(pid[0], {}).setdefault(pid[1], coords)
+    entries, n_unlisted = [], 0
+    for rec in records:
+        if rec.mode == "streamed":
+            picks = surfaced.get(rec.rid, {})
+            n_unlisted += rec.n_fresh - len(picks) - len(gone.get(rec.rid, ()))
+            if picks:
+                index = sorted(picks)
+                coords = np.array([picks[i] for i in index])
+                entries.append((rec.rid, index, coords, np.arange(len(index))))
+        elif rec.coords is not None and len(rec.coords):
+            index = np.delete(np.arange(len(rec.coords)), gone.get(rec.rid, []))
+            entries.append((rec.rid, index, rec.coords, index))
+    return entries, n_unlisted
 
 
 def assemble_gamma(params: ConstructionParams, states) -> GammaProcess:
     """Merge layer runs into one process: each layer's constructed spheres,
-    then its leftovers in point-id order.  Streamed points are realized but
-    not stored; they are reported by count and stay out of the columns
-    (documented restriction of the finite simulation).  At eta > 0 each
-    layer's leftovers grow against its own rows and registry: records of
-    distinct layers lie at least 0.7 apart, so no other layer can change a
-    grown radius."""
-    layers, annotations = [], {}
-    for state in states:
-        columns, n_stream = _layer_rows(state, params.d)
+    then its leftovers in point-id order.  Every column is sized once from
+    the layers' row counts and filled straight from the records' coords.
+    Streamed points are realized but not stored; they are reported by count
+    and stay out of the columns (documented restriction of the finite
+    simulation).  At eta > 0 each layer's leftovers grow against its own
+    rows and registry: records of distinct layers lie at least 0.7 apart,
+    so no other layer can change a grown radius."""
+    leftovers = [_leftovers(st) for st in states]
+    sizes = [
+        len(st.spheres) + sum(len(entry[1]) for entry in entries)
+        for st, (entries, _) in zip(states, leftovers)
+    ]
+    n = sum(sizes)
+    centers = np.empty((n, params.d))
+    radii = np.zeros(n)
+    vertex = np.full(n, -1, dtype=np.intp)
+    point_ids = np.empty((n, 2), dtype=np.intp)
+    annotations, k = {}, 0
+    for state, (entries, _), size in zip(states, leftovers, sizes):
+        rows = slice(k, k + size)
+        for s in state.spheres.values():
+            centers[k], radii[k], vertex[k] = s.center, s.radius, s.vertex
+            point_ids[k] = s.point_id
+            k += 1
+        for rid, index, coords, take in entries:
+            end = k + len(index)
+            # the rows are in range; mode "raise" would buffer the output
+            np.take(coords, take, axis=0, out=centers[k:end], mode="clip")
+            point_ids[k:end, 0] = rid
+            point_ids[k:end, 1] = index
+            k = end
         if params.eta > 0:
-            counts = _reassign_leftover_radii(*columns, state.registry)
-            annotations = {k: annotations.get(k, 0) + n for k, n in counts.items()}
-        layers.append((columns, n_stream))
-    centers, radii, vertex, point_ids = (
-        np.concatenate([columns[k] for columns, _ in layers]) for k in range(4)
-    )
-    layer = np.repeat(np.arange(len(states)), [len(columns[1]) for columns, _ in layers])
+            counts = _reassign_leftover_radii(
+                centers[rows], radii[rows], vertex[rows], point_ids[rows], state.registry
+            )
+            annotations = {key: annotations.get(key, 0) + c for key, c in counts.items()}
     return GammaProcess(
         centers=centers,
         radii=radii,
         vertex=vertex,
-        layer=layer,
+        layer=np.repeat(np.arange(len(states)), sizes),
         point_ids=point_ids,
         layers=tuple(st.layer_vec for st in states),
-        n_stream_leftovers=sum(n for _, n in layers),
+        n_stream_leftovers=sum(unlisted for _, unlisted in leftovers),
         runs=tuple(
             LayerRun(st.stopped_reason, tuple(st.log), st.registry.metrics()) for st in states
         ),

@@ -642,12 +642,8 @@ def step_layer_radii(r: float) -> tuple:
     """
     if not RADIUS_MIN - 1e-12 <= r <= RADIUS_MAX + 1e-12:
         raise ValueError(f"parent radius {r} outside [{RADIUS_MIN}, {RADIUS_MAX}]")
-    r_out = r + MU + DELTA
-    r_in = r + MU - DELTA
-    shell_lo = math.sqrt(r_out**2 - (1.0 + 2.0 * EPS) ** 2)
-    core_hi = math.sqrt(r_in**2 - (1.0 - 2.0 * EPS) ** 2)
-    bound = math.sqrt(r_out**2 - (1.0 - 2.0 * EPS) ** 2)
-    return shell_lo, core_hi, bound
+    shell_lo, bound = shell_radii(r + MU + DELTA)
+    return shell_lo, shell_radii(r + MU - DELTA)[1], bound
 
 
 def step_volume_lower_bound(d: int) -> float:

@@ -3,12 +3,25 @@ replay checks and golden digests."""
 
 import pickle
 
+import numpy as np
+
 from hardspheres.geometry import Annulus, Ball, Cell, StepShell
+from hardspheres.poisson import PointSet
+
+
+def realized_points(registry) -> PointSet:
+    """Every point the registry holds coordinates for, in id order: stored
+    fresh points and saturated picks.  Streamed candidates are replay-derived
+    and left out."""
+    held = [r for r in registry.records if r.coords is not None]
+    ids = tuple((r.rid, i) for r in held for i in range(len(r.coords)))
+    coords = np.concatenate([r.coords for r in held]) if held else np.empty((0, registry.dim))
+    return PointSet(ids, coords)
 
 
 def registry_snapshot(registry) -> tuple:
     """One (rid, mode, pickled region, candidates, fresh) tuple per record,
-    and the raw bytes of the realized point ids and of their coordinates.  Two
+    the realized point ids and the raw bytes of their coordinates.  Two
     runs of one configuration with equal snapshots have equal
     registry_dump() text; comparing bytes also tells -0.0 from 0.0, and it
     skips formatting every coordinate."""
@@ -16,8 +29,8 @@ def registry_snapshot(registry) -> tuple:
         (r.rid, r.mode, pickle.dumps(r.region), r.n_candidates, r.n_fresh)
         for r in registry.records
     )
-    points = registry.realized_points()
-    return records, points.ids.tobytes(), points.coords.tobytes()
+    points = realized_points(registry)
+    return records, points.ids, points.coords.tobytes()
 
 
 def registry_dump(registry) -> str:

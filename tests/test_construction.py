@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -57,7 +58,7 @@ from hardspheres.poisson import (
     max_materialize,
 )
 from hardspheres.rngutil import derive_seed
-from registry_snapshot import registry_snapshot
+from registry_snapshot import realized_points, registry_snapshot
 from test_report_path import brute_contact_pairs
 
 LAM31 = 12.0 * lambda_star(31)
@@ -584,8 +585,8 @@ def dict_assembly(params, states):
     n_stream_leftovers = 0
     for state in states:
         reg = state.registry
-        realized = reg.realized_points()
-        listed = dict(zip(map(tuple, realized.ids.tolist()), realized.coords))
+        realized = realized_points(reg)
+        listed = dict(zip(realized.ids, realized.coords))
         for pid, coords in state.failed_picks:
             listed.setdefault(pid, coords)
         spheres = state.spheres.values()
@@ -676,6 +677,24 @@ def test_columnar_assembly_lists_a_repicked_stream_point_once(monkeypatch):
     assert gamma.centers.tobytes() == want["centers"].tobytes()
     assert np.array_equal(gamma.point_ids, want["point_ids"])
     assert gamma.n_stream_leftovers == n_stream_leftovers
+
+
+def test_assemble_gamma_allocates_about_one_copy():
+    # the four d = 31 layers of the bench's d31_layers argv (12 lambda*,
+    # lattice radius 6, seed 71, eta 0): assembly sizes each column once and
+    # fills it from the records, so its peak is about the columns it returns
+    p = params31(lattice_radius=6.0)
+    states = layer_runs(p, 71, [(k,) + (0,) * 28 for k in range(4)])
+    tracemalloc.start()
+    try:
+        gamma = assemble_gamma(p, states)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    names = ("centers", "radii", "vertex", "layer", "point_ids")
+    columns = sum(getattr(gamma, name).nbytes for name in names)
+    assert columns > 5e6  # leftovers of every layer dominate
+    assert peak <= 1.1 * columns, (peak, columns)
 
 
 def test_eta_postpass_grows_leftovers():

@@ -35,7 +35,7 @@ from hardspheres.poisson import (
     mecke_coin,
 )
 from hardspheres.rngutil import derive_seed, generator
-from registry_snapshot import registry_dump
+from registry_snapshot import realized_points, registry_dump
 
 
 def ball2(x, y, r):
@@ -527,14 +527,17 @@ def three_tier_registry(seed):
 
 def test_realized_points_inventory():
     reg, stored, res, sat = three_tier_registry(15)
-    inv = reg.realized_points()
+    inv = realized_points(reg)
     # stream candidates are replay-derived: only stored coords and the
-    # saturated pick are inventory, in record order
-    assert inv.ids.dtype == np.intp
-    assert inv.ids.tolist() == [list(pid) for pid in stored.ids + ((2, 0),)]
+    # saturated pick are held, in record order
+    assert inv.ids == stored.ids + ((2, 0),)
     assert np.array_equal(inv.coords, np.vstack([stored.coords, sat.coords]))
     if res.status == "picked":
-        assert list(res.point_id) not in inv.ids.tolist()
+        assert res.point_id not in inv.ids
+
+
+def test_collect_reads_all_three_tiers():
+    reg, stored, _, sat = three_tier_registry(15)
     # a region holding points of all three tiers collects each tier's own
     streamed = reg.collect(ball2(0, 0, 0.8))
     assert len(stored) > 0 and len(streamed) > 0
