@@ -65,7 +65,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -617,10 +618,8 @@ _SCRIPT_STORE_CAP = 4.0
 _SCRIPT_BOX = 2.5
 
 
-def consistency_regions(dim: int) -> dict:
-    if dim != 2:
-        raise ValueError("the consistency script is planar (dim = 2)")
-    return {
+_SCRIPT_REGIONS = MappingProxyType(
+    {
         "q01": Ball(np.array([0.0, 0.0]), 0.8),
         "q02": Ball(np.array([0.6, 0.0]), 0.7),
         "q03": Cell(np.array([-0.4, 0.2]), 0.35, np.empty(0), 1.0),
@@ -632,6 +631,15 @@ def consistency_regions(dim: int) -> dict:
         "q09": Ball(np.array([0.0, 0.0]), 1.2),
         "q10": Ball(np.array([0.55, 0.35]), 0.35),
     }
+)
+
+
+def consistency_regions(dim: int) -> Mapping:
+    """The script's ten frozen regions, built once per process and shared
+    read-only by every count."""
+    if dim != 2:
+        raise ValueError("the consistency script is planar (dim = 2)")
+    return _SCRIPT_REGIONS
 
 
 # Which queries pick (uniform member draw) and which materialize; every

@@ -612,13 +612,27 @@ def test_seed_env_var_must_be_an_integer(monkeypatch, capsys):
 
 
 def test_importing_the_cli_leaves_scipy_stats_unloaded():
-    # scipy.stats costs about 0.6 s to import; only the chi-squared battery
-    # needs it, so it must not land in every command's start-up.
+    # scipy.stats costs about 0.8 s and 99 MB to import, and no command
+    # needs it: the chi-squared battery takes its p-values from
+    # scipy.special.
     code = "import sys, hardspheres.cli; print('scipy.stats' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=env, timeout=60, check=True)
     assert out.stdout == "False\n"
+
+
+def test_verify_sampler_leaves_scipy_stats_unloaded(tmp_path):
+    argv = ["verify", "sampler", "--budget", "400", "--out", str(tmp_path / "out.json")]
+    code = (
+        "import sys\n"
+        "from hardspheres import cli\n"
+        f"print(cli.main({argv!r}), 'scipy.stats' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, timeout=60, check=True)
+    assert res.stdout == "0 False\n"
 
 
 def test_perc2d_bounds_scan_and_verify_isolation_leave_scipy_unloaded(tmp_path):

@@ -20,6 +20,7 @@ from hardspheres.geometry import (
 )
 from hardspheres.checks import (
     _ALPHA,
+    _MIN_POOLED,
     MIN_CONSISTENCY_SEEDS,
     _chi2_two_sample,
     sampler_consistency,
@@ -576,6 +577,18 @@ def test_consistency_script_shapes():
         consistency_counts_lazy(3, 3.0, seed=0)
 
 
+def test_consistency_regions_are_built_once_and_read_only():
+    regs = poisson.consistency_regions(2)
+    assert poisson.consistency_regions(2) is regs
+    assert sorted(regs) == [f"q{i:02d}" for i in range(1, 11)]
+    with pytest.raises(TypeError):
+        regs["q01"] = regs["q02"]
+    # the refusal holds on every call, not only the first
+    for _ in range(2):
+        with pytest.raises(ValueError, match="planar"):
+            poisson.consistency_regions(3)
+
+
 def test_consistency_means_agree():
     n = 150
     lazy = np.array(
@@ -604,6 +617,44 @@ def test_chi2_keeps_the_commonest_value_as_a_category():
     values = list(range(40))
     assert _chi2_two_sample(values, values)[3] == 2
     assert _chi2_two_sample([1] * 30, [1] * 30) is None
+
+
+def _pooled_table(rng, n_main: int, n_rare: int) -> tuple:
+    """A random 2-row table as _chi2_two_sample pools it, and its rare
+    categories' (row 0, row 1) counts: n_main columns of at least
+    _MIN_POOLED counts (values 0, 1, ...) and, when n_rare > 0, a last
+    column summing n_rare categories of fewer (values 100, 101, ...)."""
+    main = []
+    for _ in range(n_main):
+        a = int(rng.integers(0, 80))
+        main.append((a, int(rng.integers(max(0, _MIN_POOLED - a), 80))))
+    rare = []
+    for _ in range(n_rare):
+        a = int(rng.integers(0, _MIN_POOLED))
+        rare.append((a, int(rng.integers(0 if a else 1, _MIN_POOLED - a))))
+    cols = main + ([tuple(map(sum, zip(*rare)))] if rare else [])
+    return np.array(cols).T, rare
+
+
+def test_chi2_statistic_is_chi2_contingency_to_the_bit():
+    # the same floats as scipy.stats, on dof = 1 (Yates) and wider tables,
+    # pooled or not
+    from scipy.stats import chi2_contingency
+
+    rng = np.random.default_rng(35)
+    shapes = [(2, 0), (1, 1), (1, 4), (2, 3), (5, 0), (4, 6), (9, 2)]
+    for n_main, n_rare in shapes * 60:
+        table, rare = _pooled_table(rng, n_main, n_rare)
+        if min(table.sum(axis=1)) == 0:
+            continue
+        vals = [
+            [v for v, n in enumerate(row[:n_main]) for _ in range(n)]
+            + [100 + j for j, col in enumerate(rare) for _ in range(col[r])]
+            for r, row in enumerate(table)
+        ]
+        stat, p, dof, _ = chi2_contingency(table)
+        expect = (float(stat), float(p), int(dof), table.shape[1])
+        assert _chi2_two_sample(*vals) == expect, table.tolist()
 
 
 def _two_steps_into_one_cell(through_cell: bool, seed: int) -> tuple:
