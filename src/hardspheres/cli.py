@@ -287,7 +287,9 @@ def cmd_simulate(args) -> int:
     if args.out:
         _check_writable(*(args.out + ext for ext in SIMULATE_OUTPUTS))
     lam = _resolve_lambda(args.lam, args.dim)
+    t = time.perf_counter()
     C = _resolve_C(args.cells_C, args.dim)
+    cells_C_s = _since(t)[1]
     params = ConstructionParams(
         d=args.dim,
         C=C,
@@ -349,6 +351,7 @@ def cmd_simulate(args) -> int:
         man["step_log"] = steps_text
     # Disjoint phases of the run, so their sum is at most the wall time.
     man["timings"] = {
+        "cells_C_s": cells_C_s,
         "layers_s": layers_s,
         "verify_s": verify_s,
         "clusters_s": clusters_s,

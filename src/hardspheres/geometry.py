@@ -12,6 +12,7 @@ step-region lower bound) are what the dimension bounds in
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
@@ -679,6 +680,38 @@ def step_volume_bracket(d: int, r: float) -> tuple:
     return base * (shell_lo**m / 3.0 - core_hi**m), base * bound**m
 
 
+@functools.cache
+def _gauss_legendre() -> tuple:
+    """The 64 Gauss-Legendre nodes and weights on [-1, 1], read-only and
+    computed once per process (leggauss takes about 1 ms)."""
+    nodes, weights = np.polynomial.legendre.leggauss(64)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
+def _cap_beta(a2: int, y: np.ndarray) -> np.ndarray:
+    """I_{1-y}(a2/2, 1/2), the regularized incomplete beta function, for an
+    integer a2 >= 0 and y in [0, 1]; 1 at a2 = 0."""
+    if a2 == 0:
+        return np.ones_like(y)
+    root = np.sqrt(y)
+    if a2 % 2:
+        # 1 - (2/pi) arcsin sqrt(y), without arcsin's blow-up at y = 1
+        start, a0 = (2.0 / math.pi) * np.arctan2(np.sqrt(1.0 - y), root), 0.5
+    else:
+        start, a0 = 1.0 - root, 1.0
+    a = a0 + np.arange((a2 - 1) // 2)
+    # log Gamma(a + 1/2) / (Gamma(a + 1) Gamma(1/2)): the gammas themselves
+    # overflow past a = 171
+    log_coef = np.array([math.lgamma(ak + 0.5) - math.lgamma(ak + 1.0) for ak in a])
+    log_coef -= 0.5 * math.log(math.pi)
+    with np.errstate(divide="ignore"):  # log1p(-1) = -inf gives x^a = 0
+        log_x = np.log1p(-y)
+    terms = np.exp(a[:, None] * log_x + log_coef[:, None])
+    return start - root * terms.sum(axis=0)
+
+
 def boundary_fraction(dim: int, c: float, R: float) -> float:
     """Share of the ball B(x, R) in R^dim that lies inside B(0, c), for a
     center x on the sphere |x| = c.
@@ -692,6 +725,20 @@ def boundary_fraction(dim: int, c: float, R: float) -> float:
         share = integral over s in [0, min(1, 2c/R)] of
                 dim s^(dim-1) 1/2 I_{1-(s R/2c)^2}((dim-1)/2, 1/2) ds.
 
+    With b = 1/2, a = (dim-1)/2 climbs in unit steps from 1/2 (even dim)
+    or 1 (odd dim), so the cap is a finite sum (DLMF 8.17.20 at
+    x = 1 - y, y = t^2):
+
+        I_{1-y}(1/2, 1/2) = 1 - (2/pi) arcsin sqrt(y),
+        I_{1-y}(1, 1/2)   = 1 - sqrt(y),
+        I_{1-y}(a+1, 1/2) = I_{1-y}(a, 1/2)
+                            - (1-y)^a sqrt(y) Gamma(a+1/2) / (Gamma(a+1) Gamma(1/2)),
+
+    and at dim = 1 (a = 0) it is a half.  _cap_beta takes y = t^2 itself:
+    near s = 0, 1 - t^2 would round a small t^2 away, and sqrt(y) with it.
+    Its terms go through lgamma and log1p, so they hold up to dim = 450,
+    and they match mpmath to about 1e-15.
+
     When 2c > R the integrand is smooth on [0, 1], and 64 Gauss-Legendre
     nodes match adaptive quadrature to about 1e-13 up to dim = 450.  When
     2c <= R it ends at s = 2c/R in a (dim-1)/2-power kink, but there
@@ -700,12 +747,10 @@ def boundary_fraction(dim: int, c: float, R: float) -> float:
     """
     if 2.0 * c <= R:
         return (c / R) ** dim
-    from scipy import special
-
-    nodes, weights = special.roots_legendre(64)
+    nodes, weights = _gauss_legendre()
     s = 0.5 * (nodes + 1.0)
     t = s * (R / (2.0 * c))
-    cap = 0.5 * special.betainc(0.5 * (dim - 1), 0.5, 1.0 - t * t)
+    cap = 0.5 * _cap_beta(dim - 1, t * t)
     return float(0.5 * np.dot(weights, dim * s ** (dim - 1) * cap))
 
 

@@ -433,7 +433,7 @@ class RegionRegistry:
             tied = np.flatnonzero(same)
             rank = j - int(np.count_nonzero(first < first[k]))
             k = int(tied[np.lexsort(coords[tied].T[::-1])[rank]])
-        return points.ids[k], coords[k]
+        return points.ids[k], coords[k].copy()
 
     # -- tiered pick ----------------------------------------------------
 
@@ -529,7 +529,7 @@ class RegionRegistry:
         total = len(earlier)
         if total:
             j = int(self.rng.integers(total))
-            pid, coords = earlier.ids[j], earlier.coords[j]
+            pid, coords = earlier.ids[j], earlier.coords[j].copy()
         for start, pts, fresh in self._replay(rec):
             rec.n_fresh += int(np.count_nonzero(fresh))
             inside = np.flatnonzero(fresh & region.contains(pts))
@@ -575,11 +575,10 @@ class RegionRegistry:
             ok = region.contains(pts) & self._drop_determined(pts, rec.filter_ids)
             hit = np.flatnonzero(ok)
             if hit.size:
-                rec.coords = pts[hit[:1]]
+                coords = pts[hit[0]].copy()
+                rec.coords = coords[None]
                 self.stored_points += 1
-                return PickResult(
-                    "picked", (rid, 0), rec.coords[0], "saturated", None, m_lo, m_hi
-                )
+                return PickResult("picked", (rid, 0), coords, "saturated", None, m_lo, m_hi)
             rows = _SEA_BLOCK_ROWS
         raise RegistryError(
             "rejection sampling failed to land in the saturated region; "

@@ -169,7 +169,7 @@ def test_simulate_timings_fit_in_the_wall_time(tmp_path, capsys, out):
     assert main(SIM5 + ["--seed", "3"] + (["--out", str(prefix)] if out else [])) == EXIT_OK
     man = read_json(str(prefix) + ".manifest.json") if out else json.loads(capsys.readouterr().out)
     timings = man["timings"]
-    assert sorted(timings) == ["clusters_s", "layers_s", "verify_s", "write_s"]
+    assert sorted(timings) == ["cells_C_s", "clusters_s", "layers_s", "verify_s", "write_s"]
     assert all(t >= 0 for t in timings.values())
     assert sum(timings.values()) <= man["wall_time_seconds"]
 
@@ -636,8 +636,8 @@ def test_verify_sampler_leaves_scipy_stats_unloaded(tmp_path):
 
 
 def test_perc2d_bounds_scan_and_verify_isolation_leave_scipy_unloaded(tmp_path):
-    # scipy costs about 0.3 s of start-up and 35 MB; only the overlap
-    # constant, the eta post-pass and the chi-squared battery call it.
+    # scipy costs about 0.3 s of start-up and 35 MB; only the eta
+    # post-pass and the chi-squared battery call it.
     out = str(tmp_path / "out.json")
     argvs = [
         ["perc2d", "--p", "0.7", "--radius", "10", "--trials", "10", "--out", out],
@@ -655,6 +655,26 @@ def test_perc2d_bounds_scan_and_verify_isolation_leave_scipy_unloaded(tmp_path):
     res = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=env, timeout=60, check=True)
     assert res.stdout.splitlines() == ["False"] + ["0 False"] * len(argvs)
+
+
+def test_cells_C_auto_and_verify_geometry_leave_scipy_unloaded(tmp_path):
+    # the overlap constant's incomplete beta is a finite sum in numpy
+    argvs = [
+        ["simulate", "--dim", "45", "--lambda", "auto", "--cells-C", "auto",
+         "--max-steps", "1", "--out", str(tmp_path / "run")],
+        ["verify", "geometry", "--dim", "5", "--budget", "2000",
+         "--out", str(tmp_path / "out.json")],
+    ]
+    code = (
+        "import sys\n"
+        "from hardspheres import cli\n"
+        f"for argv in {argvs!r}:\n"
+        "    print(cli.main(argv), 'scipy' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, timeout=60, check=True)
+    assert res.stdout.splitlines() == ["0 False"] * len(argvs)
 
 
 def test_simulate_at_eta_zero_leaves_scipy_unloaded(tmp_path):

@@ -448,6 +448,16 @@ def test_a_returned_gamma_holds_no_registry_state_or_lattice(monkeypatch):
     assert "layer_states" not in {f.name for f in dataclasses.fields(GammaProcess)}
 
 
+def test_picked_coordinates_own_their_data():
+    # a view of one row would keep the member array or sample block it
+    # came from alive for as long as the sphere or failed pick
+    st = run_layer(ConstructionParams(d=45, C=16.0, lam=lambda_star(45), lattice_radius=12), 7)
+    picks = st.registry.picks
+    assert min(picks.values()) > 0 and st.failed_picks, picks
+    assert [s.point_id for s in st.spheres.values() if s.center.base is not None] == []
+    assert [pid for pid, coords in st.failed_picks if coords.base is not None] == []
+
+
 def test_intensity_that_every_isolation_test_refuses():
     # step 0's isolation ball is B(y0, MU + eta), and the registry refuses
     # to materialize one whose expected count tops max_materialize, so the

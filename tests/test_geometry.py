@@ -42,6 +42,7 @@ from hardspheres.geometry import (
     step_volume_bracket,
     step_volume_lower_bound,
     unit_ball_volume,
+    _cap_beta,
 )
 from hardspheres.checks import TooFewSamples
 from hardspheres.rngutil import derive_seed, generator
@@ -506,6 +507,34 @@ def test_boundary_fraction_closed_cases():
     assert math.isclose(boundary_fraction(1, 3.0, 1.0), 0.5, rel_tol=1e-14)
     # a vanishing ball keeps half its volume on the flat boundary
     assert math.isclose(boundary_fraction(20, 1e6, 1.0), 0.5, rel_tol=1e-5)
+
+
+def test_cap_beta_matches_mpmath_at_40_digits():
+    import mpmath
+
+    # y spans (0, 1] with both ends: tiny y, where x = 1 - y would round,
+    # and y near 1, where arcsin sqrt(y) is ill-conditioned
+    ys = np.array([1e-300, 1e-12, 1e-6, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9,
+                   0.99, 1.0 - 1e-6, 1.0 - 1e-12, 1.0])
+    worst = 0.0
+    with mpmath.workdps(40):
+        for dim in range(1, 451):
+            got = _cap_beta(dim - 1, ys)
+            a = mpmath.mpf(dim - 1) / 2
+            for y, value in zip(ys.tolist(), got.tolist()):
+                exact = mpmath.betainc(a, 0.5, 0, 1 - mpmath.mpf(y), regularized=True) if dim > 1 else 1
+                worst = max(worst, float(abs(value - exact)))
+    assert worst <= 1e-13
+
+
+def test_searched_C_changes_only_where_pinned():
+    steps = {}
+    previous = None
+    for d in range(3, 451):
+        C = checks.searched_C(d)
+        if C != previous:
+            steps[d] = previous = C
+    assert steps == {3: 2.0, 4: 4.0, 8: 8.0, 22: 16.0, 88: 32.0, 366: 64.0}
 
 
 def test_searched_C_where_the_repository_runs():

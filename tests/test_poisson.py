@@ -183,6 +183,24 @@ def test_stream_sees_earlier_stored_points():
     assert hits > 0  # the scenario actually exercised stored points
 
 
+def test_a_streamed_pick_of_an_earlier_point_owns_its_coordinates():
+    # the region is realized before it streams, so the stream holds no
+    # fresh member and the pick is an earlier point, copied out of the
+    # collected member array rather than a view that keeps it alive
+    picked = 0
+    for s in range(10):
+        reg = RegionRegistry(2, 4.0, seed=derive_seed(310, s), store_cap=1.0)
+        inner = ball2(0, 0, 0.45)
+        stored = reg.materialize(inner)
+        res = reg.pick_in_region(inner, inner, inner.volume())
+        assert res.mode == "streamed" and res.n_members == len(stored)
+        if res.status == "picked":
+            assert res.point_id in stored.ids
+            assert res.coords.base is None
+            picked += 1
+    assert picked > 0
+
+
 def test_pick_stored_tier_and_empty_status():
     reg = RegionRegistry(2, 1.0, seed=6)
     tiny = ball2(0, 0, 1e-4)
